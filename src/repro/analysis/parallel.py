@@ -33,6 +33,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..jsonlog import read_log, replace_log, write_atomic
+
 #: A point runner: ``(params, seed) -> row`` where both ``params`` and the
 #: returned row are JSON-serialisable dicts.
 PointRunner = Callable[[Dict[str, Any], int], Dict[str, Any]]
@@ -162,11 +164,10 @@ class SweepCache:
         return row if isinstance(row, dict) else None
 
     def put(self, key: Dict[str, Any], row: Dict[str, Any]) -> None:
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump({"key": key, "row": row}, handle, sort_keys=True)
-        os.replace(tmp, path)  # atomic: concurrent sweeps never see partial files
+        # Atomic: concurrent sweeps never see partial files.
+        write_atomic(
+            self._path(key), json.dumps({"key": key, "row": row}, sort_keys=True)
+        )
 
     def __len__(self) -> int:
         return sum(
@@ -225,43 +226,18 @@ def write_sweep_jsonl(
             "jobs": report.jobs,
         }
     )
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    replace_log(path, records)
     return len(records)
 
 
 def read_sweep_points(path: str) -> List[Dict[str, Any]]:
-    """The ``point`` records of a sweep JSONL file, torn-tail tolerant.
-
-    The inverse of :func:`write_sweep_jsonl` for consumers that only
-    need rows back — the scenario service's query layer and its crash
-    recovery both read with this.  Lines that fail to parse (a file cut
-    short by a crash) are skipped, not raised: readers of
-    crash-survivor files must accept exactly what a crash leaves
-    behind.
+    """The ``point`` records of a sweep JSONL file (under the
+    :mod:`repro.jsonlog` contract) — what the scenario service's query
+    layer and its crash recovery read back of :func:`write_sweep_jsonl`.
     """
-    points: List[Dict[str, Any]] = []
-    try:
-        handle = open(path)
-    except OSError:
-        return points
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and record.get("type") == "point":
-                points.append(record)
-    return points
+    return [
+        record for record in read_log(path) if record.get("type") == "point"
+    ]
 
 
 @dataclass

@@ -718,33 +718,33 @@ def _flywheel_finish(report: Any) -> int:
 
 def cmd_flywheel_run(args: argparse.Namespace) -> int:
     """Start a fresh differential campaign (see docs/FLYWHEEL.md)."""
-    from .flywheel import LedgerError, run_flywheel
+    from .flywheel import run_flywheel
 
     try:
         report = run_flywheel(_flywheel_config(args))
-    except (LedgerError, ValueError) as exc:
+    except ValueError as exc:  # LedgerError, CorruptLogError
         raise CLIError(str(exc)) from None
     return _flywheel_finish(report)
 
 
 def cmd_flywheel_resume(args: argparse.Namespace) -> int:
     """Continue a killed campaign from its ledger (exactly-once)."""
-    from .flywheel import LedgerError, run_flywheel
+    from .flywheel import run_flywheel
 
     try:
         report = run_flywheel(_flywheel_config(args), resume=True)
-    except (LedgerError, ValueError) as exc:
+    except ValueError as exc:  # LedgerError, CorruptLogError
         raise CLIError(str(exc)) from None
     return _flywheel_finish(report)
 
 
 def cmd_flywheel_status(args: argparse.Namespace) -> int:
     """Summarise a campaign ledger: progress, divergences, completion."""
-    from .flywheel import LedgerError, load_state
+    from .flywheel import load_state
 
     try:
         state = load_state(args.ledger)
-    except LedgerError as exc:
+    except ValueError as exc:  # LedgerError, CorruptLogError
         raise CLIError(str(exc)) from None
     if state.header is None:
         raise CLIError(f"{args.ledger!r} holds no campaign header")
@@ -818,6 +818,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Stops on ``POST /shutdown`` or Ctrl-C; either way pending points are
     marked ``cancelled`` before the process exits (see docs/SERVICE.md).
     """
+    from .jsonlog import CorruptLogError
     from .service import ScenarioService, ServiceConfig
 
     config = ServiceConfig(
@@ -834,6 +835,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         service = ScenarioService(config).start()
+    except CorruptLogError as exc:
+        raise CLIError(str(exc)) from None
     except OSError as exc:
         raise CLIError(f"cannot bind {args.host}:{args.port}: {exc}") from None
     print(f"serving on {service.url}", flush=True)

@@ -22,19 +22,19 @@ records is true:
     The campaign reached its configured count.  Its absence is what
     tells ``resume``/``status`` the run was interrupted.
 
-The reader tolerates a torn final line (the SIGKILL case — same contract
-as :func:`repro.analysis.parallel.read_sweep_points`): a half-written
-point record is simply not a point record, so the point re-runs on
-resume and appears exactly once in the *parsed* ledger.
+The ledger is an ``fsync``'d :mod:`repro.jsonlog` log: a torn final
+line (the SIGKILL case) is forgiven and repaired when the writer opens.
+A half-written point record is simply not a point record, so the point
+re-runs on resume and appears exactly once in the *parsed* ledger.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
+
+from ..jsonlog import LogWriter, read_log
 
 #: Ledger format version (bump on incompatible record-shape changes).
 LEDGER_SCHEMA_VERSION = 1
@@ -44,33 +44,8 @@ class LedgerError(ValueError):
     """The ledger on disk is incompatible with the requested campaign."""
 
 
-def read_ledger(path: str) -> List[Dict[str, Any]]:
-    """Every parseable record, in file order; a torn tail is skipped.
-
-    Only a trailing unparsable line is forgiven (the append-crash case);
-    garbage in the middle of the file means the ledger was edited or
-    corrupted, and raises :class:`LedgerError` rather than silently
-    dropping executed points.
-    """
-    if not os.path.exists(path):
-        return []
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            parsed = json.loads(line)
-        except ValueError:
-            if lineno == len(lines) - 1:
-                break  # torn tail: the crash interrupted this append
-            raise LedgerError(
-                f"{path}:{lineno + 1}: unparsable non-final record"
-            ) from None
-        if isinstance(parsed, dict):
-            records.append(parsed)
-    return records
+#: Every ledger record, in file order (the :mod:`repro.jsonlog` reader).
+read_ledger = read_log
 
 
 @dataclass
@@ -111,47 +86,16 @@ def load_state(path: str) -> LedgerState:
     return state
 
 
-def _repair_torn_tail(path: str) -> None:
-    """Truncate a half-written final record before appending new ones.
-
-    A record is only *committed* once its newline hits the disk; a kill
-    mid-append leaves a tail with no terminator, which the reader
-    already ignores.  Repairing it at writer-open (WAL style) keeps the
-    invariant that an unparsable line can only ever be the final one —
-    without this, a resume would append flush records *onto* the torn
-    fragment and corrupt the ledger mid-file.
-    """
-    if not os.path.exists(path):
-        return
-    with open(path, "rb+") as handle:
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        if size == 0:
-            return
-        handle.seek(-1, os.SEEK_END)
-        if handle.read(1) == b"\n":
-            return
-        handle.seek(0)
-        data = handle.read()
-        keep = data.rfind(b"\n") + 1  # 0 when no newline exists at all
-        handle.truncate(keep)
-
-
 class LedgerWriter:
-    """Append-and-flush writer for one campaign ledger."""
+    """Append-and-fsync writer for one campaign ledger."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        _repair_torn_tail(path)
-        self._handle = open(path, "a")
+        self._log = LogWriter(path, fsync=True)
 
     def append(self, record: Dict[str, Any]) -> None:
         """Write one record and force it to disk (crash-safe append)."""
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._log.append(record)
 
     def header(
         self,
@@ -194,7 +138,7 @@ class LedgerWriter:
         )
 
     def close(self) -> None:
-        self._handle.close()
+        self._log.close()
 
     def __enter__(self) -> "LedgerWriter":
         return self

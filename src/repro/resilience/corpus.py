@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
+from ..jsonlog import write_atomic
 from .oracles import evaluate, violated_oracles
 from .scenario import Scenario, ScenarioResult, execute_scenario
 
@@ -87,13 +88,8 @@ class ReproCase:
 
 def save_case(case: ReproCase, directory: str) -> str:
     """Write one case as ``<directory>/<name>.json``; returns the path."""
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{case.name}.json")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(case.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(case.to_dict(), indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -6,8 +6,8 @@ JSONL file, ``journal.jsonl``.  On startup the next service process
 replays that file: jobs that never reached a terminal state are
 re-registered and re-queued (:meth:`repro.service.session.ScenarioService
 .start`), with already-finished points deduped through the sweep cache
-and journaled ``failed``/``cancelled`` points restored as-is.  A crash —
-``kill -9``, OOM, power loss — therefore loses at most the points that
+and journaled ``failed``/``cancelled`` points restored as-is.  A killed
+process — ``kill -9``, OOM — therefore loses at most the points that
 were mid-flight, never a whole job.
 
 Record shapes (one JSON object per line)::
@@ -18,12 +18,12 @@ Record shapes (one JSON object per line)::
      "status": "done"}                       # + "error" for failures
     {"type": "job_terminal", "job_id": "job-0001", "status": "done"}
 
-The reader is tolerant by construction: a line torn by a crash (the
-append was mid-write) fails to parse and is skipped, which loses one
-transition, not the journal.  :func:`compact_journal` rewrites the file
-atomically on recovery, dropping every record that belongs to a job
-already in a terminal state, so the journal's size is bounded by the
-live work, not the service's history.
+The journal is a flushed, not ``fsync``'d, :mod:`repro.jsonlog` log: a
+line torn by a killed process is forgiven and truncated when the next
+:class:`JobJournal` opens, and garbage anywhere else raises.
+:func:`compact_journal` rewrites the file atomically on recovery,
+dropping every record of a job already in a terminal state, so the
+journal's size is bounded by the live work, not the service's history.
 
 Nothing here imports from the rest of the service package — the journal
 is a leaf the :class:`~repro.service.jobs.JobStore` and the session
@@ -32,11 +32,12 @@ layer both sit on.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from ..jsonlog import LogWriter, read_log, replace_log
 
 #: File name of the journal inside the service's data directory.
 JOURNAL_NAME = "journal.jsonl"
@@ -44,34 +45,13 @@ JOURNAL_NAME = "journal.jsonl"
 #: Schema version of the journal records.
 JOURNAL_SCHEMA_VERSION = 1
 
+#: The first record of every journal file.
+_HEADER: Dict[str, Any] = {"type": "journal_header", "schema_version": JOURNAL_SCHEMA_VERSION}
+
 
 def journal_path(data_dir: str) -> str:
     """Where the journal of a service over *data_dir* lives."""
     return os.path.join(data_dir, JOURNAL_NAME)
-
-
-def iter_jsonl_tolerant(path: str) -> Iterator[Dict[str, Any]]:
-    """Yield every parseable JSON-object line of *path*.
-
-    Unreadable files yield nothing; lines that fail to parse (a torn
-    tail after a crash, stray garbage) are skipped rather than raised —
-    recovery must work on exactly the files a crash leaves behind.
-    """
-    try:
-        handle = open(path)
-    except OSError:
-        return
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                yield record
 
 
 class JobJournal:
@@ -79,38 +59,21 @@ class JobJournal:
 
     Thread-safe: the worker thread journals point/job transitions while
     HTTP handler threads journal submissions.  Appends are flushed per
-    record (a killed *process* loses nothing flushed; pass
-    ``fsync=True`` to survive a killed *machine* at the cost of one
-    ``fsync`` per record).
+    record, so a killed *process* loses nothing already journaled.
     """
 
-    def __init__(self, path: str, *, fsync: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.fsync = fsync
         self._journal_lock = threading.Lock()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fresh = not os.path.exists(path)
-        self._handle: Optional[Any] = open(  # statics: guarded-by(_journal_lock)
-            path, "a", encoding="utf-8"
-        )
-        if fresh:
-            self._append(
-                {
-                    "type": "journal_header",
-                    "schema_version": JOURNAL_SCHEMA_VERSION,
-                }
-            )
+        log = LogWriter(path, fsync=False)
+        self._handle: Optional[LogWriter] = log  # statics: guarded-by(_journal_lock)
+        if log.empty:
+            self._append(_HEADER)
 
     def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
         with self._journal_lock:
-            if self._handle is None:
-                return
-            self._handle.write(line)
-            self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            if self._handle is not None:
+                self._handle.append(record)
 
     def record_submitted(
         self, job_id: str, specs: List[Dict[str, Any]]
@@ -167,13 +130,18 @@ class JournaledJob:
 
 
 def replay_journal(path: str) -> "Dict[str, JournaledJob]":
-    """Fold the journal at *path* into per-job state, submission order.
+    """Fold the journal at *path* into per-job state, submission order."""
+    return _fold(read_log(path))
+
+
+def _fold(records: List[Dict[str, Any]]) -> "Dict[str, JournaledJob]":
+    """Per-job state of journal *records*.
 
     Records for jobs whose submission line was lost (torn tail) are
     dropped: a job the journal cannot re-plan cannot be recovered.
     """
     jobs: Dict[str, JournaledJob] = {}
-    for record in iter_jsonl_tolerant(path):
+    for record in records:
         kind = record.get("type")
         job_id = record.get("job_id")
         if kind == "job_submitted" and isinstance(job_id, str):
@@ -211,28 +179,10 @@ def compact_journal(path: str) -> int:
     recovery, before the journal is reopened for appending, so the file
     grows with the amount of *live* work, not with service history.
     """
-    if not os.path.exists(path):
-        return 0  # nothing journaled yet; JobJournal creates the file
-    jobs = replay_journal(path)
-    keep = {
-        job_id
-        for job_id, job in jobs.items()
-        if job.terminal_status is None
-    }
-    dropped = len(jobs) - len(keep)
-    if dropped == 0:
-        return 0
-    records: List[Dict[str, Any]] = [
-        {"type": "journal_header", "schema_version": JOURNAL_SCHEMA_VERSION}
-    ]
-    for record in iter_jsonl_tolerant(path):
-        if record.get("type") == "journal_header":
-            continue
-        if record.get("job_id") in keep:
-            records.append(record)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    records = read_log(path)
+    jobs = _fold(records)
+    live = {job_id for job_id, job in jobs.items() if job.terminal_status is None}
+    dropped = len(jobs) - len(live)
+    if dropped:
+        replace_log(path, [_HEADER] + [r for r in records if r.get("job_id") in live])
     return dropped

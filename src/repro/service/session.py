@@ -79,9 +79,6 @@ class ServiceConfig:
     #: stalled client (slow-loris, dead TCP peer) times out instead of
     #: pinning a handler thread forever.
     request_timeout: float = 30.0
-    #: ``fsync`` the journal per record (survive machine crashes, not
-    #: just process crashes, at a heavy per-append cost).
-    journal_fsync: bool = False
 
 
 class ScenarioService:
@@ -97,7 +94,7 @@ class ScenarioService:
             # records are dropped, non-terminal jobs' records survive,
             # so restore() below never needs to re-journal anything.
             compact_journal(path)
-            self._journal = JobJournal(path, fsync=self.config.journal_fsync)
+            self._journal = JobJournal(path)
         self.store = JobStore(self._journal)
         self.worker = Worker(
             self.store,

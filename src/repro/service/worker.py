@@ -430,7 +430,6 @@ class Worker(threading.Thread):
         """
         if self.data_dir is None:
             return
-        os.makedirs(self.data_dir, exist_ok=True)
         rows = self.store.result_rows(job)
         counts = self.store.counts(job)
         report = SweepReport(

@@ -16,6 +16,7 @@ import sys
 import time
 
 from repro.analysis.spec import ScenarioSpec
+from repro.jsonlog import read_log
 from repro.service import (
     JobJournal,
     JobStore,
@@ -29,7 +30,11 @@ from repro.service.chaos import (
     armed_faults,
     simulate_crash,
 )
-from repro.service.journal import journal_path, replay_journal
+from repro.service.journal import (
+    JOURNAL_SCHEMA_VERSION,
+    journal_path,
+    replay_journal,
+)
 
 POINTS = [
     {
@@ -178,6 +183,38 @@ class TestInProcessCrash:
         )
         with ScenarioService(make_config(tmp_path)) as service:
             assert service.recovered_jobs == []
+
+
+class TestTornJournalRestart:
+    """A crash mid-append leaves a torn journal tail.  The next boot
+    must not append its first record onto that fragment, or the record
+    is lost on the following replay."""
+
+    def test_job_submitted_after_a_torn_restart_is_recoverable(self, tmp_path):
+        config = make_config(tmp_path)
+        path = journal_path(config.data_dir)
+        journal = JobJournal(path)
+        journal.record_submitted("job-0007", [POINTS[0]])
+        journal.close()
+        with open(path, "a") as handle:
+            handle.write('{"type": "point_terminal", "job_id": "job-0007", "in')
+        # Boot exactly as a restart does (compact, reopen the journal),
+        # then submit before anything else is journaled.
+        service = ScenarioService(config)
+        job = service.store.create([ScenarioSpec.from_dict(POINTS[1])])
+        simulate_crash(service)
+        assert list(replay_journal(path)) == ["job-0007", job.job_id]
+
+    def test_a_torn_header_is_replaced_by_a_whole_one(self, tmp_path):
+        config = make_config(tmp_path)
+        path = journal_path(config.data_dir)
+        os.makedirs(config.data_dir)
+        with open(path, "w") as handle:
+            handle.write('{"schema_version": 1, "type": "journ')
+        simulate_crash(ScenarioService(config))
+        assert read_log(path) == [
+            {"type": "journal_header", "schema_version": JOURNAL_SCHEMA_VERSION}
+        ]
 
 
 class TestSubprocessKill:

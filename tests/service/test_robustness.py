@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.analysis.spec import ScenarioSpec
+from repro.jsonlog import read_log
 from repro.service import (
     JobStore,
     ScenarioService,
@@ -23,7 +24,6 @@ from repro.service import (
 )
 from repro.service.chaos import CHAOS_EXECUTOR, SLOW_DELAY, armed_faults
 from repro.service.journal import (
-    iter_jsonl_tolerant,
     journal_path,
     replay_journal,
 )
@@ -174,7 +174,7 @@ class TestCancellation:
                 assert journaled == from_store
                 indices = [
                     record["index"]
-                    for record in iter_jsonl_tolerant(journal)
+                    for record in read_log(journal)
                     if record.get("type") == "point_terminal"
                     and record.get("job_id") == job_id
                 ]

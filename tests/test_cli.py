@@ -351,3 +351,40 @@ class TestAuthenticatedCommand:
                     "random",
                 ]
             )
+
+
+class TestCorruptLogs:
+    """A log with garbage before its last line is reported as one
+    ``path:line`` error with exit code 2, never as a traceback."""
+
+    @staticmethod
+    def corrupt(path, first_line):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(first_line + "\n!corrupted!\n" + first_line + "\n")
+        return str(path)
+
+    def assert_one_line_error(self, code, capsys, path):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: {path}:2: corrupt record before the end of the log"
+        ]
+
+    @pytest.mark.parametrize("command", ["status", "run", "resume"])
+    def test_flywheel(self, command, tmp_path, capsys):
+        ledger = self.corrupt(tmp_path / "ledger.jsonl", '{"type": "point", "index": 0}')
+        if command == "status":
+            argv = ["flywheel", "status", ledger]
+        else:
+            argv = ["flywheel", command, "--seed", "1", "--count", "2",
+                    "--ledger", ledger, "--no-cache"]
+        self.assert_one_line_error(main(argv), capsys, ledger)
+
+    def test_serve(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        journal = self.corrupt(
+            data_dir / "journal.jsonl", '{"type": "journal_header", "schema_version": 1}'
+        )
+        code = main(["serve", "--port", "0", "--data-dir", str(data_dir),
+                     "--cache-dir", str(tmp_path / "cache")])
+        self.assert_one_line_error(code, capsys, journal)
