@@ -118,7 +118,8 @@ def test_t5c_degradation_vs_drop_probability(report, benchmark):
     die: output spread grows with p and the oracle success rate collapses,
     while p = 0 reproduces the clean baseline exactly.
     """
-    from repro.resilience import Scenario, evaluate, execute_scenario
+    from repro.analysis.spec import ScenarioSpec
+    from repro.resilience import evaluate, execute_scenario
 
     drops = [0.0, 0.1, 0.2, 0.3, 0.45, 0.6]
     seeds = range(5)
@@ -138,11 +139,11 @@ def test_t5c_degradation_vs_drop_probability(report, benchmark):
                         "seed": seed,
                         "allow_model_violations": True,
                     }
-                scenario = Scenario(
+                spec = ScenarioSpec(
                     protocol="real-aa", n=7, t=2, inputs=inputs,
                     adversary="silent", corrupt=(1, 4), fault_plan=plan,
                 )
-                result = execute_scenario(scenario)
+                result = execute_scenario(spec)
                 successes += not evaluate(result)
                 outputs = [
                     v for v in result.honest_outputs.values() if v is not None
@@ -188,7 +189,8 @@ def test_t5d_success_vs_corruption_ratio(report, benchmark):
     collapse exactly when f/n reaches 1/3, mirroring the impossibility
     bound without ever tripping a constructor guard.
     """
-    from repro.resilience import Scenario, evaluate, execute_scenario
+    from repro.analysis.spec import ScenarioSpec
+    from repro.resilience import evaluate, execute_scenario
 
     n, t_assumed = 12, 3
     seeds = range(6)
@@ -201,11 +203,12 @@ def test_t5d_success_vs_corruption_ratio(report, benchmark):
                 rng = random.Random(100 + seed)
                 inputs = tuple(round(rng.uniform(0, 10), 3) for _ in range(n))
                 corrupt = tuple(sorted(rng.sample(range(n), f)))
-                scenario = Scenario(
-                    protocol="real-aa", n=n, t=t_assumed, inputs=inputs,
+                spec = ScenarioSpec(
+                    protocol="real-aa", n=n, t=max(t_assumed, f),
+                    t_assumed=t_assumed, inputs=inputs,
                     adversary="silent" if f else "none", corrupt=corrupt,
                 )
-                successes += not evaluate(execute_scenario(scenario))
+                successes += not evaluate(execute_scenario(spec))
             rows.append(
                 [
                     f,

@@ -2,11 +2,11 @@
 
 Before this module every layer described "a protocol run" in its own
 dialect: the ``run_*`` APIs took Python objects, ``repro sweep`` built
-ad-hoc params dicts, the resilience lab had :class:`repro.resilience
-.scenario.Scenario`, and the CLI had spec *strings* for trees and
+ad-hoc params dicts, and the CLI had spec *strings* for trees and
 adversaries.  :class:`ScenarioSpec` is the one shared, JSON-serialisable
 form: protocol, tree, ``n``/``t``, adversary, backend, fault plan, trace
-level, and seed — everything that determines an execution, as data.
+level, async scheduler, and seed — everything that determines an
+execution, as data.
 
 That single form is what makes "sweep as a service" possible:
 
@@ -18,8 +18,9 @@ That single form is what makes "sweep as a service" possible:
 * :mod:`repro.service` ships specs over HTTP and shards them across
   workers, deduping against the *same* cache entries a local
   ``repro sweep --spec`` run produces (:func:`spec_cache_key`);
-* :class:`repro.resilience.scenario.Scenario` converts to and from
-  specs, so campaigns accept them too.
+* the resilience lab's campaigns, shrinker, and ``tests/corpus/`` cases
+  are specs too, interpreted by :func:`repro.resilience.execute_scenario`
+  over the same run path as :meth:`ScenarioSpec.run`.
 
 The serialised form carries ``spec_version`` (currently
 :data:`SPEC_VERSION`); :meth:`ScenarioSpec.from_dict` rejects specs
@@ -43,8 +44,24 @@ from .parallel import SweepCache, register_runner
 #: change; :meth:`ScenarioSpec.from_dict` rejects newer versions.
 SPEC_VERSION = 1
 
-#: Protocols a spec can describe (the three ``run_*`` entry points).
-SPEC_PROTOCOLS = ("real-aa", "path-aa", "tree-aa")
+#: Protocols a spec can describe: the three ``run_*`` entry points plus
+#: the asynchronous iterated RealAA of the prior art (reference only).
+SPEC_PROTOCOLS = ("real-aa", "path-aa", "tree-aa", "async-real-aa")
+
+#: The protocol whose specs take a ``scheduler`` and ``max_steps``.
+ASYNC_PROTOCOL = "async-real-aa"
+
+#: Protocols whose inputs are real numbers (no tree).
+_REAL_PROTOCOLS = ("real-aa", ASYNC_PROTOCOL)
+
+#: Adversary kinds an ``async-real-aa`` spec accepts.
+ASYNC_ADVERSARIES = ("none", "passive", "silent", "noise")
+
+#: Scheduler kinds of :func:`build_scheduler` (async specs only).
+SCHEDULERS = ("fifo", "random", "split", "delay")
+
+#: Default step budget of an asynchronous execution.
+DEFAULT_MAX_STEPS = 20_000
 
 #: Execution backends a spec can select.
 SPEC_BACKENDS = ("reference", "batch")
@@ -101,17 +118,19 @@ def build_adversary(
     corrupt: Optional[Sequence[int]] = None,
     seed: int = 0,
     chaos_script: Optional[Sequence[Tuple[int, int, str]]] = None,
+    asynchronous: bool = False,
 ) -> Optional[Any]:
-    """Instantiate a synchronous adversary from its spec string.
+    """Instantiate an adversary from its spec string.
 
-    This is the one shared builder behind ``repro.cli.make_adversary``,
-    :func:`repro.resilience.scenario.build_adversary` (sync branch), and
-    :meth:`ScenarioSpec.run`.  Grammar: ``none``, ``silent``, ``passive``,
-    ``noise[:SEED]``, ``crash[:ROUND[:PARTIAL_TO]]``, ``chaos[:SEED]``,
-    ``burn``, ``burn-down``, ``asym``.  ``corrupt`` pins the corrupted
-    set (``None`` lets the strategy choose), ``seed`` is the fallback for
-    seeded kinds without an explicit argument, ``t`` sizes the burn
-    schedules, and ``chaos_script`` replays a recorded chaos log.
+    This is the one shared builder behind ``repro.cli.make_adversary``
+    and :meth:`ScenarioSpec.make_adversary`.  Grammar: ``none``,
+    ``silent``, ``passive``, ``noise[:SEED]``, ``crash[:ROUND[:PARTIAL_TO]]``,
+    ``chaos[:SEED]``, ``burn``, ``burn-down``, ``asym``.  ``corrupt`` pins
+    the corrupted set (``None`` lets the strategy choose), ``seed`` is the
+    fallback for seeded kinds without an explicit argument, ``t`` sizes
+    the burn schedules, and ``chaos_script`` replays a recorded chaos log.
+    ``asynchronous=True`` builds the :mod:`repro.asynchrony` counterpart
+    instead (only the :data:`ASYNC_ADVERSARIES` kinds exist there).
 
     Returns ``None`` for ``"none"`` — a genuinely adversary-free run.
     """
@@ -123,6 +142,22 @@ def build_adversary(
         raise SpecError(f"malformed adversary spec {spec!r}: {exc}") from None
     if kind == "none":
         return None
+    if asynchronous:
+        from ..asynchrony import (
+            AsyncNoiseAdversary,
+            AsyncPassiveAdversary,
+            AsyncSilentAdversary,
+        )
+
+        if kind == "passive":
+            return AsyncPassiveAdversary(corrupt=corrupt)
+        if kind == "silent":
+            return AsyncSilentAdversary(corrupt=corrupt)
+        if kind == "noise":
+            return AsyncNoiseAdversary(
+                seed=args[0] if args else seed, corrupt=corrupt
+            )
+        raise SpecError(f"unknown async adversary {spec!r}")
     from ..adversary import (
         ChaosAdversary,
         CrashAdversary,
@@ -164,6 +199,38 @@ def build_adversary(
     raise SpecError(f"unknown adversary {spec!r}")
 
 
+def build_scheduler(spec: Optional[str], *, n: int, seed: int = 0) -> Optional[Any]:
+    """Instantiate an async delivery scheduler (``None`` = FIFO).
+
+    Grammar: ``fifo``, ``random[:SEED]``, ``split[:K]`` (parties ``0..K-1``
+    against the rest; default ``n // 2``), ``delay[:K]`` (delay the first
+    ``K`` senders; default 1).  ``seed`` is the fallback for ``random``.
+    """
+    if spec is None:
+        return None
+    from ..asynchrony import (
+        DelaySendersScheduler,
+        FIFOScheduler,
+        RandomScheduler,
+        SplitScheduler,
+    )
+
+    parts = spec.split(":")
+    kind = parts[0]
+    arg = int(parts[1]) if len(parts) > 1 else None
+    if kind == "fifo":
+        return FIFOScheduler()
+    if kind == "random":
+        return RandomScheduler(arg if arg is not None else seed)
+    if kind == "split":
+        k = arg if arg is not None else max(1, n // 2)
+        return SplitScheduler(group_a=list(range(min(k, n))))
+    if kind == "delay":
+        k = arg if arg is not None else 1
+        return DelaySendersScheduler(list(range(min(k, n))))
+    raise SpecError(f"unknown scheduler {spec!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One protocol execution, fully described by JSON-friendly data.
@@ -174,6 +241,11 @@ class ScenarioSpec:
     ``inputs=None`` the inputs are derived deterministically from
     ``seed`` (the sweep engine's worst-case spread pattern), so a spec
     stays a few short fields even for large ``n``.
+
+    ``async-real-aa`` specs describe the asynchronous iterated RealAA
+    instead: they add a delivery ``scheduler`` and a ``max_steps``
+    budget (both rejected on synchronous specs), accept only the
+    :data:`ASYNC_ADVERSARIES`, and run on the reference engine only.
     """
 
     #: One of :data:`SPEC_PROTOCOLS`.
@@ -213,6 +285,10 @@ class ScenarioSpec:
     #: Record the execution as an embedded JSONL trace (the service's
     #: report/diff endpoints read it back with ``load_run``).
     record: bool = False
+    #: ``async-real-aa`` only: :func:`build_scheduler` spec (``None`` = FIFO).
+    scheduler: Optional[str] = None
+    #: ``async-real-aa`` only: delivery-step budget.
+    max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self) -> None:
         """Validate the spec as *data* (no execution, no tree parsing)."""
@@ -226,7 +302,7 @@ class ScenarioSpec:
             raise SpecError(f"unknown backend {self.backend!r}")
         if self.trace_level not in TRACE_LEVELS:
             raise SpecError(f"unknown trace_level {self.trace_level!r}")
-        if self.protocol != "real-aa" and not self.tree:
+        if self.protocol not in _REAL_PROTOCOLS and not self.tree:
             raise SpecError(f"{self.protocol} specs need a tree spec")
         if self.inputs is not None and len(self.inputs) != self.n:
             raise SpecError(
@@ -236,18 +312,38 @@ class ScenarioSpec:
             raise SpecError(f"corrupt ids {self.corrupt} out of range")
         if len(set(self.corrupt)) != len(self.corrupt):
             raise SpecError(f"duplicate corrupt ids {self.corrupt}")
-        if self.adversary.split(":")[0] not in ADVERSARY_KINDS:
+        kind = self.adversary.split(":")[0]
+        if kind not in ADVERSARY_KINDS:
             raise SpecError(f"unknown adversary {self.adversary!r}")
+        if self.protocol != ASYNC_PROTOCOL:
+            if self.scheduler is not None or self.max_steps != DEFAULT_MAX_STEPS:
+                raise SpecError(
+                    f"scheduler and max_steps apply to {ASYNC_PROTOCOL} "
+                    f"specs only, not {self.protocol}"
+                )
+            return
+        if kind not in ASYNC_ADVERSARIES:
+            raise SpecError(
+                f"adversary {self.adversary!r} not available for "
+                f"{ASYNC_PROTOCOL} specs"
+            )
+        if self.scheduler is not None and self.scheduler.split(":")[0] not in SCHEDULERS:
+            raise SpecError(f"unknown scheduler {self.scheduler!r}")
+        if self.max_steps < 1:
+            raise SpecError(f"need max_steps >= 1, got {self.max_steps}")
+        if self.record:
+            raise SpecError(f"{ASYNC_PROTOCOL} specs cannot be recorded")
 
     # -- serialisation -------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """The canonical JSON form (round-trips through :meth:`from_dict`).
 
-        Every field is always present, so two equal specs serialise to
-        identical dicts — the property the sweep cache keys rely on.
+        Every field is always present (``scheduler``/``max_steps`` on
+        async specs only), so two equal specs serialise to identical dicts
+        — the property the sweep cache keys rely on.
         """
-        return {
+        payload = {
             "spec_version": SPEC_VERSION,
             "protocol": self.protocol,
             "n": self.n,
@@ -273,6 +369,10 @@ class ScenarioSpec:
             ),
             "record": self.record,
         }
+        if self.protocol == ASYNC_PROTOCOL:
+            payload["scheduler"] = self.scheduler
+            payload["max_steps"] = self.max_steps
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
@@ -311,11 +411,18 @@ class ScenarioSpec:
                 else None
             ),
             record=bool(payload.get("record", False)),
+            scheduler=payload.get("scheduler"),
+            max_steps=int(payload.get("max_steps", DEFAULT_MAX_STEPS)),
         )
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         """The same spec under a different deterministic seed."""
         return replace(self, seed=seed)
+
+    @property
+    def assumed_t(self) -> int:
+        """The tolerance the honest parties run with (``t_assumed`` or ``t``)."""
+        return self.t if self.t_assumed is None else self.t_assumed
 
     # -- execution -----------------------------------------------------
 
@@ -333,7 +440,7 @@ class ScenarioSpec:
         if self.inputs is not None:
             return list(self.inputs)
         rng = random.Random(self.seed)
-        if self.protocol == "real-aa":
+        if self.protocol in _REAL_PROTOCOLS:
             spread = self.known_range if self.known_range is not None else 8.0
             values = [0.0 if i % 2 == 0 else float(spread) for i in range(self.n)]
             rng.shuffle(values)
@@ -362,6 +469,7 @@ class ScenarioSpec:
             corrupt=self.corrupt or None,
             seed=self.seed,
             chaos_script=self.chaos_script,
+            asynchronous=self.protocol == ASYNC_PROTOCOL,
         )
 
     def make_fault_plan(self) -> Optional[FaultPlan]:
@@ -375,57 +483,120 @@ class ScenarioSpec:
 
         Returns the protocol's outcome object
         (:class:`~repro.core.api.TreeAAOutcome` or
-        :class:`~repro.core.api.RealAAOutcome`).  ``observer`` is
-        forwarded verbatim; attaching one forces ``TraceLevel.FULL``
-        semantics exactly as it does for direct API calls.
+        :class:`~repro.core.api.RealAAOutcome`; async specs report
+        delivery steps as ``rounds``).  ``observer`` is forwarded
+        verbatim; attaching one forces ``TraceLevel.FULL`` semantics
+        exactly as it does for direct API calls.  Async specs take no
+        observer, and ``backend="batch"`` raises
+        :class:`~repro.engine.errors.UnsupportedBackendError` for them.
         """
-        from ..core.api import run_path_aa, run_real_aa, run_tree_aa
+        return run_with_adversary(self, self.make_adversary(), observer)
 
-        adversary = self.make_adversary()
-        fault_plan = self.make_fault_plan()
-        trace_level = TRACE_LEVELS[self.trace_level]
-        if self.protocol == "real-aa":
-            return run_real_aa(
-                [float(v) for v in self.make_inputs()],
-                self.t,
-                epsilon=self.epsilon,
-                known_range=self.known_range,
-                adversary=adversary,
-                trace_level=trace_level,
-                observer=observer,
-                fault_plan=fault_plan,
-                t_assumed=self.t_assumed,
-                backend=self.backend,
-            )
-        tree = self.build_tree()
-        inputs = self.make_inputs(tree)
-        if self.protocol == "path-aa":
-            from ..trees.paths import diameter_path
 
-            return run_path_aa(
-                tree,
-                diameter_path(tree),
-                inputs,
-                self.t,
-                adversary=adversary,
-                project=self.project,
-                trace_level=trace_level,
-                observer=observer,
-                fault_plan=fault_plan,
-                t_assumed=self.t_assumed,
-                backend=self.backend,
-            )
-        return run_tree_aa(
-            tree,
-            inputs,
-            self.t,
+def run_with_adversary(
+    spec: ScenarioSpec, adversary: Optional[Any], observer: Optional[Any] = None
+) -> Any:
+    """:meth:`ScenarioSpec.run` with an already-built adversary.
+
+    The resilience executor builds the adversary itself so it can read
+    the chaos behaviour log after the run; everything else about the
+    execution is this one code path.
+    """
+    from ..core.api import run_path_aa, run_real_aa, run_tree_aa
+
+    fault_plan = spec.make_fault_plan()
+    trace_level = TRACE_LEVELS[spec.trace_level]
+    if spec.protocol == ASYNC_PROTOCOL:
+        return _run_async(spec, adversary, fault_plan, observer)
+    if spec.protocol == "real-aa":
+        return run_real_aa(
+            [float(v) for v in spec.make_inputs()],
+            spec.t,
+            epsilon=spec.epsilon,
+            known_range=spec.known_range,
             adversary=adversary,
             trace_level=trace_level,
             observer=observer,
             fault_plan=fault_plan,
-            t_assumed=self.t_assumed,
-            backend=self.backend,
+            t_assumed=spec.t_assumed,
+            backend=spec.backend,
         )
+    tree = spec.build_tree()
+    inputs = spec.make_inputs(tree)
+    if spec.protocol == "path-aa":
+        from ..trees.paths import diameter_path
+
+        return run_path_aa(
+            tree,
+            diameter_path(tree),
+            inputs,
+            spec.t,
+            adversary=adversary,
+            project=spec.project,
+            trace_level=trace_level,
+            observer=observer,
+            fault_plan=fault_plan,
+            t_assumed=spec.t_assumed,
+            backend=spec.backend,
+        )
+    return run_tree_aa(
+        tree,
+        inputs,
+        spec.t,
+        adversary=adversary,
+        trace_level=trace_level,
+        observer=observer,
+        fault_plan=fault_plan,
+        t_assumed=spec.t_assumed,
+        backend=spec.backend,
+    )
+
+
+def _run_async(
+    spec: ScenarioSpec,
+    adversary: Optional[Any],
+    fault_plan: Optional[FaultPlan],
+    observer: Optional[Any],
+) -> Any:
+    """Run an ``async-real-aa`` spec on the asynchronous network."""
+    from ..asynchrony import AsyncRealAAParty, run_async_protocol
+    from ..core.api import real_aa_outcome
+    from ..engine.errors import UnsupportedBackendError
+
+    if spec.backend != "reference":
+        raise UnsupportedBackendError(
+            f"{ASYNC_PROTOCOL} specs have no batch equivalent; "
+            "use backend='reference'"
+        )
+    if observer is not None:
+        raise SpecError(f"{ASYNC_PROTOCOL} specs take no observer")
+    inputs = [float(v) for v in spec.make_inputs()]
+    known_range = effective_known_range(spec, inputs)
+    execution = run_async_protocol(
+        spec.n,
+        spec.t,
+        lambda pid: AsyncRealAAParty(
+            pid,
+            spec.n,
+            spec.assumed_t,
+            inputs[pid],
+            epsilon=spec.epsilon,
+            known_range=max(known_range, spec.epsilon),
+        ),
+        adversary=adversary,
+        scheduler=build_scheduler(spec.scheduler, n=spec.n, seed=spec.seed),
+        max_steps=spec.max_steps,
+        fault_plan=fault_plan,
+    )
+    return real_aa_outcome(execution, inputs, spec.epsilon, execution.trace.steps)
+
+
+def effective_known_range(spec: ScenarioSpec, inputs: Sequence[float]) -> float:
+    """``known_range``, or the spread of the real inputs when it is unset
+    (the same default :func:`repro.core.api.run_real_aa` applies)."""
+    if spec.known_range is not None:
+        return float(spec.known_range)
+    return (max(inputs) - min(inputs)) if inputs else 0.0
 
 
 def run_spec(spec: ScenarioSpec) -> Any:
@@ -471,7 +642,7 @@ def _spec_row(spec: ScenarioSpec, outcome: Any) -> Dict[str, Any]:
             "agreement": outcome.agreement,
         },
     }
-    if spec.protocol == "real-aa":
+    if spec.protocol in _REAL_PROTOCOLS:
         row["verdicts"]["output_spread"] = outcome.output_spread
     else:
         row["verdicts"]["output_diameter"] = outcome.output_diameter

@@ -28,7 +28,7 @@ Commands
                 same engine and flags as ``tools/protolint.py``)
 ``campaign``    run a seeded fault-injection campaign with invariant
                 oracles (``--count``, ``--seed``, degradation knobs)
-``shrink``      delta-debug a violating scenario JSON to a minimal
+``shrink``      delta-debug a violating ScenarioSpec JSON to a minimal
                 reproduction (``repro campaign --save-violations`` or a
                 corpus file supplies the input)
 ``make-tree``   generate a tree and print it (edges / JSON / DOT)
@@ -592,8 +592,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             jsonl_path=args.jsonl,
         )
     except ValueError as exc:
-        # e.g. a typo'd --protocols/--adversaries name surfacing as a
-        # ScenarioError during generation
+        # e.g. a typo'd --adversaries name surfacing as a SpecError
+        # during generation
         raise CLIError(str(exc)) from None
     print(report.summary())
     if report.violating_rows:
@@ -621,7 +621,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 args.save_violations, f"violation-{index:04d}.json"
             )
             with open(path, "w") as handle:
-                json_module.dump(row["scenario"], handle, indent=2, sort_keys=True)
+                json_module.dump(row["spec"], handle, indent=2, sort_keys=True)
                 handle.write("\n")
         print(
             f"\nsaved {len(report.violating_rows)} violating scenarios "
@@ -631,14 +631,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_shrink(args: argparse.Namespace) -> int:
-    """Delta-debug a violating scenario JSON to a minimal reproduction."""
+    """Delta-debug a violating spec JSON to a minimal reproduction."""
     import json as json_module
 
+    from .analysis.spec import ScenarioSpec
     from .resilience import (
         NotViolatingError,
         ReproCase,
-        Scenario,
-        ScenarioError,
         save_case,
         shrink,
         shrink_report,
@@ -649,15 +648,15 @@ def cmd_shrink(args: argparse.Namespace) -> int:
             payload = json_module.load(handle)
     except (OSError, ValueError) as exc:
         raise CLIError(f"cannot read {args.scenario!r}: {exc}") from None
-    # Accept both bare scenarios and full corpus cases.
-    if "scenario" in payload and "protocol" not in payload:
-        payload = payload["scenario"]
+    # Accept both bare specs and full corpus cases.
+    if isinstance(payload, dict) and "protocol" not in payload:
+        payload = payload.get("spec")
     try:
-        scenario = Scenario.from_dict(payload)
-    except (KeyError, ScenarioError, TypeError, ValueError) as exc:
-        raise CLIError(f"malformed scenario: {exc}") from None
+        spec = ScenarioSpec.from_dict(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CLIError(f"malformed spec: {exc}") from None
     try:
-        result = shrink(scenario, max_checks=args.max_checks)
+        result = shrink(spec, max_checks=args.max_checks)
     except NotViolatingError as exc:
         raise CLIError(str(exc)) from None
     print(shrink_report(result))
@@ -665,7 +664,7 @@ def cmd_shrink(args: argparse.Namespace) -> int:
         case = ReproCase(
             name=os.path.splitext(os.path.basename(args.out))[0],
             description=args.description,
-            scenario=result.minimal,
+            spec=result.minimal,
             expected_violations=result.minimal_violations,
         )
         path = save_case(case, os.path.dirname(os.path.abspath(args.out)))
@@ -1187,7 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-violations",
         default=None,
         metavar="DIR",
-        help="write violating scenarios as JSON files (inputs for `repro shrink`)",
+        help="write violating specs as JSON files (inputs for `repro shrink`)",
     )
     p.add_argument(
         "--jsonl",
@@ -1198,11 +1197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "shrink",
-        help="delta-debug a violating scenario JSON to a minimal reproduction",
+        help="delta-debug a violating spec JSON to a minimal reproduction",
     )
     p.add_argument(
         "scenario",
-        help="scenario JSON (from `repro campaign --save-violations` or a corpus case)",
+        help="spec JSON (from `repro campaign --save-violations` or a corpus case)",
     )
     p.add_argument(
         "--out",

@@ -9,7 +9,7 @@ outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from ..net.faults import FaultPlan
 from ..net.messages import PartyId
@@ -326,6 +326,32 @@ def run_real_aa(
         observer=observer,
         fault_plan=fault_plan,
     )
+    return real_aa_outcome(
+        execution,
+        inputs,
+        epsilon,
+        execution.trace.rounds_executed,
+        [
+            execution.parties[pid].local_termination_iteration
+            for pid in sorted(execution.honest)
+            if isinstance(execution.parties[pid], RealAAParty)
+        ],
+    )
+
+
+def real_aa_outcome(
+    execution: Any,
+    inputs: Sequence[float],
+    epsilon: float,
+    rounds: int,
+    local_iterations: Sequence[Optional[int]] = (),
+) -> RealAAOutcome:
+    """Judge a finished real-valued execution (any engine, sync or async).
+
+    ``local_iterations`` are the honest parties' local termination
+    iterations; ``measured_rounds`` is ``3 ×`` their maximum, or ``None``
+    when any is missing (or none is known, as for async executions).
+    """
     honest_inputs = {pid: float(inputs[pid]) for pid in sorted(execution.honest)}
     honest_outputs = execution.honest_outputs
     terminated = all(
@@ -338,16 +364,8 @@ def run_real_aa(
     outs = list(honest_outputs.values())
     spread = (max(outs) - min(outs)) if terminated else float("inf")
     measured: Optional[int] = None
-    locals_: List[int] = []
-    for pid in sorted(execution.honest):
-        party = execution.parties[pid]
-        if isinstance(party, RealAAParty):
-            if party.local_termination_iteration is None:
-                locals_ = []
-                break
-            locals_.append(party.local_termination_iteration)
-    if locals_:
-        measured = 3 * max(locals_)
+    if local_iterations and None not in local_iterations:
+        measured = 3 * max(local_iterations)
     return RealAAOutcome(
         execution=execution,
         epsilon=epsilon,
@@ -357,6 +375,6 @@ def run_real_aa(
         valid=valid,
         output_spread=spread,
         agreement=terminated and spread <= epsilon,
-        rounds=execution.trace.rounds_executed,
+        rounds=rounds,
         measured_rounds=measured,
     )

@@ -29,7 +29,12 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.api import RealAAOutcome, TreeAAOutcome, _evaluate_tree_outputs
+from ..core.api import (
+    RealAAOutcome,
+    TreeAAOutcome,
+    _evaluate_tree_outputs,
+    real_aa_outcome,
+)
 from ..core.closest_int import closest_int
 from ..core.errors import ValidityViolationError, check_index_in_range
 from ..core.path_aa import PathAAParty
@@ -496,40 +501,15 @@ class BatchSynchronousEngine:
             trace=execution.trace,
             parties=parties,
         )
-        honest_inputs = {
-            pid: float(inputs[pid]) for pid in sorted(execution.honest_set)
-        }
-        honest_outputs = result.honest_outputs
-        terminated = all(
-            isinstance(v, float) for v in honest_outputs.values()
-        ) and bool(honest_outputs)
-        lo, hi = min(honest_inputs.values()), max(honest_inputs.values())
-        valid = terminated and all(
-            lo <= v <= hi for v in honest_outputs.values()
-        )
-        outs = list(honest_outputs.values())
-        spread = (max(outs) - min(outs)) if terminated else float("inf")
-        measured: Optional[int] = None
-        locals_: List[int] = []
-        for pid in sorted(execution.honest_set):
-            local = views[pid].local_termination_iteration
-            if local is None:
-                locals_ = []
-                break
-            locals_.append(local)
-        if locals_:
-            measured = 3 * max(locals_)
-        return RealAAOutcome(
-            execution=result,
-            epsilon=epsilon,
-            honest_inputs=honest_inputs,
-            honest_outputs=honest_outputs,
-            terminated=terminated,
-            valid=valid,
-            output_spread=spread,
-            agreement=terminated and spread <= epsilon,
-            rounds=result.trace.rounds_executed,
-            measured_rounds=measured,
+        return real_aa_outcome(
+            result,
+            inputs,
+            epsilon,
+            result.trace.rounds_executed,
+            [
+                views[pid].local_termination_iteration
+                for pid in sorted(execution.honest_set)
+            ],
         )
 
     # -- PathAA / KnownPathAA -------------------------------------------

@@ -19,15 +19,14 @@
    resilience lab's delta-debugging shrinker (driven by the
    *differential* oracles via :func:`shrink`'s pluggable check) and
    filed under ``tests/corpus/`` as a replayable
-   :class:`~repro.resilience.corpus.ReproCase` whose ``flywheel`` extra
-   records the stream position, the minimal spec, and the oracle
-   verdict.  Protocols outside the Scenario bridge (``path-aa``) are
-   filed unshrunk, ledger-only.
+   :class:`~repro.resilience.corpus.ReproCase` of the minimal spec,
+   whose ``flywheel`` extra records the stream position and the oracle
+   verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro
@@ -36,8 +35,7 @@ from ..analysis.parallel import register_runner, run_grid
 from ..analysis.spec import ScenarioSpec
 from ..analysis.strategies import spec_stream, stream_digest
 from ..resilience.corpus import ReproCase, save_case
-from ..resilience.scenario import Scenario
-from ..resilience.shrink import shrink, shrink_report
+from ..resilience.shrink import check_violations, shrink, shrink_report
 from .ledger import LedgerWriter, check_compatible, load_state
 from .oracles import batch_replayable, diverging_oracles, evaluate_point
 
@@ -109,24 +107,11 @@ def _shards(indices: List[int], size: int) -> List[List[int]]:
     return [indices[i : i + size] for i in range(0, len(indices), size)]
 
 
-def _divergence_check(
-    template: ScenarioSpec, perturb: Optional[str]
-) -> Any:
-    """A :data:`~repro.resilience.shrink.ViolationCheck` over the oracles.
+def _divergence_check(perturb: Optional[str]) -> Any:
+    """A :data:`~repro.resilience.shrink.ViolationCheck` over the oracles."""
 
-    Candidates inherit the template's ``record``/``trace_level`` (the
-    Scenario bridge does not carry them) so a metrics-parity divergence
-    stays reproducible while the structural fields shrink.
-    """
-
-    def check(candidate: Scenario) -> Tuple[str, ...]:
-        spec = candidate.to_spec()
-        spec = replace(
-            spec,
-            record=template.record,
-            trace_level=template.trace_level,
-        )
-        return diverging_oracles(evaluate_point(spec, perturb))
+    def check(candidate: ScenarioSpec) -> Tuple[str, ...]:
+        return diverging_oracles(evaluate_point(candidate, perturb))
 
     return check
 
@@ -137,10 +122,7 @@ def _file_divergence(
     """Shrink one diverging point and file it as a corpus case.
 
     Returns the ledger ``divergence`` payload: oracle names, shrink
-    stats, and — when the protocol crosses the Scenario bridge — the
-    corpus case name and the minimal spec.  ``path-aa`` (and any future
-    bridge gap) files ledger-only, with the original spec as the
-    reproduction.
+    stats, the minimal spec, and the corpus case name once filed.
     """
     oracle_names = diverging_oracles(row)
     record: Dict[str, Any] = {
@@ -149,32 +131,22 @@ def _file_divergence(
         "filed": False,
         "shrunk": False,
     }
-    try:
-        scenario = Scenario.from_spec(spec)
-    except Exception as exc:  # noqa: BLE001 - bridge gaps still file ledger-only
-        record["unshrinkable"] = f"{type(exc).__name__}: {exc}"
-        return record
-
-    minimal_spec = spec
-    check = _divergence_check(spec, config.perturb)
+    minimal = spec
     try:
         result = shrink(
-            scenario, max_checks=config.max_shrink_checks, check=check
+            spec,
+            max_checks=config.max_shrink_checks,
+            check=_divergence_check(config.perturb),
         )
     except Exception as exc:  # noqa: BLE001 - an unshrinkable case still files
         record["unshrinkable"] = f"{type(exc).__name__}: {exc}"
     else:
+        minimal = result.minimal
         record["shrunk"] = result.reduced
         record["shrink_checks"] = result.checks
         record["shrink_steps"] = result.steps
         record["shrink_report"] = shrink_report(result)
-        minimal_spec = replace(
-            result.minimal.to_spec(),
-            record=spec.record,
-            trace_level=spec.trace_level,
-        )
-        record["minimal_spec"] = minimal_spec.to_dict()
-        scenario = result.minimal
+        record["minimal_spec"] = minimal.to_dict()
 
     if config.corpus_dir is not None:
         name = f"flywheel-{config.seed}-{index:05d}"
@@ -183,21 +155,20 @@ def _file_divergence(
             description=(
                 "flywheel divergence on oracles "
                 f"{', '.join(oracle_names)} (stream seed {config.seed}, "
-                f"point {index}); replay with `repro flywheel replay`"
+                f"point {index}); replay with repro.flywheel.replay_flywheel_case"
             ),
-            scenario=scenario,
-            # The *resilience* verdict of the minimal scenario, so the
-            # tier-1 corpus replay (which runs the invariant oracles,
-            # not the differential ones) stays self-consistent.
-            expected_violations=_resilience_verdict(scenario),
+            spec=minimal,
+            # The *resilience* verdict of the minimal spec, so the tier-1
+            # corpus replay (which runs the invariant oracles, not the
+            # differential ones) stays self-consistent.
+            expected_violations=check_violations(minimal),
             extras={
                 "flywheel": {
                     "stream_seed": config.seed,
                     "index": index,
                     "oracles": list(oracle_names),
-                    "spec": minimal_spec.to_dict(),
                     "perturb": config.perturb,
-                    "batch_supported": batch_replayable(minimal_spec),
+                    "batch_supported": batch_replayable(minimal),
                 }
             },
         )
@@ -207,30 +178,18 @@ def _file_divergence(
     return record
 
 
-def _resilience_verdict(scenario: Scenario) -> Tuple[str, ...]:
-    """The invariant-oracle verdict the corpus replay will reproduce."""
-    from ..resilience.shrink import check_violations
-
-    try:
-        return check_violations(scenario)
-    except Exception:  # noqa: BLE001 - crash counts as the crash oracle
-        return ("no-crash",)
-
-
 def replay_flywheel_case(case: ReproCase) -> Dict[str, Any]:
     """Re-judge a flywheel-filed corpus case with the differential oracles.
 
-    Reads the minimal spec out of the case's ``flywheel`` extra
-    (deliberately *without* the perturbation seam: a filed case must
-    reproduce its divergence from the genuine engines, unless it was
-    filed by the self-test, in which case the caller replays the seam
-    explicitly).
+    Runs the case's minimal spec under the perturbation seam recorded in
+    its ``flywheel`` extra (``None`` for genuine divergences, which must
+    reproduce from the real engines; the self-test's injected seam
+    otherwise).
     """
     flywheel = case.extras.get("flywheel")
-    if not isinstance(flywheel, dict) or "spec" not in flywheel:
+    if not isinstance(flywheel, dict):
         raise ValueError(f"{case.name} is not a flywheel-filed case")
-    spec = ScenarioSpec.from_dict(flywheel["spec"])
-    return evaluate_point(spec, flywheel.get("perturb"))
+    return evaluate_point(case.spec, flywheel.get("perturb"))
 
 
 def run_flywheel(config: FlywheelConfig, *, resume: bool = False) -> FlywheelReport:

@@ -1,10 +1,11 @@
 """Resilience lab: fault-injection campaigns, oracles, and shrinking.
 
-The robustness layer over the simulator: describe an execution as a JSON
-:class:`Scenario` (tree × adversary × corruption set × scheduler × fault
-plan), run seeded campaigns of them through the parallel sweep engine,
-judge every run with the invariant oracles, delta-debug any violation to
-a minimal reproduction, and freeze reproductions as a regression corpus.
+The robustness layer over the simulator: describe an execution as a
+:class:`~repro.analysis.spec.ScenarioSpec` (tree × adversary × corruption
+set × scheduler × fault plan), run seeded campaigns of them through the
+parallel sweep engine, judge every run with the invariant oracles,
+delta-debug any violation to a minimal reproduction, and freeze
+reproductions as a regression corpus.
 
 Entry points: :func:`run_campaign` (``repro campaign``), :func:`shrink`
 (``repro shrink``), and :mod:`repro.resilience.corpus` for the
@@ -20,6 +21,7 @@ from .campaign import (
 )
 from .corpus import (
     CORPUS_SCHEMA_VERSION,
+    CorpusFormatError,
     ReproCase,
     case_from_scenario,
     iter_corpus,
@@ -31,31 +33,19 @@ from .corpus import (
     verify_corpus,
 )
 from .oracles import ORACLE_NAMES, Violation, evaluate, violated_oracles
-from .scenario import (
-    PROTOCOLS,
-    Scenario,
-    ScenarioError,
-    ScenarioResult,
-    build_adversary,
-    build_scheduler,
-    execute_scenario,
-)
+from .scenario import ScenarioResult, execute_scenario
 from .shrink import (
     NotViolatingError,
     ShrinkResult,
     check_violations,
+    cost,
     shrink,
     shrink_report,
 )
 
 __all__ = [
-    "Scenario",
-    "ScenarioError",
     "ScenarioResult",
-    "PROTOCOLS",
     "execute_scenario",
-    "build_adversary",
-    "build_scheduler",
     "Violation",
     "ORACLE_NAMES",
     "evaluate",
@@ -69,9 +59,11 @@ __all__ = [
     "ShrinkResult",
     "shrink_report",
     "check_violations",
+    "cost",
     "NotViolatingError",
     "ReproCase",
     "CORPUS_SCHEMA_VERSION",
+    "CorpusFormatError",
     "case_from_scenario",
     "save_case",
     "save_cases",

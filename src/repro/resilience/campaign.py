@@ -1,14 +1,14 @@
-"""Campaign engine: seeded scenario generation, parallel execution, oracles.
+"""Campaign engine: seeded spec generation, parallel execution, oracles.
 
 A campaign is a deterministic function of its config: ``CampaignConfig``'s
 seed drives a single :class:`random.Random` through scenario generation
 (tree shape × adversary × corruption set × scheduler × fault plan), and
-every generated scenario carries its own derived seed — so a campaign
-re-runs bit-identically, and any single failing scenario replays outside
-the campaign.
+every generated :class:`~repro.analysis.spec.ScenarioSpec` carries its
+own derived seed — so a campaign re-runs bit-identically, and any single
+failing spec replays outside the campaign.
 
 Execution goes through :func:`repro.analysis.parallel.run_grid` with the
-registered ``resilience-point`` runner: scenarios are JSON grid points,
+registered ``resilience-point`` runner: specs are JSON grid points,
 workers execute and judge them, and finished points are memoised in the
 sweep cache like every other experiment in this repository.
 """
@@ -20,13 +20,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.parallel import SweepReport, register_runner, run_grid
+from ..analysis.spec import ASYNC_ADVERSARIES, ASYNC_PROTOCOL, ScenarioSpec
 from .oracles import Violation, evaluate, violated_oracles
-from .scenario import (
-    ASYNC_ADVERSARIES,
-    SYNC_ADVERSARIES,
-    Scenario,
-    execute_scenario,
-)
+from .scenario import execute_scenario
+
+#: Protocols a campaign samples from (``path-aa`` needs inputs on the
+#: commonly known path, which the generator does not draw).
+CAMPAIGN_PROTOCOLS = ("real-aa", "tree-aa", ASYNC_PROTOCOL)
+
+#: Adversary kinds a campaign samples for synchronous specs.
+SYNC_ADVERSARIES = ("none", "passive", "silent", "noise", "crash", "chaos")
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class CampaignConfig:
     #: Master seed; every scenario's own seed derives from it.
     seed: int = 0
     #: Protocols to sample from.
-    protocols: Tuple[str, ...] = ("real-aa", "tree-aa", "async-real-aa")
+    protocols: Tuple[str, ...] = CAMPAIGN_PROTOCOLS
     #: Adversary kinds to sample from (filtered per protocol).
     adversaries: Tuple[str, ...] = SYNC_ADVERSARIES
     #: Scheduler kinds for async scenarios.
@@ -77,6 +80,12 @@ class CampaignConfig:
             )
         if not self.protocols:
             raise ValueError("at least one protocol required")
+        unknown = sorted(set(self.protocols) - set(CAMPAIGN_PROTOCOLS))
+        if unknown:
+            raise ValueError(
+                f"campaigns cannot sample protocols {unknown}; "
+                f"choose from {list(CAMPAIGN_PROTOCOLS)}"
+            )
         if self.max_fault_probability > 0 and not self.allow_model_violations:
             raise ValueError(
                 "fault plans require allow_model_violations=True "
@@ -139,13 +148,20 @@ def _sample_fault_plan(
     return plan
 
 
-def generate_scenarios(config: CampaignConfig) -> List[Scenario]:
-    """The campaign's scenarios — a pure function of the config."""
+def generate_scenarios(config: CampaignConfig) -> List[ScenarioSpec]:
+    """The campaign's specs — a pure function of the config.
+
+    The parties run at the drawn legal ``t`` (``t_assumed``); the
+    network's budget ``t`` covers the actual corrupted set.  Tree inputs
+    are drawn as vertex indices and resolved to labels modulo the tree.
+    """
+    from ..cli import parse_tree_spec
+
     rng = random.Random(config.seed)
-    scenarios: List[Scenario] = []
+    specs: List[ScenarioSpec] = []
     for index in range(config.count):
         protocol = rng.choice(list(config.protocols))
-        is_async = protocol.startswith("async")
+        is_async = protocol == ASYNC_PROTOCOL
         n = rng.randint(config.min_n, config.max_n)
         legal_t = (n - 1) // 3
         t = rng.randint(0, legal_t) if legal_t else 0
@@ -161,41 +177,45 @@ def generate_scenarios(config: CampaignConfig) -> List[Scenario]:
         inputs: Tuple[Any, ...]
         if protocol == "tree-aa":
             tree = _sample_tree(rng, rng.choice(list(config.tree_families)))
-            inputs = tuple(rng.randint(0, 10_000) for _ in range(n))
+            vertices = parse_tree_spec(tree).vertices
+            inputs = tuple(
+                vertices[rng.randint(0, 10_000) % len(vertices)] for _ in range(n)
+            )
         else:
             spread = rng.choice([1.0, 5.0, 20.0])
             inputs = tuple(
                 round(rng.uniform(0, spread), 4) for _ in range(n)
             )
-        scenarios.append(
-            Scenario(
+        async_fields: Dict[str, Any] = {}
+        if is_async:
+            async_fields = {
+                "scheduler": _sample_scheduler(rng, config.schedulers, n),
+                "max_steps": config.max_steps,
+            }
+        fault_plan = None if is_async else _sample_fault_plan(rng, config)
+        specs.append(
+            ScenarioSpec(
                 protocol=protocol,
                 n=n,
-                t=t,
+                t=max(t, len(corrupt)),
+                t_assumed=t,
+                tree=tree,
                 inputs=inputs,
                 adversary=adversary,
                 corrupt=corrupt,
-                tree=tree,
                 epsilon=config.epsilon,
-                scheduler=(
-                    _sample_scheduler(rng, config.schedulers, n)
-                    if is_async
-                    else None
-                ),
-                fault_plan=(
-                    _sample_fault_plan(rng, config) if not is_async else None
-                ),
-                max_steps=config.max_steps,
+                fault_plan=fault_plan,
                 seed=rng.randint(0, 2**31 - 1),
+                **async_fields,
             )
         )
-    return scenarios
+    return specs
 
 
 def _sample_scheduler(
     rng: random.Random, kinds: Sequence[str], n: int
 ) -> str:
-    """A scheduler spec for an async scenario."""
+    """A scheduler spec for an async campaign spec."""
     kind = rng.choice(list(kinds)) if kinds else "fifo"
     if kind == "random":
         return f"random:{rng.randint(0, 9999)}"
@@ -208,23 +228,23 @@ def _sample_scheduler(
 
 @register_runner("resilience-point")
 def resilience_point_runner(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One campaign grid point: execute the scenario, judge it, report.
+    """One campaign grid point: execute the spec, judge it, report.
 
-    ``params["scenario"]`` is a :meth:`~repro.resilience.scenario.Scenario
+    ``params["spec"]`` is a :meth:`~repro.analysis.spec.ScenarioSpec
     .to_dict` payload; the engine-derived ``seed`` is ignored because the
-    scenario carries its own (a campaign row must replay bit-identically
-    from its JSON alone).
+    spec carries its own (a campaign row must replay bit-identically from
+    its JSON alone).
     """
-    scenario = Scenario.from_dict(params["scenario"])
-    result = execute_scenario(scenario)
+    spec = ScenarioSpec.from_dict(params["spec"])
+    result = execute_scenario(spec)
     violations = evaluate(result)
     row: Dict[str, Any] = {
-        "scenario": scenario.to_dict(),
-        "protocol": scenario.protocol,
-        "adversary": scenario.adversary.split(":")[0],
-        "n": scenario.n,
-        "t": scenario.t,
-        "n_corrupt": len(scenario.corrupt),
+        "spec": spec.to_dict(),
+        "protocol": spec.protocol,
+        "adversary": spec.adversary.split(":")[0],
+        "n": spec.n,
+        "t": spec.assumed_t,
+        "n_corrupt": len(spec.corrupt),
         "rounds": result.rounds,
         "completed": result.completed,
         "violations": [violation.to_dict() for violation in violations],
@@ -241,7 +261,7 @@ def resilience_point_runner(params: Dict[str, Any], seed: int) -> Dict[str, Any]
 
 @dataclass
 class CampaignReport:
-    """A finished campaign: config, per-scenario rows, violation digest."""
+    """A finished campaign: config, per-spec rows, violation digest."""
 
     config: CampaignConfig
     rows: List[Dict[str, Any]] = field(default_factory=list)
@@ -273,17 +293,15 @@ class CampaignReport:
             counts[row["adversary"]] = counts.get(row["adversary"], 0) + 1
         return dict(sorted(counts.items()))
 
-    def violating_scenarios(self) -> List[Tuple[Scenario, List[Violation]]]:
-        """The violating scenarios, deserialised and paired with findings."""
-        pairs: List[Tuple[Scenario, List[Violation]]] = []
-        for row in self.violating_rows:
-            pairs.append(
-                (
-                    Scenario.from_dict(row["scenario"]),
-                    [Violation.from_dict(v) for v in row["violations"]],
-                )
+    def violating_scenarios(self) -> List[Tuple[ScenarioSpec, List[Violation]]]:
+        """The violating specs, deserialised and paired with findings."""
+        return [
+            (
+                ScenarioSpec.from_dict(row["spec"]),
+                [Violation.from_dict(v) for v in row["violations"]],
             )
-        return pairs
+            for row in self.violating_rows
+        ]
 
     def summary(self) -> str:
         """A few human-readable lines for CLI output and CI logs."""
@@ -316,7 +334,7 @@ def run_campaign(
     cache_dir: Optional[str] = None,
     no_cache: bool = False,
     jsonl_path: Optional[str] = None,
-    specs: Optional[Sequence[Any]] = None,
+    specs: Optional[Sequence[ScenarioSpec]] = None,
 ) -> CampaignReport:
     """Generate, execute, and judge a whole campaign.
 
@@ -325,17 +343,13 @@ def run_campaign(
     they do for ``repro sweep`` — including the on-disk memo of finished
     scenarios and the machine-readable JSONL report.
 
-    ``specs`` replaces the seeded generator with an explicit workload:
-    each :class:`~repro.analysis.spec.ScenarioSpec` is converted through
-    :meth:`Scenario.from_spec` and judged by the same oracles — how a
-    scenario-service grid (or any other declarative spec source) gets a
-    resilience verdict without re-describing itself in campaign terms.
+    ``specs`` replaces the seeded generator with an explicit workload,
+    judged by the same oracles — how a scenario-service grid (or any
+    other declarative spec source) gets a resilience verdict.
     """
-    if specs is not None:
-        scenarios = [Scenario.from_spec(spec) for spec in specs]
-    else:
-        scenarios = generate_scenarios(config)
-    grid = [{"scenario": scenario.to_dict()} for scenario in scenarios]
+    if specs is None:
+        specs = generate_scenarios(config)
+    grid = [{"spec": spec.to_dict()} for spec in specs]
     sweep = run_grid(
         f"resilience-campaign-{config.seed}",
         "resilience-point",

@@ -1,13 +1,13 @@
 """Regression corpus: minimal reproductions saved as JSON, replayed in CI.
 
-Every scenario the shrinker minimises (and every interesting hand-written
+Every spec the shrinker minimises (and every interesting hand-written
 case) can be frozen as a :class:`ReproCase` file under ``tests/corpus/``.
-A corpus case records the scenario *and* the violations it is expected to
-produce — including the empty set, for regression cases that must stay
-clean.  The tier-1 test suite replays every case and asserts the recorded
-verdict reproduces exactly, so a behaviour change in any layer the
-scenario touches (protocols, network, adversaries, fault injection)
-surfaces as a corpus diff.
+A corpus case records the :class:`~repro.analysis.spec.ScenarioSpec`
+*and* the violations it is expected to produce — including the empty
+set, for regression cases that must stay clean.  The tier-1 test suite
+replays every case and asserts the recorded verdict reproduces exactly,
+so a behaviour change in any layer the spec touches (protocols, network,
+adversaries, fault injection) surfaces as a corpus diff.
 """
 
 from __future__ import annotations
@@ -17,31 +17,37 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
+from ..analysis.spec import ScenarioSpec
 from ..jsonlog import write_atomic
 from .oracles import evaluate, violated_oracles
-from .scenario import Scenario, ScenarioResult, execute_scenario
+from .scenario import ScenarioResult, execute_scenario
 
 #: Corpus file schema version (bump on incompatible format changes).
-CORPUS_SCHEMA_VERSION = 1
+#: Version 2 stores the execution as a ``spec``.
+CORPUS_SCHEMA_VERSION = 2
 
 #: Top-level corpus-file keys this reader interprets itself.  Everything
 #: else is a forward-compatible *extra* (e.g. the flywheel's oracle
 #: metadata) — preserved verbatim through a load/save round trip so an
 #: older reader never strips what a newer writer recorded.
 _KNOWN_KEYS = frozenset(
-    {"schema_version", "name", "description", "scenario", "expected_violations"}
+    {"schema_version", "name", "description", "spec", "expected_violations"}
 )
+
+
+class CorpusFormatError(ValueError):
+    """A corpus file cannot be read as a case of this schema version."""
 
 
 @dataclass(frozen=True)
 class ReproCase:
-    """One corpus entry: a scenario plus its expected oracle verdict."""
+    """One corpus entry: a spec plus its expected oracle verdict."""
 
     #: Unique, filename-friendly identifier.
     name: str
     #: Why this case exists (what regression it guards against).
     description: str
-    scenario: Scenario
+    spec: ScenarioSpec
     #: Sorted oracle names the replay must produce (empty = must be clean).
     expected_violations: Tuple[str, ...] = ()
     #: Unrecognised top-level keys of the on-disk file (forward compat):
@@ -56,7 +62,7 @@ class ReproCase:
                 "schema_version": CORPUS_SCHEMA_VERSION,
                 "name": self.name,
                 "description": self.description,
-                "scenario": self.scenario.to_dict(),
+                "spec": self.spec.to_dict(),
                 "expected_violations": list(self.expected_violations),
             }
         )
@@ -69,12 +75,19 @@ class ReproCase:
         Forward-compatible: unknown top-level keys (a newer writer's
         metadata, e.g. ``"flywheel"``) land in :attr:`extras` instead of
         being dropped or rejected, so flywheel-filed cases replay on
-        readers that predate the flywheel.
+        readers that predate the flywheel.  Any other ``schema_version``
+        raises :class:`CorpusFormatError`.
         """
+        version = payload.get("schema_version")
+        if version != CORPUS_SCHEMA_VERSION:
+            raise CorpusFormatError(
+                f"schema_version {version!r} is not supported "
+                f"(this reader understands version {CORPUS_SCHEMA_VERSION})"
+            )
         return cls(
             name=str(payload["name"]),
             description=str(payload.get("description", "")),
-            scenario=Scenario.from_dict(payload["scenario"]),
+            spec=ScenarioSpec.from_dict(payload["spec"]),
             expected_violations=tuple(
                 sorted(payload.get("expected_violations", ()))
             ),
@@ -94,9 +107,13 @@ def save_case(case: ReproCase, directory: str) -> str:
 
 
 def load_case(path: str) -> ReproCase:
-    """Read one corpus file."""
+    """Read one corpus file; a malformed one raises :class:`CorpusFormatError`
+    naming the file."""
     with open(path) as handle:
-        return ReproCase.from_dict(json.load(handle))
+        try:
+            return ReproCase.from_dict(json.load(handle))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{path}: {exc}") from None
 
 
 def iter_corpus(directory: str) -> List[ReproCase]:
@@ -112,7 +129,7 @@ def iter_corpus(directory: str) -> List[ReproCase]:
 
 def replay(case: ReproCase) -> Tuple[Tuple[str, ...], ScenarioResult]:
     """Execute a case; return (violated oracle names, full result)."""
-    result = execute_scenario(case.scenario)
+    result = execute_scenario(case.spec)
     return tuple(violated_oracles(evaluate(result))), result
 
 
@@ -125,14 +142,14 @@ def verify(case: ReproCase) -> bool:
 def case_from_scenario(
     name: str,
     description: str,
-    scenario: Scenario,
+    spec: ScenarioSpec,
 ) -> ReproCase:
-    """Freeze a scenario with its *current* verdict as the expectation."""
-    result = execute_scenario(scenario)
+    """Freeze a spec with its *current* verdict as the expectation."""
+    result = execute_scenario(spec)
     return ReproCase(
         name=name,
         description=description,
-        scenario=scenario,
+        spec=spec,
         expected_violations=tuple(violated_oracles(evaluate(result))),
     )
 

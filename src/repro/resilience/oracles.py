@@ -36,6 +36,9 @@ from typing import Any, Dict, List
 
 from .scenario import ScenarioResult
 
+#: Protocols judged by the tree oracles (convex-hull validity, 1-agreement).
+TREE_PROTOCOLS = ("path-aa", "tree-aa")
+
 #: Every oracle name, in evaluation order.
 ORACLE_NAMES = (
     "no-exception",
@@ -128,7 +131,7 @@ def _check_real(result: ScenarioResult) -> List[Violation]:
             )
         )
     spread = max(values.values()) - min(values.values())
-    epsilon = result.scenario.epsilon
+    epsilon = result.spec.epsilon
     if spread > epsilon:
         violations.append(
             Violation(
@@ -155,7 +158,7 @@ def _check_tree(result: ScenarioResult) -> List[Violation]:
     violations: List[Violation] = []
     tree = result.tree_obj
     if tree is None:
-        return [Violation("validity", "no tree attached to a tree-aa result")]
+        return [Violation("validity", "no tree attached to a tree-protocol result")]
     outputs = {
         pid: v for pid, v in result.honest_outputs.items() if v is not None
     }
@@ -226,7 +229,7 @@ def evaluate(result: ScenarioResult) -> List[Violation]:
     violations = _check_termination(result)
     has_outputs = any(v is not None for v in result.honest_outputs.values())
     if has_outputs:
-        if result.scenario.protocol == "tree-aa":
+        if result.spec.protocol in TREE_PROTOCOLS:
             violations.extend(_check_tree(result))
         else:
             violations.extend(_check_real(result))

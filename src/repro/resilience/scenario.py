@@ -1,314 +1,50 @@
-"""Scenario: one fully-described resilience experiment, as plain data.
+"""The resilience interpreter: execute a spec, capture what happened as data.
 
-A :class:`Scenario` pins everything that determines an execution — the
-protocol, the tree shape, the party count and assumed tolerance, the
-per-party inputs, the adversary and its corrupted set, the (async)
-scheduler, and an optional beyond-the-model :class:`~repro.net.faults
-.FaultPlan` — as a JSON-serialisable value.  That makes scenarios:
+Every resilience experiment is a :class:`~repro.analysis.spec.ScenarioSpec`
+— the campaign engine draws them from a seeded RNG, the delta-debugger
+edits them, and ``tests/corpus/`` files store them.  :func:`execute_scenario`
+runs one over the same code path as :meth:`ScenarioSpec.run` and records
+everything the invariant oracles judge: outputs, the round budget, fault
+counters, and the chaos behaviour log.
 
-* **generatable** — the campaign engine draws them from a seeded RNG;
-* **shippable** — grid points of the parallel sweep engine are JSON;
-* **shrinkable** — the delta-debugger edits the data and re-executes;
-* **replayable** — a corpus file deserialises to the exact failing run.
-
-:func:`execute_scenario` is the single interpreter: it never raises for
-protocol-level failures — unhandled exceptions are captured into the
-result, where the ``no-exception`` oracle turns them into violations.
+It never raises for protocol-level failures — unhandled exceptions are
+captured into the result, where the ``no-exception`` oracle turns them
+into violations.
 """
 
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..analysis.spec import (
+    ASYNC_PROTOCOL,
+    ScenarioSpec,
+    SpecError,
+    effective_known_range,
+    run_with_adversary,
+)
 from ..engine.errors import UnsupportedBackendError
-from ..net.faults import FaultPlan
 from ..net.messages import PartyId
-
-#: Protocols a scenario can describe.
-PROTOCOLS = ("real-aa", "tree-aa", "async-real-aa")
-
-#: Adversary specs understood by :func:`build_adversary` (synchronous).
-SYNC_ADVERSARIES = ("none", "passive", "silent", "noise", "crash", "chaos")
-
-#: Adversary specs understood for ``async-real-aa`` scenarios.
-ASYNC_ADVERSARIES = ("none", "passive", "silent", "noise")
-
-#: Scheduler specs for asynchronous scenarios.
-SCHEDULERS = ("fifo", "random", "split", "delay")
-
-
-class ScenarioError(ValueError):
-    """A scenario is malformed (as data, before any execution)."""
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One resilience experiment, fully described by JSON-friendly data.
-
-    ``t`` is the tolerance the *honest parties assume* (their protocol
-    logic trims/waits according to it); ``corrupt`` is the set the
-    adversary actually controls.  The two are deliberately independent:
-    campaigns beyond the ``t < n/3`` threshold keep the parties' ``t``
-    legal while handing the adversary a larger corrupted set, which is
-    how the degradation experiments cross the impossibility line without
-    touching protocol-layer guards.
-    """
-
-    #: One of :data:`PROTOCOLS`.
-    protocol: str
-    #: Party count.
-    n: int
-    #: Tolerance assumed by the honest parties (must keep ``n > 3t``).
-    t: int
-    #: Per-party inputs: floats for the real protocols, *vertex indices*
-    #: into the tree's canonical vertex order for ``tree-aa`` (indices
-    #: survive tree shrinking via modulo remapping).
-    inputs: Tuple[Any, ...]
-    #: Adversary spec: e.g. ``"chaos:7"``, ``"crash:2:1"``, ``"none"``.
-    adversary: str = "none"
-    #: Ids the adversary controls (may exceed ``t`` — see class docstring).
-    corrupt: Tuple[int, ...] = ()
-    #: CLI tree spec (``tree-aa`` only), e.g. ``"path:12"``.
-    tree: Optional[str] = None
-    #: ε for the real-valued protocols.
-    epsilon: float = 0.5
-    #: Public input-range bound; ``None`` derives it from ``inputs``.
-    known_range: Optional[float] = None
-    #: Scheduler spec (async only): e.g. ``"split:3"``, ``"random:5"``.
-    scheduler: Optional[str] = None
-    #: Optional :meth:`~repro.net.faults.FaultPlan.to_dict` payload.
-    fault_plan: Optional[Dict[str, Any]] = None
-    #: Optional chaos replay script (``(round, pid, behaviour)`` triples).
-    chaos_script: Optional[Tuple[Tuple[int, int, str], ...]] = None
-    #: Step budget for asynchronous executions.
-    max_steps: int = 20_000
-    #: Seed for seeded adversaries/schedulers that carry no explicit one.
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        """Validate the scenario as *data* (no execution)."""
-        if self.protocol not in PROTOCOLS:
-            raise ScenarioError(f"unknown protocol {self.protocol!r}")
-        if self.n < 1:
-            raise ScenarioError(f"need n >= 1, got {self.n}")
-        if len(self.inputs) != self.n:
-            raise ScenarioError(
-                f"need exactly n={self.n} inputs, got {len(self.inputs)}"
-            )
-        if not all(0 <= pid < self.n for pid in self.corrupt):
-            raise ScenarioError(f"corrupt ids {self.corrupt} out of range")
-        if len(set(self.corrupt)) != len(self.corrupt):
-            raise ScenarioError(f"duplicate corrupt ids {self.corrupt}")
-        if self.protocol == "tree-aa" and not self.tree:
-            raise ScenarioError("tree-aa scenarios need a tree spec")
-        kind = self.adversary.split(":")[0]
-        menu = (
-            ASYNC_ADVERSARIES
-            if self.protocol.startswith("async")
-            else SYNC_ADVERSARIES
-        )
-        if kind not in menu:
-            raise ScenarioError(
-                f"adversary {self.adversary!r} not available for "
-                f"{self.protocol} scenarios"
-            )
-        if self.scheduler is not None:
-            if self.scheduler.split(":")[0] not in SCHEDULERS:
-                raise ScenarioError(f"unknown scheduler {self.scheduler!r}")
-
-    # -- serialisation -------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The JSON form (round-trips through :meth:`from_dict`)."""
-        payload: Dict[str, Any] = {
-            "protocol": self.protocol,
-            "n": self.n,
-            "t": self.t,
-            "inputs": list(self.inputs),
-            "adversary": self.adversary,
-            "corrupt": list(self.corrupt),
-            "epsilon": self.epsilon,
-            "max_steps": self.max_steps,
-            "seed": self.seed,
-        }
-        if self.tree is not None:
-            payload["tree"] = self.tree
-        if self.known_range is not None:
-            payload["known_range"] = self.known_range
-        if self.scheduler is not None:
-            payload["scheduler"] = self.scheduler
-        if self.fault_plan is not None:
-            payload["fault_plan"] = dict(self.fault_plan)
-        if self.chaos_script is not None:
-            payload["chaos_script"] = [list(entry) for entry in self.chaos_script]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Scenario":
-        """Rebuild a scenario from its :meth:`to_dict` form."""
-        script = payload.get("chaos_script")
-        return cls(
-            protocol=str(payload["protocol"]),
-            n=int(payload["n"]),
-            t=int(payload["t"]),
-            inputs=tuple(payload["inputs"]),
-            adversary=str(payload.get("adversary", "none")),
-            corrupt=tuple(int(pid) for pid in payload.get("corrupt", ())),
-            tree=payload.get("tree"),
-            epsilon=float(payload.get("epsilon", 0.5)),
-            known_range=payload.get("known_range"),
-            scheduler=payload.get("scheduler"),
-            fault_plan=payload.get("fault_plan"),
-            chaos_script=(
-                tuple((int(r), int(p), str(b)) for r, p, b in script)
-                if script is not None
-                else None
-            ),
-            max_steps=int(payload.get("max_steps", 20_000)),
-            seed=int(payload.get("seed", 0)),
-        )
-
-    # -- derived quantities --------------------------------------------
-
-    @property
-    def assumed_t(self) -> int:
-        """The tolerance the honest parties run with (``t``, unclamped)."""
-        return self.t
-
-    @property
-    def network_budget(self) -> int:
-        """The network's corruption budget: must cover the actual set."""
-        return max(self.t, len(self.corrupt))
-
-    @property
-    def effective_known_range(self) -> float:
-        """``known_range`` or the actual spread of the (real) inputs."""
-        if self.known_range is not None:
-            return float(self.known_range)
-        values = [float(v) for v in self.inputs]
-        return (max(values) - min(values)) if values else 0.0
-
-    def cost(self) -> int:
-        """The shrinker's size metric: strictly decreases per reduction."""
-        total = 100 * self.n + 10 * len(self.corrupt)
-        if self.tree is not None:
-            total += _tree_spec_size(self.tree)
-        if self.chaos_script is not None:
-            total += len(self.chaos_script)
-        if self.fault_plan is not None:
-            plan = self.fault_plan
-            for key in ("drop", "duplicate", "corrupt"):
-                if float(plan.get(key, 0.0)) > 0.0:
-                    total += 5
-            last = plan.get("last_round")
-            if last is not None:
-                total += min(int(last), 50)
-            else:
-                total += 50
-        return total
-
-    # -- ScenarioSpec bridge -------------------------------------------
-
-    def to_spec(self, *, backend: str = "reference") -> Any:
-        """This scenario as a :class:`~repro.analysis.spec.ScenarioSpec`.
-
-        The translation preserves execution semantics: the spec's ``t``
-        is the scenario's :attr:`network_budget` and ``t_assumed`` is the
-        parties' assumed tolerance, tree-aa vertex *indices* resolve to
-        the concrete labels the executor would pick, and ``known_range``
-        is pinned to :attr:`effective_known_range` so the real-valued
-        round budget stays identical.  Asynchronous scenarios have no
-        spec equivalent (:class:`ScenarioError`).
-        """
-        from ..analysis.spec import ScenarioSpec
-
-        if self.protocol.startswith("async"):
-            raise ScenarioError(
-                f"{self.protocol} scenarios have no ScenarioSpec equivalent "
-                "(specs describe the synchronous run_* entry points)"
-            )
-        inputs: Tuple[Any, ...] = self.inputs
-        known_range: Optional[float] = self.known_range
-        if self.protocol == "tree-aa":
-            from ..cli import parse_tree_spec
-
-            vertices = parse_tree_spec(self.tree or "").vertices
-            inputs = tuple(
-                vertices[int(index) % len(vertices)] for index in self.inputs
-            )
-        else:
-            inputs = tuple(float(v) for v in self.inputs)
-            known_range = self.effective_known_range
-        return ScenarioSpec(
-            protocol=self.protocol,
-            n=self.n,
-            t=self.network_budget,
-            tree=self.tree,
-            inputs=inputs,
-            adversary=self.adversary,
-            corrupt=self.corrupt,
-            backend=backend,
-            fault_plan=self.fault_plan,
-            t_assumed=self.assumed_t,
-            seed=self.seed,
-            epsilon=self.epsilon,
-            known_range=known_range,
-            chaos_script=self.chaos_script,
-        )
-
-    @classmethod
-    def from_spec(cls, spec: Any) -> "Scenario":
-        """Build a scenario from a :class:`~repro.analysis.spec
-        .ScenarioSpec` (the campaign-side entry of the bridge).
-
-        The spec's derived inputs are materialised (tree-aa labels map
-        back to vertex indices); ``path-aa`` specs have no resilience
-        equivalent and raise :class:`ScenarioError`.
-        """
-        if spec.protocol not in ("real-aa", "tree-aa"):
-            raise ScenarioError(
-                f"{spec.protocol} specs have no Scenario equivalent"
-            )
-        inputs: Tuple[Any, ...]
-        if spec.protocol == "tree-aa":
-            tree = spec.build_tree()
-            order = {label: index for index, label in enumerate(tree.vertices)}
-            inputs = tuple(order[label] for label in spec.make_inputs(tree))
-        else:
-            inputs = tuple(float(v) for v in spec.make_inputs())
-        return cls(
-            protocol=spec.protocol,
-            n=spec.n,
-            t=spec.t if spec.t_assumed is None else spec.t_assumed,
-            inputs=inputs,
-            adversary=spec.adversary,
-            corrupt=spec.corrupt,
-            tree=spec.tree,
-            epsilon=spec.epsilon,
-            known_range=spec.known_range,
-            fault_plan=spec.fault_plan,
-            chaos_script=spec.chaos_script,
-            seed=spec.seed,
-        )
 
 
 @dataclass
 class ScenarioResult:
-    """What happened when a scenario ran: outputs, verdict inputs, faults.
+    """What happened when a spec ran: outputs, verdict inputs, faults.
 
     Everything the invariant oracles need is here — including a captured
     unhandled exception, so a crashing execution is a *result* (for the
     ``no-exception`` oracle) rather than a crashed campaign.
     """
 
-    scenario: Scenario
+    spec: ScenarioSpec
     honest_inputs: Dict[PartyId, Any] = field(default_factory=dict)
     honest_outputs: Dict[PartyId, Any] = field(default_factory=dict)
     #: Synchronous rounds executed, or asynchronous delivery steps.
     rounds: int = 0
-    #: The bound the ``round-bound`` oracle checks ``rounds`` against.
+    #: The bound the ``round-bound`` oracle checks ``rounds`` against
+    #: (``None`` = no bound recorded, as for ``path-aa``).
     round_limit: Optional[int] = None
     #: Async completion (synchronous executions always complete).
     completed: bool = True
@@ -320,94 +56,8 @@ class ScenarioResult:
     chaos_log: List[Tuple[int, int, str]] = field(default_factory=list)
     #: Fault-injection counters (all zero without a fault plan).
     fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: The reconstructed tree (``tree-aa`` only; oracles need it).
+    #: The reconstructed tree (tree protocols only; oracles need it).
     tree_obj: Any = None
-
-
-def _tree_spec_size(spec: str) -> int:
-    """A monotone size estimate of a CLI tree spec (for :meth:`cost`)."""
-    digits = [int(part) for part in spec.replace("x", ":").split(":")[1:] if part.isdigit()]
-    if not digits:
-        return 10
-    total = 1
-    for value in digits:
-        total *= max(1, value)
-    return min(total, 10_000)
-
-
-def build_adversary(scenario: Scenario) -> Optional[Any]:
-    """Instantiate the scenario's adversary (``None`` for fault-free)."""
-    parts = scenario.adversary.split(":")
-    kind = parts[0]
-    args = [int(p) for p in parts[1:]]
-    corrupt: Optional[Sequence[int]] = scenario.corrupt or None
-    if scenario.protocol.startswith("async"):
-        from ..asynchrony import (
-            AsyncNoiseAdversary,
-            AsyncPassiveAdversary,
-            AsyncSilentAdversary,
-        )
-
-        if kind == "none":
-            return None
-        if kind == "passive":
-            return AsyncPassiveAdversary(corrupt=corrupt)
-        if kind == "silent":
-            return AsyncSilentAdversary(corrupt=corrupt)
-        if kind == "noise":
-            seed = args[0] if args else scenario.seed
-            return AsyncNoiseAdversary(seed=seed, corrupt=corrupt)
-        raise ScenarioError(f"unknown async adversary {scenario.adversary!r}")
-    # The synchronous menu is a subset of the shared spec-layer grammar;
-    # delegating keeps Scenario, ScenarioSpec, and the CLI agreeing on
-    # what every adversary string means (defaults included).
-    from ..analysis.spec import SpecError
-    from ..analysis.spec import build_adversary as build_sync_adversary
-
-    try:
-        return build_sync_adversary(
-            scenario.adversary,
-            t=scenario.network_budget,
-            corrupt=corrupt,
-            seed=scenario.seed,
-            chaos_script=scenario.chaos_script,
-        )
-    except SpecError as exc:
-        raise ScenarioError(str(exc)) from None
-
-
-def build_scheduler(scenario: Scenario) -> Optional[Any]:
-    """Instantiate the scenario's async scheduler (``None`` = FIFO)."""
-    if scenario.scheduler is None:
-        return None
-    from ..asynchrony import (
-        DelaySendersScheduler,
-        FIFOScheduler,
-        RandomScheduler,
-        SplitScheduler,
-    )
-
-    parts = scenario.scheduler.split(":")
-    kind = parts[0]
-    arg = int(parts[1]) if len(parts) > 1 else None
-    if kind == "fifo":
-        return FIFOScheduler()
-    if kind == "random":
-        return RandomScheduler(arg if arg is not None else scenario.seed)
-    if kind == "split":
-        k = arg if arg is not None else max(1, scenario.n // 2)
-        return SplitScheduler(group_a=list(range(min(k, scenario.n))))
-    if kind == "delay":
-        k = arg if arg is not None else 1
-        return DelaySendersScheduler(list(range(min(k, scenario.n))))
-    raise ScenarioError(f"unknown scheduler {scenario.scheduler!r}")
-
-
-def _fault_plan_of(scenario: Scenario) -> Optional[FaultPlan]:
-    """The scenario's deserialised fault plan, if any."""
-    if scenario.fault_plan is None:
-        return None
-    return FaultPlan.from_dict(scenario.fault_plan)
 
 
 def _capture_error(exc: BaseException) -> str:
@@ -420,155 +70,59 @@ def _capture_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}{location}"
 
 
-def _execute_real_aa(
-    scenario: Scenario, result: ScenarioResult, backend: str = "reference"
-) -> None:
-    """Run a synchronous RealAA scenario into ``result``."""
-    from ..core.api import run_real_aa
-    from ..protocols.rounds import realaa_duration
-
-    adversary = build_adversary(scenario)
-    known_range = scenario.effective_known_range
-    outcome = run_real_aa(
-        [float(v) for v in scenario.inputs],
-        scenario.network_budget,
-        epsilon=scenario.epsilon,
-        known_range=known_range,
-        adversary=adversary,
-        fault_plan=_fault_plan_of(scenario),
-        t_assumed=scenario.assumed_t,
-        backend=backend,
-    )
-    result.honest_inputs = dict(outcome.honest_inputs)
-    result.honest_outputs = dict(outcome.honest_outputs)
-    result.rounds = outcome.rounds
-    result.round_limit = realaa_duration(
-        max(known_range, scenario.epsilon),
-        scenario.epsilon,
-        scenario.n,
-        scenario.assumed_t,
-    )
-    _collect_sync_extras(result, outcome.execution, adversary)
-
-
-def _execute_tree_aa(
-    scenario: Scenario, result: ScenarioResult, backend: str = "reference"
-) -> None:
-    """Run a synchronous TreeAA scenario into ``result``."""
-    from ..cli import parse_tree_spec
-    from ..core.api import run_tree_aa
-    from ..protocols.rounds import tree_aa_round_bound
+def _round_limit(spec: ScenarioSpec, outcome: Any) -> Optional[int]:
+    """The theoretical budget the run is judged against."""
+    from ..protocols.rounds import realaa_duration, tree_aa_round_bound
     from ..trees.paths import diameter
 
-    tree = parse_tree_spec(scenario.tree or "")
-    result.tree_obj = tree
-    vertices = tree.vertices
-    inputs = [vertices[int(index) % len(vertices)] for index in scenario.inputs]
-    adversary = build_adversary(scenario)
-    outcome = run_tree_aa(
-        tree,
-        inputs,
-        scenario.network_budget,
-        adversary=adversary,
-        fault_plan=_fault_plan_of(scenario),
-        t_assumed=scenario.assumed_t,
-        backend=backend,
-    )
-    result.honest_inputs = dict(outcome.honest_inputs)
-    result.honest_outputs = dict(outcome.honest_outputs)
-    result.rounds = outcome.rounds
-    result.round_limit = tree_aa_round_bound(tree.n_vertices, diameter(tree))
-    _collect_sync_extras(result, outcome.execution, adversary)
-
-
-def _execute_async_real_aa(
-    scenario: Scenario, result: ScenarioResult, backend: str = "reference"
-) -> None:
-    """Run an asynchronous iterated RealAA scenario into ``result``."""
-    from ..asynchrony import AsyncRealAAParty, run_async_protocol
-
-    if backend != "reference":
-        raise UnsupportedBackendError(
-            "async-real-aa scenarios have no batch equivalent; "
-            "use backend='reference'"
+    if spec.protocol == ASYNC_PROTOCOL:
+        return spec.max_steps
+    if spec.protocol == "real-aa":
+        known_range = effective_known_range(
+            spec, [float(v) for v in spec.make_inputs()]
         )
-
-    adversary = build_adversary(scenario)
-    known_range = scenario.effective_known_range
-    t_assumed = scenario.assumed_t
-    execution = run_async_protocol(
-        scenario.n,
-        scenario.network_budget,
-        lambda pid: AsyncRealAAParty(
-            pid,
-            scenario.n,
-            t_assumed,
-            float(scenario.inputs[pid]),
-            epsilon=scenario.epsilon,
-            known_range=max(known_range, scenario.epsilon),
-        ),
-        adversary=adversary,
-        scheduler=build_scheduler(scenario),
-        max_steps=scenario.max_steps,
-        fault_plan=_fault_plan_of(scenario),
-    )
-    result.honest_inputs = {
-        pid: float(scenario.inputs[pid]) for pid in sorted(execution.honest)
-    }
-    result.honest_outputs = dict(execution.honest_outputs)
-    result.rounds = execution.trace.steps
-    result.round_limit = scenario.max_steps
-    result.completed = execution.completed
-    if execution.stall is not None:
-        result.stall = execution.stall.summary()
-    result.fault_counts = {
-        "dropped": execution.trace.faults_dropped,
-        "duplicated": execution.trace.faults_duplicated,
-        "corrupted": execution.trace.faults_corrupted,
-    }
+        return realaa_duration(
+            max(known_range, spec.epsilon), spec.epsilon, spec.n, spec.assumed_t
+        )
+    if spec.protocol == "tree-aa":
+        return tree_aa_round_bound(outcome.tree.n_vertices, diameter(outcome.tree))
+    return None
 
 
-def _collect_sync_extras(
-    result: ScenarioResult, execution: Any, adversary: Optional[Any]
-) -> None:
-    """Copy fault counters and chaos logs out of a finished sync run."""
-    result.fault_counts = {
-        "dropped": execution.trace.faults_dropped,
-        "duplicated": execution.trace.faults_duplicated,
-        "corrupted": execution.trace.faults_corrupted,
-    }
-    log = getattr(adversary, "log", None)
-    if log is not None:
-        result.chaos_log = [tuple(entry) for entry in log]
+def execute_scenario(spec: ScenarioSpec) -> ScenarioResult:
+    """Interpret a spec; capture any unhandled exception as data.
 
-
-def execute_scenario(
-    scenario: Scenario, backend: str = "reference"
-) -> ScenarioResult:
-    """Interpret a scenario; capture any unhandled exception as data.
-
-    The only exceptions that escape are :class:`ScenarioError` (malformed
-    data — a bug in the caller, not an execution outcome) and
-    :class:`~repro.engine.errors.UnsupportedBackendError` (the chosen
-    *backend* cannot replay this scenario at all — a dispatch problem,
-    not an execution outcome).
+    The only exceptions that escape are :class:`~repro.analysis.spec
+    .SpecError` (malformed data — a bug in the caller, not an execution
+    outcome) and :class:`~repro.engine.errors.UnsupportedBackendError`
+    (``spec.backend`` cannot replay this spec at all — a dispatch
+    problem, not an execution outcome).
     """
-    result = ScenarioResult(scenario=scenario)
-    runners = {
-        "real-aa": _execute_real_aa,
-        "tree-aa": _execute_tree_aa,
-        "async-real-aa": _execute_async_real_aa,
-    }
+    result = ScenarioResult(spec=spec)
     try:
-        runners[scenario.protocol](scenario, result, backend=backend)
-    except (ScenarioError, UnsupportedBackendError):
+        adversary = spec.make_adversary()
+        outcome = run_with_adversary(spec, adversary)
+        execution = outcome.execution
+        result.honest_inputs = dict(outcome.honest_inputs)
+        result.honest_outputs = dict(outcome.honest_outputs)
+        result.rounds = outcome.rounds
+        result.round_limit = _round_limit(spec, outcome)
+        result.tree_obj = getattr(outcome, "tree", None)
+        if spec.protocol == ASYNC_PROTOCOL:
+            result.completed = execution.completed
+            if execution.stall is not None:
+                result.stall = execution.stall.summary()
+        result.fault_counts = {
+            "dropped": execution.trace.faults_dropped,
+            "duplicated": execution.trace.faults_duplicated,
+            "corrupted": execution.trace.faults_corrupted,
+        }
+        log = getattr(adversary, "log", None)
+        if log is not None:
+            result.chaos_log = [tuple(entry) for entry in log]
+    except (SpecError, UnsupportedBackendError):
         raise
     except Exception as exc:  # noqa: BLE001 - captured for the oracle
         result.error = _capture_error(exc)
         result.completed = False
     return result
-
-
-def with_fresh_seed(scenario: Scenario, seed: int) -> Scenario:
-    """The same scenario under a different RNG seed (campaign helper)."""
-    return replace(scenario, seed=seed)

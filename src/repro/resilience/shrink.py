@@ -1,18 +1,18 @@
-"""Counterexample shrinking: delta-debug a violating scenario to a minimum.
+"""Counterexample shrinking: delta-debug a violating spec to a minimum.
 
-Given a scenario that trips at least one invariant oracle, :func:`shrink`
+Given a :class:`~repro.analysis.spec.ScenarioSpec` that trips at least
+one oracle, :func:`shrink` first makes its derived inputs explicit, then
 greedily applies size-reducing edits — fewer corrupted parties, fewer
 parties overall, a smaller tree, a weaker fault plan, a shorter chaos
 script — re-executing after each edit and keeping it only while the
 failure *persists* (the candidate must still violate at least one oracle
 the original violated).  Passes repeat to a fixpoint, ddmin-style: every
-accepted edit strictly decreases :meth:`~repro.resilience.scenario
-.Scenario.cost`, so termination is structural, with ``max_checks`` as a
-belt-and-braces budget on top.
+accepted edit strictly decreases :func:`cost`, so termination is
+structural, with ``max_checks`` as a belt-and-braces budget on top.
 
-Chaos scenarios get one extra trick: the first violating execution's
+Chaos specs get one extra trick: the first violating execution's
 behaviour log is captured into an explicit replay script, after which
-shrinking operates on the *script* — the scenario stops depending on the
+shrinking operates on the *script* — the spec stops depending on the
 free-running RNG stream and becomes a line-by-line minimal reproduction.
 """
 
@@ -21,32 +21,33 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Tuple
 
-from .oracles import evaluate, violated_oracles
-from .scenario import Scenario, execute_scenario
+from ..analysis.spec import ScenarioSpec
+from .oracles import TREE_PROTOCOLS, evaluate, violated_oracles
+from .scenario import execute_scenario
 
-#: A failure predicate for :func:`shrink`: execute a scenario however the
+#: A failure predicate for :func:`shrink`: execute a spec however the
 #: caller defines execution and return the *sorted* names of whatever it
 #: violates (empty = healthy).  The default is :func:`check_violations`
 #: (the resilience lab's invariant oracles); the flywheel plugs in its
 #: differential oracles here, which is how backend-parity and
 #: cross-protocol divergences ride the same ddmin passes as invariant
 #: violations.
-ViolationCheck = Callable[[Scenario], Tuple[str, ...]]
+ViolationCheck = Callable[[ScenarioSpec], Tuple[str, ...]]
 
 
 @dataclass
 class ShrinkResult:
     """The outcome of one shrink run."""
 
-    original: Scenario
-    minimal: Scenario
-    #: Oracle names the original scenario violated.
+    original: ScenarioSpec
+    minimal: ScenarioSpec
+    #: Oracle names the original spec violated.
     original_violations: Tuple[str, ...]
-    #: Oracle names the minimal scenario violates.
+    #: Oracle names the minimal spec violates.
     minimal_violations: Tuple[str, ...]
     #: Accepted reductions.
     steps: int
-    #: Scenario executions spent (including rejected candidates).
+    #: Spec executions spent (including rejected candidates).
     checks: int
 
     @property
@@ -56,39 +57,79 @@ class ShrinkResult:
 
 
 class NotViolatingError(ValueError):
-    """:func:`shrink` was handed a scenario that violates nothing."""
+    """:func:`shrink` was handed a spec that violates nothing."""
 
 
-def check_violations(scenario: Scenario) -> Tuple[str, ...]:
-    """Execute a scenario and return the violated oracle names (sorted)."""
-    return tuple(violated_oracles(evaluate(execute_scenario(scenario))))
+def check_violations(spec: ScenarioSpec) -> Tuple[str, ...]:
+    """Execute a spec and return the violated oracle names (sorted)."""
+    return tuple(violated_oracles(evaluate(execute_scenario(spec))))
 
 
-def _remap_inputs(scenario: Scenario, n: int) -> Tuple[object, ...]:
-    """Truncate the input vector to the first ``n`` parties."""
-    return tuple(scenario.inputs[:n])
+def cost(spec: ScenarioSpec) -> int:
+    """The shrinker's size metric: strictly decreases per reduction."""
+    total = 100 * spec.n + 10 * len(spec.corrupt)
+    if spec.protocol in TREE_PROTOCOLS:
+        total += _tree_spec_size(spec.tree or "")
+    if spec.chaos_script is not None:
+        total += len(spec.chaos_script)
+    if spec.fault_plan is not None:
+        plan = spec.fault_plan
+        for key in ("drop", "duplicate", "corrupt"):
+            if float(plan.get(key, 0.0)) > 0.0:
+                total += 5
+        last = plan.get("last_round")
+        total += min(int(last), 50) if last is not None else 50
+    return total
 
 
-def _corrupt_candidates(scenario: Scenario) -> Iterator[Scenario]:
+def _tree_spec_size(spec: str) -> int:
+    """A monotone size estimate of a CLI tree spec (for :func:`cost`)."""
+    digits = [int(part) for part in spec.replace("x", ":").split(":")[1:] if part.isdigit()]
+    if not digits:
+        return 10
+    total = 1
+    for value in digits:
+        total *= max(1, value)
+    return min(total, 10_000)
+
+
+def explicit(spec: ScenarioSpec) -> ScenarioSpec:
+    """The same execution with derived inputs and tolerance spelled out.
+
+    Seed-derived inputs become an explicit vector and ``t_assumed`` an
+    explicit number, so party and tree edits can truncate and remap them.
+    """
+    inputs = spec.make_inputs()
+    if spec.protocol not in TREE_PROTOCOLS:
+        inputs = [float(v) for v in inputs]
+    return replace(spec, inputs=tuple(inputs), t_assumed=spec.assumed_t)
+
+
+def _with_corrupt(spec: ScenarioSpec, **changes: object) -> ScenarioSpec:
+    """Apply ``changes``; the network budget stays ``max(t_assumed, |F|)``."""
+    edited = replace(spec, **changes)
+    return replace(edited, t=max(edited.assumed_t, len(edited.corrupt)))
+
+
+def _corrupt_candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
     """Drop one corrupted id at a time (ddmin over the corrupted set)."""
-    for victim in scenario.corrupt:
-        yield replace(
-            scenario,
-            corrupt=tuple(pid for pid in scenario.corrupt if pid != victim),
+    for victim in spec.corrupt:
+        yield _with_corrupt(
+            spec, corrupt=tuple(pid for pid in spec.corrupt if pid != victim)
         )
 
 
-def _party_candidates(scenario: Scenario) -> Iterator[Scenario]:
+def _party_candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
     """Drop the highest-id party (inputs truncated, corrupt set filtered)."""
-    n = scenario.n - 1
+    n = spec.n - 1
     if n < 2:
         return
-    yield replace(
-        scenario,
+    yield _with_corrupt(
+        spec,
         n=n,
-        inputs=_remap_inputs(scenario, n),
-        corrupt=tuple(pid for pid in scenario.corrupt if pid < n),
-        t=min(scenario.t, max(0, (n - 1) // 3)),
+        inputs=tuple((spec.inputs or ())[:n]),
+        corrupt=tuple(pid for pid in spec.corrupt if pid < n),
+        t_assumed=min(spec.assumed_t, max(0, (n - 1) // 3)),
     )
 
 
@@ -117,49 +158,59 @@ def _shrink_tree_spec(spec: str) -> Optional[str]:
     return None
 
 
-def _tree_candidates(scenario: Scenario) -> Iterator[Scenario]:
-    """Shrink the tree spec (inputs are indices — they remap via modulo)."""
-    if scenario.tree is None:
+def _tree_candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
+    """Shrink the tree spec; each input label is remapped by its vertex
+    index, taken modulo the smaller tree's vertex count."""
+    if spec.protocol not in TREE_PROTOCOLS or not spec.tree:
         return
-    smaller = _shrink_tree_spec(scenario.tree)
-    if smaller is not None:
-        yield replace(scenario, tree=smaller)
+    smaller = _shrink_tree_spec(spec.tree)
+    if smaller is None:
+        return
+    from ..cli import parse_tree_spec
+
+    old = {label: index for index, label in enumerate(spec.build_tree().vertices)}
+    vertices = parse_tree_spec(smaller).vertices
+    yield replace(
+        spec,
+        tree=smaller,
+        inputs=tuple(vertices[old[label] % len(vertices)] for label in spec.inputs or ()),
+    )
 
 
-def _fault_plan_candidates(scenario: Scenario) -> Iterator[Scenario]:
+def _fault_plan_candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
     """Weaken the fault plan: drop it, zero a channel, shorten its window."""
-    plan = scenario.fault_plan
+    plan = spec.fault_plan
     if plan is None:
         return
-    yield replace(scenario, fault_plan=None)
+    yield replace(spec, fault_plan=None)
     for key in ("drop", "duplicate", "corrupt"):
         if float(plan.get(key, 0.0)) > 0.0:
             weakened = dict(plan)
             weakened[key] = 0.0
-            yield replace(scenario, fault_plan=weakened)
+            yield replace(spec, fault_plan=weakened)
     last = plan.get("last_round")
     if last is None:
         bounded = dict(plan)
         bounded["last_round"] = 8
-        yield replace(scenario, fault_plan=bounded)
+        yield replace(spec, fault_plan=bounded)
     elif int(last) > 0:
         bounded = dict(plan)
         bounded["last_round"] = int(last) // 2
-        yield replace(scenario, fault_plan=bounded)
+        yield replace(spec, fault_plan=bounded)
 
 
-def _script_candidates(scenario: Scenario) -> Iterator[Scenario]:
+def _script_candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
     """ddmin over the chaos script: halves first, then single entries."""
-    script = scenario.chaos_script
+    script = spec.chaos_script
     if not script:
         return
     half = len(script) // 2
     if half:
-        yield replace(scenario, chaos_script=script[:half])
-        yield replace(scenario, chaos_script=script[half:])
+        yield replace(spec, chaos_script=script[:half])
+        yield replace(spec, chaos_script=script[half:])
     for index in range(len(script)):
         yield replace(
-            scenario,
+            spec,
             chaos_script=script[:index] + script[index + 1 :],
         )
 
@@ -173,42 +224,43 @@ _PASSES = (
 )
 
 
-def _capture_chaos_script(scenario: Scenario) -> Optional[Scenario]:
+def _capture_chaos_script(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
     """Pin a free-running chaos adversary to its recorded behaviour log.
 
-    Returns the scripted scenario if it still reproduces a violation,
-    else ``None`` (an adaptive failure the replay cannot capture).
+    Returns the scripted spec if the run violates anything, else ``None``
+    (an adaptive failure the replay cannot capture).
     """
-    if not scenario.adversary.startswith("chaos"):
+    if not spec.adversary.startswith("chaos"):
         return None
-    if scenario.chaos_script is not None:
+    if spec.chaos_script is not None:
         return None
-    result = execute_scenario(scenario)
+    result = execute_scenario(spec)
     if not evaluate(result):
         return None
-    scripted = replace(
-        scenario,
+    return replace(
+        spec,
         chaos_script=tuple(
             (int(r), int(p), str(b)) for r, p, b in result.chaos_log
         ),
     )
-    return scripted
 
 
 def shrink(
-    scenario: Scenario,
+    spec: ScenarioSpec,
     max_checks: int = 400,
     check: ViolationCheck = check_violations,
 ) -> ShrinkResult:
-    """Minimise a violating scenario while preserving its failure.
+    """Minimise a violating spec while preserving its failure.
 
-    Raises :class:`NotViolatingError` if the input scenario passes every
+    Raises :class:`NotViolatingError` if the input spec passes every
     oracle (there is nothing to shrink).  The preserved property is a
     non-empty intersection with the original's violated oracle set — the
-    minimal scenario fails *in the same way*, not merely somehow.
+    minimal spec fails *in the same way*, not merely somehow.  Edits run
+    on :func:`explicit` form, so the minimal spec always carries explicit
+    inputs and ``t_assumed``.
 
     ``check`` swaps the failure definition (see :data:`ViolationCheck`):
-    anything that maps a scenario to violation names can drive the same
+    anything that maps a spec to violation names can drive the same
     reduction passes.  The chaos-script capture trick stays specific to
     the default check — a custom oracle already defines its own notion of
     reproduction, and scripting under it could change what is being
@@ -216,7 +268,7 @@ def shrink(
     """
     checks = 0
 
-    def violating(candidate: Scenario, against: Tuple[str, ...]) -> Optional[Tuple[str, ...]]:
+    def violating(candidate: ScenarioSpec, against: Tuple[str, ...]) -> Optional[Tuple[str, ...]]:
         nonlocal checks
         checks += 1
         try:
@@ -227,14 +279,12 @@ def shrink(
             return found
         return None
 
-    original_violations = check(scenario)
+    original_violations = check(spec)
     checks += 1
     if not original_violations:
-        raise NotViolatingError(
-            "scenario violates no oracle; nothing to shrink"
-        )
+        raise NotViolatingError("spec violates no oracle; nothing to shrink")
 
-    current = scenario
+    current = explicit(spec)
     current_violations = original_violations
     steps = 0
 
@@ -255,19 +305,19 @@ def shrink(
             for candidate in make_candidates(current):
                 if checks >= max_checks:
                     break
-                if candidate.cost() >= current.cost():
+                if cost(candidate) >= cost(current):
                     continue
                 found = violating(candidate, original_violations)
                 if found is not None:
                     current, current_violations = candidate, found
                     steps += 1
                     improved = True
-                    break  # restart this pass from the smaller scenario
+                    break  # restart this pass from the smaller spec
             if improved:
                 break  # restart the pass cascade from the top
 
     return ShrinkResult(
-        original=scenario,
+        original=spec,
         minimal=current,
         original_violations=original_violations,
         minimal_violations=current_violations,

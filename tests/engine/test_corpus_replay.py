@@ -1,9 +1,9 @@
 """Replay the regression corpus on the batch backend.
 
 Every case under ``tests/corpus/`` is classified here as either
-*batch-supported* (its scenario replays on the batch engine and must
+*batch-supported* (its spec replays on the batch engine and must
 reproduce the reference execution — outputs, rounds, and oracle verdict
-— exactly) or *expected-unsupported* (its scenario uses a feature the
+— exactly) or *expected-unsupported* (its spec uses a feature the
 batch engine deliberately refuses, and the refusal must be the typed
 :class:`~repro.engine.UnsupportedBackendError`, not a silent wrong
 answer).  A new hand-written corpus case lands in neither set and fails
@@ -19,6 +19,7 @@ campaign can keep growing the corpus without editing this file.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -34,7 +35,7 @@ CORPUS_DIR = os.path.join(
 )
 CORPUS_CASES = {case.name: case for case in iter_corpus(CORPUS_DIR)}
 
-#: Cases whose scenario the batch engine replays bit-identically.
+#: Cases whose spec the batch engine replays bit-identically.
 BATCH_SUPPORTED = (
     "chaos-scripted-agreement",
     "crash-partial-broadcast-agreement",
@@ -91,8 +92,8 @@ def test_every_case_is_classified():
 @pytest.mark.parametrize("name", ALL_SUPPORTED)
 def test_supported_case_replays_identically(name):
     case = CORPUS_CASES[name]
-    reference = execute_scenario(case.scenario)
-    batch = execute_scenario(case.scenario, backend="batch")
+    reference = execute_scenario(replace(case.spec, backend="reference"))
+    batch = execute_scenario(replace(case.spec, backend="batch"))
     assert batch.honest_inputs == reference.honest_inputs
     assert batch.honest_outputs == reference.honest_outputs
     assert batch.rounds == reference.rounds
@@ -109,7 +110,7 @@ def test_supported_case_replays_identically(name):
 @pytest.mark.parametrize("name", ALL_SUPPORTED)
 def test_supported_case_verdict_matches_recording(name):
     case = CORPUS_CASES[name]
-    result = execute_scenario(case.scenario, backend="batch")
+    result = execute_scenario(replace(case.spec, backend="batch"))
     assert tuple(violated_oracles(evaluate(result))) == tuple(
         sorted(case.expected_violations)
     )
@@ -121,4 +122,4 @@ def test_supported_case_verdict_matches_recording(name):
 def test_unsupported_case_refuses_loudly(name):
     case = CORPUS_CASES[name]
     with pytest.raises(UnsupportedBackendError):
-        execute_scenario(case.scenario, backend="batch")
+        execute_scenario(replace(case.spec, backend="batch"))

@@ -22,7 +22,10 @@ from repro.flywheel import (
     run_flywheel,
     run_selftest,
 )
-from repro.resilience import iter_corpus
+from repro.flywheel.engine import _file_divergence
+from repro.flywheel.oracles import evaluate_point
+from repro.flywheel.selftest import PERTURBATIONS
+from repro.resilience import ORACLE_NAMES, iter_corpus
 
 pytest.importorskip("numpy")
 
@@ -123,7 +126,14 @@ class TestInjectedDivergence:
         for filename in os.listdir(corpus):
             payload = json.loads(open(os.path.join(corpus, filename)).read())
             assert "flywheel" in payload
-            ScenarioSpec.from_dict(payload["flywheel"]["spec"])
+            ScenarioSpec.from_dict(payload["spec"])
+
+    def test_filed_verdicts_use_known_oracle_names(self, report):
+        # A filed case must replay green under the tier-1 corpus gate,
+        # so its recorded verdict may only name real invariant oracles.
+        tmp_path, _ = report
+        for case in iter_corpus(str(tmp_path / "corpus")):
+            assert set(case.expected_violations) <= set(ORACLE_NAMES)
 
     def test_ledger_records_the_divergences(self, report):
         tmp_path, rep = report
@@ -142,3 +152,29 @@ class TestInjectedDivergence:
                 count=6,
                 perturbation="builtins:dict",
             )
+
+
+class TestPathAADivergence:
+    """path-aa points shrink and file like every other protocol."""
+
+    def test_path_aa_divergence_is_shrunk_and_filed(self, tmp_path):
+        spec = ScenarioSpec(
+            protocol="path-aa", n=6, t=1, tree="path:8",
+            adversary="silent", corrupt=(4,), seed=5,
+        )
+        perturb = PERTURBATIONS["rounds"]
+        row = evaluate_point(spec, perturb)
+        assert not row["ok"]
+        cfg = config(tmp_path, perturb=perturb)
+        record = _file_divergence(cfg, 0, spec, row)
+        assert "unshrinkable" not in record
+        assert record["shrunk"] and record["filed"]
+        assert ScenarioSpec.from_dict(record["minimal_spec"]).n < spec.n
+        (case,) = iter_corpus(cfg.corpus_dir)
+        assert case.spec.protocol == "path-aa"
+        replayed = replay_flywheel_case(case)
+        assert "backend-parity" in {
+            name
+            for name, cell in replayed["oracles"].items()
+            if cell["status"] == "divergence"
+        }

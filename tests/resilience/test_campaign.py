@@ -10,9 +10,9 @@ import json
 
 import pytest
 
+from repro.analysis.spec import ScenarioSpec
 from repro.resilience import (
     CampaignConfig,
-    Scenario,
     generate_scenarios,
     resilience_point_runner,
     run_campaign,
@@ -31,6 +31,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="min_n"):
             CampaignConfig(min_n=6, max_n=4)
 
+    def test_unsampleable_protocols_rejected(self):
+        with pytest.raises(ValueError, match="path-aa"):
+            CampaignConfig(protocols=("real-aa", "path-aa"))
+
     def test_fault_plans_need_the_explicit_gate(self):
         with pytest.raises(ValueError, match="allow_model_violations"):
             CampaignConfig(max_fault_probability=0.2)
@@ -48,14 +52,15 @@ class TestGeneration:
         assert a != b
 
     def test_scenarios_are_valid_and_json_serialisable(self):
-        for scenario in generate_scenarios(CampaignConfig(count=60, seed=3)):
-            payload = json.loads(json.dumps(scenario.to_dict()))
-            assert Scenario.from_dict(payload) == scenario
+        for spec in generate_scenarios(CampaignConfig(count=60, seed=3)):
+            payload = json.loads(json.dumps(spec.to_dict()))
+            assert ScenarioSpec.from_dict(payload) == spec
 
     def test_legal_configs_keep_corruption_legal(self):
-        for scenario in generate_scenarios(CampaignConfig(count=60, seed=4)):
-            assert scenario.n > 3 * scenario.t
-            assert len(scenario.corrupt) <= scenario.t
+        for spec in generate_scenarios(CampaignConfig(count=60, seed=4)):
+            assert spec.n > 3 * spec.t
+            assert spec.t_assumed == spec.t
+            assert len(spec.corrupt) <= spec.t
 
     def test_corruption_ratio_crosses_the_threshold(self):
         config = CampaignConfig(
@@ -63,8 +68,10 @@ class TestGeneration:
             adversaries=("silent",), protocols=("real-aa",),
         )
         scenarios = generate_scenarios(config)
-        # Parties keep a legal assumed t; the adversary's set exceeds it.
-        assert all(s.n > 3 * s.t for s in scenarios)
+        # Parties keep a legal assumed t; the adversary's set exceeds it,
+        # and the network's budget covers it.
+        assert all(s.n > 3 * s.t_assumed for s in scenarios)
+        assert all(s.t == max(s.t_assumed, len(s.corrupt)) for s in scenarios)
         assert any(3 * len(s.corrupt) >= s.n for s in scenarios)
 
     def test_flagship_campaign_covers_every_adversary_and_scheduler(self):
@@ -83,33 +90,33 @@ class TestGeneration:
 
 class TestPointRunner:
     def test_row_is_self_contained_and_json(self):
-        scenario = Scenario(
+        spec = ScenarioSpec(
             protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
             adversary="silent", corrupt=(2,),
         )
-        row = resilience_point_runner({"scenario": scenario.to_dict()}, 999)
+        row = resilience_point_runner({"spec": spec.to_dict()}, 999)
         json.dumps(row)  # must be serialisable for the sweep cache
         assert row["ok"] is True
         assert row["violated"] == []
-        assert Scenario.from_dict(row["scenario"]) == scenario
+        assert ScenarioSpec.from_dict(row["spec"]) == spec
 
     def test_engine_seed_is_ignored(self):
-        scenario = Scenario(
+        spec = ScenarioSpec(
             protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
             adversary="noise:3", corrupt=(2,), seed=5,
         )
-        params = {"scenario": scenario.to_dict()}
+        params = {"spec": spec.to_dict()}
         assert resilience_point_runner(params, 1) == resilience_point_runner(
             params, 2
         )
 
     def test_violating_row_reports_the_oracles(self):
-        scenario = Scenario(
-            protocol="real-aa", n=7, t=2, epsilon=0.5,
+        spec = ScenarioSpec(
+            protocol="real-aa", n=7, t=3, t_assumed=2, epsilon=0.5,
             inputs=(0.0, 5.0, 10.0, 5.0, 0.0, 5.0, 10.0),
             adversary="silent", corrupt=(1, 3, 5),
         )
-        row = resilience_point_runner({"scenario": scenario.to_dict()}, 0)
+        row = resilience_point_runner({"spec": spec.to_dict()}, 0)
         assert row["ok"] is False
         assert row["violated"] == ["agreement"]
         assert row["violations"][0]["oracle"] == "agreement"
@@ -152,7 +159,7 @@ class TestCampaignRuns:
         report = run_campaign(config, jobs=2, no_cache=True)
         assert len(report.rows) == 200
         failing = [
-            (row["scenario"], row["violated"])
+            (row["spec"], row["violated"])
             for row in report.violating_rows
         ]
         assert report.ok, f"violating scenarios: {failing[:3]}"

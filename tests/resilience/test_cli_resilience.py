@@ -2,18 +2,19 @@
 
 import json
 
+from repro.analysis.spec import ScenarioSpec
 from repro.cli import main
-from repro.resilience import Scenario
+from repro.resilience import cost
 
 
 def violating_scenario_file(tmp_path):
-    scenario = Scenario(
-        protocol="real-aa", n=7, t=2, epsilon=0.5,
+    spec = ScenarioSpec(
+        protocol="real-aa", n=7, t=3, t_assumed=2, epsilon=0.5,
         inputs=(0.0, 5.0, 10.0, 5.0, 0.0, 5.0, 10.0),
         adversary="silent", corrupt=(1, 3, 5),
     )
     path = tmp_path / "violating.json"
-    path.write_text(json.dumps(scenario.to_dict()))
+    path.write_text(json.dumps(spec.to_dict()))
     return path
 
 
@@ -42,8 +43,8 @@ class TestCampaignCommand:
         assert "violating" in out
         saved = sorted((tmp_path / "viols").glob("violation-*.json"))
         assert saved
-        # each saved file is a replayable scenario
-        Scenario.from_dict(json.loads(saved[0].read_text()))
+        # each saved file is a replayable spec
+        ScenarioSpec.from_dict(json.loads(saved[0].read_text()))
 
     def test_campaign_jsonl_report(self, capsys, tmp_path):
         path = tmp_path / "report.jsonl"
@@ -72,12 +73,12 @@ class TestShrinkCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "reductions" in out
-        # the minimal scenario is printed as replayable JSON
+        # the minimal spec is printed as replayable JSON
         payload = json.loads(out[out.index("{"):])
-        minimal = Scenario.from_dict(payload)
-        assert minimal.cost() < Scenario.from_dict(
-            json.loads(path.read_text())
-        ).cost()
+        minimal = ScenarioSpec.from_dict(payload)
+        assert cost(minimal) < cost(
+            ScenarioSpec.from_dict(json.loads(path.read_text()))
+        )
 
     def test_shrink_saves_a_corpus_case(self, capsys, tmp_path):
         path = violating_scenario_file(tmp_path)
@@ -95,7 +96,7 @@ class TestShrinkCommand:
         assert payload["description"] == "cli round trip"
 
     def test_shrink_accepts_corpus_case_files(self, capsys, tmp_path):
-        # A saved corpus case (scenario nested under "scenario") shrinks too.
+        # A saved corpus case (spec nested under "spec") shrinks too.
         path = violating_scenario_file(tmp_path)
         out_path = tmp_path / "case.json"
         assert main(["shrink", str(path), "--out", str(out_path)]) == 0
@@ -104,7 +105,7 @@ class TestShrinkCommand:
         assert "reductions" in capsys.readouterr().out
 
     def test_shrink_rejects_clean_scenarios(self, capsys, tmp_path):
-        clean = Scenario(
+        clean = ScenarioSpec(
             protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
         )
         path = tmp_path / "clean.json"

@@ -1,6 +1,6 @@
 """Regression corpus: format round-trips and the tier-1 replay gate.
 
-Every JSON case under ``tests/corpus/`` replays through the scenario
+Every JSON case under ``tests/corpus/`` replays through the resilience
 interpreter and must reproduce its recorded oracle verdict *exactly* —
 violating cases must keep violating the same way (the shrunken
 reproductions stay alive), clean cases must stay clean (the guards keep
@@ -13,10 +13,11 @@ import os
 
 import pytest
 
+from repro.analysis.spec import ScenarioSpec
 from repro.resilience import (
     CORPUS_SCHEMA_VERSION,
+    CorpusFormatError,
     ReproCase,
-    Scenario,
     case_from_scenario,
     iter_corpus,
     load_case,
@@ -36,7 +37,7 @@ class TestCaseFormat:
         case = ReproCase(
             name="round-trip",
             description="format check",
-            scenario=Scenario(
+            spec=ScenarioSpec(
                 protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
                 adversary="silent", corrupt=(2,),
             ),
@@ -49,7 +50,7 @@ class TestCaseFormat:
         assert payload["schema_version"] == CORPUS_SCHEMA_VERSION
 
     def test_case_from_scenario_freezes_current_verdict(self):
-        clean = Scenario(
+        clean = ScenarioSpec(
             protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
         )
         case = case_from_scenario("clean", "freeze check", clean)
@@ -57,17 +58,17 @@ class TestCaseFormat:
         assert verify(case)
 
     def test_verify_detects_a_wrong_expectation(self):
-        clean = Scenario(
+        clean = ScenarioSpec(
             protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
         )
         wrong = ReproCase(
-            name="wrong", description="", scenario=clean,
+            name="wrong", description="", spec=clean,
             expected_violations=("agreement",),
         )
         assert not verify(wrong)
 
     def test_verify_corpus_lists_failures(self, tmp_path):
-        clean = Scenario(
+        clean = ScenarioSpec(
             protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
         )
         save_case(
@@ -80,6 +81,28 @@ class TestCaseFormat:
 
     def test_missing_directory_is_an_empty_corpus(self, tmp_path):
         assert iter_corpus(str(tmp_path / "nope")) == []
+
+    @pytest.mark.parametrize("version", [1, 3, None])
+    def test_unknown_schema_version_names_the_file(self, tmp_path, version):
+        case = ReproCase(
+            "versioned", "", ScenarioSpec(protocol="real-aa", n=4, t=1)
+        )
+        payload = case.to_dict()
+        payload["schema_version"] = version
+        path = tmp_path / "versioned.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusFormatError) as excinfo:
+            load_case(str(path))
+        assert str(path) in str(excinfo.value)
+        assert "schema_version" in str(excinfo.value)
+
+    def test_a_case_without_a_spec_names_the_file(self, tmp_path):
+        path = tmp_path / "headless.json"
+        path.write_text(json.dumps(
+            {"schema_version": CORPUS_SCHEMA_VERSION, "name": "headless"}
+        ))
+        with pytest.raises(CorpusFormatError, match="headless.json"):
+            load_case(str(path))
 
 
 class TestShippedCorpus:

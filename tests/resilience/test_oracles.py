@@ -7,10 +7,10 @@ returns violations, it never raises.
 
 import math
 
+from repro.analysis.spec import ScenarioSpec
 from repro.cli import parse_tree_spec
 from repro.resilience import (
     ORACLE_NAMES,
-    Scenario,
     ScenarioResult,
     Violation,
     evaluate,
@@ -19,12 +19,12 @@ from repro.resilience import (
 
 
 def real_result(**overrides):
-    scenario = Scenario(
+    spec = ScenarioSpec(
         protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
         adversary="silent", corrupt=(3,), epsilon=0.5,
     )
     result = ScenarioResult(
-        scenario=scenario,
+        spec=spec,
         honest_inputs={0: 0.0, 1: 1.0, 2: 2.0},
         honest_outputs={0: 1.0, 1: 1.2, 2: 1.4},
         rounds=5,
@@ -38,12 +38,12 @@ def real_result(**overrides):
 def tree_result(**overrides):
     tree = parse_tree_spec("path:5")
     a, b, c, d, e = tree.vertices
-    scenario = Scenario(
-        protocol="tree-aa", n=4, t=1, inputs=(0, 4, 2, 1),
+    spec = ScenarioSpec(
+        protocol="tree-aa", n=4, t=1, inputs=(a, e, c, b),
         adversary="silent", corrupt=(3,), tree="path:5",
     )
     result = ScenarioResult(
-        scenario=scenario,
+        spec=spec,
         honest_inputs={0: a, 1: e, 2: c},
         honest_outputs={0: c, 1: c, 2: d},
         rounds=3,

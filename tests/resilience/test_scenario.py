@@ -1,21 +1,24 @@
-"""Scenario data model: validation, serialisation, execution."""
+"""The resilience view of a spec: validation, serialisation, execution."""
 
+import dataclasses
+import json
 import math
 
 import pytest
 
 from repro.adversary import ChaosAdversary, CrashAdversary, SilentAdversary
-from repro.asynchrony import DelaySendersScheduler, RandomScheduler, SplitScheduler
-from repro.resilience import (
-    Scenario,
-    ScenarioError,
-    build_adversary,
-    build_scheduler,
-    execute_scenario,
+from repro.analysis.spec import ScenarioSpec, SpecError, build_scheduler
+from repro.asynchrony import (
+    AsyncSilentAdversary,
+    DelaySendersScheduler,
+    RandomScheduler,
+    SplitScheduler,
 )
+from repro.protocols.rounds import realaa_duration
+from repro.resilience import cost, execute_scenario
 
 
-def real_scenario(**overrides):
+def real_spec(**overrides):
     base = dict(
         protocol="real-aa",
         n=4,
@@ -23,54 +26,55 @@ def real_scenario(**overrides):
         inputs=(0.0, 1.0, 2.0, 3.0),
     )
     base.update(overrides)
-    return Scenario(**base)
+    return ScenarioSpec(**base)
 
 
 class TestValidation:
     def test_unknown_protocol_rejected(self):
-        with pytest.raises(ScenarioError, match="protocol"):
-            real_scenario(protocol="quantum-aa")
+        with pytest.raises(SpecError, match="protocol"):
+            real_spec(protocol="quantum-aa")
 
     def test_input_count_must_match_n(self):
-        with pytest.raises(ScenarioError, match="inputs"):
-            real_scenario(inputs=(0.0, 1.0))
+        with pytest.raises(SpecError, match="inputs"):
+            real_spec(inputs=(0.0, 1.0))
 
     def test_corrupt_ids_must_be_in_range(self):
-        with pytest.raises(ScenarioError, match="out of range"):
-            real_scenario(corrupt=(7,))
+        with pytest.raises(SpecError, match="out of range"):
+            real_spec(corrupt=(7,))
 
     def test_duplicate_corrupt_ids_rejected(self):
-        with pytest.raises(ScenarioError, match="duplicate"):
-            real_scenario(corrupt=(1, 1))
+        with pytest.raises(SpecError, match="duplicate"):
+            real_spec(corrupt=(1, 1))
 
     def test_tree_aa_needs_a_tree(self):
-        with pytest.raises(ScenarioError, match="tree spec"):
-            real_scenario(protocol="tree-aa", inputs=(0, 1, 2, 3))
+        with pytest.raises(SpecError, match="tree spec"):
+            real_spec(protocol="tree-aa", inputs=(0, 1, 2, 3))
 
     def test_chaos_not_available_async(self):
-        with pytest.raises(ScenarioError, match="not available"):
-            real_scenario(protocol="async-real-aa", adversary="chaos:3")
+        with pytest.raises(SpecError, match="not available"):
+            real_spec(protocol="async-real-aa", adversary="chaos:3")
 
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ScenarioError, match="scheduler"):
-            real_scenario(protocol="async-real-aa", scheduler="psychic")
+        with pytest.raises(SpecError, match="scheduler"):
+            real_spec(protocol="async-real-aa", scheduler="psychic")
 
     def test_scenario_error_is_value_error(self):
         # The CLI and campaign engine catch ValueError for bad data.
-        assert issubclass(ScenarioError, ValueError)
+        assert issubclass(SpecError, ValueError)
 
 
 class TestSerialisation:
     def test_minimal_round_trip(self):
-        scenario = real_scenario(adversary="silent", corrupt=(2,))
-        assert Scenario.from_dict(scenario.to_dict()) == scenario
+        spec = real_spec(adversary="silent", corrupt=(2,))
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_full_round_trip(self):
-        scenario = Scenario(
+        spec = ScenarioSpec(
             protocol="tree-aa",
             n=5,
             t=1,
-            inputs=(0, 3, 1, 4, 2),
+            t_assumed=1,
+            inputs=("v00", "v03", "v01", "v04", "v02"),
             adversary="chaos:9",
             corrupt=(0,),
             tree="caterpillar:4x2",
@@ -82,42 +86,46 @@ class TestSerialisation:
                 "allow_model_violations": True,
             },
             chaos_script=((0, 0, "junk"), (1, 0, "stale")),
-            max_steps=500,
             seed=77,
         )
-        rebuilt = Scenario.from_dict(scenario.to_dict())
-        assert rebuilt == scenario
+        rebuilt = ScenarioSpec.from_dict(spec.to_dict())
+        assert rebuilt == spec
 
     def test_round_trip_survives_json(self):
-        import json
-
-        scenario = real_scenario(
+        spec = real_spec(
             protocol="async-real-aa", scheduler="split:2", adversary="noise:4",
-            corrupt=(1,),
+            corrupt=(1,), max_steps=500,
         )
-        payload = json.loads(json.dumps(scenario.to_dict()))
-        assert Scenario.from_dict(payload) == scenario
+        payload = json.loads(json.dumps(spec.to_dict()))
+        assert payload["scheduler"] == "split:2"
+        assert payload["max_steps"] == 500
+        assert ScenarioSpec.from_dict(payload) == spec
 
 
 class TestDerivedQuantities:
     def test_network_budget_covers_actual_corruption(self):
-        scenario = real_scenario(n=7, t=2, corrupt=(0, 2, 4),
-                                 inputs=(0.0,) * 7, adversary="silent")
-        assert scenario.network_budget == 3
-        assert scenario.assumed_t == 2
+        # Parties assume t=2 while the network's budget t=3 covers the
+        # three parties the adversary actually holds.
+        spec = real_spec(n=7, t=3, t_assumed=2, corrupt=(0, 2, 4),
+                         inputs=(0.0,) * 7, adversary="silent")
+        assert spec.assumed_t == 2
+        result = execute_scenario(spec)
+        assert result.error is None
+        assert sorted(result.honest_outputs) == [1, 3, 5, 6]
 
     def test_effective_known_range_derives_from_inputs(self):
-        assert real_scenario().effective_known_range == 3.0
-        assert real_scenario(known_range=10.0).effective_known_range == 10.0
+        derived = execute_scenario(real_spec())
+        assert derived.round_limit == realaa_duration(3.0, 0.5, 4, 1)
+        pinned = execute_scenario(real_spec(known_range=10.0))
+        assert pinned.round_limit == realaa_duration(10.0, 0.5, 4, 1)
 
     def test_cost_decreases_with_every_shrink_dimension(self):
-        big = Scenario(
-            protocol="tree-aa", n=6, t=1, inputs=(0, 1, 2, 3, 4, 5),
+        big = ScenarioSpec(
+            protocol="tree-aa", n=6, t=2, t_assumed=1,
+            inputs=("v00", "v01", "v02", "v03", "v04", "v05"),
             adversary="chaos:1", corrupt=(0, 1), tree="path:12",
             chaos_script=((0, 0, "junk"), (1, 1, "stale")),
         )
-        import dataclasses
-
         fewer_corrupt = dataclasses.replace(big, corrupt=(0,))
         fewer_parties = dataclasses.replace(
             big, n=5, inputs=big.inputs[:5], corrupt=(0, 1)
@@ -127,47 +135,42 @@ class TestDerivedQuantities:
             big, chaos_script=big.chaos_script[:1]
         )
         for smaller in (fewer_corrupt, fewer_parties, smaller_tree, shorter_script):
-            assert smaller.cost() < big.cost()
+            assert cost(smaller) < cost(big)
 
 
 class TestBuilders:
     def test_sync_adversary_specs(self):
-        crash = build_adversary(
-            real_scenario(adversary="crash:2:3", corrupt=(1,))
-        )
+        crash = real_spec(adversary="crash:2:3", corrupt=(1,)).make_adversary()
         assert isinstance(crash, CrashAdversary)
-        silent = build_adversary(real_scenario(adversary="silent", corrupt=(1,)))
+        silent = real_spec(adversary="silent", corrupt=(1,)).make_adversary()
         assert isinstance(silent, SilentAdversary)
-        assert build_adversary(real_scenario()) is None
+        assert real_spec().make_adversary() is None
+        async_silent = real_spec(
+            protocol="async-real-aa", adversary="silent", corrupt=(1,)
+        ).make_adversary()
+        assert isinstance(async_silent, AsyncSilentAdversary)
 
     def test_chaos_script_reaches_the_adversary(self):
-        scenario = real_scenario(
+        spec = real_spec(
             adversary="chaos:5", corrupt=(1,),
             chaos_script=((0, 1, "junk"),),
         )
-        chaos = build_adversary(scenario)
-        assert isinstance(chaos, ChaosAdversary)
+        assert isinstance(spec.make_adversary(), ChaosAdversary)
 
     def test_scheduler_specs(self):
-        async_base = dict(protocol="async-real-aa")
-        assert build_scheduler(real_scenario(**async_base)) is None
+        assert build_scheduler(None, n=4) is None
+        assert isinstance(build_scheduler("random:3", n=4), RandomScheduler)
+        assert isinstance(build_scheduler("split:2", n=4), SplitScheduler)
         assert isinstance(
-            build_scheduler(real_scenario(scheduler="random:3", **async_base)),
-            RandomScheduler,
+            build_scheduler("delay:1", n=4), DelaySendersScheduler
         )
-        assert isinstance(
-            build_scheduler(real_scenario(scheduler="split:2", **async_base)),
-            SplitScheduler,
-        )
-        assert isinstance(
-            build_scheduler(real_scenario(scheduler="delay:1", **async_base)),
-            DelaySendersScheduler,
-        )
+        with pytest.raises(SpecError, match="scheduler"):
+            build_scheduler("psychic", n=4)
 
 
 class TestExecution:
     def test_clean_real_aa_run(self):
-        result = execute_scenario(real_scenario(adversary="silent", corrupt=(3,)))
+        result = execute_scenario(real_spec(adversary="silent", corrupt=(3,)))
         assert result.error is None
         assert result.completed
         assert sorted(result.honest_outputs) == [0, 1, 2]
@@ -178,61 +181,83 @@ class TestExecution:
         assert result.rounds <= (result.round_limit or math.inf)
 
     def test_clean_tree_aa_run_remaps_vertex_indices(self):
-        scenario = Scenario(
-            protocol="tree-aa", n=4, t=1, inputs=(0, 99, 2, 3),
-            adversary="silent", corrupt=(1,), tree="path:5",
+        from repro.resilience.shrink import _tree_candidates
+
+        spec = ScenarioSpec(
+            protocol="tree-aa", n=4, t=1, inputs=("v00", "v08", "v02", "v03"),
+            adversary="silent", corrupt=(1,), tree="path:9",
         )
-        result = execute_scenario(scenario)
+        (smaller,) = _tree_candidates(spec)
+        # path:9 -> path:4: v08 (index 8) wraps modulo the 4 vertices
+        assert smaller.tree == "path:4"
+        assert smaller.inputs == ("v00", "v00", "v02", "v03")
+        result = execute_scenario(smaller)
         assert result.error is None
         assert result.tree_obj is not None
-        # index 99 wrapped modulo the 5 vertices; outputs are vertices
+        assert result.round_limit is not None
         for value in result.honest_outputs.values():
             assert value in result.tree_obj
 
     def test_clean_async_run(self):
-        scenario = real_scenario(
+        spec = real_spec(
             protocol="async-real-aa", adversary="silent", corrupt=(0,),
             scheduler="random:11",
         )
-        result = execute_scenario(scenario)
+        result = execute_scenario(spec)
         assert result.error is None
         assert result.completed
         assert result.stall is None
-        assert result.rounds <= scenario.max_steps
+        assert result.rounds <= spec.max_steps
+        assert result.round_limit == spec.max_steps
 
     def test_unhandled_exception_is_captured_not_raised(self):
-        # A non-numeric input crashes float() deep inside the runner; the
+        # A non-numeric input crashes float() deep inside the run; the
         # interpreter must turn that into result.error, never a raise.
-        scenario = Scenario(
+        spec = ScenarioSpec(
             protocol="real-aa", n=2, t=0, inputs=("bogus", 1.0)
         )
-        result = execute_scenario(scenario)
+        result = execute_scenario(spec)
         assert result.error is not None
         assert "ValueError" in result.error
         assert not result.completed
 
     def test_malformed_scenario_still_raises(self):
-        with pytest.raises(ScenarioError):
-            Scenario(protocol="real-aa", n=2, t=0, inputs=(1.0,))
+        with pytest.raises(SpecError):
+            ScenarioSpec(protocol="real-aa", n=2, t=0, inputs=(1.0,))
+        bad_args = real_spec(adversary="noise:x")
+        with pytest.raises(SpecError, match="malformed adversary"):
+            execute_scenario(bad_args)
 
     def test_fault_counters_zero_without_plan(self):
-        result = execute_scenario(real_scenario())
+        result = execute_scenario(real_spec())
         assert result.fault_counts == {
             "dropped": 0, "duplicated": 0, "corrupted": 0,
         }
 
     def test_fault_plan_counters_show_up(self):
-        scenario = real_scenario(
+        spec = real_spec(
             fault_plan={
                 "drop": 0.4, "seed": 5, "allow_model_violations": True,
             },
         )
-        result = execute_scenario(scenario)
+        result = execute_scenario(spec)
         assert result.error is None
         assert result.fault_counts["dropped"] > 0
 
     def test_chaos_log_is_captured(self):
-        scenario = real_scenario(adversary="chaos:3", corrupt=(2,))
-        result = execute_scenario(scenario)
+        spec = real_spec(adversary="chaos:3", corrupt=(2,))
+        result = execute_scenario(spec)
         assert result.chaos_log
         assert all(pid == 2 for _, pid, _ in result.chaos_log)
+
+    def test_path_aa_runs_under_the_tree_oracles(self):
+        from repro.resilience import evaluate
+
+        spec = ScenarioSpec(
+            protocol="path-aa", n=4, t=1, tree="path:6",
+            adversary="silent", corrupt=(2,), seed=3,
+        )
+        result = execute_scenario(spec)
+        assert result.error is None
+        assert result.tree_obj is not None
+        assert evaluate(result) == []

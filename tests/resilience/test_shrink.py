@@ -1,32 +1,34 @@
 """Counterexample shrinking: the weakened-guard-to-minimal-repro pipeline.
 
-The acceptance path: a scenario whose corruption exceeds the ``t < n/3``
+The acceptance path: a spec whose corruption exceeds the ``t < n/3``
 threshold (parties' assumed tolerance stays legal — the network just
 hands the adversary more parties) violates ε-agreement; the shrinker
-reduces it while preserving that violation; the minimal scenario replays
-the same verdict deterministically, ready to freeze as a corpus case.
+reduces it while preserving that violation; the minimal spec replays the
+same verdict deterministically, ready to freeze as a corpus case.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.analysis.spec import ScenarioSpec
 from repro.resilience import (
     NotViolatingError,
-    Scenario,
     check_violations,
+    cost,
     shrink,
     shrink_report,
 )
-from repro.resilience.shrink import _shrink_tree_spec
+from repro.resilience.shrink import _shrink_tree_spec, explicit
 
 #: Over-threshold silent corruption: 3 of 7 parties, assumed t = 2.
 #: Honest inputs are spread (0/10 alternating) so halting the corrupted
 #: echoes reliably leaves the honest outputs > epsilon apart.
-VIOLATING = Scenario(
+VIOLATING = ScenarioSpec(
     protocol="real-aa",
     n=7,
-    t=2,
+    t=3,
+    t_assumed=2,
     epsilon=0.5,
     inputs=(0.0, 5.0, 10.0, 5.0, 0.0, 5.0, 10.0),
     adversary="silent",
@@ -43,7 +45,7 @@ class TestPreconditions:
         assert check_violations(VIOLATING) == ("agreement",)
 
     def test_clean_scenarios_are_rejected(self):
-        clean = Scenario(
+        clean = ScenarioSpec(
             protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
             adversary="silent", corrupt=(2,),
         )
@@ -55,10 +57,12 @@ class TestEndToEndPipeline:
     def test_shrink_reduces_and_preserves_the_failure(self):
         result = shrink(VIOLATING)
         assert result.reduced
-        assert result.minimal.cost() < VIOLATING.cost()
+        assert cost(result.minimal) < cost(VIOLATING)
         assert result.minimal.n <= VIOLATING.n
         assert len(result.minimal.corrupt) < len(VIOLATING.corrupt)
         assert "agreement" in result.minimal_violations
+        # the network budget keeps covering the corrupted set
+        assert result.minimal.t >= len(result.minimal.corrupt)
 
     def test_minimal_scenario_replays_deterministically(self):
         result = shrink(VIOLATING)
@@ -71,7 +75,7 @@ class TestEndToEndPipeline:
 
         result = shrink(VIOLATING)
         payload = json.loads(json.dumps(result.minimal.to_dict()))
-        rebuilt = Scenario.from_dict(payload)
+        rebuilt = ScenarioSpec.from_dict(payload)
         assert check_violations(rebuilt) == result.minimal_violations
 
     def test_report_is_human_readable(self):
@@ -130,18 +134,21 @@ class TestTreeSpecShrinking:
         assert _shrink_tree_spec(spec) == expected
 
     def test_tree_scenario_shrinks_the_tree(self):
-        scenario = Scenario(
-            protocol="tree-aa", n=7, t=2, tree="path:9",
-            inputs=(0, 8, 4, 0, 8, 4, 0), adversary="silent",
-            corrupt=(1, 3, 5),
+        spec = ScenarioSpec(
+            protocol="tree-aa", n=7, t=3, t_assumed=2, tree="path:9",
+            inputs=("v00", "v08", "v04", "v00", "v08", "v04", "v00"),
+            adversary="silent", corrupt=(1, 3, 5),
         )
-        assert check_violations(scenario) == ("agreement",)
-        result = shrink(scenario)
+        assert check_violations(spec) == ("agreement",)
+        result = shrink(spec)
         assert result.reduced
         assert "agreement" in result.minimal_violations
-        # tree inputs are indices, so the shrunken tree remaps them
-        # instead of invalidating the scenario
-        assert result.minimal.tree is not None
+        # labels are remapped by vertex index onto the shrunken tree
+        # instead of invalidating the spec
+        minimal = result.minimal
+        assert minimal.tree is not None
+        vertices = minimal.build_tree().vertices
+        assert all(label in vertices for label in minimal.inputs)
 
 
 class TestFaultPlanShrinking:
@@ -149,7 +156,7 @@ class TestFaultPlanShrinking:
         # Heavy drop rate on every honest channel starves the protocol:
         # over-threshold corruption plus faults, shrinker must keep the
         # failure while simplifying the plan.
-        scenario = dataclasses.replace(
+        spec = dataclasses.replace(
             VIOLATING,
             fault_plan={
                 "drop": 0.0,
@@ -159,10 +166,38 @@ class TestFaultPlanShrinking:
                 "allow_model_violations": True,
             },
         )
-        violations = check_violations(scenario)
+        violations = check_violations(spec)
         assert violations  # still violating with the plan attached
-        result = shrink(scenario)
+        result = shrink(spec)
         # Either the plan vanished entirely or it got strictly cheaper.
         minimal_plan = result.minimal.fault_plan
-        assert minimal_plan is None or result.minimal.cost() < scenario.cost()
+        assert minimal_plan is None or cost(result.minimal) < cost(spec)
         assert set(result.minimal_violations) & set(violations)
+
+
+class TestExplicitSpec:
+    def test_derived_inputs_become_explicit(self):
+        derived = ScenarioSpec(
+            protocol="tree-aa", n=5, t=1, tree="caterpillar:3x2",
+            adversary="silent", corrupt=(2,), seed=11,
+        )
+        spelled = explicit(derived)
+        assert spelled.inputs == tuple(derived.make_inputs())
+        assert spelled.t_assumed == derived.t
+        assert dict(spelled.run().honest_outputs) == dict(
+            derived.run().honest_outputs
+        )
+
+    def test_path_aa_specs_shrink(self):
+        # path-aa inputs live on the commonly known path; the shrinker
+        # edits the spec directly, so this protocol shrinks like the rest.
+        spec = ScenarioSpec(
+            protocol="path-aa", n=7, t=3, t_assumed=2, tree="path:9",
+            adversary="silent", corrupt=(1, 3, 5), seed=4,
+        )
+        violations = check_violations(spec)
+        assert violations == ("agreement",)
+        result = shrink(spec)
+        assert result.reduced
+        assert cost(result.minimal) < cost(spec)
+        assert check_violations(result.minimal) == result.minimal_violations

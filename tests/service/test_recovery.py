@@ -268,6 +268,10 @@ class TestSubprocessKill:
             client = ServiceClient(url, timeout=10.0)
             job_id = client.submit(PAYLOAD)["job_id"]
             journal = journal_path(str(tmp_path / "data"))
+            # Kill only once the slow point has consumed its "once"
+            # fault: a SIGKILL before the sentinel exists would leave the
+            # 600 s delay armed for the restarted server.
+            sentinel = tmp_path / "sentinels" / f"fault-{POINTS[-1]['seed']}"
             assert wait_for(
                 lambda: len(
                     replay_journal(journal).get(job_id).point_states
@@ -275,6 +279,7 @@ class TestSubprocessKill:
                     else {}
                 )
                 >= len(POINTS) - 1
+                and sentinel.exists()
             )
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)

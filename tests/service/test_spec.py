@@ -1,4 +1,4 @@
-"""ScenarioSpec: serialisation, validation, execution, and bridging."""
+"""ScenarioSpec: serialisation, validation, execution, and the async dialect."""
 
 import json
 from dataclasses import replace
@@ -237,41 +237,42 @@ class TestCacheKey:
 
 
 class TestScenarioBridge:
-    def test_to_spec_run_matches_execute_scenario(self):
-        from repro.resilience import Scenario
-        from repro.resilience.scenario import execute_scenario
+    """The resilience lab consumes specs directly — no second dialect."""
 
-        scenario = Scenario(
+    def test_execute_scenario_matches_spec_run(self):
+        from repro.resilience import execute_scenario
+
+        spec = ScenarioSpec(
             protocol="tree-aa",
             n=6,
             t=1,
-            inputs=(0, 3, 7, 2, 5, 1),
+            tree="caterpillar:4x2",
             adversary="chaos:9",
             corrupt=(2,),
-            tree="caterpillar:4x2",
             seed=11,
         )
-        direct = execute_scenario(scenario)
-        via_spec = scenario.to_spec().run()
-        assert dict(via_spec.honest_outputs) == dict(direct.honest_outputs)
-        assert via_spec.rounds == direct.rounds
+        judged = execute_scenario(spec)
+        direct = spec.run()
+        assert judged.honest_outputs == dict(direct.honest_outputs)
+        assert judged.rounds == direct.rounds
+        assert judged.chaos_log
 
-    def test_from_spec_round_trip(self):
-        from repro.resilience import Scenario
+    def test_explicit_spec_runs_identically(self):
+        from repro.resilience.shrink import explicit
 
-        scenario = Scenario(
+        spec = ScenarioSpec(
             protocol="real-aa",
             n=5,
             t=1,
-            inputs=(0.0, 8.0, 2.0, 5.0, 1.0),
+            known_range=8.0,
             adversary="crash:2",
             corrupt=(3,),
             seed=6,
         )
-        back = Scenario.from_spec(scenario.to_spec())
-        assert back.inputs == scenario.inputs
-        assert back.adversary == scenario.adversary
-        assert back.corrupt == scenario.corrupt
+        spelled = explicit(spec)
+        assert spelled.inputs == tuple(spec.make_inputs())
+        assert spelled.t_assumed == 1
+        assert spelled.run().honest_outputs == spec.run().honest_outputs
 
     def test_campaigns_accept_specs(self):
         from repro.resilience.campaign import CampaignConfig, run_campaign
@@ -291,3 +292,64 @@ class TestScenarioBridge:
         report = run_campaign(CampaignConfig(count=1), specs=specs, no_cache=True)
         assert report.ok
         assert len(report.rows) == 3
+
+
+class TestAsyncDialect:
+    ASYNC = dict(protocol="async-real-aa", n=4, t=1)
+
+    def test_async_round_trip(self):
+        spec = ScenarioSpec(
+            **self.ASYNC, adversary="noise:4", corrupt=(1,),
+            scheduler="split:2", max_steps=900, seed=3,
+        )
+        payload = json.loads(json.dumps(spec.to_dict()))
+        assert payload["scheduler"] == "split:2"
+        assert payload["max_steps"] == 900
+        assert ScenarioSpec.from_dict(payload) == spec
+
+    def test_sync_specs_do_not_serialise_async_fields(self):
+        payload = ScenarioSpec(protocol="real-aa", n=4, t=1).to_dict()
+        assert "scheduler" not in payload
+        assert "max_steps" not in payload
+
+    @pytest.mark.parametrize(
+        "fields", [{"scheduler": "fifo"}, {"max_steps": 10}]
+    )
+    def test_async_fields_rejected_on_sync_specs(self, fields):
+        with pytest.raises(SpecError, match="async-real-aa"):
+            ScenarioSpec(protocol="real-aa", n=4, t=1, **fields)
+
+    @pytest.mark.parametrize("adversary", ["chaos", "chaos:3", "crash:1", "burn"])
+    def test_async_specs_take_only_the_async_menu(self, adversary):
+        with pytest.raises(SpecError, match="not available"):
+            ScenarioSpec(**self.ASYNC, adversary=adversary)
+
+    def test_async_specs_cannot_be_recorded(self):
+        with pytest.raises(SpecError, match="recorded"):
+            ScenarioSpec(**self.ASYNC, record=True)
+
+    def test_async_run_uses_the_reference_engine(self):
+        spec = ScenarioSpec(
+            **self.ASYNC, adversary="silent", corrupt=(3,),
+            scheduler="random:5", known_range=8.0,
+        )
+        outcome = spec.run()
+        assert outcome.achieved_aa
+        assert outcome.execution.completed
+        assert outcome.rounds == outcome.execution.trace.steps
+
+    def test_async_with_batch_backend_raises(self):
+        from repro.engine import UnsupportedBackendError
+
+        spec = ScenarioSpec(**self.ASYNC, backend="batch")
+        with pytest.raises(UnsupportedBackendError):
+            spec.run()
+        with pytest.raises(UnsupportedBackendError):
+            execute_spec_point(spec)
+
+    def test_flywheel_stream_digest_is_unchanged(self):
+        from repro.analysis.strategies import stream_digest
+
+        assert stream_digest(0, 500) == (
+            "5ecd3ff13a5f992d7f1af08869619ebacc786e1fd8f825b92c0052401d6e1221"
+        )

@@ -28,10 +28,10 @@ from repro.analysis.parallel import (
     read_sweep_points,
     write_sweep_jsonl,
 )
+from repro.analysis.spec import ScenarioSpec
 from repro.flywheel.ledger import LedgerWriter, read_ledger
 from repro.jsonlog import CorruptLogError, LogWriter, read_log, write_atomic
 from repro.resilience.corpus import ReproCase, save_case
-from repro.resilience.scenario import Scenario
 from repro.service.journal import JobJournal, compact_journal, replay_journal
 
 #: What a crash leaves when it interrupts an append mid-line.
@@ -183,8 +183,8 @@ class TestLogWriter:
 
 
 def _case() -> ReproCase:
-    scenario = Scenario(protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0))
-    return ReproCase(name="contract", description="", scenario=scenario)
+    spec = ScenarioSpec(protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0))
+    return ReproCase(name="contract", description="", spec=spec)
 
 
 def _compacted(directory: str) -> str:
