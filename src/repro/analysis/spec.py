@@ -485,8 +485,7 @@ class ScenarioSpec:
         (:class:`~repro.core.api.TreeAAOutcome` or
         :class:`~repro.core.api.RealAAOutcome`; async specs report
         delivery steps as ``rounds``).  ``observer`` is forwarded
-        verbatim; attaching one forces ``TraceLevel.FULL`` semantics
-        exactly as it does for direct API calls.  Async specs take no
+        verbatim, exactly as for direct API calls.  Async specs take no
         observer, and ``backend="batch"`` raises
         :class:`~repro.engine.errors.UnsupportedBackendError` for them.
         """

@@ -73,8 +73,7 @@ def run_tree_point(
     """Run TreeAA and the iterated-safe-area baseline on the same instance.
 
     ``observer`` (e.g. a :class:`~repro.observability.MetricsCollector`)
-    watches the TreeAA execution only; attaching one forces the simulator
-    off the ``AGGREGATE`` fast path for that execution.
+    watches the TreeAA execution only.
 
     ``backend`` selects the engine for the *TreeAA* execution (see
     :func:`repro.core.api.run_tree_aa`); the iterated-safe-area baseline

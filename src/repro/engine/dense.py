@@ -53,6 +53,7 @@ from ..net.network import (
     TraceLevel,
     payload_units,
 )
+from ..protocols.gradecast import _clean_vector
 from ..protocols.realaa import is_real
 from .errors import UnsupportedBackendError
 from .kernel import (
@@ -491,31 +492,6 @@ class DenseExecution:
                             )
                         slot[recipient, sender] = True
 
-    def _parse_vector(
-        self, payload: Any, tag: str, iteration: int
-    ) -> Dict[int, Any]:
-        """``_clean_vector`` plus the ``is_real`` filter, verbatim."""
-        if (
-            not isinstance(payload, tuple)
-            or len(payload) != 3
-            or payload[0] != tag
-            or payload[1] != iteration
-            or not isinstance(payload[2], dict)
-        ):
-            return {}
-        vector: Dict[int, Any] = {}
-        for origin, value in payload[2].items():
-            if not isinstance(origin, int) or not 0 <= origin < self.n:
-                continue
-            if value is None:
-                continue
-            if not _hashable(value):
-                continue
-            if not is_real(value):
-                continue
-            vector[int(origin)] = value
-        return vector
-
     # -- the RealAA phase ------------------------------------------------
 
     def run_realaa_phase(
@@ -609,8 +585,11 @@ class DenseExecution:
                 for r, payload in outbox.items():
                     if not hmask[r]:
                         continue
-                    claims = self._parse_vector(payload, "echo", iteration)
-                    for origin, value in claims.items():
+                    claims = _clean_vector(
+                        payload, "echo", iteration, n, validate=is_real
+                    )
+                    for key, value in claims.items():
+                        origin = int(key)  # a bool key must not index as a mask
                         self._claim(cand, cand_arr, origin, value)
                         echo_count[r, origin] += 1
             supports = echo_count >= (n - t)
@@ -633,8 +612,11 @@ class DenseExecution:
                 for r, payload in outbox.items():
                     if not hmask[r]:
                         continue
-                    claims = self._parse_vector(payload, "sup", iteration)
-                    for origin, value in claims.items():
+                    claims = _clean_vector(
+                        payload, "sup", iteration, n, validate=is_real
+                    )
+                    for key, value in claims.items():
+                        origin = int(key)  # a bool key must not index as a mask
                         self._claim(cand, cand_arr, origin, value)
                         support_count[r, origin] += 1
 

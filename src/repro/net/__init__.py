@@ -5,7 +5,7 @@ adversary hook.  See :mod:`repro.net.network` for the execution semantics.
 """
 
 from .faults import CORRUPTION_MENU, FaultInjector, FaultModelError, FaultPlan
-from .messages import Inbox, Message, Outbox, PartyId, broadcast, deliver
+from .messages import Inbox, Message, Outbox, PartyId, broadcast
 from .network import (
     AdversaryView,
     ByzantineModelError,
@@ -36,7 +36,6 @@ __all__ = [
     "Inbox",
     "Outbox",
     "broadcast",
-    "deliver",
     "ProtocolParty",
     "ProtocolStateError",
     "SilentParty",

@@ -10,7 +10,7 @@ delivered :class:`Message` is stamped by the network, never by the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Mapping
+from typing import Any, Dict, FrozenSet, Mapping
 
 PartyId = int
 
@@ -74,20 +74,6 @@ class Message:
             f"Message(r{self.round} {self.sender}->{self.recipient}: "
             f"{self.payload!r})"
         )
-
-
-def deliver(messages: Iterable[Message], n: int) -> Dict[PartyId, Inbox]:
-    """Group round messages into per-recipient authenticated inboxes.
-
-    If a sender addresses the same recipient twice in one round, the last
-    payload wins — honest protocols in this library never do that, and for
-    Byzantine senders it is merely one of many admissible behaviours.
-    """
-    inboxes: Dict[PartyId, Inbox] = {pid: {} for pid in range(n)}
-    for message in messages:
-        if 0 <= message.recipient < n:
-            inboxes[message.recipient][message.sender] = message.payload
-    return inboxes
 
 
 def broadcast(payload: Any, n: int) -> Outbox:

@@ -19,10 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .faults import FaultInjector, FaultPlan
-from .messages import Message, Outbox, PartyId, deliver
+from .messages import Inbox, Message, Outbox, PartyId
 from .protocol import ProtocolParty
 
 if TYPE_CHECKING:  # runtime import would be circular (adversary imports net)
@@ -39,17 +49,17 @@ class TraceLevel(IntEnum):
 
     ``AGGREGATE``
         Message *counts* only (total, per sender class, per round).  The
-        executor skips :class:`~repro.net.messages.Message` object
-        construction and the deep :func:`payload_units` walk — the fast
-        path used by parameter sweeps, where only rounds and AA verdicts
-        feed the result rows.
+        executor skips payload-unit accounting and nothing else: both
+        levels deliver through the same path.
     ``FULL``
         Everything ``AGGREGATE`` tracks plus payload-unit accounting, the
         level the message-complexity experiment (T8) needs.  The default.
+        Each round walks every distinct payload object once
+        (:func:`payload_unit_sum`), not once per recipient.
 
-    Attaching an :class:`~repro.net.trace.Observer` forces message-object
-    construction regardless of the level (observers receive the objects),
-    but payload units are still only accumulated at ``FULL``.
+    An attached :class:`~repro.net.trace.Observer` is handed the round's
+    Byzantine traffic as :class:`~repro.net.messages.Message` objects at
+    either level; honest traffic is never turned into objects.
     """
 
     AGGREGATE = 0
@@ -105,6 +115,25 @@ def payload_units(payload: Any) -> int:
             stack.extend(item)
         else:
             total += 1
+    return total
+
+
+def payload_unit_sum(payloads: Iterable[Any]) -> int:
+    """The total :func:`payload_units` of *payloads*, one walk per object.
+
+    A broadcast hands the *same* payload object to every recipient, so
+    the sum memoises each object's units by ``id()`` for the duration of
+    this call.  That is exact: the memo holds a reference to every object
+    it has seen, so no id can be recycled for a different object before
+    the sum returns, and payloads are never mutated in flight.
+    """
+    seen: Dict[int, Tuple[Any, int]] = {}
+    total = 0
+    for payload in payloads:
+        entry = seen.get(id(payload))
+        if entry is None:
+            entry = seen[id(payload)] = (payload, payload_units(payload))
+        total += entry[1]
     return total
 
 
@@ -176,10 +205,9 @@ class SynchronousNetwork:
         protocol, or ``None`` for a fault-free execution.
     trace_level:
         How much accounting to perform per round (see :class:`TraceLevel`).
-        ``FULL`` (the default) matches the historical behaviour;
-        ``AGGREGATE`` keeps exact message counts but skips per-message
-        object construction and payload-unit accounting — measurably
-        faster on the sweep hot path.
+        ``FULL`` (the default) also counts payload units;
+        ``AGGREGATE`` keeps exact message counts and skips only the
+        payload-unit accounting.
     fault_plan:
         An optional :class:`~repro.net.faults.FaultPlan` applied to
         *honest* traffic at delivery time (drops, late duplicates,
@@ -335,7 +363,7 @@ class SynchronousNetwork:
                     # Authenticated point-to-point channels only exist
                     # between the n modelled parties: a Byzantine message
                     # addressed outside 0..n-1 is a power the model does
-                    # not grant, not traffic `deliver` may silently drop.
+                    # not grant, not traffic delivery may silently drop.
                     if type(recipient) is not int or not 0 <= recipient < self.n:
                         raise ByzantineModelError(
                             f"byzantine sender {sender} addressed unknown "
@@ -361,45 +389,29 @@ class SynchronousNetwork:
         self.trace.byzantine_message_count += byzantine_sent
         self.trace.per_round_messages.append(honest_sent + byzantine_sent)
 
-        full = self.trace.level is TraceLevel.FULL
-        byzantine_messages: List[Message] = []
-        if full or self.observer is not None:
-            # Slow path: materialise Message objects (observers consume
-            # them) and, at FULL, walk every payload for unit accounting.
-            byzantine_messages = [
-                Message(sender, recipient, round_index, payload)
-                for sender, outbox in byzantine_out.items()
-                for recipient, payload in outbox.items()
-            ]
-            all_messages = byzantine_messages + [
-                Message(sender, recipient, round_index, payload)
-                for sender, outbox in delivered_out.items()
-                for recipient, payload in outbox.items()
-            ]
-            if full:
-                self.trace.honest_payload_units += sum(
-                    payload_units(payload)
-                    for outbox in honest_out.values()
-                    for payload in outbox.values()
-                )
-                self.trace.byzantine_payload_units += sum(
-                    payload_units(message.payload)
-                    for message in byzantine_messages
-                )
-            inboxes = deliver(all_messages, self.n)
-        else:
-            # Fast path (AGGREGATE, no observer): fill the inboxes
-            # directly.  Equivalent to `deliver`: each sender's outbox is
-            # a dict, so (sender, recipient) pairs are unique within a
-            # round and delivery order cannot matter.
-            inboxes = {pid: {} for pid in range(self.n)}
-            for sender, outbox in byzantine_out.items():
-                for recipient, payload in outbox.items():
+        if self.trace.level is TraceLevel.FULL:
+            self.trace.honest_payload_units += payload_unit_sum(
+                payload
+                for outbox in honest_out.values()
+                for payload in outbox.values()
+            )
+            self.trace.byzantine_payload_units += payload_unit_sum(
+                payload
+                for outbox in byzantine_out.values()
+                for payload in outbox.values()
+            )
+        # Each sender's outbox is a dict, so (sender, recipient) pairs are
+        # unique within a round and filling the inboxes directly cannot
+        # depend on delivery order.  Byzantine recipients were checked
+        # above; an honest message addressed outside 0..n-1 is dropped.
+        inboxes: Dict[PartyId, Inbox] = {pid: {} for pid in range(self.n)}
+        for sender, outbox in byzantine_out.items():
+            for recipient, payload in outbox.items():
+                inboxes[recipient][sender] = payload
+        for sender, outbox in delivered_out.items():
+            for recipient, payload in outbox.items():
+                if 0 <= recipient < self.n:
                     inboxes[recipient][sender] = payload
-            for sender, outbox in delivered_out.items():
-                for recipient, payload in outbox.items():
-                    if 0 <= recipient < self.n:
-                        inboxes[recipient][sender] = payload
         if self._carryover:
             # Late duplicates from the previous round; a fresh message
             # from the same sender supersedes its stale copy.
@@ -422,7 +434,11 @@ class SynchronousNetwork:
             self.observer.on_round(
                 round_index,
                 honest_out,
-                byzantine_messages,
+                [
+                    Message(sender, recipient, round_index, payload)
+                    for sender, outbox in byzantine_out.items()
+                    for recipient, payload in outbox.items()
+                ],
                 self.parties,
                 sorted(self.corrupted),
             )

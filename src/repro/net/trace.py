@@ -17,9 +17,9 @@ the Byzantine traffic, and the party objects.  Concrete observers:
   so a transcript, an invariant monitor, and a metrics collector can all
   watch the same run.
 
-Attaching any observer forces the network onto the slow path that
-materialises :class:`~repro.net.messages.Message` objects; detached, the
-:attr:`~repro.net.network.TraceLevel.AGGREGATE` fast path is unaffected.
+Observers are handed each round's Byzantine traffic as
+:class:`~repro.net.messages.Message` objects, built only when an observer
+is attached; delivery itself takes the same path either way.
 """
 
 from __future__ import annotations

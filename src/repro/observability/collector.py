@@ -8,11 +8,10 @@ shrinkage Theorem 4 is about), the spread of honest real values (the
 RealAA convergence measure of Theorem 3), and wall-clock time per round.
 
 The collector is *pull-free*: it never calls into the network, it only
-consumes what every observer is handed after delivery.  Attaching it
-therefore forces the simulator onto the observer slow path (``Message``
-objects are materialised), exactly like any other observer — when no
-collector is attached, the :attr:`~repro.net.network.TraceLevel.AGGREGATE`
-fast path is untouched.
+consumes what every observer is handed after delivery (honest outboxes
+plus the round's Byzantine ``Message`` objects).  Payload units are
+summed with :func:`~repro.net.network.payload_unit_sum`, so a broadcast
+payload is walked once per round, not once per recipient.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import (
 )
 
 from ..net.messages import Message, Outbox, PartyId
-from ..net.network import payload_units
+from ..net.network import payload_unit_sum
 from ..net.protocol import ProtocolStateError
 from ..net.trace import Observer
 from ..trees.convex import steiner_diameter
@@ -169,14 +168,13 @@ class MetricsCollector(Observer):
                     len(outbox) for outbox in honest_messages.values()
                 ),
                 byzantine_messages=len(byzantine_messages),
-                honest_payload_units=sum(
-                    payload_units(payload)
+                honest_payload_units=payload_unit_sum(
+                    payload
                     for outbox in honest_messages.values()
                     for payload in outbox.values()
                 ),
-                byzantine_payload_units=sum(
-                    payload_units(message.payload)
-                    for message in byzantine_messages
+                byzantine_payload_units=payload_unit_sum(
+                    message.payload for message in byzantine_messages
                 ),
                 corrupted=tuple(sorted(corrupted_set)),
                 outputs_decided=sum(

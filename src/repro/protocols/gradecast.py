@@ -47,12 +47,19 @@ GRADE_NONE, GRADE_LOW, GRADE_HIGH = 0, 1, 2
 Graded = Tuple[Any, int]
 
 
-def _clean_vector(payload: Any, tag: str, iteration: int, n: int) -> Dict[int, Any]:
+def _clean_vector(
+    payload: Any,
+    tag: str,
+    iteration: int,
+    n: int,
+    validate: Optional[Callable[[Any], bool]] = None,
+) -> Dict[int, Any]:
     """Parse an ``(tag, iteration, {origin: value})`` payload defensively.
 
     Byzantine parties may send arbitrary objects; anything malformed is
     treated as absent.  Returns a dict keyed by valid origin ids with
-    non-``BOTTOM`` hashable values.
+    non-``BOTTOM`` hashable values that pass *validate* (when given),
+    filtered in that order in a single pass over the vector.
     """
     if (
         not isinstance(payload, tuple)
@@ -71,6 +78,8 @@ def _clean_vector(payload: Any, tag: str, iteration: int, n: int) -> Dict[int, A
         try:
             hash(value)
         except TypeError:
+            continue
+        if validate is not None and not validate(value):
             continue
         vector[origin] = value
     return vector
@@ -148,10 +157,9 @@ class ParallelGradecast:
 
     def receive_echoes(self, inbox: Inbox) -> None:
         for sender, payload in inbox.items():
-            vector = _clean_vector(payload, "echo", self.iteration, self.n)
-            if self._validate is not None:
-                vector = {o: v for o, v in vector.items() if self._validate(v)}
-            self._echoes[sender] = vector
+            self._echoes[sender] = _clean_vector(
+                payload, "echo", self.iteration, self.n, self._validate
+            )
         # Decide supports: for each origin, support the (unique) value that
         # gathered >= n - t echoes.
         for origin in range(self.n):
@@ -172,10 +180,9 @@ class ParallelGradecast:
 
     def receive_supports(self, inbox: Inbox) -> None:
         for sender, payload in inbox.items():
-            vector = _clean_vector(payload, "sup", self.iteration, self.n)
-            if self._validate is not None:
-                vector = {o: v for o, v in vector.items() if self._validate(v)}
-            self._support_votes[sender] = vector
+            self._support_votes[sender] = _clean_vector(
+                payload, "sup", self.iteration, self.n, self._validate
+            )
 
     # -- grading -----------------------------------------------------------
 

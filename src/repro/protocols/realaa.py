@@ -39,12 +39,17 @@ from .rounds import ROUNDS_PER_ITERATION, check_resilience, realaa_iterations
 
 
 def is_real(value: object) -> bool:
-    """Accept exactly finite ints/floats (bools are not protocol values)."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """Accept exactly finite ints/floats (bools are not protocol values).
+
+    An int too large for a float is rejected, not raised on: the value is
+    adversary-controlled, and ``math.isfinite`` overflows converting it.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def trimmed_mean(values: Sequence[float], t: int) -> float:

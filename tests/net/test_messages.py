@@ -1,6 +1,10 @@
-"""Tests for message envelopes and inbox grouping."""
+"""Tests for message envelopes and broadcast outboxes.
 
-from repro.net import Message, broadcast, deliver
+Inbox grouping is a property of the network; see ``TestDelivery`` in
+``test_network.py``.
+"""
+
+from repro.net import Message, broadcast
 
 
 class TestMessage:
@@ -19,39 +23,6 @@ class TestMessage:
         m = Message(1, 2, 0, None)
         with pytest.raises(Exception):
             m.sender = 9  # type: ignore[misc]
-
-
-class TestDeliver:
-    def test_groups_by_recipient(self):
-        messages = [
-            Message(0, 1, 0, "a"),
-            Message(2, 1, 0, "b"),
-            Message(0, 2, 0, "c"),
-        ]
-        inboxes = deliver(messages, n=3)
-        assert inboxes[1] == {0: "a", 2: "b"}
-        assert inboxes[2] == {0: "c"}
-        assert inboxes[0] == {}
-
-    def test_every_party_gets_an_inbox(self):
-        inboxes = deliver([], n=4)
-        assert sorted(inboxes) == [0, 1, 2, 3]
-
-    def test_last_payload_wins_on_double_send(self):
-        messages = [Message(0, 1, 0, "first"), Message(0, 1, 0, "second")]
-        assert deliver(messages, n=2)[1] == {0: "second"}
-
-    def test_out_of_range_recipient_dropped(self):
-        messages = [Message(0, 99, 0, "lost"), Message(0, -1, 0, "lost")]
-        inboxes = deliver(messages, n=2)
-        assert all(not inbox for inbox in inboxes.values())
-
-    def test_sender_key_is_authenticated_identity(self):
-        """The inbox is keyed by the Message.sender field the *network*
-        stamped — the structural form of authenticated channels."""
-        messages = [Message(3, 0, 0, {"claims_to_be": 1})]
-        inboxes = deliver(messages, n=4)
-        assert 3 in inboxes[0] and 1 not in inboxes[0]
 
 
 class TestBroadcast:

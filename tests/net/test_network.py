@@ -6,6 +6,8 @@ from repro.adversary import Adversary, NoAdversary, SilentAdversary
 from repro.net import (
     ByzantineModelError,
     SynchronousNetwork,
+    TraceLevel,
+    TranscriptRecorder,
     broadcast,
     run_fault_free,
     run_protocol,
@@ -59,6 +61,87 @@ class TestLockstep:
             2, 0, lambda pid: TwoRound(pid, 2, 0, pid), max_rounds=1
         )
         assert result.trace.rounds_executed == 1
+
+
+class ScriptedParty(ProtocolParty):
+    """One round: send a scripted outbox; output the inbox it received."""
+
+    def __init__(self, pid, n, t, outbox=None):
+        super().__init__(pid, n, t)
+        self.outbox = outbox if outbox is not None else {}
+
+    @property
+    def duration(self):
+        return 1
+
+    def messages_for_round(self, round_index):
+        return self.outbox
+
+    def receive_round(self, round_index, inbox):
+        self.output = dict(inbox)
+
+
+#: Every trace level and observer combination delivers through one path.
+DELIVERY_CONFIGS = {
+    "full": (TraceLevel.FULL, False),
+    "aggregate": (TraceLevel.AGGREGATE, False),
+    "full-observed": (TraceLevel.FULL, True),
+    "aggregate-observed": (TraceLevel.AGGREGATE, True),
+}
+
+
+@pytest.fixture(params=sorted(DELIVERY_CONFIGS))
+def deliver_run(request):
+    """``run(n, t, outboxes, adversary=None)`` under one delivery config."""
+    trace_level, observed = DELIVERY_CONFIGS[request.param]
+
+    def run(n, t, outboxes, adversary=None):
+        return run_protocol(
+            n,
+            t,
+            lambda pid: ScriptedParty(pid, n, t, outboxes.get(pid)),
+            adversary=adversary,
+            observer=TranscriptRecorder() if observed else None,
+            trace_level=trace_level,
+        )
+
+    return run
+
+
+class TestDelivery:
+    """How the network groups one round's traffic into inboxes."""
+
+    def test_groups_by_recipient(self, deliver_run):
+        result = deliver_run(3, 0, {0: {1: "a", 2: "c"}, 2: {1: "b"}})
+        assert result.outputs[1] == {0: "a", 2: "b"}
+        assert result.outputs[2] == {0: "c"}
+        assert result.outputs[0] == {}
+
+    def test_every_party_gets_an_inbox(self, deliver_run):
+        result = deliver_run(4, 0, {})
+        assert result.outputs == {pid: {} for pid in range(4)}
+
+    def test_last_payload_wins_on_double_send(self, deliver_run):
+        # An outbox given as pairs may name a recipient twice; the
+        # network keeps the last payload.
+        result = deliver_run(2, 0, {0: [(1, "first"), (1, "second")]})
+        assert result.outputs[1] == {0: "second"}
+        assert result.trace.honest_message_count == 1
+
+    def test_out_of_range_recipient_dropped(self, deliver_run):
+        result = deliver_run(2, 0, {0: {99: "lost", -1: "lost"}})
+        assert all(not inbox for inbox in result.outputs.values())
+
+    def test_sender_key_is_authenticated_identity(self, deliver_run):
+        """The inbox is keyed by the sender the *network* stamped — the
+        structural form of authenticated channels."""
+
+        class ClaimsToBeOne(Adversary):
+            def byzantine_messages(self, view):
+                return {3: {0: {"claims_to_be": 1}}}
+
+        result = deliver_run(4, 1, {}, adversary=ClaimsToBeOne(corrupt=[3]))
+        assert result.outputs[0] == {3: {"claims_to_be": 1}}
 
 
 class TestAuthenticatedChannels:

@@ -1,5 +1,6 @@
-"""TraceLevel: the AGGREGATE fast path must agree with FULL accounting
-on everything except payload units (which it deliberately skips)."""
+"""TraceLevel: AGGREGATE must agree with FULL accounting on everything
+except payload units (which it deliberately skips), and an attached
+observer must not change what either level computes."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.net import SilentParty, TraceLevel, TranscriptRecorder, run_protocol
 from repro.trees import path_tree
 
 
-def _realaa(trace_level):
+def _realaa(trace_level, observer=None):
     return run_real_aa(
         [0.0, 8.0, 0.0, 8.0, 0.0, 8.0, 0.0],
         t=2,
@@ -17,6 +18,7 @@ def _realaa(trace_level):
         known_range=8.0,
         adversary=BurnScheduleAdversary([1, 1]),
         trace_level=trace_level,
+        observer=observer,
     )
 
 
@@ -91,3 +93,31 @@ class TestAggregateEquivalence:
     def test_default_level_is_full(self):
         result = run_protocol(2, 0, lambda pid: SilentParty(pid, 2, 0))
         assert result.trace.level is TraceLevel.FULL
+
+
+class TestObserverTransparency:
+    def test_full_with_and_without_observer_identical(self):
+        plain = _realaa(TraceLevel.FULL)
+        observed = _realaa(TraceLevel.FULL, observer=TranscriptRecorder())
+        assert observed.honest_outputs == plain.honest_outputs
+        assert observed.rounds == plain.rounds
+        pt, ot = plain.execution.trace, observed.execution.trace
+        assert ot.honest_message_count == pt.honest_message_count
+        assert ot.byzantine_message_count == pt.byzantine_message_count
+        assert ot.per_round_messages == pt.per_round_messages
+        assert ot.honest_payload_units == pt.honest_payload_units
+        assert ot.byzantine_payload_units == pt.byzantine_payload_units
+        assert ot.payload_unit_count > 0
+
+    def test_observer_gets_the_same_byzantine_messages_at_every_level(self):
+        full, fast = TranscriptRecorder(), TranscriptRecorder()
+        result = _realaa(TraceLevel.FULL, observer=full)
+        _realaa(TraceLevel.AGGREGATE, observer=fast)
+        full_messages = [record.byzantine_messages for record in full.rounds]
+        assert full_messages == [record.byzantine_messages for record in fast.rounds]
+        trace = result.execution.trace
+        assert sum(map(len, full_messages)) == trace.byzantine_message_count > 0
+        for record in full.rounds:
+            for message in record.byzantine_messages:
+                assert message.round == record.round_index
+                assert message.sender in record.corrupted

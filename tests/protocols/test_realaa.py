@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.adversary import (
+    Adversary,
+    ChaosAdversary,
     CrashAdversary,
     PassiveAdversary,
     RandomNoiseAdversary,
@@ -28,6 +30,11 @@ class TestHelpers:
         assert not is_real(float("inf"))
         assert not is_real("1.0")
         assert not is_real(None)
+
+    def test_is_real_rejects_ints_beyond_float_range(self):
+        assert is_real(2**1023)
+        assert not is_real(10**400)
+        assert not is_real(-(10**400))
 
     def test_trimmed_mean_basic(self):
         assert trimmed_mean([0, 0, 5, 10, 10], 2) == 5
@@ -278,3 +285,66 @@ class TestTermination:
             [0.0] * n, t=t, epsilon=0.5, known_range=10.0, adversary=SilentAdversary()
         )
         assert outcome.rounds == party.duration
+
+
+#: A Byzantine int too large for a float, in each gradecast round.
+HUGE = 10**400
+HOSTILE_PAYLOADS = {
+    "value": lambda it: ("val", it, HUGE, ()),
+    "echo": lambda it: ("echo", it, {1: HUGE}),
+    "support": lambda it: ("sup", it, {1: HUGE}),
+}
+
+
+ONLY_JUNK = {name: float(name == "junk") for name in ChaosAdversary.BEHAVIOURS}
+
+
+class HugeIntAdversary(Adversary):
+    """Party 3 sends *HUGE* in every round of one gradecast phase."""
+
+    def __init__(self, phase):
+        super().__init__(corrupt=[3])
+        self.phase = phase
+
+    def byzantine_messages(self, view):
+        iteration, phase = divmod(view.round_index, 3)
+        if phase != list(HOSTILE_PAYLOADS).index(self.phase):
+            return {3: {}}
+        payload = HOSTILE_PAYLOADS[self.phase](iteration)
+        return {3: {r: payload for r in range(view.n)}}
+
+
+class TestHostileHugeInts:
+    """An int beyond float range is junk, not a crash (reference + batch)."""
+
+    @pytest.mark.parametrize("phase", sorted(HOSTILE_PAYLOADS))
+    def test_reference_survives(self, phase):
+        outcome = run_real_aa(
+            [0.0, 8.0, 0.0, 8.0],
+            t=1,
+            epsilon=1.0,
+            known_range=8.0,
+            adversary=HugeIntAdversary(phase),
+        )
+        assert outcome.achieved_aa
+
+    @pytest.mark.parametrize("phase", sorted(HOSTILE_PAYLOADS))
+    def test_backends_agree_on_replayed_junk(self, phase, monkeypatch):
+        # The chaos adversary's junk is the one Byzantine payload stream
+        # the batch backend replays; make iteration-0 junk a huge int.
+        monkeypatch.setattr(ChaosAdversary, "_JUNK", (HOSTILE_PAYLOADS[phase](0),))
+        outcomes = {
+            backend: run_real_aa(
+                [0.0, 8.0, 0.0, 8.0],
+                t=1,
+                epsilon=1.0,
+                known_range=8.0,
+                adversary=ChaosAdversary(seed=3, weights=ONLY_JUNK, corrupt=[3]),
+                backend=backend,
+            )
+            for backend in ("reference", "batch")
+        }
+        reference, batch = outcomes["reference"], outcomes["batch"]
+        assert reference.achieved_aa
+        assert batch.honest_outputs == reference.honest_outputs
+        assert batch.rounds == reference.rounds
