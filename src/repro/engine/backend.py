@@ -20,12 +20,14 @@ Parties in the returned execution are read-only *views*
 attributes the reference party classes expose (``value``, ``bad``,
 ``history``, ``local_termination_iteration``, ``output``, …) but cannot be
 driven — their round methods raise
-:class:`~repro.engine.errors.UnsupportedBackendError`.
+:class:`~repro.engine.errors.UnsupportedBackendError`.  A phase pays once
+per party class, not once per party: each view keeps a reference to its
+class's outcome, and ``bad`` and ``history`` are built on first read.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from ..trees.paths import TreePath, diameter
 from ..trees.projection import project_onto_path
 from .dense import DenseExecution
 from .errors import UnsupportedBackendError
-from .kernel import BatchExecution, RealAAPhaseResult
+from .kernel import BatchExecution, ClassPhaseOutcome, RealAAPhaseResult
 from .metrics import BatchMetrics
 from .spec import CLASS_KINDS, BatchAdversarySpec, resolve_batch_spec
 
@@ -100,7 +102,16 @@ class BatchPartyView(ProtocolParty):
 
 
 class BatchRealAAView(BatchPartyView):
-    """The diagnostic surface of :class:`~repro.protocols.realaa.RealAAParty`."""
+    """The diagnostic surface of :class:`~repro.protocols.realaa.RealAAParty`.
+
+    ``bad`` and ``history`` are class-uniform apart from each record's
+    ``new_value``, so a phase binds every member view to its class's
+    :class:`~repro.engine.kernel.ClassPhaseOutcome` (see
+    :func:`_populate_realaa_views`) and each view builds its own ``set``
+    and ``list`` on first read, caching them.  A view whose party never
+    ran reads ``set()`` and ``[]``; assigning either attribute replaces
+    the cached value.
+    """
 
     def __init__(
         self,
@@ -117,9 +128,51 @@ class BatchRealAAView(BatchPartyView):
         self.value = input_value
         self.epsilon = epsilon
         self.iterations = iterations
-        self.bad: set = set()
-        self.history: List[IterationRecord] = []
         self.local_termination_iteration: Optional[int] = None
+        #: ``(class outcome, phase)`` of the phase that ran this party.
+        self._ran: Optional[Tuple[ClassPhaseOutcome, RealAAPhaseResult]] = None
+        self._bad: Optional[Set[PartyId]] = None
+        self._history: Optional[List[IterationRecord]] = None
+
+    @property
+    def bad(self) -> Set[PartyId]:
+        """The final ``BAD`` set (built from the class outcome once)."""
+        if self._bad is None:
+            ran = self._ran
+            self._bad = (
+                set() if ran is None else set(np.flatnonzero(ran[0].bad).tolist())
+            )
+        return self._bad
+
+    @bad.setter
+    def bad(self, bad: Set[PartyId]) -> None:
+        self._bad = bad
+
+    @property
+    def history(self) -> List[IterationRecord]:
+        """Per-iteration records; ``new_value`` is this party's snapshot."""
+        if self._history is None:
+            ran = self._ran
+            if ran is None:
+                self._history = []
+            else:
+                outcome, phase = ran
+                pid = self.pid
+                self._history = [
+                    IterationRecord(
+                        iteration=record.iteration,
+                        accepted=record.accepted,
+                        newly_detected=record.newly_detected,
+                        trimmed_range=record.trimmed_range,
+                        new_value=phase.snapshots[record.iteration][pid].item(),
+                    )
+                    for record in outcome.records
+                ]
+        return self._history
+
+    @history.setter
+    def history(self, history: List[IterationRecord]) -> None:
+        self._history = history
 
 
 class BatchPathsFinderView(BatchRealAAView):
@@ -370,28 +423,24 @@ def _realaa_shared_checks(
 
 def _populate_realaa_views(
     views: Dict[int, BatchRealAAView], phase: RealAAPhaseResult
-) -> None:
-    """Copy one phase's per-class results onto the per-party views."""
+) -> List[float]:
+    """Bind one phase's per-class results to the per-party views.
+
+    Each view gets its final value, its termination iteration and a
+    reference to its class's outcome; ``bad`` and ``history`` are built
+    from that on first read (:class:`BatchRealAAView`).  Returns the
+    phase's final values as a list indexed by pid.
+    """
+    values = phase.values.tolist()
     for index, outcome in phase.outcomes.items():
-        cls = phase.classes[index]
-        bad_ids = [int(origin) for origin in np.nonzero(outcome.bad)[0]]
-        for pid in cls.ids:
+        ran = (outcome, phase)
+        termination = outcome.local_termination_iteration
+        for pid in phase.classes[index].ids:
             view = views[pid]
-            view.value = float(phase.values[pid])
-            view.bad = set(bad_ids)
-            view.local_termination_iteration = (
-                outcome.local_termination_iteration
-            )
-            view.history = [
-                IterationRecord(
-                    iteration=record.iteration,
-                    accepted=record.accepted,
-                    newly_detected=record.newly_detected,
-                    trimmed_range=record.trimmed_range,
-                    new_value=float(phase.snapshots[record.iteration][pid]),
-                )
-                for record in outcome.records
-            ]
+            view.value = values[pid]
+            view.local_termination_iteration = termination
+            view._ran = ran
+    return values
 
 
 def _active_pids(phase: RealAAPhaseResult) -> List[int]:
@@ -487,10 +536,10 @@ class BatchSynchronousEngine:
                 float(epsilon),
                 its,
             )
-            _populate_realaa_views(views, phase)
+            final = _populate_realaa_views(views, phase)
             for pid in _active_pids(phase):
-                outputs[pid] = float(phase.values[pid])
-                views[pid].output = outputs[pid]
+                outputs[pid] = final[pid]
+                views[pid].output = final[pid]
         _finish_metrics(execution)
         parties: Dict[int, Any] = dict(views)
         _finish_dense(execution, adversary, outputs, parties)
@@ -589,13 +638,13 @@ class BatchSynchronousEngine:
             phase = execution.run_realaa_phase(
                 np.array(positions, dtype=np.float64), 1.0, its
             )
-            _populate_realaa_views(views, phase)
+            final = _populate_realaa_views(views, phase)
             active = _active_pids(phase)
             honest = execution.honest_set
             for pid in [p for p in active if p in honest] + [
                 p for p in active if p not in honest
             ]:
-                value = float(phase.values[pid])
+                value = final[pid]
                 index = closest_int(value)
                 if pid in honest:
                     check_index_in_range(index, len(canonical), "the path", value)
@@ -793,7 +842,7 @@ class BatchSynchronousEngine:
         phase1 = execution.run_realaa_phase(
             np.array(values1, dtype=np.float64), 1.0, phase1_iterations
         )
-        _populate_realaa_views(finder_views, phase1)
+        final1 = _populate_realaa_views(finder_views, phase1)
         honest = execution.honest_set
         active = _active_pids(phase1)
         paths: Dict[int, TreePath] = {}
@@ -803,7 +852,7 @@ class BatchSynchronousEngine:
         position_memo: Dict[Tuple[int, Label], Tuple[Label, int]] = {}
 
         def select_path(pid: int) -> None:
-            value = float(phase1.values[pid])
+            value = final1[pid]
             index = closest_int(value)
             check_index_in_range(index, len(euler), "L", value)
             pair = path_memo.get(index)
@@ -860,10 +909,10 @@ class BatchSynchronousEngine:
             phase_view = tree_views[pid].projection_phase
             if phase_view is not None:
                 projection_views[pid] = phase_view
-        _populate_realaa_views(projection_views, phase2)
+        final2 = _populate_realaa_views(projection_views, phase2)
 
         def finish(pid: int, raising: bool) -> None:
-            value = float(phase2.values[pid])
+            value = final2[pid]
             index = closest_int(value)
             if index < 0:
                 if raising:

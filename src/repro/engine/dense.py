@@ -541,7 +541,7 @@ class DenseExecution:
             payloads: Dict[int, Any] = {}
             units: Dict[int, int] = {}
             for s in honest_ids:
-                accused = tuple(int(o) for o in np.nonzero(bad[s])[0])
+                accused = tuple(np.flatnonzero(bad[s]).tolist())
                 payloads[s] = ("val", iteration, float(values[s]), accused)
                 units[s] = 3 + len(accused)
             byz_out, delivered, stats = self._network_round(payloads, units)
@@ -571,9 +571,7 @@ class DenseExecution:
             payloads = {}
             units = {}
             for s in honest_ids:
-                vector = {
-                    int(o): cand[int(o)] for o in np.nonzero(recv[s])[0]
-                }
+                vector = {o: cand[o] for o in np.flatnonzero(recv[s]).tolist()}
                 payloads[s] = ("echo", iteration, vector)
                 units[s] = 2 + 2 * len(vector)
             byz_out, delivered, stats = self._network_round(payloads, units)
@@ -600,7 +598,7 @@ class DenseExecution:
             units = {}
             for s in honest_ids:
                 vector = {
-                    int(o): cand[int(o)] for o in np.nonzero(supports[s])[0]
+                    o: cand[o] for o in np.flatnonzero(supports[s]).tolist()
                 }
                 payloads[s] = ("sup", iteration, vector)
                 units[s] = 2 + 2 * len(vector)
@@ -634,15 +632,17 @@ class DenseExecution:
             newly = quorum | low_conf
             bad |= low_conf
             for pid in honest_ids:
-                origins = np.nonzero(accepted_mask[pid])[0]
+                origins = np.flatnonzero(accepted_mask[pid])
                 if origins.size:
-                    for o in origins:
-                        if int(o) not in cand:  # pragma: no cover - guarded
-                            raise UnsupportedBackendError(
-                                f"accepted origin {int(o)} has no recorded "
-                                "candidate value; use backend='reference'"
-                            )
-                    core = np.sort(cand_arr[origins])
+                    origin_ids = origins.tolist()
+                    missing = [o for o in origin_ids if o not in cand]
+                    if missing:  # pragma: no cover - guarded
+                        raise UnsupportedBackendError(
+                            f"accepted origin {missing[0]} has no recorded "
+                            "candidate value; use backend='reference'"
+                        )
+                    picked = cand_arr[origins]
+                    core = np.sort(picked)
                     if int(core.size) > 2 * t:
                         core = core[t : int(core.size) - t]
                     lo = float(core[0])
@@ -650,7 +650,7 @@ class DenseExecution:
                     trimmed_range = hi - lo
                     mean = math.fsum(core.tolist()) / int(core.size)
                     values[pid] = min(max(mean, lo), hi)
-                    accepted = {int(o): float(cand_arr[o]) for o in origins}
+                    accepted = dict(zip(origin_ids, picked.tolist()))
                 else:
                     trimmed_range = 0.0
                     accepted = {}
@@ -661,7 +661,7 @@ class DenseExecution:
                         iteration=iteration,
                         accepted=accepted,
                         newly_detected=tuple(
-                            int(o) for o in np.nonzero(newly[pid])[0]
+                            np.flatnonzero(newly[pid]).tolist()
                         ),
                         trimmed_range=trimmed_range,
                     )

@@ -113,13 +113,6 @@ class RealAAPhaseResult:
     snapshots: List[np.ndarray]
     values: np.ndarray
 
-    def class_index_of(self, pid: int) -> Optional[int]:
-        """Index (into :attr:`classes`) of the class that ran party *pid*."""
-        for index in self.outcomes:
-            if self.classes[index].mask[pid]:
-                return index
-        return None
-
 
 class BatchExecution:
     """One batched protocol execution: corruption bookkeeping + round clock.
@@ -525,10 +518,11 @@ class BatchExecution:
         accepted_mask = (rc_support_count >= t + 1) & ~rc_bad
         low_confidence = (rc_support_count < n - t) & ~rc_bad
         rc_bad |= low_confidence
-        newly = tuple(int(o) for o in np.nonzero(quorum | low_confidence)[0])
-        origins = np.nonzero(accepted_mask)[0]
+        newly = tuple(np.flatnonzero(quorum | low_confidence).tolist())
+        origins = np.flatnonzero(accepted_mask)
         if origins.size:
-            core = np.sort(v_pre[origins])
+            picked = v_pre[origins]
+            core = np.sort(picked)
             if int(core.size) > 2 * t:
                 core = core[t : int(core.size) - t]
             lo = float(core[0])
@@ -536,7 +530,7 @@ class BatchExecution:
             trimmed_range = hi - lo
             mean = math.fsum(core.tolist()) / int(core.size)
             values[self.classes[rc].mask] = min(max(mean, lo), hi)
-            accepted = {int(o): float(v_pre[o]) for o in origins}
+            accepted = dict(zip(origins.tolist(), picked.tolist()))
         else:
             trimmed_range = 0.0
             accepted = {}

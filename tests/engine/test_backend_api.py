@@ -1,6 +1,6 @@
-"""Backend selection, refusal behaviour, and sweep-cache identity.
+"""Backend selection, refusal behaviour, lazy views, sweep-cache identity.
 
-The batch engine's contract has three edges worth pinning beyond the
+The batch engine's contract has four edges worth pinning beyond the
 differential properties:
 
 * ``backend=`` is a closed enum — typos raise ``ValueError`` before any
@@ -11,17 +11,24 @@ differential properties:
   (transcript recorders, custom ``estimate_fn``, adversary subclasses)
   raises the typed :class:`~repro.engine.UnsupportedBackendError`
   instead of silently running wrong;
+* party views build ``bad``/``history`` from their class's outcome on
+  first read, yet behave like plain per-party attributes (own objects,
+  assignable, picklable);
 * a sweep row computed by one engine is never served from the result
   cache to the other (the regression this PR's cache-key fix guards).
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.adversary.base import Adversary, NoAdversary
 from repro.adversary.chaos import ChaosAdversary
 from repro.adversary.realaa_attacks import BurnScheduleAdversary
+from repro.adversary.strategies import SilentAdversary
 from repro.analysis.parallel import SweepCache, run_grid
 from repro.core.api import run_path_aa, run_real_aa, run_tree_aa
 from repro.engine import (
@@ -34,6 +41,8 @@ from repro.net.trace import TranscriptRecorder
 from repro.observability import MetricsCollector
 from repro.trees.labeled_tree import LabeledTree
 from repro.trees.paths import diameter_path
+
+from .conformance import realaa_diagnostics
 
 pytest.importorskip("numpy")
 
@@ -153,6 +162,74 @@ class TestReplayedFeatures:
         assert bat_trace.faults_dropped == ref_trace.faults_dropped
         assert bat_trace.faults_duplicated == ref_trace.faults_duplicated
         assert bat_trace.faults_corrupted == ref_trace.faults_corrupted
+
+
+class TestLazyViewDiagnostics:
+    """Batch views build ``bad``/``history`` on first read, per party.
+
+    Parties 0-4 are honest and form one class; the silent parties 5 and 6
+    never run.  The honest parties detect both silent ones, so every
+    honest view has a non-empty ``BAD`` set and history.
+    """
+
+    INPUTS = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def parties(self):
+        outcome = run_real_aa(
+            self.INPUTS,
+            2,
+            epsilon=0.5,
+            adversary=SilentAdversary({5, 6}),
+            backend="batch",
+        )
+        return outcome.execution.parties
+
+    def test_repeated_reads_return_the_same_object(self):
+        view = self.parties()[0]
+        assert view.bad is view.bad
+        assert view.history is view.history
+
+    def test_class_members_do_not_share_containers(self):
+        parties = self.parties()
+        first, second = parties[0], parties[1]
+        before = realaa_diagnostics(second)
+        assert first.bad == second.bad == {5, 6}
+        first.bad.add(99)
+        first.history.clear()
+        assert realaa_diagnostics(second) == before
+        assert 99 not in second.bad
+
+    def test_parties_that_never_ran_read_empty(self):
+        parties = self.parties()
+        for pid in (5, 6):
+            assert parties[pid].bad == set()
+            assert parties[pid].history == []
+            assert parties[pid].value == self.INPUTS[pid]
+
+    def test_assignment_wins(self):
+        parties = self.parties()
+        unread, read = parties[0], parties[1]
+        assert read.bad and read.history
+        for view in (unread, read):
+            view.bad = {42}
+            view.history = []
+            assert view.bad == {42}
+            assert view.history == []
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda view: pickle.loads(pickle.dumps(view)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_keep_equal_diagnostics(self, clone):
+        parties = self.parties()
+        fresh = self.parties()
+        expected = {pid: realaa_diagnostics(fresh[pid]) for pid in fresh}
+        assert parties[1].bad  # read before copying; the rest stay unread
+        for pid, view in parties.items():
+            copied = clone(view)
+            assert copied is not view
+            assert realaa_diagnostics(copied) == expected[pid]
 
 
 class TestUnsupportedFeatures:
