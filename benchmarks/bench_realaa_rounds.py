@@ -23,15 +23,16 @@ from repro.protocols import theorem3_round_bound
 NETWORKS = [(7, 2), (13, 4), (25, 8), (49, 16)]
 SPREADS = [2.0**4, 2.0**10, 2.0**16]
 
-#: The T2 grid as engine data; the "even-burn" adversary spec reproduces
-#: the even burn schedule the serial sweep constructed inline.
+#: The T2 grid as engine data.  The ``burn`` adversary burns one party in
+#: each iteration until its budget ``t`` runs out; that is the even burn
+#: schedule ``even_burn_schedule(min(t, iterations), iterations)``.
 T2_GRID = [
     {
         "n": n,
         "t": t,
         "spread": spread,
         "epsilon": 1.0,
-        "adversary": "even-burn",
+        "adversary": "burn",
         "seed": 0,
     }
     for n, t in NETWORKS

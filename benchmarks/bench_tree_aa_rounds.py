@@ -10,14 +10,22 @@ caterpillars) TreeAA wins by a growing factor; on tiny-diameter trees
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.adversary.realaa_attacks import BurnScheduleAdversary
-from repro.analysis import spread_inputs, tree_spec_for
+from repro.analysis import (
+    BASELINE_PROTOCOL,
+    SPEC_RUNNER,
+    SPEC_SWEEP_NAME,
+    ScenarioSpec,
+    spread_inputs,
+    tree_spec_for,
+)
 from repro.core import run_tree_aa
 from repro.protocols import tree_aa_round_bound
-from repro.trees import path_tree, random_tree
+from repro.trees import diameter, parse_tree_spec, path_tree, random_tree
 
 N, T = 7, 2
 
@@ -25,19 +33,31 @@ FAMILIES = ["path", "caterpillar", "random", "star"]
 
 SIZES = [15, 63, 255, 1023]
 
-#: The T1 grid as engine data (see repro.analysis.parallel): the explicit
-#: per-point seed matches the historical serial sweep exactly.
-T1_GRID = [
-    {
-        "family": family,
-        "tree": tree_spec_for(family, size),
-        "n": N,
-        "t": T,
-        "adversary": "burn",
-        "seed": size,
-    }
+#: The T1 points: (family, TreeAA spec).  The per-point seed ``size``
+#: derives the same worst-case inputs as the historical serial sweep.
+T1_POINTS = [
+    (
+        family,
+        ScenarioSpec(
+            protocol="tree-aa",
+            n=N,
+            t=T,
+            tree=tree_spec_for(family, size),
+            adversary="burn",
+            trace_level="aggregate",
+            seed=size,
+        ),
+    )
     for family in FAMILIES
     for size in SIZES
+]
+
+#: The grid as engine data: each TreeAA spec, then the baseline on the
+#: same instance.
+T1_GRID = [
+    spec.to_dict()
+    for _, tree_aa in T1_POINTS
+    for spec in (tree_aa, replace(tree_aa, protocol=BASELINE_PROTOCOL))
 ]
 
 
@@ -45,32 +65,33 @@ def test_t1_table(report, benchmark, sweep_config):
     rows = []
 
     def sweep():
-        return sweep_config.run("t1-tree-aa", "tree-point", T1_GRID).rows
+        return sweep_config.run(SPEC_SWEEP_NAME, SPEC_RUNNER, T1_GRID).rows
 
     points = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for point in points:
-        bound = tree_aa_round_bound(point["n_vertices"], point["tree_diameter"])
+    for (family, spec), ours, theirs in zip(T1_POINTS, points[0::2], points[1::2]):
+        tree = parse_tree_spec(spec.tree)
+        bound = tree_aa_round_bound(tree.n_vertices, diameter(tree))
         winner = (
             "TreeAA"
-            if point["tree_rounds"] < point["baseline_rounds"]
+            if ours["rounds"] < theirs["rounds"]
             else "baseline"
-            if point["baseline_rounds"] < point["tree_rounds"]
+            if theirs["rounds"] < ours["rounds"]
             else "tie"
         )
         rows.append(
             [
-                point["family"],
-                point["n_vertices"],
-                point["tree_diameter"],
-                point["tree_rounds"],
+                family,
+                tree.n_vertices,
+                diameter(tree),
+                ours["rounds"],
                 bound,
-                point["baseline_rounds"],
+                theirs["rounds"],
                 winner,
-                point["tree_ok"] and point["baseline_ok"],
+                ours["ok"] and theirs["ok"],
             ]
         )
-        assert point["tree_ok"] and point["baseline_ok"]
-        assert point["tree_rounds"] <= bound
+        assert ours["ok"] and theirs["ok"]
+        assert ours["rounds"] <= bound
     report.table(
         "T1",
         "TreeAA rounds vs iterated-safe-area baseline (n=7, t=2, burn adversary)",

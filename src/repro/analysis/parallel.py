@@ -17,8 +17,9 @@ pool and memoises finished grid points on disk, so that
 Grid points are *data*, not closures: a point is a JSON-serialisable
 ``params`` dict handed to a **registered runner** (a module-level function
 ``runner(params, seed) -> row``), which keeps every point picklable for
-the pool and hashable for the cache.  The built-in runners live in
-:mod:`repro.analysis.sweep`.
+the pool and hashable for the cache.  The built-in runners are
+``spec-point`` (:mod:`repro.analysis.spec`, one ScenarioSpec per point)
+and ``realaa-point`` (:mod:`repro.analysis.sweep`).
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ class SweepCache:
         params: Dict[str, Any],
         seed: int,
         version: Optional[str] = None,
-        backend: str = "reference",
     ) -> Dict[str, Any]:
         if version is None:
             from .. import __version__ as version
@@ -143,10 +143,10 @@ class SweepCache:
             "params": params,
             "seed": seed,
             "version": version,
-            # The execution backend is part of a row's identity: a cached
-            # reference-engine row must never be served to a batch-engine
-            # sweep (or vice versa), even though both are expected to agree.
-            "backend": backend,
+            # A point's backend travels inside its params, which keeps rows
+            # of the two engines apart.  This field is a constant, kept so
+            # that existing cache entries stay addressable.
+            "backend": "reference",
         }
 
     def _path(self, key: Dict[str, Any]) -> str:
@@ -283,7 +283,6 @@ def run_grid(
     chunksize: Optional[int] = None,
     version: Optional[str] = None,
     jsonl_path: Optional[str] = None,
-    backend: str = "reference",
 ) -> SweepReport:
     """Run every grid point through *runner*, in parallel, with caching.
 
@@ -318,12 +317,10 @@ def run_grid(
         persisted as machine-readable JSONL at this path via
         :func:`write_sweep_jsonl` — the per-point record next to whatever
         table the caller renders.
-    backend:
-        Execution engine selector, forwarded to runners that execute
-        protocols (``"reference"`` or ``"batch"``).  Seeds are derived
-        from the *original* params either way — the seeding discipline is
-        backend-independent — but the cache key records the backend, so
-        rows computed by one engine are never served to the other.
+
+    A point's execution engine is part of its params (a spec's
+    ``backend`` field, or the ``realaa-point`` ``backend`` param), so rows
+    computed by one engine are never served to the other.
     """
     if jobs == 0:
         jobs = os.cpu_count() or 1
@@ -340,25 +337,14 @@ def run_grid(
     if not no_cache:
         cache = SweepCache(cache_dir or default_cache_dir())
         for index, params in enumerate(grid):
-            keys[index] = cache.key(
-                name, runner, params, seeds[index], version, backend=backend
-            )
+            keys[index] = cache.key(name, runner, params, seeds[index], version)
             cached = cache.get(keys[index])
             if cached is not None:
                 rows[index] = cached
                 hits += 1
 
     missing = [index for index in range(len(grid)) if rows[index] is None]
-    # Runners learn the backend through their params; the injection happens
-    # after seeding and cache keying so reference sweeps stay bit-identical
-    # to the historical ones (their params are passed through untouched).
-    if backend == "reference":
-        tasks = [(runner, grid[index], seeds[index]) for index in missing]
-    else:
-        tasks = [
-            (runner, {**grid[index], "backend": backend}, seeds[index])
-            for index in missing
-        ]
+    tasks = [(runner, grid[index], seeds[index]) for index in missing]
     if tasks:
         if jobs == 1 or len(tasks) == 1:
             computed = [_execute_point(task) for task in tasks]

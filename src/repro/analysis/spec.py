@@ -38,18 +38,27 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..net.faults import FaultPlan
 from ..net.network import TraceLevel
+from ..trees.grammar import parse_tree_spec
 from .parallel import SweepCache, register_runner
 
 #: Version of the ScenarioSpec JSON schema.  Bump on any incompatible
 #: change; :meth:`ScenarioSpec.from_dict` rejects newer versions.
 SPEC_VERSION = 1
 
-#: Protocols a spec can describe: the three ``run_*`` entry points plus
-#: the asynchronous iterated RealAA of the prior art (reference only).
-SPEC_PROTOCOLS = ("real-aa", "path-aa", "tree-aa", "async-real-aa")
-
 #: The protocol whose specs take a ``scheduler`` and ``max_steps``.
 ASYNC_PROTOCOL = "async-real-aa"
+
+#: The iterated safe-area baseline on trees ([33], Nowak–Rybicki), the
+#: prior protocol TreeAA is compared against.
+BASELINE_PROTOCOL = "tree-aa-baseline"
+
+#: Protocols a spec can describe: the three ``run_*`` entry points plus
+#: the two prior-art protocols (reference only).
+SPEC_PROTOCOLS = ("real-aa", "path-aa", "tree-aa", ASYNC_PROTOCOL, BASELINE_PROTOCOL)
+
+#: Protocols without a batch implementation: ``backend="batch"`` raises
+#: :class:`~repro.engine.errors.UnsupportedBackendError` for them.
+REFERENCE_ONLY_PROTOCOLS = (ASYNC_PROTOCOL, BASELINE_PROTOCOL)
 
 #: Protocols whose inputs are real numbers (no tree).
 _REAL_PROTOCOLS = ("real-aa", ASYNC_PROTOCOL)
@@ -246,6 +255,8 @@ class ScenarioSpec:
     instead: they add a delivery ``scheduler`` and a ``max_steps``
     budget (both rejected on synchronous specs), accept only the
     :data:`ASYNC_ADVERSARIES`, and run on the reference engine only.
+    ``tree-aa-baseline`` specs run the iterated safe-area baseline on the
+    same instance a ``tree-aa`` spec describes, also reference only.
     """
 
     #: One of :data:`SPEC_PROTOCOLS`.
@@ -254,8 +265,8 @@ class ScenarioSpec:
     n: int
     #: The network's corruption budget.
     t: int
-    #: CLI tree spec (``repro.cli.parse_tree_spec`` grammar); required
-    #: for the tree protocols, ignored by ``real-aa``.
+    #: Tree spec (:func:`repro.trees.parse_tree_spec` grammar); required
+    #: for the tree protocols, ignored by the real-valued ones.
     tree: Optional[str] = None
     #: Explicit per-party inputs (labels / floats), or ``None`` to derive
     #: a worst-case spread deterministically from ``seed``.
@@ -427,9 +438,7 @@ class ScenarioSpec:
     # -- execution -----------------------------------------------------
 
     def build_tree(self) -> Any:
-        """Parse the spec's tree (``repro.cli.parse_tree_spec`` grammar)."""
-        from ..cli import parse_tree_spec
-
+        """Parse the spec's tree (:func:`repro.trees.parse_tree_spec`)."""
         if not self.tree:
             raise SpecError(f"{self.protocol} specs need a tree spec")
         return parse_tree_spec(self.tree)
@@ -486,8 +495,9 @@ class ScenarioSpec:
         :class:`~repro.core.api.RealAAOutcome`; async specs report
         delivery steps as ``rounds``).  ``observer`` is forwarded
         verbatim, exactly as for direct API calls.  Async specs take no
-        observer, and ``backend="batch"`` raises
-        :class:`~repro.engine.errors.UnsupportedBackendError` for them.
+        observer.  ``backend="batch"`` raises
+        :class:`~repro.engine.errors.UnsupportedBackendError` for the
+        :data:`REFERENCE_ONLY_PROTOCOLS`.
         """
         return run_with_adversary(self, self.make_adversary(), observer)
 
@@ -501,8 +511,15 @@ def run_with_adversary(
     the chaos behaviour log after the run; everything else about the
     execution is this one code path.
     """
-    from ..core.api import run_path_aa, run_real_aa, run_tree_aa
+    from ..core.api import run_path_aa, run_real_aa, run_tree_aa, tree_aa_outcome
 
+    if spec.backend != "reference" and spec.protocol in REFERENCE_ONLY_PROTOCOLS:
+        from ..engine.errors import UnsupportedBackendError
+
+        raise UnsupportedBackendError(
+            f"{spec.protocol} specs have no batch equivalent; "
+            "use backend='reference'"
+        )
     fault_plan = spec.make_fault_plan()
     trace_level = TRACE_LEVELS[spec.trace_level]
     if spec.protocol == ASYNC_PROTOCOL:
@@ -538,6 +555,22 @@ def run_with_adversary(
             t_assumed=spec.t_assumed,
             backend=spec.backend,
         )
+    if spec.protocol == BASELINE_PROTOCOL:
+        from ..baselines import IterativeTreeAAParty
+        from ..net.runner import run_protocol
+
+        execution = run_protocol(
+            spec.n,
+            spec.t,
+            lambda pid: IterativeTreeAAParty(
+                pid, spec.n, spec.assumed_t, tree, inputs[pid]
+            ),
+            adversary=adversary,
+            trace_level=trace_level,
+            observer=observer,
+            fault_plan=fault_plan,
+        )
+        return tree_aa_outcome(execution, tree, inputs)
     return run_tree_aa(
         tree,
         inputs,
@@ -560,13 +593,7 @@ def _run_async(
     """Run an ``async-real-aa`` spec on the asynchronous network."""
     from ..asynchrony import AsyncRealAAParty, run_async_protocol
     from ..core.api import real_aa_outcome
-    from ..engine.errors import UnsupportedBackendError
 
-    if spec.backend != "reference":
-        raise UnsupportedBackendError(
-            f"{ASYNC_PROTOCOL} specs have no batch equivalent; "
-            "use backend='reference'"
-        )
     if observer is not None:
         raise SpecError(f"{ASYNC_PROTOCOL} specs take no observer")
     inputs = [float(v) for v in spec.make_inputs()]
@@ -608,20 +635,11 @@ def spec_cache_key(spec: ScenarioSpec) -> Dict[str, Any]:
 
     Identical to the key :func:`repro.analysis.parallel.run_grid` builds
     for a ``spec-point`` grid point under :data:`SPEC_SWEEP_NAME` — the
-    spec's backend travels *inside* the params, so the key-level backend
-    field stays at its default and local sweeps, the scenario service,
-    and direct ``run_grid`` calls all dedupe against the same entries.
+    spec's backend travels *inside* the params, so local sweeps, the
+    scenario service, and direct ``run_grid`` calls all dedupe against
+    the same entries.
     """
     return SweepCache.key(SPEC_SWEEP_NAME, SPEC_RUNNER, spec.to_dict(), spec.seed)
-
-
-def _record_trace(spec: ScenarioSpec, tree: Optional[Any]) -> Any:
-    """The observer used for ``record=True`` executions."""
-    from ..observability import MetricsCollector
-
-    if spec.protocol == "real-aa":
-        return MetricsCollector()
-    return MetricsCollector(tree=tree)
 
 
 def _spec_row(spec: ScenarioSpec, outcome: Any) -> Dict[str, Any]:
@@ -656,12 +674,12 @@ def execute_spec_point(spec: ScenarioSpec) -> Dict[str, Any]:
     :func:`repro.observability.export_run`), so cached rows carry
     everything the service's report/diff endpoints serve.
     """
-    from ..observability import export_run
+    from ..observability import MetricsCollector, export_run
 
     if not spec.record:
         return _spec_row(spec, spec.run())
     tree = None if spec.protocol == "real-aa" else spec.build_tree()
-    collector = _record_trace(spec, tree)
+    collector = MetricsCollector(tree=tree)
     outcome = spec.run(observer=collector)
     row = _spec_row(spec, outcome)
     buffer = io.StringIO()

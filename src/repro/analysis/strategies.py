@@ -39,7 +39,7 @@ except ImportError:  # pragma: no cover - exercised only on bare installs
 #: The execution backends every differential property test compares.
 BACKENDS: Tuple[str, ...] = ("reference", "batch")
 
-#: Small tree specs (``repro.cli.parse_tree_spec`` grammar) that keep
+#: Small tree specs (:func:`repro.trees.parse_tree_spec` grammar) that keep
 #: spec-driven property tests fast.
 SPEC_TREES: Tuple[str, ...] = ("path:4", "path:6", "star:5", "caterpillar:3x2")
 
@@ -71,7 +71,7 @@ FLYWHEEL_MAX_N = 8
 
 
 def _draw_tree_spec(rng: random.Random) -> str:
-    """A small CLI tree spec, over every family the shrinker can reduce."""
+    """A small tree spec, over every family the shrinker can reduce."""
     family = rng.choice(("path", "star", "caterpillar", "random"))
     if family == "path":
         return f"path:{rng.randint(3, 10)}"

@@ -34,15 +34,18 @@ Commands
 ``make-tree``   generate a tree and print it (edges / JSON / DOT)
 ``chain-demo``  execute Fekete's one-round chain-of-views construction
 
-Tree specs (``--tree``): ``path:K``, ``star:K``, ``binary:DEPTH``,
-``caterpillar:SPINExLEGS``, ``spider:ARMSxLEN``, ``broom:HANDLExLEAVES``,
-``random:K[:SEED]``, ``figure`` (the paper's Figure-3 tree), or
-``@file.json`` (canonical JSON form).
+Tree specs (``--tree``): the :func:`repro.trees.parse_tree_spec`
+grammar (``path:K``, ``star:K``, ``random:K[:SEED]``, ``figure``,
+``@file.json``, ...).
 
 Adversaries (``--adversary``): ``none``, ``silent``, ``passive``,
 ``noise[:SEED]``, ``crash[:ROUND[:PARTIAL]]``, ``chaos[:SEED]``,
 ``burn``, ``burn-down``, ``asym`` — the shared
-:func:`repro.analysis.spec.build_adversary` grammar.
+:func:`repro.analysis.spec.build_adversary` grammar, except that a bare
+``crash`` crashes at round 3.
+
+``tree-aa``, ``real-aa``, ``trace`` and ``sweep`` describe every run as a
+:class:`~repro.analysis.spec.ScenarioSpec` and execute that.
 """
 
 from __future__ import annotations
@@ -52,11 +55,20 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from typing import Any, List, Optional, Sequence
 
 from .adversary import NoAdversary
 from .analysis import format_table
-from .core import run_real_aa, run_tree_aa
+from .analysis.spec import (
+    BASELINE_PROTOCOL,
+    SPEC_RUNNER,
+    SPEC_SWEEP_NAME,
+    ScenarioSpec,
+    SpecError,
+    build_adversary,
+    execute_spec_point,
+)
 from .lowerbound import (
     demonstrate_real,
     fekete_K,
@@ -71,16 +83,8 @@ from .protocols import (
 )
 from .trees import (
     LabeledTree,
-    binary_tree,
-    broom_tree,
-    caterpillar_tree,
     diameter,
-    figure_tree,
-    path_tree,
-    random_tree,
-    spider_tree,
-    star_tree,
-    tree_from_json,
+    parse_tree_spec,
     tree_to_dot,
     tree_to_json,
 )
@@ -90,57 +94,23 @@ class CLIError(ValueError):
     """A user-facing argument error."""
 
 
-def parse_tree_spec(spec: str) -> LabeledTree:
-    """Parse a ``--tree`` specification (see module docstring)."""
-    if spec.startswith("@"):
-        with open(spec[1:]) as handle:
-            return tree_from_json(handle.read())
-    if spec == "figure":
-        return figure_tree()
-    parts = spec.split(":")
-    kind = parts[0]
-    try:
-        if kind == "path":
-            return path_tree(int(parts[1]))
-        if kind == "star":
-            return star_tree(int(parts[1]))
-        if kind == "binary":
-            return binary_tree(int(parts[1]))
-        if kind == "caterpillar":
-            spine, legs = parts[1].split("x")
-            return caterpillar_tree(int(spine), int(legs))
-        if kind == "spider":
-            arms, length = parts[1].split("x")
-            return spider_tree(int(arms), int(length))
-        if kind == "broom":
-            handle, leaves = parts[1].split("x")
-            return broom_tree(int(handle), int(leaves))
-        if kind == "random":
-            size = int(parts[1])
-            seed = int(parts[2]) if len(parts) > 2 else 0
-            return random_tree(size, seed)
-    except (IndexError, ValueError) as exc:
-        raise CLIError(f"malformed tree spec {spec!r}: {exc}") from None
-    raise CLIError(f"unknown tree family {kind!r}")
+def adversary_spec(spec: str) -> str:
+    """The spec-grammar adversary an ``--adversary`` value names.
+
+    A bare ``crash`` crashes at round 3 (the spec-layer default is
+    round 1); every other value is already spec grammar.
+    """
+    return "crash:3" if spec == "crash" else spec
 
 
 def make_adversary(spec: str, t: int):
-    """Parse an ``--adversary`` specification.
-
-    Delegates to the shared :func:`repro.analysis.spec.build_adversary`
-    grammar, with two CLI-level conventions kept for compatibility:
-    ``none`` returns a :class:`NoAdversary` (an explicit empty corruption
-    set rather than no adversary object), and a bare ``crash`` crashes at
-    round 3 (the spec-layer default is round 1).
-    """
-    from .analysis.spec import SpecError, build_adversary
-
+    """The adversary object of an ``--adversary`` value, for commands
+    that do not run a spec: ``none`` is a :class:`NoAdversary` (an empty
+    corruption set), the rest follows :func:`adversary_spec`."""
     if spec == "none":
         return NoAdversary()
-    if spec == "crash":
-        spec = "crash:3"
     try:
-        return build_adversary(spec, t=t)
+        return build_adversary(adversary_spec(spec), t=t)
     except SpecError as exc:
         raise CLIError(str(exc)) from None
 
@@ -166,12 +136,56 @@ def pick_inputs(tree: LabeledTree, spec: str, n: int) -> List:
 # ----------------------------------------------------------------------
 
 
+def _tree_spec(args: argparse.Namespace, **fields: Any) -> ScenarioSpec:
+    """The ``tree-aa`` spec of ``--tree``/``--inputs``/``--n``/``--t``."""
+    tree = parse_tree_spec(args.tree)
+    return ScenarioSpec(
+        protocol="tree-aa",
+        n=args.n,
+        t=args.t,
+        tree=args.tree,
+        inputs=tuple(pick_inputs(tree, args.inputs, args.n)),
+        adversary=adversary_spec(args.adversary),
+        **fields,
+    )
+
+
+def _real_spec(args: argparse.Namespace, **fields: Any) -> ScenarioSpec:
+    """The ``real-aa`` spec of ``--inputs``/``--t``/``--epsilon``."""
+    try:
+        inputs = tuple(float(x) for x in args.inputs.split(","))
+    except ValueError as exc:
+        raise CLIError(f"malformed inputs: {exc}") from None
+    return ScenarioSpec(
+        protocol="real-aa",
+        n=len(inputs),
+        t=args.t,
+        inputs=inputs,
+        adversary=adversary_spec(args.adversary),
+        epsilon=args.epsilon,
+        **fields,
+    )
+
+
+def _print_outcome(
+    title: str, rows: List[list], outcome: Any, show: Any = lambda v: v
+) -> int:
+    """Print a run's verdict table and its honest parties; the exit code
+    is 0 iff the run achieved AA."""
+    print(format_table(["property", "value"], rows, title=title))
+    print()
+    parties = [
+        [pid, outcome.honest_inputs[pid], show(outcome.honest_outputs[pid])]
+        for pid in sorted(outcome.honest_outputs)
+    ]
+    print(format_table(["party", "input", "output"], parties, title="honest parties"))
+    return 0 if outcome.achieved_aa else 1
+
+
 def cmd_tree_aa(args: argparse.Namespace) -> int:
     """Run one TreeAA execution and print the verdict table."""
-    tree = parse_tree_spec(args.tree)
-    inputs = pick_inputs(tree, args.inputs, args.n)
-    adversary = make_adversary(args.adversary, args.t)
-    outcome = run_tree_aa(tree, inputs, args.t, adversary=adversary)
+    outcome = _tree_spec(args).run()
+    tree = outcome.tree
     rows = [
         ["|V(T)|", tree.n_vertices],
         ["D(T)", diameter(tree)],
@@ -182,19 +196,7 @@ def cmd_tree_aa(args: argparse.Namespace) -> int:
         ["1-agreement", outcome.agreement],
         ["output diameter", outcome.output_diameter],
     ]
-    print(format_table(["property", "value"], rows, title="TreeAA"))
-    print()
-    print(
-        format_table(
-            ["party", "input", "output"],
-            [
-                [pid, outcome.honest_inputs[pid], outcome.honest_outputs[pid]]
-                for pid in sorted(outcome.honest_outputs)
-            ],
-            title="honest parties",
-        )
-    )
-    return 0 if outcome.achieved_aa else 1
+    return _print_outcome("TreeAA", rows, outcome)
 
 
 def cmd_auth_tree_aa(args: argparse.Namespace) -> int:
@@ -224,12 +226,7 @@ def cmd_auth_tree_aa(args: argparse.Namespace) -> int:
 
 def cmd_real_aa(args: argparse.Namespace) -> int:
     """Run one RealAA(eps) execution on the given real inputs."""
-    try:
-        inputs = [float(x) for x in args.inputs.split(",")]
-    except ValueError as exc:
-        raise CLIError(f"malformed inputs: {exc}") from None
-    adversary = make_adversary(args.adversary, args.t)
-    outcome = run_real_aa(inputs, args.t, epsilon=args.epsilon, adversary=adversary)
+    outcome = _real_spec(args).run()
     rows = [
         ["rounds", outcome.rounds],
         ["measured rounds", outcome.measured_rounds],
@@ -238,19 +235,9 @@ def cmd_real_aa(args: argparse.Namespace) -> int:
         ["output spread", outcome.output_spread],
         ["eps-agreement", outcome.agreement],
     ]
-    print(format_table(["property", "value"], rows, title=f"RealAA(eps={args.epsilon})"))
-    print()
-    print(
-        format_table(
-            ["party", "input", "output"],
-            [
-                [pid, outcome.honest_inputs[pid], round(outcome.honest_outputs[pid], 9)]
-                for pid in sorted(outcome.honest_outputs)
-            ],
-            title="honest parties",
-        )
+    return _print_outcome(
+        f"RealAA(eps={args.epsilon})", rows, outcome, lambda v: round(v, 9)
     )
-    return 0 if outcome.achieved_aa else 1
 
 
 def _load_spec_payload(path: str) -> dict:
@@ -274,133 +261,140 @@ def _load_spec_payload(path: str) -> dict:
     return payload
 
 
-def _spec_sweep(args: argparse.Namespace) -> int:
-    """``repro sweep --spec``: run ScenarioSpecs through the grid engine."""
-    from .analysis import format_table, run_grid
-    from .analysis.spec import SPEC_RUNNER, SPEC_SWEEP_NAME
+def _spec_sweep_grid(args: argparse.Namespace) -> Any:
+    """``repro sweep --spec``: the planned specs, one table row each."""
     from .service import PlanError, plan_points
 
-    payload = _load_spec_payload(args.spec)
     try:
-        specs = plan_points(payload, base_seed=args.base_seed)
+        specs = plan_points(_load_spec_payload(args.spec), base_seed=args.base_seed)
     except PlanError as exc:
         raise CLIError(str(exc)) from None
-    # Each spec carries its own backend inside the params, so the grid
-    # runs with the engine's default backend key — the same keying the
-    # scenario service uses, which is what makes their caches shared.
-    report = run_grid(
-        SPEC_SWEEP_NAME,
-        SPEC_RUNNER,
-        [spec.to_dict() for spec in specs],
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        jsonl_path=args.jsonl,
-    )
-    rows = [
-        [
-            row["protocol"],
-            f"n={row['n']},t={row['t']}",
-            row["backend"],
-            row["adversary"],
-            row["rounds"],
-            row["ok"],
+    headers = ["protocol", "network", "backend", "adversary", "rounds", "AA ok"]
+
+    def table(rows: List[dict]) -> List[list]:
+        return [
+            [
+                row["protocol"],
+                f"n={row['n']},t={row['t']}",
+                row["backend"],
+                row["adversary"],
+                row["rounds"],
+                row["ok"],
+            ]
+            for row in rows
         ]
-        for row in report.rows
+
+    return [spec.to_dict() for spec in specs], headers, table
+
+
+def _tree_sweep_grid(args: argparse.Namespace) -> Any:
+    """``repro sweep --kind tree-aa``: each TreeAA spec followed by the
+    baseline spec on the same instance, one table row per pair."""
+    from .analysis import tree_spec_for
+
+    grid, points = [], []
+    for family in args.families.split(","):
+        for size in args.sizes.split(","):
+            try:
+                tree = tree_spec_for(family, int(size))
+            except ValueError as exc:
+                raise CLIError(str(exc)) from None
+            spec = ScenarioSpec(
+                protocol="tree-aa",
+                n=args.n,
+                t=args.t,
+                tree=tree,
+                adversary=adversary_spec(args.adversary),
+                backend=args.backend,
+                trace_level="aggregate",
+                seed=int(size),
+            )
+            baseline = replace(spec, protocol=BASELINE_PROTOCOL, backend="reference")
+            grid += [spec.to_dict(), baseline.to_dict()]
+            points.append((family, parse_tree_spec(tree)))
+    headers = ["family", "|V(T)|", "D(T)", "TreeAA rounds", "baseline rounds", "AA ok"]
+
+    def table(rows: List[dict]) -> List[list]:
+        return [
+            [
+                family,
+                tree.n_vertices,
+                diameter(tree),
+                ours["rounds"],
+                theirs["rounds"],
+                ours["ok"] and theirs["ok"],
+            ]
+            for (family, tree), ours, theirs in zip(points, rows[0::2], rows[1::2])
+        ]
+
+    return grid, headers, table
+
+
+def _real_sweep_grid(args: argparse.Namespace) -> Any:
+    """``repro sweep --kind real-aa``: ``realaa-point`` params per
+    (network, spread)."""
+    try:
+        networks = [
+            tuple(int(x) for x in pair.split(":"))
+            for pair in args.networks.split(",")
+        ]
+        spreads = [float(s) for s in args.spreads.split(",")]
+    except ValueError as exc:
+        raise CLIError(f"malformed sweep grid: {exc}") from None
+    if any(len(pair) != 2 for pair in networks):
+        raise CLIError("--networks takes comma-separated n:t pairs")
+    grid = [
+        {
+            "n": n,
+            "t": t,
+            "spread": spread,
+            "epsilon": args.epsilon,
+            "adversary": adversary_spec(args.adversary),
+            "backend": args.backend,
+            "seed": 0,
+        }
+        for n, t in networks
+        for spread in spreads
     ]
-    print(
-        format_table(
-            ["protocol", "network", "backend", "adversary", "rounds", "AA ok"],
-            rows,
-            title=f"sweep scenario-spec ({len(rows)} points)",
-        )
-    )
-    print()
-    print(report.summary())
-    return 0 if all(row["ok"] for row in report.rows) else 1
+    headers = ["network", "spread", "budget", "measured", "AA ok"]
+
+    def table(rows: List[dict]) -> List[list]:
+        return [
+            [
+                f"n={r['n']},t={r['t']}",
+                f"{r['spread']:g}",
+                r["budget"],
+                r["measured"] if r["measured"] is not None else "-",
+                r["ok"],
+            ]
+            for r in rows
+        ]
+
+    return grid, headers, table
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a TreeAA or RealAA experiment grid through the parallel engine."""
-    from .analysis import format_table, run_grid, tree_spec_for
+    """Run a ScenarioSpec file, or a TreeAA or RealAA experiment grid,
+    through the parallel engine."""
+    from .analysis import run_grid
+    from .engine import UnsupportedBackendError
 
     if args.jobs < 0:
         raise CLIError("--jobs must be >= 1, or 0 for all cores")
+    name, runner = SPEC_SWEEP_NAME, SPEC_RUNNER
     if args.spec:
-        return _spec_sweep(args)
-    if args.kind == "tree-aa":
-        try:
-            grid = [
-                {
-                    "family": family,
-                    "tree": tree_spec_for(family, size),
-                    "n": args.n,
-                    "t": args.t,
-                    "adversary": args.adversary,
-                    "seed": size,
-                }
-                for family in args.families.split(",")
-                for size in (int(s) for s in args.sizes.split(","))
-            ]
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-        runner = "tree-point"
-        headers = [
-            "family",
-            "|V(T)|",
-            "D(T)",
-            "TreeAA rounds",
-            "baseline rounds",
-            "AA ok",
-        ]
-        to_row = lambda r: [  # noqa: E731
-            r["family"],
-            r["n_vertices"],
-            r["tree_diameter"],
-            r["tree_rounds"],
-            r["baseline_rounds"],
-            r["tree_ok"] and r["baseline_ok"],
-        ]
-        all_ok = lambda r: r["tree_ok"] and r["baseline_ok"]  # noqa: E731
+        grid, headers, table = _spec_sweep_grid(args)
+        title = f"sweep scenario-spec ({len(grid)} points)"
     else:
-        try:
-            networks = [
-                tuple(int(x) for x in pair.split(":"))
-                for pair in args.networks.split(",")
-            ]
-            spreads = [float(s) for s in args.spreads.split(",")]
-        except ValueError as exc:
-            raise CLIError(f"malformed sweep grid: {exc}") from None
-        if any(len(pair) != 2 for pair in networks):
-            raise CLIError("--networks takes comma-separated n:t pairs")
-        grid = [
-            {
-                "n": n,
-                "t": t,
-                "spread": spread,
-                "epsilon": args.epsilon,
-                "adversary": args.adversary,
-                "seed": 0,
-            }
-            for n, t in networks
-            for spread in spreads
-        ]
-        runner = "realaa-point"
-        headers = ["network", "spread", "budget", "measured", "AA ok"]
-        to_row = lambda r: [  # noqa: E731
-            f"n={r['n']},t={r['t']}",
-            f"{r['spread']:g}",
-            r["budget"],
-            r["measured"] if r["measured"] is not None else "-",
-            r["ok"],
-        ]
-        all_ok = lambda r: r["ok"]  # noqa: E731
-
-    from .engine import UnsupportedBackendError
-
+        title = f"sweep {args.kind} (adversary={args.adversary})"
+        if args.kind == "tree-aa":
+            grid, headers, table = _tree_sweep_grid(args)
+        else:
+            grid, headers, table = _real_sweep_grid(args)
+            name, runner = "cli-real-aa", "realaa-point"
     try:
         report = run_grid(
-            f"cli-{args.kind}",
+            name,
             runner,
             grid,
             jobs=args.jobs,
@@ -408,90 +402,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             no_cache=args.no_cache,
             base_seed=args.base_seed,
             jsonl_path=args.jsonl,
-            backend=args.backend,
         )
     except UnsupportedBackendError as exc:
-        # e.g. --backend batch with an equivocating adversary spec: the
-        # refusal is part of the contract, but the CLI surfaces it as a
-        # clean error, not a traceback.
+        # e.g. --backend batch with an adversary the batch engine cannot
+        # replay: the refusal is part of the contract, but the CLI
+        # surfaces it as a clean error, not a traceback.
         raise CLIError(str(exc)) from None
-    print(
-        format_table(
-            headers,
-            [to_row(row) for row in report.rows],
-            title=f"sweep {args.kind} (adversary={args.adversary})",
-        )
-    )
+    rows = table(report.rows)
+    print(format_table(headers, rows, title=title))
     print()
     print(report.summary())
-    return 0 if all(all_ok(row) for row in report.rows) else 1
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Record one protocol execution as a JSONL trace file."""
-    from .observability import MetricsCollector, export_run
-
-    adversary = make_adversary(args.adversary, args.t)
     if args.kind == "tree-aa":
         if not args.tree:
             raise CLIError("--tree is required for tree-aa traces")
-        tree = parse_tree_spec(args.tree)
-        inputs = pick_inputs(tree, args.inputs, args.n)
-        collector = MetricsCollector(tree=tree)
-        outcome = run_tree_aa(
-            tree, inputs, args.t, adversary=adversary, observer=collector
-        )
-        params = {
-            "tree": args.tree,
-            "inputs": args.inputs,
-            "adversary": args.adversary,
-        }
-        verdicts = {
-            "terminated": outcome.terminated,
-            "valid": outcome.valid,
-            "agreement": outcome.agreement,
-            "output_diameter": outcome.output_diameter,
-        }
-        export_inputs: List = inputs
+        spec = _tree_spec(args, record=True)
     else:
-        try:
-            inputs = [float(x) for x in args.inputs.split(",")]
-        except ValueError as exc:
-            raise CLIError(f"malformed inputs: {exc}") from None
-        collector = MetricsCollector()
-        outcome = run_real_aa(
-            inputs,
-            args.t,
-            epsilon=args.epsilon,
-            adversary=adversary,
-            observer=collector,
-        )
-        params = {"epsilon": args.epsilon, "adversary": args.adversary}
-        verdicts = {
-            "terminated": outcome.terminated,
-            "valid": outcome.valid,
-            "agreement": outcome.agreement,
-            "output_spread": outcome.output_spread,
-        }
-        export_inputs = inputs
+        spec = _real_spec(args, record=True)
+    row = execute_spec_point(spec)
+    lines = row["trace_jsonl"].splitlines()
     try:
-        records = export_run(
-            args.out,
-            collector,
-            outcome.execution,
-            protocol=args.kind,
-            params=params,
-            inputs=export_inputs,
-            verdicts=verdicts,
-            t=args.t,
-        )
+        with open(args.out, "w") as handle:
+            handle.write(row["trace_jsonl"])
     except OSError as exc:
         raise CLIError(f"cannot write {args.out!r}: {exc}") from None
+    footer = json.loads(lines[-1])
     print(
-        f"recorded {collector.rounds_observed} rounds "
-        f"({collector.message_total} messages, {records} records) -> {args.out}"
+        f"recorded {footer['rounds']} rounds "
+        f"({footer['messages']} messages, {len(lines)} records) -> {args.out}"
     )
-    return 0 if outcome.achieved_aa else 1
+    return 0 if row["ok"] else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -1426,7 +1370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(arglist)
     try:
         return args.func(args)
-    except CLIError as exc:
+    except (CLIError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

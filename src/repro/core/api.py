@@ -106,6 +106,24 @@ def _evaluate_tree_outputs(
     }
 
 
+def tree_aa_outcome(
+    execution: ExecutionResult, tree: LabeledTree, inputs: Sequence[Label]
+) -> TreeAAOutcome:
+    """Judge a finished execution on *tree* (any engine; the tree
+    counterpart of :func:`real_aa_outcome`)."""
+    honest_inputs = {pid: inputs[pid] for pid in sorted(execution.honest)}
+    honest_outputs = execution.honest_outputs
+    verdicts = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
+    return TreeAAOutcome(
+        execution=execution,
+        tree=tree,
+        honest_inputs=honest_inputs,
+        honest_outputs=honest_outputs,
+        rounds=execution.trace.rounds_executed,
+        **verdicts,
+    )
+
+
 def _select_backend(backend: str) -> Any:
     """Resolve *backend* to an engine object, or ``None`` for the reference.
 
@@ -183,17 +201,7 @@ def run_tree_aa(
         observer=observer,
         fault_plan=fault_plan,
     )
-    honest_inputs = {pid: inputs[pid] for pid in sorted(execution.honest)}
-    honest_outputs = execution.honest_outputs
-    verdicts = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
-    return TreeAAOutcome(
-        execution=execution,
-        tree=tree,
-        honest_inputs=honest_inputs,
-        honest_outputs=honest_outputs,
-        rounds=execution.trace.rounds_executed,
-        **verdicts,
-    )
+    return tree_aa_outcome(execution, tree, inputs)
 
 
 def run_path_aa(
@@ -252,17 +260,7 @@ def run_path_aa(
         observer=observer,
         fault_plan=fault_plan,
     )
-    honest_inputs = {pid: inputs[pid] for pid in sorted(execution.honest)}
-    honest_outputs = execution.honest_outputs
-    verdicts = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
-    return TreeAAOutcome(
-        execution=execution,
-        tree=tree,
-        honest_inputs=honest_inputs,
-        honest_outputs=honest_outputs,
-        rounds=execution.trace.rounds_executed,
-        **verdicts,
-    )
+    return tree_aa_outcome(execution, tree, inputs)
 
 
 def run_real_aa(

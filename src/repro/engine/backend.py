@@ -34,8 +34,8 @@ import numpy as np
 from ..core.api import (
     RealAAOutcome,
     TreeAAOutcome,
-    _evaluate_tree_outputs,
     real_aa_outcome,
+    tree_aa_outcome,
 )
 from ..core.closest_int import closest_int
 from ..core.errors import ValidityViolationError, check_index_in_range
@@ -665,19 +665,7 @@ class BatchSynchronousEngine:
             trace=execution.trace,
             parties=parties,
         )
-        honest_inputs = {
-            pid: inputs[pid] for pid in sorted(execution.honest_set)
-        }
-        honest_outputs = result.honest_outputs
-        verdicts = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
-        return TreeAAOutcome(
-            execution=result,
-            tree=tree,
-            honest_inputs=honest_inputs,
-            honest_outputs=honest_outputs,
-            rounds=result.trace.rounds_executed,
-            **verdicts,
-        )
+        return tree_aa_outcome(result, tree, inputs)
 
     # -- TreeAA ---------------------------------------------------------
 
@@ -804,19 +792,7 @@ class BatchSynchronousEngine:
             trace=execution.trace,
             parties=parties,
         )
-        honest_inputs = {
-            pid: inputs[pid] for pid in sorted(execution.honest_set)
-        }
-        honest_outputs = result.honest_outputs
-        verdicts = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
-        return TreeAAOutcome(
-            execution=result,
-            tree=tree,
-            honest_inputs=honest_inputs,
-            honest_outputs=honest_outputs,
-            rounds=result.trace.rounds_executed,
-            **verdicts,
-        )
+        return tree_aa_outcome(result, tree, inputs)
 
     def _run_tree_phases(
         self,

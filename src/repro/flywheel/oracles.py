@@ -18,11 +18,11 @@ matrix (see docs/FLYWHEEL.md):
     For recorded points (``record=True``) the embedded JSONL traces must
     agree round-for-round, excluding only the wall clock.
 ``cross-protocol``
-    Tree points are re-run through the Nowak–Rybicki baseline
-    (:class:`~repro.baselines.IterativeTreeAAParty`) on the same
-    instance; both protocols must deliver validity and agreement.  A
-    TreeAA failure the baseline survives (or vice versa) is a protocol
-    bug, not a model artefact.
+    Tree points are re-run as ``tree-aa-baseline`` specs, the
+    Nowak–Rybicki baseline (:class:`~repro.baselines.IterativeTreeAAParty`)
+    on the same instance; both protocols must deliver validity and
+    agreement.  A TreeAA failure the baseline survives (or vice versa) is
+    a protocol bug, not a model artefact.
 ``round-bound``
     The round count must respect the theory: at most the empirical
     ``O(log |V| / log log |V|)`` budget (trees) or the RealAA duration
@@ -45,7 +45,7 @@ import json
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis.spec import ScenarioSpec, execute_spec_point
+from ..analysis.spec import BASELINE_PROTOCOL, ScenarioSpec, execute_spec_point
 
 #: Oracle names, in evaluation order.
 FLYWHEEL_ORACLES = (
@@ -153,34 +153,27 @@ def _check_cross_protocol(spec: ScenarioSpec) -> Dict[str, Any]:
     termination, hull validity, and 1-agreement on the identical
     (tree, inputs, t, adversary) instance.
     """
-    from ..analysis.metrics import tree_agreement, tree_validity
-    from ..baselines import IterativeTreeAAParty
-    from ..net.runner import run_protocol
-
-    tree = spec.build_tree()
-    inputs = spec.make_inputs(tree)
+    # The baseline always runs at full payload accounting, whatever the
+    # point's own trace level, so its network counts do not depend on it.
+    baseline = replace(
+        spec,
+        protocol=BASELINE_PROTOCOL,
+        backend="reference",
+        trace_level="full",
+    )
     try:
-        result = run_protocol(
-            spec.n,
-            spec.t,
-            lambda pid: IterativeTreeAAParty(
-                pid, spec.n, spec.t, tree, inputs[pid]
-            ),
-            adversary=spec.make_adversary(),
-        )
+        outcome = baseline.run()
     except Exception as exc:  # noqa: BLE001 - a crashing baseline is the finding
         return _oracle(
             "divergence", f"baseline crashed: {type(exc).__name__}: {exc}"
         )
-    honest_inputs = [inputs[pid] for pid in sorted(result.honest)]
-    honest_outputs = list(result.honest_outputs.values())
     problems = []
-    if any(v is None for v in honest_outputs) or not honest_outputs:
+    if not outcome.terminated or not outcome.honest_outputs:
         problems.append("baseline failed termination")
     else:
-        if not tree_validity(tree, honest_inputs, honest_outputs):
+        if not outcome.valid:
             problems.append("baseline violated hull validity")
-        if not tree_agreement(tree, honest_outputs):
+        if not outcome.agreement:
             problems.append("baseline violated 1-agreement")
     if problems:
         return _oracle("divergence", "; ".join(problems))

@@ -219,8 +219,7 @@ class MetricsCollector(Observer):
         return None
 
     def summary(self) -> Dict[str, Any]:
-        """Aggregate totals as a JSON-serialisable dict (sweep rows embed
-        this when per-point metrics are requested)."""
+        """Aggregate totals as a JSON-serialisable dict."""
         return {
             "rounds": self.rounds_observed,
             "honest_messages": self.honest_message_total,

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.parallel import SweepReport, register_runner, run_grid
 from ..analysis.spec import ASYNC_ADVERSARIES, ASYNC_PROTOCOL, ScenarioSpec
+from ..trees import parse_tree_spec
 from .oracles import Violation, evaluate, violated_oracles
 from .scenario import execute_scenario
 
@@ -155,8 +156,6 @@ def generate_scenarios(config: CampaignConfig) -> List[ScenarioSpec]:
     network's budget ``t`` covers the actual corrupted set.  Tree inputs
     are drawn as vertex indices and resolved to labels modulo the tree.
     """
-    from ..cli import parse_tree_spec
-
     rng = random.Random(config.seed)
     specs: List[ScenarioSpec] = []
     for index in range(config.count):

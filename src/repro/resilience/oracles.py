@@ -34,10 +34,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
+from ..analysis.spec import BASELINE_PROTOCOL
 from .scenario import ScenarioResult
 
 #: Protocols judged by the tree oracles (convex-hull validity, 1-agreement).
-TREE_PROTOCOLS = ("path-aa", "tree-aa")
+TREE_PROTOCOLS = ("path-aa", "tree-aa", BASELINE_PROTOCOL)
 
 #: Every oracle name, in evaluation order.
 ORACLE_NAMES = (

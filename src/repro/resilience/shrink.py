@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Tuple
 
 from ..analysis.spec import ScenarioSpec
+from ..trees import parse_tree_spec
 from .oracles import TREE_PROTOCOLS, evaluate, violated_oracles
 from .scenario import execute_scenario
 
@@ -166,8 +167,6 @@ def _tree_candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
     smaller = _shrink_tree_spec(spec.tree)
     if smaller is None:
         return
-    from ..cli import parse_tree_spec
-
     old = {label: index for index, label in enumerate(spec.build_tree().vertices)}
     vertices = parse_tree_spec(smaller).vertices
     yield replace(

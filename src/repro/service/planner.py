@@ -90,12 +90,22 @@ def specs_from_dicts(raw: List[Dict[str, Any]]) -> List[ScenarioSpec]:
     process journaled are already seeded, and revalidating them guards
     recovery against schema drift between service versions (a journal
     written by an older spec schema fails here as :class:`PlanError`
-    instead of resurrecting an undefined job).
+    instead of resurrecting an undefined job).  Trees read from files
+    (``@path`` tree specs) are rejected: a service must not open paths
+    its clients name.
     """
     specs: List[ScenarioSpec] = []
     for point in raw:
         try:
-            specs.append(ScenarioSpec.from_dict(point))
+            spec = ScenarioSpec.from_dict(point)
         except (SpecError, KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"invalid spec {point!r}: {exc}") from exc
+        if isinstance(spec.tree, str) and spec.tree.startswith("@"):
+            # A worker would open that path on the server, and the cache
+            # would key the row on the path rather than the tree.
+            raise PlanError(
+                f"invalid spec {point!r}: file trees ({spec.tree!r}) are "
+                "not accepted; name the tree by its generator spec"
+            )
+        specs.append(spec)
     return specs

@@ -3,7 +3,8 @@
 Exports the tree data structures, the geometric primitives of Sections 2
 and 5 (paths, distances, convex hulls, projections), the ``ListConstruction``
 Euler tour of Section 6, the safe-area machinery used by the baseline, and
-generators for the tree families swept by the benchmarks.
+generators for the tree families swept by the benchmarks, and the
+tree-spec grammar (:func:`parse_tree_spec`) every layer names trees with.
 """
 
 from .convex import (
@@ -25,6 +26,7 @@ from .generators import (
     star_tree,
     tree_from_pruefer,
 )
+from .grammar import parse_tree_spec
 from .labeled_tree import Label, LabeledTree, NotATreeError
 from .lca import RootedTree
 from .paths import (
@@ -94,6 +96,7 @@ __all__ = [
     "random_tree",
     "tree_from_pruefer",
     "figure_tree",
+    "parse_tree_spec",
     "tree_to_dict",
     "tree_from_dict",
     "tree_to_json",

@@ -168,17 +168,28 @@ class TestSweepHelpers:
         with pytest.raises(ValueError):
             spread_inputs(path_tree(9), -1, random.Random(0))
 
-    def test_run_tree_point_smoke(self):
-        from repro.analysis import run_tree_point
+    def test_tree_aa_and_baseline_spec_smoke(self):
+        from dataclasses import replace
 
-        point = run_tree_point("path", path_tree(9), n=4, t=1)
-        assert point.tree_ok and point.baseline_ok
-        assert point.tree_rounds > 0 and point.baseline_rounds > 0
+        from repro.analysis import BASELINE_PROTOCOL, ScenarioSpec
 
-    def test_measured_realaa_rounds_smoke(self):
-        from repro.analysis import measured_realaa_rounds
+        spec = ScenarioSpec(protocol="tree-aa", n=4, t=1, tree="path:9")
+        ours = spec.run()
+        theirs = replace(spec, protocol=BASELINE_PROTOCOL).run()
+        assert ours.achieved_aa and theirs.achieved_aa
+        assert ours.rounds > 0 and theirs.rounds > 0
+        # the same instance: identical honest inputs
+        assert ours.honest_inputs == theirs.honest_inputs
 
-        budget, measured, ok = measured_realaa_rounds(64.0, 1.0, 7, 2)
-        assert ok
-        assert budget > 0
-        assert measured is None or measured <= budget
+    def test_realaa_spec_measured_rounds_smoke(self):
+        from repro.analysis import ScenarioSpec
+
+        outcome = ScenarioSpec(
+            protocol="real-aa", n=7, t=2, epsilon=1.0, known_range=64.0
+        ).run()
+        assert outcome.achieved_aa
+        assert outcome.rounds > 0
+        assert (
+            outcome.measured_rounds is None
+            or outcome.measured_rounds <= outcome.rounds
+        )

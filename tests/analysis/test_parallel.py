@@ -1,95 +1,101 @@
 """The parallel sweep engine: determinism, ordering, and the result cache."""
 
+import io
 import json
 
 import pytest
 
 from repro.analysis import (
+    SPEC_RUNNER,
+    ScenarioSpec,
     SweepCache,
+    execute_spec_point,
     get_runner,
     grid_from_axes,
     point_seed,
     run_grid,
 )
 
-#: A small but real grid — four TreeAA-vs-baseline points on tiny paths.
+#: A small but real grid — four TreeAA spec points on tiny paths.
 GRID = [
-    {"family": "path", "tree": f"path:{size}", "n": 4, "t": 1, "seed": size}
+    ScenarioSpec(
+        protocol="tree-aa", n=4, t=1, tree=f"path:{size}", seed=size
+    ).to_dict()
     for size in (5, 7, 9, 11)
 ]
 
 
 class TestDeterminism:
     def test_serial_matches_direct_call(self):
-        from dataclasses import asdict
-
-        from repro.analysis import run_tree_point
-        from repro.trees import path_tree
-
-        report = run_grid("det", "tree-point", GRID[:1], jobs=1, no_cache=True)
-        direct = run_tree_point("path", path_tree(5), 4, 1, seed=5)
-        assert report.rows == [asdict(direct)]
+        report = run_grid("det", SPEC_RUNNER, GRID[:1], jobs=1, no_cache=True)
+        direct = execute_spec_point(ScenarioSpec.from_dict(GRID[0]))
+        assert report.rows == [direct]
 
     def test_parallel_matches_serial_row_for_row(self):
-        serial = run_grid("det", "tree-point", GRID, jobs=1, no_cache=True)
-        parallel = run_grid("det", "tree-point", GRID, jobs=2, no_cache=True)
+        serial = run_grid("det", SPEC_RUNNER, GRID, jobs=1, no_cache=True)
+        parallel = run_grid("det", SPEC_RUNNER, GRID, jobs=2, no_cache=True)
         assert serial.rows == parallel.rows
-        assert [row["n_vertices"] for row in parallel.rows] == [5, 7, 9, 11]
+        assert [row["spec"]["tree"] for row in parallel.rows] == [
+            "path:5",
+            "path:7",
+            "path:9",
+            "path:11",
+        ]
 
     def test_repeat_runs_are_identical(self):
-        first = run_grid("det", "tree-point", GRID, jobs=2, no_cache=True)
-        second = run_grid("det", "tree-point", GRID, jobs=2, no_cache=True)
+        first = run_grid("det", SPEC_RUNNER, GRID, jobs=2, no_cache=True)
+        second = run_grid("det", SPEC_RUNNER, GRID, jobs=2, no_cache=True)
         assert first.rows == second.rows
 
     def test_jobs_zero_means_cpu_count(self):
         report = run_grid(
-            "det", "tree-point", GRID[:1], jobs=0, no_cache=True
+            "det", SPEC_RUNNER, GRID[:1], jobs=0, no_cache=True
         )
         assert report.jobs >= 1
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
-            run_grid("det", "tree-point", GRID[:1], jobs=-1, no_cache=True)
+            run_grid("det", SPEC_RUNNER, GRID[:1], jobs=-1, no_cache=True)
 
 
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
-        cold = run_grid("c", "tree-point", GRID, jobs=1, cache_dir=str(tmp_path))
+        cold = run_grid("c", SPEC_RUNNER, GRID, jobs=1, cache_dir=str(tmp_path))
         assert (cold.cache_hits, cold.cache_misses) == (0, 4)
-        warm = run_grid("c", "tree-point", GRID, jobs=1, cache_dir=str(tmp_path))
+        warm = run_grid("c", SPEC_RUNNER, GRID, jobs=1, cache_dir=str(tmp_path))
         assert (warm.cache_hits, warm.cache_misses) == (4, 0)
         assert warm.rows == cold.rows
 
     def test_partial_grid_recomputes_only_missing(self, tmp_path):
-        run_grid("c", "tree-point", GRID[:2], jobs=1, cache_dir=str(tmp_path))
-        report = run_grid("c", "tree-point", GRID, jobs=1, cache_dir=str(tmp_path))
+        run_grid("c", SPEC_RUNNER, GRID[:2], jobs=1, cache_dir=str(tmp_path))
+        report = run_grid("c", SPEC_RUNNER, GRID, jobs=1, cache_dir=str(tmp_path))
         assert (report.cache_hits, report.cache_misses) == (2, 2)
 
     def test_version_bump_invalidates(self, tmp_path):
         run_grid(
-            "c", "tree-point", GRID, jobs=1, cache_dir=str(tmp_path), version="1"
+            "c", SPEC_RUNNER, GRID, jobs=1, cache_dir=str(tmp_path), version="1"
         )
         bumped = run_grid(
-            "c", "tree-point", GRID, jobs=1, cache_dir=str(tmp_path), version="2"
+            "c", SPEC_RUNNER, GRID, jobs=1, cache_dir=str(tmp_path), version="2"
         )
         assert (bumped.cache_hits, bumped.cache_misses) == (0, 4)
 
     def test_different_sweep_name_is_a_different_namespace(self, tmp_path):
-        run_grid("c1", "tree-point", GRID[:1], jobs=1, cache_dir=str(tmp_path))
-        other = run_grid("c2", "tree-point", GRID[:1], jobs=1, cache_dir=str(tmp_path))
+        run_grid("c1", SPEC_RUNNER, GRID[:1], jobs=1, cache_dir=str(tmp_path))
+        other = run_grid("c2", SPEC_RUNNER, GRID[:1], jobs=1, cache_dir=str(tmp_path))
         assert other.cache_misses == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        run_grid("c", "tree-point", GRID[:1], jobs=1, cache_dir=str(tmp_path))
+        run_grid("c", SPEC_RUNNER, GRID[:1], jobs=1, cache_dir=str(tmp_path))
         (entry,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
         entry.write_text("{not json")
-        report = run_grid("c", "tree-point", GRID[:1], jobs=1, cache_dir=str(tmp_path))
+        report = run_grid("c", SPEC_RUNNER, GRID[:1], jobs=1, cache_dir=str(tmp_path))
         assert report.cache_misses == 1
 
     def test_no_cache_writes_nothing(self, tmp_path):
         run_grid(
             "c",
-            "tree-point",
+            SPEC_RUNNER,
             GRID[:1],
             jobs=1,
             cache_dir=str(tmp_path),
@@ -98,12 +104,12 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
 
     def test_entries_store_auditable_keys(self, tmp_path):
-        run_grid("c", "tree-point", GRID[:1], jobs=1, cache_dir=str(tmp_path))
+        run_grid("c", SPEC_RUNNER, GRID[:1], jobs=1, cache_dir=str(tmp_path))
         (entry,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
         stored = json.loads(entry.read_text())
         assert stored["key"]["sweep"] == "c"
         assert stored["key"]["params"]["tree"] == "path:5"
-        assert stored["row"]["n_vertices"] == 5
+        assert stored["row"]["spec"]["tree"] == "path:5"
 
     def test_cache_len(self, tmp_path):
         cache = SweepCache(str(tmp_path))
@@ -141,11 +147,11 @@ class TestGridHelpers:
             get_runner("no-such-runner")
 
     def test_dotted_path_runner_resolves(self):
-        from repro.analysis.sweep import tree_point_runner
+        from repro.analysis.spec import spec_point_runner
 
         assert (
-            get_runner("repro.analysis.sweep:tree_point_runner")
-            is tree_point_runner
+            get_runner("repro.analysis.spec:spec_point_runner")
+            is spec_point_runner
         )
 
 
@@ -155,7 +161,7 @@ class TestSweepJsonl:
 
         path = tmp_path / "sweep.jsonl"
         report = run_grid(
-            "j", "tree-point", GRID, jobs=1, no_cache=True,
+            "j", SPEC_RUNNER, GRID, jobs=1, no_cache=True,
             jsonl_path=str(path),
         )
         records = [
@@ -165,7 +171,7 @@ class TestSweepJsonl:
         assert header["type"] == "sweep_header"
         assert header["schema_version"] == SWEEP_SCHEMA_VERSION
         assert header["sweep"] == "j"
-        assert header["runner"] == "tree-point"
+        assert header["runner"] == "spec-point"
         assert footer["type"] == "sweep_footer"
         assert footer["points"] == len(GRID)
         assert len(points) == len(GRID)
@@ -179,28 +185,30 @@ class TestSweepJsonl:
             assert point["row"] == row
 
     def test_no_jsonl_by_default(self, tmp_path):
-        run_grid("j", "tree-point", GRID[:1], jobs=1, no_cache=True)
+        run_grid("j", SPEC_RUNNER, GRID[:1], jobs=1, no_cache=True)
         assert list(tmp_path.iterdir()) == []
 
-    def test_metrics_param_embeds_collector_summary(self):
-        params = dict(GRID[0])
-        plain = run_grid("m", "tree-point", [params], jobs=1, no_cache=True)
-        assert "metrics" not in plain.rows[0]
+    def test_recorded_spec_embeds_its_trace(self):
+        from repro.observability import load_run
 
-        enriched = run_grid(
-            "m", "tree-point", [{**params, "metrics": True}],
+        params = dict(GRID[0])
+        plain = run_grid("m", SPEC_RUNNER, [params], jobs=1, no_cache=True)
+        assert "trace_jsonl" not in plain.rows[0]
+
+        recorded = run_grid(
+            "m", SPEC_RUNNER, [{**params, "record": True}],
             jobs=1, no_cache=True,
         )
-        metrics = enriched.rows[0]["metrics"]
-        assert metrics["rounds"] == enriched.rows[0]["tree_rounds"]
-        assert metrics["messages"] == (
-            metrics["honest_messages"] + metrics["byzantine_messages"]
+        row = recorded.rows[0]
+        run = load_run(io.StringIO(row["trace_jsonl"]))
+        assert len(run.rounds) == row["rounds"]
+        assert run.footer["messages"] == (
+            run.footer["honest_messages"] + run.footer["byzantine_messages"]
         )
-        # the metrics key is the only difference: detached rows untouched
-        stripped = {
-            k: v for k, v in enriched.rows[0].items() if k != "metrics"
-        }
-        assert stripped == plain.rows[0]
+        # the trace and the spec's own record flag are the only difference
+        assert {
+            k: v for k, v in row.items() if k not in ("trace_jsonl", "spec")
+        } == {k: v for k, v in plain.rows[0].items() if k != "spec"}
 
 
 class TestRealAARunner:
@@ -214,7 +222,7 @@ class TestRealAARunner:
                     "t": 2,
                     "spread": 16.0,
                     "epsilon": 1.0,
-                    "adversary": "even-burn",
+                    "adversary": "burn",
                     "seed": 0,
                 }
             ],

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,8 @@ from repro.adversary.base import Adversary, NoAdversary
 from repro.adversary.chaos import ChaosAdversary
 from repro.adversary.realaa_attacks import BurnScheduleAdversary
 from repro.adversary.strategies import SilentAdversary
-from repro.analysis.parallel import SweepCache, run_grid
+from repro.analysis.parallel import run_grid
+from repro.analysis.spec import ScenarioSpec, spec_cache_key
 from repro.core.api import run_path_aa, run_real_aa, run_tree_aa
 from repro.engine import (
     BatchAdversarySpec,
@@ -312,18 +314,19 @@ class TestUnsupportedFeatures:
 
 
 class TestSweepCacheBackendIdentity:
+    """A point's backend travels in its params, so the two engines' rows
+    live under different cache keys."""
+
     GRID = [{"n": 5, "t": 1, "spread": 8.0, "epsilon": 1.0, "seed": 3}]
+    BATCH_GRID = [{**GRID[0], "backend": "batch"}]
 
     def test_key_records_the_backend(self):
-        reference = SweepCache.key("s", "realaa-point", self.GRID[0], 3, "v")
-        batch = SweepCache.key(
-            "s", "realaa-point", self.GRID[0], 3, "v", backend="batch"
-        )
-        assert reference["backend"] == "reference"
-        assert batch["backend"] == "batch"
-        assert {k: v for k, v in reference.items() if k != "backend"} == {
-            k: v for k, v in batch.items() if k != "backend"
-        }
+        spec = ScenarioSpec(protocol="real-aa", n=5, t=1, known_range=8.0, seed=3)
+        reference = spec_cache_key(spec)
+        batch = spec_cache_key(replace(spec, backend="batch"))
+        assert reference["params"]["backend"] == "reference"
+        assert batch["params"]["backend"] == "batch"
+        assert reference != batch
 
     def test_cached_reference_row_not_served_to_batch(self, tmp_path):
         cache_dir = str(tmp_path)
@@ -334,26 +337,13 @@ class TestSweepCacheBackendIdentity:
 
         # Same grid on the batch backend: the reference row must NOT hit.
         batch = run_grid(
-            "cache-identity",
-            "realaa-point",
-            self.GRID,
-            cache_dir=cache_dir,
-            backend="batch",
+            "cache-identity", "realaa-point", self.BATCH_GRID, cache_dir=cache_dir
         )
         assert (batch.cache_hits, batch.cache_misses) == (0, 1)
         assert batch.rows == first.rows  # the engines agree; the cache rows differ
 
         # Re-running each backend now hits its own row.
-        assert run_grid(
-            "cache-identity", "realaa-point", self.GRID, cache_dir=cache_dir
-        ).cache_hits == 1
-        assert (
-            run_grid(
-                "cache-identity",
-                "realaa-point",
-                self.GRID,
-                cache_dir=cache_dir,
-                backend="batch",
-            ).cache_hits
-            == 1
-        )
+        for grid in (self.GRID, self.BATCH_GRID):
+            assert run_grid(
+                "cache-identity", "realaa-point", grid, cache_dir=cache_dir
+            ).cache_hits == 1

@@ -8,7 +8,6 @@ returns violations, it never raises.
 import math
 
 from repro.analysis.spec import ScenarioSpec
-from repro.cli import parse_tree_spec
 from repro.resilience import (
     ORACLE_NAMES,
     ScenarioResult,
@@ -16,6 +15,7 @@ from repro.resilience import (
     evaluate,
     violated_oracles,
 )
+from repro.trees import parse_tree_spec
 
 
 def real_result(**overrides):

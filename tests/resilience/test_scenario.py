@@ -228,6 +228,15 @@ class TestExecution:
         with pytest.raises(SpecError, match="malformed adversary"):
             execute_scenario(bad_args)
 
+    @pytest.mark.parametrize(
+        "tree, message",
+        [("bogus:3", "unknown tree family"), ("path:x", "malformed tree spec")],
+    )
+    def test_malformed_tree_raises_instead_of_being_a_crash(self, tree, message):
+        spec = ScenarioSpec(protocol="tree-aa", n=4, t=1, tree=tree)
+        with pytest.raises(SpecError, match=message):
+            execute_scenario(spec)
+
     def test_fault_counters_zero_without_plan(self):
         result = execute_scenario(real_spec())
         assert result.fault_counts == {

@@ -77,6 +77,26 @@ class TestErrors:
         with pytest.raises(PlanError):
             plan_points({"points": [{"protocol": "magic", "n": 3, "t": 0}]})
 
+    @pytest.mark.parametrize("shape", ["points", "grid"])
+    def test_file_trees_are_rejected(self, tmp_path, shape):
+        # A worker would open the named path on the server, and the cache
+        # would key the row on the path, not the tree it holds.
+        from repro.service import specs_from_dicts
+        from repro.trees import figure_tree, tree_to_json
+
+        path = tmp_path / "tree.json"
+        path.write_text(tree_to_json(figure_tree()))
+        spec = {"protocol": "tree-aa", "n": 4, "t": 1, "tree": f"@{path}"}
+        payload = (
+            {"points": [spec]}
+            if shape == "points"
+            else {"base": spec, "grid": {"seed": [1, 2]}}
+        )
+        with pytest.raises(PlanError, match="file trees"):
+            plan_points(payload)
+        with pytest.raises(PlanError, match="file trees"):
+            specs_from_dicts([{**spec, "seed": 0}])
+
     def test_oversized_grids_rejected(self):
         axis = list(range(70))
         with pytest.raises(PlanError):

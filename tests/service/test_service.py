@@ -236,6 +236,15 @@ class TestErrors:
             client.submit({"points": []})
         assert excinfo.value.status == 400
 
+    def test_file_tree_is_400(self, client, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text("{}")
+        spec = {"protocol": "tree-aa", "n": 4, "t": 1, "tree": f"@{path}"}
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit({"points": [spec]})
+        assert excinfo.value.status == 400
+        assert "file trees" in str(excinfo.value)
+
     def test_bad_filter_field_is_400(self, client):
         with pytest.raises(ServiceClientError) as excinfo:
             client.query(colour="red")

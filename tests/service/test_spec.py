@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.spec import (
+    BASELINE_PROTOCOL,
     SPEC_RUNNER,
     SPEC_SWEEP_NAME,
     SPEC_VERSION,
@@ -352,4 +353,57 @@ class TestAsyncDialect:
 
         assert stream_digest(0, 500) == (
             "5ecd3ff13a5f992d7f1af08869619ebacc786e1fd8f825b92c0052401d6e1221"
+        )
+
+
+class TestBaselineDialect:
+    """``tree-aa-baseline``: the iterated safe-area baseline as a spec."""
+
+    TREE_AA = ScenarioSpec(
+        protocol="tree-aa", n=5, t=1, tree="path:9", adversary="burn", seed=4
+    )
+
+    def baseline(self, **fields):
+        return replace(self.TREE_AA, protocol=BASELINE_PROTOCOL, **fields)
+
+    def test_runs_the_baseline_parties_on_the_same_instance(self):
+        from repro.baselines import IterativeTreeAAParty
+
+        outcome = self.baseline().run()
+        assert outcome.achieved_aa
+        assert all(
+            isinstance(outcome.execution.parties[pid], IterativeTreeAAParty)
+            for pid in outcome.execution.honest
+        )
+        assert outcome.honest_inputs == self.TREE_AA.run().honest_inputs
+
+    def test_needs_a_tree(self):
+        with pytest.raises(SpecError, match="tree spec"):
+            ScenarioSpec(protocol=BASELINE_PROTOCOL, n=4, t=1)
+
+    def test_batch_backend_raises(self):
+        from repro.engine import UnsupportedBackendError
+
+        spec = self.baseline(backend="batch")
+        with pytest.raises(UnsupportedBackendError, match=BASELINE_PROTOCOL):
+            spec.run()
+        with pytest.raises(UnsupportedBackendError):
+            execute_spec_point(spec)
+
+    def test_round_trip_and_recorded_row(self):
+        from repro.observability import load_run_text
+
+        spec = self.baseline(record=True)
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        row = execute_spec_point(spec)
+        assert row["ok"] is True
+        run = load_run_text(row["trace_jsonl"])
+        assert run.protocol == BASELINE_PROTOCOL
+        assert run.rounds_executed == row["rounds"]
+
+    def test_flywheel_stream_never_draws_it(self):
+        from repro.analysis.strategies import spec_stream
+
+        assert all(
+            spec.protocol != BASELINE_PROTOCOL for spec in spec_stream(0, 500)
         )

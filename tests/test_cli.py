@@ -4,17 +4,19 @@ import json
 
 import pytest
 
+from repro.analysis import SpecError
 from repro.cli import (
     CLIError,
     main,
     make_adversary,
-    parse_tree_spec,
     pick_inputs,
 )
-from repro.trees import diameter, figure_tree, tree_to_json
+from repro.trees import diameter, figure_tree, parse_tree_spec, tree_to_json
 
 
 class TestTreeSpecs:
+    """The tree grammar of ``repro.trees`` that ``--tree`` flags use."""
+
     def test_path(self):
         assert parse_tree_spec("path:9").n_vertices == 9
 
@@ -47,11 +49,11 @@ class TestTreeSpecs:
         assert parse_tree_spec(f"@{path}") == figure_tree()
 
     def test_unknown_family(self):
-        with pytest.raises(CLIError, match="unknown tree family"):
+        with pytest.raises(SpecError, match="unknown tree family"):
             parse_tree_spec("pyramid:3")
 
     def test_malformed(self):
-        with pytest.raises(CLIError, match="malformed"):
+        with pytest.raises(SpecError, match="malformed"):
             parse_tree_spec("path:not-a-number")
 
 
