@@ -66,7 +66,7 @@ def get_runner(name: str) -> PointRunner:
         # (worker processes import this module first).
         importlib.import_module("repro.analysis.spec")
         importlib.import_module("repro.analysis.sweep")
-        importlib.import_module("repro.resilience.campaign")
+        importlib.import_module("repro.flywheel.engine")
     if name in _RUNNERS:
         return _RUNNERS[name]
     if ":" in name:

@@ -18,9 +18,9 @@ That single form is what makes "sweep as a service" possible:
 * :mod:`repro.service` ships specs over HTTP and shards them across
   workers, deduping against the *same* cache entries a local
   ``repro sweep --spec`` run produces (:func:`spec_cache_key`);
-* the resilience lab's campaigns, shrinker, and ``tests/corpus/`` cases
-  are specs too, interpreted by :func:`repro.resilience.execute_scenario`
-  over the same run path as :meth:`ScenarioSpec.run`.
+* campaign and flywheel points, the shrinker, and ``tests/corpus/`` cases
+  are specs too, interpreted by :func:`repro.resilience.run_scenario`
+  over the same run path as :func:`execute_spec_point`.
 
 The serialised form carries ``spec_version`` (currently
 :data:`SPEC_VERSION`); :meth:`ScenarioSpec.from_dict` rejects specs
@@ -507,9 +507,9 @@ def run_with_adversary(
 ) -> Any:
     """:meth:`ScenarioSpec.run` with an already-built adversary.
 
-    The resilience executor builds the adversary itself so it can read
-    the chaos behaviour log after the run; everything else about the
-    execution is this one code path.
+    The resilience executor (via :func:`run_spec_point`) builds the
+    adversary itself so it can read the chaos behaviour log after the
+    run; everything else about the execution is this one code path.
     """
     from ..core.api import run_path_aa, run_real_aa, run_tree_aa, tree_aa_outcome
 
@@ -674,13 +674,23 @@ def execute_spec_point(spec: ScenarioSpec) -> Dict[str, Any]:
     :func:`repro.observability.export_run`), so cached rows carry
     everything the service's report/diff endpoints serve.
     """
+    return run_spec_point(spec, spec.make_adversary())[1]
+
+
+def run_spec_point(spec: ScenarioSpec, adversary: Optional[Any]) -> Tuple[Any, Dict[str, Any]]:
+    """:func:`execute_spec_point` with an already-built adversary.
+
+    Returns the protocol outcome next to the row, so a caller that
+    judges the execution itself (the resilience executor) runs it once.
+    """
     from ..observability import MetricsCollector, export_run
 
     if not spec.record:
-        return _spec_row(spec, spec.run())
+        outcome = run_with_adversary(spec, adversary)
+        return outcome, _spec_row(spec, outcome)
     tree = None if spec.protocol == "real-aa" else spec.build_tree()
     collector = MetricsCollector(tree=tree)
-    outcome = spec.run(observer=collector)
+    outcome = run_with_adversary(spec, adversary, collector)
     row = _spec_row(spec, outcome)
     buffer = io.StringIO()
     export_run(
@@ -695,7 +705,7 @@ def execute_spec_point(spec: ScenarioSpec) -> Dict[str, Any]:
         t=spec.t,
     )
     row["trace_jsonl"] = buffer.getvalue()
-    return row
+    return outcome, row
 
 
 @register_runner(SPEC_RUNNER)

@@ -27,7 +27,7 @@ orders of magnitude more of it.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..trees import LabeledTree, tree_from_pruefer
 
@@ -155,18 +155,18 @@ def spec_stream(seed: int, count: int) -> Iterator[Any]:
         yield draw_flywheel_spec(rng)
 
 
-def stream_digest(seed: int, count: int) -> str:
-    """A SHA-256 over the canonical JSON of stream ``(seed, count)``.
+def specs_digest(specs: Iterable[Any]) -> str:
+    """A SHA-256 over the canonical JSON of *specs*, in order.
 
-    Cheap cross-process identity check: two processes agree on the
-    entire stream iff they agree on this digest.
+    Cheap cross-process identity check: two processes agree on a spec
+    list (e.g. ``spec_stream(seed, count)``) iff they agree on this digest.
     """
     import hashlib
 
     from .parallel import canonical_json
 
     digest = hashlib.sha256()
-    for spec in spec_stream(seed, count):
+    for spec in specs:
         digest.update(canonical_json(spec.to_dict()).encode())
         digest.update(b"\n")
     return digest.hexdigest()

@@ -26,11 +26,12 @@ Commands
 ``bounds``      print the paper's round bounds for given parameters
 ``lint``        run the protocol-invariant linter (rules PL001-PL004;
                 same engine and flags as ``tools/protolint.py``)
-``campaign``    run a seeded fault-injection campaign with invariant
-                oracles (``--count``, ``--seed``, degradation knobs)
-``shrink``      delta-debug a violating ScenarioSpec JSON to a minimal
-                reproduction (``repro campaign --save-violations`` or a
-                corpus file supplies the input)
+``campaign``    run a seeded fault-injection campaign through the
+                flywheel engine and oracles (``--count``, ``--seed``,
+                degradation knobs, ``--ledger``, ``--corpus-dir``)
+``shrink``      delta-debug a violating ScenarioSpec JSON or corpus case
+                to a minimal reproduction (``repro campaign
+                --corpus-dir`` files the inputs)
 ``make-tree``   generate a tree and print it (edges / JSON / DOT)
 ``chain-demo``  execute Fekete's one-round chain-of-views construction
 
@@ -501,14 +502,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    """Run a seeded resilience campaign and summarise the verdicts.
+    """Run a seeded resilience campaign through the flywheel engine.
 
-    Exit code 0 when every scenario satisfies every oracle, 1 otherwise —
+    Exit code 0 when every point is green on every oracle, 1 otherwise —
     so a clean campaign doubles as a CI gate.
     """
-    import json as json_module
+    import tempfile
 
-    from .resilience import CampaignConfig, run_campaign
+    from .flywheel import FlywheelConfig, run_flywheel
+    from .resilience import CampaignConfig, generate_scenarios
 
     overrides = {}
     if args.protocols:
@@ -525,53 +527,25 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             **overrides,
         )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    try:
-        report = run_campaign(
-            config,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            no_cache=args.no_cache,
-            jsonl_path=args.jsonl,
-        )
-    except ValueError as exc:
-        # e.g. a typo'd --adversaries name surfacing as a SpecError
-        # during generation
-        raise CLIError(str(exc)) from None
-    print(report.summary())
-    if report.violating_rows:
-        print()
-        rows = [
-            [
-                row["protocol"],
-                row["adversary"],
-                f"n={row['n']},t={row['t']},|F|={row['n_corrupt']}",
-                ",".join(row["violated"]),
-            ]
-            for row in report.violating_rows[: args.show]
-        ]
-        print(
-            format_table(
-                ["protocol", "adversary", "parameters", "violated oracles"],
-                rows,
-                title=f"violating scenarios (first {len(rows)})",
+        # e.g. a typo'd --adversaries name surfaces as a SpecError here
+        specs = generate_scenarios(config)
+        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as scratch:
+            report = run_flywheel(
+                FlywheelConfig(
+                    seed=config.seed,
+                    count=config.count,
+                    ledger_path=args.ledger
+                    or os.path.join(scratch, "ledger.jsonl"),
+                    jobs=args.jobs,
+                    cache_dir=args.cache_dir,
+                    no_cache=args.no_cache,
+                    corpus_dir=args.corpus_dir,
+                ),
+                specs=specs,
             )
-        )
-    if args.save_violations:
-        os.makedirs(args.save_violations, exist_ok=True)
-        for index, row in enumerate(report.violating_rows):
-            path = os.path.join(
-                args.save_violations, f"violation-{index:04d}.json"
-            )
-            with open(path, "w") as handle:
-                json_module.dump(row["spec"], handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        print(
-            f"\nsaved {len(report.violating_rows)} violating scenarios "
-            f"to {args.save_violations}/"
-        )
-    return 0 if report.ok else 1
+    except ValueError as exc:  # config, spec, LedgerError, CorruptLogError
+        raise CLIError(str(exc)) from None
+    return _flywheel_finish(report)
 
 
 def cmd_shrink(args: argparse.Namespace) -> int:
@@ -1085,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="run a seeded fault-injection campaign with invariant oracles",
+        help="run a seeded fault-injection campaign through the flywheel oracles",
     )
     p.add_argument("--count", type=int, default=200, help="scenarios to generate")
     p.add_argument("--seed", type=int, default=0, help="campaign master seed")
@@ -1124,18 +1098,16 @@ def build_parser() -> argparse.ArgumentParser:
         "Byzantine model on purpose",
     )
     p.add_argument(
-        "--show", type=int, default=10, help="violating scenarios to print"
-    )
-    p.add_argument(
-        "--save-violations",
+        "--corpus-dir",
         default=None,
         metavar="DIR",
-        help="write violating specs as JSON files (inputs for `repro shrink`)",
+        help="shrink each divergence and file it here as a corpus case "
+        "(inputs for `repro shrink`)",
     )
     p.add_argument(
-        "--jsonl",
+        "--ledger",
         default=None,
-        help="also persist every scenario row as machine-readable JSONL",
+        help="keep the campaign ledger JSONL here (one row per point)",
     )
     p.set_defaults(func=cmd_campaign)
 
@@ -1145,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "scenario",
-        help="spec JSON (from `repro campaign --save-violations` or a corpus case)",
+        help="spec JSON, or a corpus case (e.g. from `repro campaign --corpus-dir`)",
     )
     p.add_argument(
         "--out",

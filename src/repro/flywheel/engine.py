@@ -1,9 +1,9 @@
 """The flywheel engine: sharded, resumable, differential mega-campaigns.
 
-:func:`run_flywheel` turns a ``(seed, count)`` pair into a campaign:
+:func:`run_flywheel` turns a list of specs into a campaign:
 
-1. **Generate** — the seeded point stream
-   (:func:`~repro.analysis.strategies.spec_stream`) is materialised once;
+1. **Generate** — the specs (by default the seeded point stream,
+   :func:`~repro.analysis.strategies.spec_stream`) are materialised once;
    point ``i`` is the same :class:`~repro.analysis.spec.ScenarioSpec` in
    every process, which is what makes the whole design resumable.
 2. **Execute** — points run in shards through the parallel sweep engine
@@ -27,13 +27,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import repro
 
 from ..analysis.parallel import register_runner, run_grid
 from ..analysis.spec import ScenarioSpec
-from ..analysis.strategies import spec_stream, stream_digest
+from ..analysis.strategies import spec_stream, specs_digest
 from ..resilience.corpus import ReproCase, save_case
 from ..resilience.shrink import check_violations, shrink, shrink_report
 from .ledger import LedgerWriter, check_compatible, load_state
@@ -192,16 +192,26 @@ def replay_flywheel_case(case: ReproCase) -> Dict[str, Any]:
     return evaluate_point(case.spec, flywheel.get("perturb"))
 
 
-def run_flywheel(config: FlywheelConfig, *, resume: bool = False) -> FlywheelReport:
+def run_flywheel(
+    config: FlywheelConfig,
+    *,
+    resume: bool = False,
+    specs: Optional[Iterable[ScenarioSpec]] = None,
+) -> FlywheelReport:
     """Execute (or resume) one campaign; returns the run's report.
 
-    ``resume=False`` on a ledger with prior progress raises — an
-    explicit ``resume`` is how the caller acknowledges partial state.
-    Either way the stream digest must match the ledger header, so a
-    generator change can never silently mix two different streams under
-    one exactly-once accounting.
+    ``specs`` are the points to judge (default: ``spec_stream(seed,
+    count)``); there must be ``config.count`` of them.  ``resume=False``
+    on a ledger with prior progress raises — an explicit ``resume`` is
+    how the caller acknowledges partial state.  Either way the digest of
+    the specs must match the ledger header, so a generator change can
+    never silently mix two different streams under one exactly-once
+    accounting.
     """
-    digest = stream_digest(config.seed, config.count)
+    points = list(spec_stream(config.seed, config.count) if specs is None else specs)
+    if len(points) != config.count:
+        raise ValueError(f"campaign of {config.count} points got {len(points)} specs")
+    digest = specs_digest(points)
     state = load_state(config.ledger_path)
     check_compatible(
         state, seed=config.seed, count=config.count, digest=digest
@@ -213,7 +223,6 @@ def run_flywheel(config: FlywheelConfig, *, resume: bool = False) -> FlywheelRep
             "use resume to continue it"
         )
 
-    specs = list(spec_stream(config.seed, config.count))
     remaining = [i for i in range(config.count) if i not in state.executed]
     divergences: List[Dict[str, Any]] = list(state.divergences)
     filed: List[str] = [
@@ -234,7 +243,7 @@ def run_flywheel(config: FlywheelConfig, *, resume: bool = False) -> FlywheelRep
         for shard in _shards(remaining, config.shard_size):
             grid = []
             for index in shard:
-                params: Dict[str, Any] = {"spec": specs[index].to_dict()}
+                params: Dict[str, Any] = {"spec": points[index].to_dict()}
                 if config.perturb is not None:
                     params["perturb"] = config.perturb
                 grid.append(params)
@@ -251,7 +260,7 @@ def run_flywheel(config: FlywheelConfig, *, resume: bool = False) -> FlywheelRep
                 executed += 1
                 if not row.get("ok", False):
                     record = _file_divergence(
-                        config, index, specs[index], row
+                        config, index, points[index], row
                     )
                     ledger.divergence(index, record)
                     divergences.append({"index": index, **record})

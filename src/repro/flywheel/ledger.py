@@ -7,7 +7,7 @@ records is true:
 
 ``{"type": "header", ...}``
     Campaign identity: stream seed, point count, shard size, the stream
-    digest (:func:`~repro.analysis.strategies.stream_digest` over the
+    digest (:func:`~repro.analysis.strategies.specs_digest` over the
     whole campaign), and the repro version.  Written once per ``run``
     invocation; a resume *verifies* its parameters against the first
     header and refuses to mix streams in one ledger.

@@ -1,33 +1,36 @@
-"""Differential oracles: judge one flywheel point from every angle we have.
+"""Differential oracles: judge one point from every angle we have.
 
-A flywheel point is one :class:`~repro.analysis.spec.ScenarioSpec`
-instance; :func:`evaluate_point` executes it and applies the full oracle
-matrix (see docs/FLYWHEEL.md):
+A point is one :class:`~repro.analysis.spec.ScenarioSpec` instance (a
+flywheel or campaign point); :func:`evaluate_point` executes it and
+applies the full oracle matrix (see docs/FLYWHEEL.md):
 
 ``execution``
-    The reference execution must not crash.  (When it *does* raise, the
-    batch engine must raise the identical error — that refusal parity is
-    folded into ``backend-parity``.)
+    The reference run must keep the AA contract: any
+    :mod:`repro.resilience.oracles` finding but ``round-bound`` diverges,
+    and the detail names it.  (When the run *raises*, the batch engine
+    must raise the identical error — that refusal parity is folded into
+    ``backend-parity``.)
 ``backend-parity``
     The batch engine must reproduce the reference row *exactly* — same
-    outputs, rounds, verdicts — for every spec whose adversary the batch
-    engine supports.  This is the Nowak–Rybicki-style differential check
-    (arXiv 1908.02743 is the cross-protocol comparator; the two engines
-    are the cross-*implementation* pair).
+    outputs, rounds, verdicts — for every spec whose protocol and
+    adversary the batch engine supports.  This is the Nowak–Rybicki-style
+    differential check (arXiv 1908.02743 is the cross-protocol
+    comparator; the two engines are the cross-*implementation* pair).
 ``metrics-parity``
     For recorded points (``record=True``) the embedded JSONL traces must
     agree round-for-round, excluding only the wall clock.
 ``cross-protocol``
     Tree points are re-run as ``tree-aa-baseline`` specs, the
     Nowak–Rybicki baseline (:class:`~repro.baselines.IterativeTreeAAParty`)
-    on the same instance; both protocols must deliver validity and
-    agreement.  A TreeAA failure the baseline survives (or vice versa) is
-    a protocol bug, not a model artefact.
+    on the same instance, and the baseline's run must pass the same
+    invariant oracles.  (TreeAA's own contract is the ``execution``
+    oracle's.)  A TreeAA failure the baseline survives is a protocol
+    bug, not a model artefact.
 ``round-bound``
-    The round count must respect the theory: at most the empirical
-    ``O(log |V| / log log |V|)`` budget (trees) or the RealAA duration
-    formula (ℝ), and at least the :mod:`repro.lowerbound` bound, which
-    the journal version (arXiv 2502.05591) proves tight.
+    The round count must respect the theory: at most the resilience
+    :func:`~repro.resilience.scenario.round_budget`, and at least the
+    :mod:`repro.lowerbound` Theorem-2 bound, which the journal version
+    (arXiv 2502.05591) proves tight.
 
 Each oracle returns ``ok`` / ``divergence`` / ``skipped`` — *skipped*
 states are first-class data (the oracle matrix in the ledger shows
@@ -45,7 +48,15 @@ import json
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis.spec import BASELINE_PROTOCOL, ScenarioSpec, execute_spec_point
+from ..analysis.spec import (
+    BASELINE_PROTOCOL,
+    REFERENCE_ONLY_PROTOCOLS,
+    ScenarioSpec,
+    SpecError,
+    execute_spec_point,
+)
+from ..resilience.oracles import Violation, evaluate
+from ..resilience.scenario import ScenarioResult, run_scenario
 
 #: Oracle names, in evaluation order.
 FLYWHEEL_ORACLES = (
@@ -59,6 +70,9 @@ FLYWHEEL_ORACLES = (
 #: Adversary kinds only the reference engine accepts — their points skip
 #: the differential oracles (and say so in the row).
 REFERENCE_ONLY_ADVERSARIES = frozenset({"noise", "asym"})
+
+#: One engine's run: ``("ok", row)`` or ``("error", type name, message)``.
+Side = Tuple[Any, ...]
 
 #: Row keys excluded from the backend comparison: ``spec``/``backend``
 #: name the engine (they differ by construction) and ``trace_jsonl`` is
@@ -80,16 +94,34 @@ def resolve_perturb(path: Optional[str]) -> Optional[Callable[[Dict[str, Any]], 
 
 
 def batch_replayable(spec: ScenarioSpec) -> bool:
-    """Whether the batch engine supports this spec's adversary."""
-    return spec.adversary.split(":")[0] not in REFERENCE_ONLY_ADVERSARIES
+    """Whether the batch engine supports this spec's protocol and adversary."""
+    return (
+        spec.protocol not in REFERENCE_ONLY_PROTOCOLS
+        and spec.adversary.split(":")[0] not in REFERENCE_ONLY_ADVERSARIES
+    )
 
 
-def _run_side(spec: ScenarioSpec, backend: str) -> Tuple[str, Any]:
-    """``("ok", row)`` or ``("error", type name, message)`` for one engine."""
+def _run_side(
+    spec: ScenarioSpec, backend: str
+) -> Tuple[Side, Optional[ScenarioResult]]:
+    """One engine's run of ``spec``, plus the reference side's result.
+
+    The reference side runs through the resilience executor
+    (:func:`~repro.resilience.scenario.run_scenario`), so its single
+    execution yields both the row the batch engine must reproduce and
+    the :class:`~repro.resilience.scenario.ScenarioResult` the invariant
+    oracles judge.  The batch side is only compared (``None``).
+    """
+    spec = replace(spec, backend=backend)
     try:
-        return ("ok", execute_spec_point(replace(spec, backend=backend)))
+        if backend == "reference":
+            result = run_scenario(spec)
+            return ("ok", result.row), result
+        return ("ok", execute_spec_point(spec)), None
+    except SpecError:  # malformed data: the caller's bug, not an outcome
+        raise
     except Exception as exc:  # noqa: BLE001 - the type is the verdict
-        return ("error", type(exc).__name__, str(exc))
+        return ("error", type(exc).__name__, str(exc)), None
 
 
 def _comparable(row: Dict[str, Any]) -> Dict[str, Any]:
@@ -145,79 +177,104 @@ def _oracle(status: str, detail: Optional[str] = None) -> Dict[str, Any]:
     return cell
 
 
+def _check_backend_parity(reference: Side, batch: Side) -> Dict[str, Any]:
+    """The batch run reproduces the reference row, or raises its error."""
+    if reference[0] == "error" or batch[0] == "error":
+        if reference == batch:
+            return _oracle("ok")
+        return _oracle("divergence", f"reference={reference!r} batch={batch!r}")
+    left, right = _comparable(reference[1]), _comparable(batch[1])
+    if left == right:
+        return _oracle("ok")
+    return _oracle("divergence", _diff_description(left, right))
+
+
+def _check_metrics_parity(
+    reference_row: Dict[str, Any], batch_row: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The two engines' embedded traces agree record for record."""
+    ref_trace = _trace_records(reference_row.get("trace_jsonl", ""))
+    bat_trace = _trace_records(batch_row.get("trace_jsonl", ""))
+    if ref_trace == bat_trace:
+        return _oracle("ok")
+    return _oracle(
+        "divergence",
+        f"{len(ref_trace)} reference vs {len(bat_trace)} "
+        "batch trace records (or contents differ)",
+    )
+
+
+def _judge(findings: List[Violation], prefix: str = "") -> Dict[str, Any]:
+    """``ok``, or a divergence whose detail names every finding."""
+    if not findings:
+        return _oracle("ok")
+    return _oracle(
+        "divergence",
+        "; ".join(f"{prefix}{v.oracle}: {v.detail}" for v in findings),
+    )
+
+
 def _check_cross_protocol(spec: ScenarioSpec) -> Dict[str, Any]:
-    """Run the Nowak–Rybicki baseline on the same instance; both must agree.
+    """Run the Nowak–Rybicki baseline on the same instance; it must hold.
 
     The comparison is on the AA *contract*, not on outputs: the two
-    protocols legitimately pick different vertices, but each must deliver
-    termination, hull validity, and 1-agreement on the identical
-    (tree, inputs, t, adversary) instance.
+    protocols legitimately pick different vertices, but the baseline must
+    satisfy the invariant oracles TreeAA's execution was judged by, on
+    the identical (tree, inputs, t, adversary) instance.
     """
-    # The baseline always runs at full payload accounting, whatever the
-    # point's own trace level, so its network counts do not depend on it.
+    # The baseline always runs unrecorded at full payload accounting,
+    # whatever the point's own settings, so its network counts do not
+    # depend on them.
     baseline = replace(
         spec,
         protocol=BASELINE_PROTOCOL,
         backend="reference",
         trace_level="full",
+        record=False,
     )
     try:
-        outcome = baseline.run()
+        result = run_scenario(baseline)
     except Exception as exc:  # noqa: BLE001 - a crashing baseline is the finding
         return _oracle(
             "divergence", f"baseline crashed: {type(exc).__name__}: {exc}"
         )
-    problems = []
-    if not outcome.terminated or not outcome.honest_outputs:
-        problems.append("baseline failed termination")
-    else:
-        if not outcome.valid:
-            problems.append("baseline violated hull validity")
-        if not outcome.agreement:
-            problems.append("baseline violated 1-agreement")
-    if problems:
-        return _oracle("divergence", "; ".join(problems))
-    return _oracle("ok")
+    return _judge(evaluate(result), prefix="baseline ")
 
 
-def _check_round_bound(spec: ScenarioSpec, row: Dict[str, Any]) -> Dict[str, Any]:
-    """Rounds within the theory: lower bound ≤ rounds ≤ upper budget."""
-    from ..lowerbound import empirical_tree_round_bound, theorem2_lower_bound
-    from ..protocols.rounds import realaa_duration
+def _check_round_bound(
+    result: ScenarioResult, findings: List[Violation]
+) -> Dict[str, Any]:
+    """The run's ``round-bound`` findings, plus the Theorem-2 lower bound."""
+    from ..lowerbound import theorem2_lower_bound
     from ..trees.paths import diameter
 
-    rounds = int(row["rounds"])
-    t_assumed = spec.t if spec.t_assumed is None else spec.t_assumed
-    if spec.protocol == "real-aa":
-        spread = spec.known_range if spec.known_range is not None else 8.0
-        upper = realaa_duration(
-            max(float(spread), spec.epsilon), spec.epsilon, spec.n, t_assumed
-        )
-        lower = 1 if t_assumed else 0
+    spec = result.spec
+    problems = [v for v in findings if v.oracle == "round-bound"]
+    if result.tree_obj is None:
+        lower = 1 if spec.assumed_t else 0
     else:
-        tree = spec.build_tree()
-        upper = empirical_tree_round_bound(tree.n_vertices)
-        bound = theorem2_lower_bound(float(diameter(tree)), spec.n, t_assumed)
-        # Theorem 2 binds worst-case executions of *any* protocol; TreeAA
-        # runs a fixed schedule, so a completed run beating the bound
-        # would mean the reproduction contradicts the paper's Ω(·).
-        lower = int(bound) if t_assumed else 0
-    if rounds > upper:
-        return _oracle(
-            "divergence", f"ran {rounds} rounds, upper budget {upper}"
+        bound = theorem2_lower_bound(
+            float(diameter(result.tree_obj)), spec.n, spec.assumed_t
         )
-    if rounds < lower:
-        return _oracle(
-            "divergence",
-            f"ran {rounds} rounds, below the Theorem-2 lower bound {lower}",
+        # Theorem 2 binds worst-case executions of *any* protocol; the
+        # tree protocols run fixed schedules, so a completed run beating
+        # the bound would mean the reproduction contradicts the paper's Ω(·).
+        lower = int(bound) if spec.assumed_t else 0
+    if result.rounds < lower:
+        problems.append(
+            Violation(
+                "round-bound",
+                f"ran {result.rounds} rounds, below the Theorem-2 lower "
+                f"bound {lower}",
+            )
         )
-    return _oracle("ok")
+    return _judge(problems)
 
 
 def evaluate_point(
     spec: ScenarioSpec, perturb: Optional[str] = None
 ) -> Dict[str, Any]:
-    """Execute one flywheel point and judge it with every applicable oracle.
+    """Execute one point and judge it with every applicable oracle.
 
     Returns a JSON row: the spec, the reference outcome digest, one
     verdict cell per oracle, and ``ok`` (no oracle diverged).  The row is
@@ -230,65 +287,40 @@ def evaluate_point(
     if perturb is not None:
         row["perturb"] = perturb
 
-    reference = _run_side(spec, "reference")
-    if reference[0] == "error":
-        oracles["execution"] = _oracle(
-            "divergence", f"{reference[1]}: {reference[2]}"
-        )
+    reference, result = _run_side(spec, "reference")
+    if result is None:
+        findings = [Violation("no-exception", f"{reference[1]}: {reference[2]}")]
     else:
-        oracles["execution"] = _oracle("ok")
-        row["rounds"] = reference[1]["rounds"]
-        row["verdicts"] = reference[1]["verdicts"]
+        findings = evaluate(result)
+        row["rounds"] = result.rounds
+        row["verdicts"] = result.row["verdicts"]
+    # round-bound findings are judged, with the lower bound, in their own cell.
+    oracles["execution"] = _judge(
+        [v for v in findings if v.oracle != "round-bound"]
+    )
 
     if not batch_replayable(spec):
         oracles["backend-parity"] = _oracle("skipped")
         oracles["metrics-parity"] = _oracle("skipped")
     else:
-        batch = _run_side(spec, "batch")
+        batch, _ = _run_side(spec, "batch")
         if batch[0] == "ok" and perturb_fn is not None:
             batch = ("ok", perturb_fn(dict(batch[1])))
-        if reference[0] == "error" or batch[0] == "error":
-            if reference == batch:
-                oracles["backend-parity"] = _oracle("ok")
-            else:
-                oracles["backend-parity"] = _oracle(
-                    "divergence",
-                    f"reference={reference!r} batch={batch!r}",
-                )
-            oracles["metrics-parity"] = _oracle("skipped")
+        oracles["backend-parity"] = _check_backend_parity(reference, batch)
+        if spec.record and reference[0] == batch[0] == "ok":
+            oracles["metrics-parity"] = _check_metrics_parity(reference[1], batch[1])
         else:
-            left, right = _comparable(reference[1]), _comparable(batch[1])
-            if left == right:
-                oracles["backend-parity"] = _oracle("ok")
-            else:
-                oracles["backend-parity"] = _oracle(
-                    "divergence", _diff_description(left, right)
-                )
-            if not spec.record:
-                oracles["metrics-parity"] = _oracle("skipped")
-            else:
-                ref_trace = _trace_records(reference[1].get("trace_jsonl", ""))
-                bat_trace = _trace_records(batch[1].get("trace_jsonl", ""))
-                if ref_trace == bat_trace:
-                    oracles["metrics-parity"] = _oracle("ok")
-                else:
-                    oracles["metrics-parity"] = _oracle(
-                        "divergence",
-                        f"{len(ref_trace)} reference vs {len(bat_trace)} "
-                        "batch trace records (or contents differ)",
-                    )
+            oracles["metrics-parity"] = _oracle("skipped")
 
-    if spec.protocol != "tree-aa" or reference[0] == "error":
-        oracles["cross-protocol"] = _oracle("skipped")
-    elif spec.fault_plan is not None:
+    if spec.protocol != "tree-aa" or result is None or spec.fault_plan is not None:
         oracles["cross-protocol"] = _oracle("skipped")
     else:
         oracles["cross-protocol"] = _check_cross_protocol(spec)
 
-    if reference[0] == "error":
+    if result is None:
         oracles["round-bound"] = _oracle("skipped")
     else:
-        oracles["round-bound"] = _check_round_bound(spec, reference[1])
+        oracles["round-bound"] = _check_round_bound(result, findings)
 
     row["ok"] = all(cell["status"] != "divergence" for cell in oracles.values())
     return row

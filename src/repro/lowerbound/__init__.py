@@ -12,8 +12,6 @@ from .chains import (
     trimmed_midpoint_rule,
 )
 from .fekete import (
-    EMPIRICAL_ROUND_CONSTANT,
-    empirical_tree_round_bound,
     fekete_K,
     fekete_K_closed_form,
     lower_bound_table,
@@ -24,8 +22,6 @@ from .fekete import (
 )
 
 __all__ = [
-    "EMPIRICAL_ROUND_CONSTANT",
-    "empirical_tree_round_bound",
     "optimal_integer_split",
     "max_split_product",
     "fekete_K",

@@ -106,29 +106,6 @@ def theorem2_lower_bound(spread: float, n: int, t: int) -> float:
     return max(1.0, math.log2(spread) / denominator)
 
 
-#: Empirical constant for the upper round budget in the small-tree
-#: regime (calibrated by the fuzzing described in EXPERIMENTS.md S1; the
-#: tier-1 round-complexity property test and the flywheel's round-bound
-#: oracle share this exact constant so they can never drift apart).
-EMPIRICAL_ROUND_CONSTANT = 16
-
-
-def empirical_tree_round_bound(n_vertices: int) -> int:
-    """``ceil(C·log2|V| / max(1, log2 log2 |V|))`` with calibrated ``C=16``.
-
-    The upper counterpart to :func:`theorem2_lower_bound`: every observed
-    TreeAA/PathAA execution in the calibrated regime (``|V| ≤ 12``,
-    ``t ≤ 3``) finishes within this budget, with ~2× headroom over the
-    worst measured ratio.  Trivial trees (``|V| ≤ 1``) need 0 rounds.
-    """
-    if n_vertices <= 1:
-        return 0
-    log_v = math.log2(n_vertices)
-    return math.ceil(
-        EMPIRICAL_ROUND_CONSTANT * log_v / max(1.0, math.log2(log_v))
-    )
-
-
 def lower_bound_table(
     spreads: List[float], n: int, t: int
 ) -> List[Tuple[float, float, int]]:

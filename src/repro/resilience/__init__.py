@@ -2,23 +2,17 @@
 
 The robustness layer over the simulator: describe an execution as a
 :class:`~repro.analysis.spec.ScenarioSpec` (tree × adversary × corruption
-set × scheduler × fault plan), run seeded campaigns of them through the
-parallel sweep engine, judge every run with the invariant oracles,
-delta-debug any violation to a minimal reproduction, and freeze
-reproductions as a regression corpus.
+set × scheduler × fault plan), generate seeded campaigns of them, judge
+every run with the invariant oracles, delta-debug any violation to a
+minimal reproduction, and freeze reproductions as a regression corpus.
 
-Entry points: :func:`run_campaign` (``repro campaign``), :func:`shrink`
+Entry points: :func:`generate_scenarios` (``repro campaign`` runs its
+specs through :func:`repro.flywheel.run_flywheel`), :func:`shrink`
 (``repro shrink``), and :mod:`repro.resilience.corpus` for the
 ``tests/corpus/`` replay format.
 """
 
-from .campaign import (
-    CampaignConfig,
-    CampaignReport,
-    generate_scenarios,
-    resilience_point_runner,
-    run_campaign,
-)
+from .campaign import CampaignConfig, generate_scenarios
 from .corpus import (
     CORPUS_SCHEMA_VERSION,
     CorpusFormatError,
@@ -28,12 +22,11 @@ from .corpus import (
     load_case,
     replay,
     save_case,
-    save_cases,
     verify,
     verify_corpus,
 )
 from .oracles import ORACLE_NAMES, Violation, evaluate, violated_oracles
-from .scenario import ScenarioResult, execute_scenario
+from .scenario import ScenarioResult, execute_scenario, round_budget, run_scenario
 from .shrink import (
     NotViolatingError,
     ShrinkResult,
@@ -46,15 +39,14 @@ from .shrink import (
 __all__ = [
     "ScenarioResult",
     "execute_scenario",
+    "round_budget",
+    "run_scenario",
     "Violation",
     "ORACLE_NAMES",
     "evaluate",
     "violated_oracles",
     "CampaignConfig",
-    "CampaignReport",
     "generate_scenarios",
-    "run_campaign",
-    "resilience_point_runner",
     "shrink",
     "ShrinkResult",
     "shrink_report",
@@ -66,7 +58,6 @@ __all__ = [
     "CorpusFormatError",
     "case_from_scenario",
     "save_case",
-    "save_cases",
     "load_case",
     "iter_corpus",
     "replay",

@@ -1,4 +1,4 @@
-"""Campaign engine: seeded spec generation, parallel execution, oracles.
+"""Campaign generator: seeded resilience scenarios as ScenarioSpecs.
 
 A campaign is a deterministic function of its config: ``CampaignConfig``'s
 seed drives a single :class:`random.Random` through scenario generation
@@ -7,23 +7,20 @@ every generated :class:`~repro.analysis.spec.ScenarioSpec` carries its
 own derived seed — so a campaign re-runs bit-identically, and any single
 failing spec replays outside the campaign.
 
-Execution goes through :func:`repro.analysis.parallel.run_grid` with the
-registered ``resilience-point`` runner: specs are JSON grid points,
-workers execute and judge them, and finished points are memoised in the
-sweep cache like every other experiment in this repository.
+``repro campaign`` runs :func:`generate_scenarios` through the flywheel
+engine (:func:`repro.flywheel.run_flywheel` with ``specs=``): the same
+ledger, sweep cache, oracle matrix and shrink-and-file path as the
+flywheel's own point stream.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.parallel import SweepReport, register_runner, run_grid
 from ..analysis.spec import ASYNC_ADVERSARIES, ASYNC_PROTOCOL, ScenarioSpec
 from ..trees import parse_tree_spec
-from .oracles import Violation, evaluate, violated_oracles
-from .scenario import execute_scenario
 
 #: Protocols a campaign samples from (``path-aa`` needs inputs on the
 #: commonly known path, which the generator does not draw).
@@ -223,140 +220,3 @@ def _sample_scheduler(
     if kind == "delay":
         return f"delay:{rng.randint(1, max(1, n // 2))}"
     return "fifo"
-
-
-@register_runner("resilience-point")
-def resilience_point_runner(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One campaign grid point: execute the spec, judge it, report.
-
-    ``params["spec"]`` is a :meth:`~repro.analysis.spec.ScenarioSpec
-    .to_dict` payload; the engine-derived ``seed`` is ignored because the
-    spec carries its own (a campaign row must replay bit-identically from
-    its JSON alone).
-    """
-    spec = ScenarioSpec.from_dict(params["spec"])
-    result = execute_scenario(spec)
-    violations = evaluate(result)
-    row: Dict[str, Any] = {
-        "spec": spec.to_dict(),
-        "protocol": spec.protocol,
-        "adversary": spec.adversary.split(":")[0],
-        "n": spec.n,
-        "t": spec.assumed_t,
-        "n_corrupt": len(spec.corrupt),
-        "rounds": result.rounds,
-        "completed": result.completed,
-        "violations": [violation.to_dict() for violation in violations],
-        "violated": violated_oracles(violations),
-        "ok": not violations,
-        "fault_counts": dict(result.fault_counts),
-    }
-    if result.stall is not None:
-        row["stall"] = result.stall
-    if result.error is not None:
-        row["error"] = result.error
-    return row
-
-
-@dataclass
-class CampaignReport:
-    """A finished campaign: config, per-spec rows, violation digest."""
-
-    config: CampaignConfig
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-    #: Provenance of the underlying sweep (cache hits, jobs, wall time).
-    sweep: Optional[SweepReport] = None
-
-    @property
-    def violating_rows(self) -> List[Dict[str, Any]]:
-        """Rows with at least one violation."""
-        return [row for row in self.rows if not row["ok"]]
-
-    @property
-    def ok(self) -> bool:
-        """Whether every scenario satisfied every oracle."""
-        return not self.violating_rows
-
-    def violations_by_oracle(self) -> Dict[str, int]:
-        """How many scenarios tripped each oracle."""
-        counts: Dict[str, int] = {}
-        for row in self.rows:
-            for oracle in row["violated"]:
-                counts[oracle] = counts.get(oracle, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def violations_by_adversary(self) -> Dict[str, int]:
-        """How many scenarios per adversary kind had violations."""
-        counts: Dict[str, int] = {}
-        for row in self.violating_rows:
-            counts[row["adversary"]] = counts.get(row["adversary"], 0) + 1
-        return dict(sorted(counts.items()))
-
-    def violating_scenarios(self) -> List[Tuple[ScenarioSpec, List[Violation]]]:
-        """The violating specs, deserialised and paired with findings."""
-        return [
-            (
-                ScenarioSpec.from_dict(row["spec"]),
-                [Violation.from_dict(v) for v in row["violations"]],
-            )
-            for row in self.violating_rows
-        ]
-
-    def summary(self) -> str:
-        """A few human-readable lines for CLI output and CI logs."""
-        lines = [
-            f"campaign: {len(self.rows)} scenarios, "
-            f"{len(self.violating_rows)} violating "
-            f"(seed={self.config.seed})"
-        ]
-        by_oracle = self.violations_by_oracle()
-        if by_oracle:
-            lines.append(
-                "  by oracle: "
-                + ", ".join(f"{k}={v}" for k, v in by_oracle.items())
-            )
-        by_adversary = self.violations_by_adversary()
-        if by_adversary:
-            lines.append(
-                "  by adversary: "
-                + ", ".join(f"{k}={v}" for k, v in by_adversary.items())
-            )
-        if self.sweep is not None:
-            lines.append("  " + self.sweep.summary())
-        return "\n".join(lines)
-
-
-def run_campaign(
-    config: CampaignConfig,
-    *,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    no_cache: bool = False,
-    jsonl_path: Optional[str] = None,
-    specs: Optional[Sequence[ScenarioSpec]] = None,
-) -> CampaignReport:
-    """Generate, execute, and judge a whole campaign.
-
-    Execution happens through the shared parallel sweep engine, so
-    ``jobs``/``cache_dir``/``no_cache``/``jsonl_path`` behave exactly as
-    they do for ``repro sweep`` — including the on-disk memo of finished
-    scenarios and the machine-readable JSONL report.
-
-    ``specs`` replaces the seeded generator with an explicit workload,
-    judged by the same oracles — how a scenario-service grid (or any
-    other declarative spec source) gets a resilience verdict.
-    """
-    if specs is None:
-        specs = generate_scenarios(config)
-    grid = [{"spec": spec.to_dict()} for spec in specs]
-    sweep = run_grid(
-        f"resilience-campaign-{config.seed}",
-        "resilience-point",
-        grid,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        no_cache=no_cache,
-        base_seed=config.seed,
-        jsonl_path=jsonl_path,
-    )
-    return CampaignReport(config=config, rows=list(sweep.rows), sweep=sweep)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from ..analysis.spec import ScenarioSpec
 from ..jsonlog import write_atomic
@@ -161,8 +161,3 @@ def verify_corpus(directory: str) -> List[str]:
         if not verify(case):
             failures.append(case.name)
     return failures
-
-
-def save_cases(cases: Iterable[ReproCase], directory: str) -> List[str]:
-    """Save several cases; returns the written paths."""
-    return [save_case(case, directory) for case in cases]

@@ -18,23 +18,24 @@ over a finished :class:`~repro.resilience.scenario.ScenarioResult`:
     ε-agreement on ℝ (output spread ≤ ε), 1-agreement on trees (pairwise
     output distance ≤ 1).
 ``round-bound``
-    The execution finished within the theoretical bound recorded at
-    execution time (Theorem 3 / Theorem 4 budgets, or the async step
-    budget).
+    The execution finished within the budget recorded at execution time
+    (:func:`~repro.resilience.scenario.round_budget`: Theorem 3 / Theorem
+    4, or the async step budget).
 
 :func:`evaluate` runs them all and returns the violations — an empty list
-is the campaign engine's definition of a healthy run.  Oracles are total:
-they never raise on garbage outputs (``NaN``, ``None``, non-vertices);
-garbage surfaces as violations instead.
+is a healthy run; every flywheel and campaign point is judged by it.
+Oracles are total: they never raise on garbage outputs (``NaN``,
+``None``, non-vertices, ints too large for a float); garbage surfaces as
+violations instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from ..analysis.spec import BASELINE_PROTOCOL
+from ..protocols.realaa import is_real
 from .scenario import ScenarioResult
 
 #: Protocols judged by the tree oracles (convex-hull validity, 1-agreement).
@@ -65,15 +66,6 @@ class Violation:
     def from_dict(cls, payload: Dict[str, str]) -> "Violation":
         """Rebuild from :meth:`to_dict` output."""
         return cls(oracle=str(payload["oracle"]), detail=str(payload["detail"]))
-
-
-def _is_real(value: Any) -> bool:
-    """A finite real number (bools excluded — they are not outputs)."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(float(value))
-    )
 
 
 def _check_termination(result: ScenarioResult) -> List[Violation]:
@@ -108,7 +100,7 @@ def _check_real(result: ScenarioResult) -> List[Violation]:
     outputs = {
         pid: v for pid, v in result.honest_outputs.items() if v is not None
     }
-    bad = sorted(pid for pid, v in outputs.items() if not _is_real(v))
+    bad = sorted(pid for pid, v in outputs.items() if not is_real(v))
     if bad:
         violations.append(
             Violation(
@@ -117,7 +109,7 @@ def _check_real(result: ScenarioResult) -> List[Violation]:
                 f"{[outputs[pid] for pid in bad]!r}",
             )
         )
-    values = {pid: float(v) for pid, v in outputs.items() if _is_real(v)}
+    values = {pid: float(v) for pid, v in outputs.items() if is_real(v)}
     if not values:
         return violations
     inputs = [float(v) for v in result.honest_inputs.values()]

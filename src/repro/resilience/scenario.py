@@ -1,15 +1,16 @@
 """The resilience interpreter: execute a spec, capture what happened as data.
 
 Every resilience experiment is a :class:`~repro.analysis.spec.ScenarioSpec`
-— the campaign engine draws them from a seeded RNG, the delta-debugger
-edits them, and ``tests/corpus/`` files store them.  :func:`execute_scenario`
-runs one over the same code path as :meth:`ScenarioSpec.run` and records
-everything the invariant oracles judge: outputs, the round budget, fault
-counters, and the chaos behaviour log.
+— the campaign generator draws them from a seeded RNG, the delta-debugger
+edits them, and ``tests/corpus/`` files store them.  :func:`run_scenario`
+runs one over the same code path as :func:`~repro.analysis.spec
+.execute_spec_point` and records everything the invariant oracles judge:
+outputs, the round budget, fault counters, the chaos behaviour log, and
+the spec's result row.
 
-It never raises for protocol-level failures — unhandled exceptions are
-captured into the result, where the ``no-exception`` oracle turns them
-into violations.
+:func:`execute_scenario` never raises for protocol-level failures —
+unhandled exceptions are captured into the result, where the
+``no-exception`` oracle turns them into violations.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.spec import (
     ASYNC_PROTOCOL,
+    BASELINE_PROTOCOL,
     ScenarioSpec,
     SpecError,
     effective_known_range,
-    run_with_adversary,
+    run_spec_point,
 )
 from ..engine.errors import UnsupportedBackendError
 from ..net.messages import PartyId
@@ -44,7 +46,7 @@ class ScenarioResult:
     #: Synchronous rounds executed, or asynchronous delivery steps.
     rounds: int = 0
     #: The bound the ``round-bound`` oracle checks ``rounds`` against
-    #: (``None`` = no bound recorded, as for ``path-aa``).
+    #: (:func:`round_budget`; ``None`` = none recorded).
     round_limit: Optional[int] = None
     #: Async completion (synchronous executions always complete).
     completed: bool = True
@@ -58,6 +60,9 @@ class ScenarioResult:
     fault_counts: Dict[str, int] = field(default_factory=dict)
     #: The reconstructed tree (tree protocols only; oracles need it).
     tree_obj: Any = None
+    #: The spec's JSON result row (:func:`~repro.analysis.spec
+    #: .execute_spec_point`'s), empty if the run crashed.
+    row: Dict[str, Any] = field(default_factory=dict)
 
 
 def _capture_error(exc: BaseException) -> str:
@@ -70,9 +75,20 @@ def _capture_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}{location}"
 
 
-def _round_limit(spec: ScenarioSpec, outcome: Any) -> Optional[int]:
-    """The theoretical budget the run is judged against."""
-    from ..protocols.rounds import realaa_duration, tree_aa_round_bound
+def round_budget(spec: ScenarioSpec, tree: Optional[Any] = None) -> int:
+    """The most rounds (async: delivery steps) a run of ``spec`` may take.
+
+    Theorem 3 at the effective known range (``real-aa``), Theorem 4
+    (``tree-aa``), RealAA over the path with ε = 1 (``path-aa``), the
+    halving baseline's ``O(log D)`` schedule, or ``max_steps`` (async).
+    ``tree`` is the spec's parsed tree, if the caller has it.
+    """
+    from ..baselines.iterative_tree import tree_halving_iterations
+    from ..protocols.rounds import (
+        ROUNDS_PER_ITERATION,
+        realaa_duration,
+        tree_aa_round_bound,
+    )
     from ..trees.paths import diameter
 
     if spec.protocol == ASYNC_PROTOCOL:
@@ -84,9 +100,43 @@ def _round_limit(spec: ScenarioSpec, outcome: Any) -> Optional[int]:
         return realaa_duration(
             max(known_range, spec.epsilon), spec.epsilon, spec.n, spec.assumed_t
         )
+    if tree is None:
+        tree = spec.build_tree()
+    tree_diameter = diameter(tree)
     if spec.protocol == "tree-aa":
-        return tree_aa_round_bound(outcome.tree.n_vertices, diameter(outcome.tree))
-    return None
+        return tree_aa_round_bound(tree.n_vertices, tree_diameter)
+    if spec.protocol == BASELINE_PROTOCOL:
+        return ROUNDS_PER_ITERATION * tree_halving_iterations(tree_diameter)
+    return realaa_duration(max(tree_diameter, 1), 1, spec.n, spec.assumed_t)
+
+
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
+    """Execute a spec and capture its result; exceptions propagate."""
+    adversary = spec.make_adversary()
+    outcome, row = run_spec_point(spec, adversary)
+    execution = outcome.execution
+    result = ScenarioResult(
+        spec=spec,
+        honest_inputs=dict(outcome.honest_inputs),
+        honest_outputs=dict(outcome.honest_outputs),
+        rounds=outcome.rounds,
+        round_limit=round_budget(spec, getattr(outcome, "tree", None)),
+        fault_counts={
+            "dropped": execution.trace.faults_dropped,
+            "duplicated": execution.trace.faults_duplicated,
+            "corrupted": execution.trace.faults_corrupted,
+        },
+        tree_obj=getattr(outcome, "tree", None),
+        row=row,
+    )
+    if spec.protocol == ASYNC_PROTOCOL:
+        result.completed = execution.completed
+        if execution.stall is not None:
+            result.stall = execution.stall.summary()
+    log = getattr(adversary, "log", None)
+    if log is not None:
+        result.chaos_log = [tuple(entry) for entry in log]
+    return result
 
 
 def execute_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -98,31 +148,11 @@ def execute_scenario(spec: ScenarioSpec) -> ScenarioResult:
     (``spec.backend`` cannot replay this spec at all — a dispatch
     problem, not an execution outcome).
     """
-    result = ScenarioResult(spec=spec)
     try:
-        adversary = spec.make_adversary()
-        outcome = run_with_adversary(spec, adversary)
-        execution = outcome.execution
-        result.honest_inputs = dict(outcome.honest_inputs)
-        result.honest_outputs = dict(outcome.honest_outputs)
-        result.rounds = outcome.rounds
-        result.round_limit = _round_limit(spec, outcome)
-        result.tree_obj = getattr(outcome, "tree", None)
-        if spec.protocol == ASYNC_PROTOCOL:
-            result.completed = execution.completed
-            if execution.stall is not None:
-                result.stall = execution.stall.summary()
-        result.fault_counts = {
-            "dropped": execution.trace.faults_dropped,
-            "duplicated": execution.trace.faults_duplicated,
-            "corrupted": execution.trace.faults_corrupted,
-        }
-        log = getattr(adversary, "log", None)
-        if log is not None:
-            result.chaos_log = [tuple(entry) for entry in log]
+        return run_scenario(spec)
     except (SpecError, UnsupportedBackendError):
         raise
     except Exception as exc:  # noqa: BLE001 - captured for the oracle
-        result.error = _capture_error(exc)
-        result.completed = False
-    return result
+        return ScenarioResult(
+            spec=spec, error=_capture_error(exc), completed=False
+        )

@@ -21,7 +21,7 @@ from repro.analysis.strategies import (
     FLYWHEEL_MAX_T,
     REFERENCE_ONLY_SPEC_ADVERSARIES,
     spec_stream,
-    stream_digest,
+    specs_digest,
 )
 
 STREAM_SEED = 1234
@@ -89,10 +89,10 @@ class TestDeterminism:
         """The digest computed by a *fresh interpreter* must equal ours:
         no ambient state (hash randomization, import order, platform
         dict ordering) may leak into the stream."""
-        local = stream_digest(STREAM_SEED, 64)
+        local = specs_digest(spec_stream(STREAM_SEED, 64))
         script = (
-            "from repro.analysis.strategies import stream_digest;"
-            f"print(stream_digest({STREAM_SEED}, 64))"
+            "from repro.analysis.strategies import spec_stream, specs_digest;"
+            f"print(specs_digest(spec_stream({STREAM_SEED}, 64)))"
         )
         import os
 

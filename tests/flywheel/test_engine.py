@@ -18,6 +18,7 @@ from repro.flywheel import (
     FlywheelConfig,
     SelfTestError,
     load_state,
+    read_ledger,
     replay_flywheel_case,
     run_flywheel,
     run_selftest,
@@ -75,6 +76,51 @@ class TestCleanCampaign:
 
         with pytest.raises(LedgerError):
             run_flywheel(config(tmp_path, seed=SEED + 1), resume=True)
+
+
+class TestExplicitSpecs:
+    """``specs=`` runs a caller's list instead of the seeded stream."""
+
+    def specs(self, count):
+        return [
+            ScenarioSpec(
+                protocol="real-aa", n=4, t=1, known_range=8.0, seed=seed
+            )
+            for seed in range(count)
+        ]
+
+    def test_the_given_specs_are_the_points(self, tmp_path):
+        specs = self.specs(3)
+        report = run_flywheel(config(tmp_path, count=3), specs=specs)
+        assert report.ok and report.executed == 3
+        rows = [
+            record["row"]
+            for record in read_ledger(str(tmp_path / "ledger.jsonl"))
+            if record["type"] == "point"
+        ]
+        assert [ScenarioSpec.from_dict(row["spec"]) for row in rows] == specs
+
+    def test_spec_count_must_match_the_config(self, tmp_path):
+        with pytest.raises(ValueError, match="3 specs"):
+            run_flywheel(config(tmp_path, count=4), specs=self.specs(3))
+
+    def test_malformed_spec_fails_the_run_before_the_ledger_records_it(
+        self, tmp_path
+    ):
+        from repro.analysis.spec import SpecError
+
+        bad = ScenarioSpec(protocol="tree-aa", n=5, t=1, tree="random:4:x")
+        with pytest.raises(SpecError):
+            run_flywheel(config(tmp_path, count=1), specs=[bad])
+        assert load_state(str(tmp_path / "ledger.jsonl")).executed == set()
+
+    def test_resume_with_other_specs_refuses(self, tmp_path):
+        from repro.flywheel import LedgerError
+
+        run_flywheel(config(tmp_path, count=3), specs=self.specs(3))
+        other = self.specs(4)[1:]
+        with pytest.raises(LedgerError, match="digest"):
+            run_flywheel(config(tmp_path, count=3), resume=True, specs=other)
 
 
 class TestInjectedDivergence:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.analysis.spec import ScenarioSpec
+from repro.analysis.spec import ScenarioSpec, SpecError
 from repro.flywheel.oracles import (
     FLYWHEEL_ORACLES,
     batch_replayable,
@@ -12,8 +14,15 @@ from repro.flywheel.oracles import (
     evaluate_point,
     resolve_perturb,
 )
+from repro.protocols.rounds import realaa_duration
+from repro.resilience import iter_corpus, round_budget, run_scenario
+from repro.trees.paths import diameter
 
 pytest.importorskip("numpy")
+
+CORPUS_CASES = iter_corpus(
+    os.path.join(os.path.dirname(os.path.dirname(__file__)), "corpus")
+)
 
 
 def tree_spec(**overrides):
@@ -98,3 +107,114 @@ class TestDeterminism:
     def test_rows_are_reproducible(self):
         spec = tree_spec(adversary="chaos:99", record=True)
         assert evaluate_point(spec) == evaluate_point(spec)
+
+
+class TestRoundBudget:
+    def test_realaa_budget_uses_the_effective_known_range(self):
+        # Point 345 of CampaignConfig(count=400, seed=42): no known_range,
+        # input spread 17.76 — a budget sized for a spread of 8 reads 6
+        # rounds where the run needs (and is allowed) 9.
+        spec = ScenarioSpec(
+            protocol="real-aa", n=10, t=2, t_assumed=2,
+            inputs=(18.5184, 3.0943, 0.7547, 7.1131, 2.7682,
+                    7.3417, 11.6431, 4.6599, 16.2215, 1.8381),
+            adversary="crash:4:4", corrupt=(0, 4), seed=1717120387,
+        )
+        spread = 18.5184 - 0.7547
+        assert round_budget(spec) == realaa_duration(spread, 0.5, 10, 2) == 9
+        row = evaluate_point(spec)
+        assert row["rounds"] == 9
+        assert row["oracles"]["round-bound"]["status"] == "ok"
+        assert row["ok"]
+
+    def test_path_aa_gets_a_budget(self):
+        spec = ScenarioSpec(
+            protocol="path-aa", n=6, t=1, tree="path:9", adversary="silent",
+            seed=4,
+        )
+        result = run_scenario(spec)
+        expected = realaa_duration(diameter(spec.build_tree()), 1, 6, 1)
+        assert result.round_limit == expected == result.rounds
+        assert evaluate_point(spec)["oracles"]["round-bound"]["status"] == "ok"
+
+    def test_exceeding_the_budget_diverges(self, monkeypatch):
+        from repro.flywheel import oracles
+
+        spec = ScenarioSpec(protocol="real-aa", n=4, t=1, known_range=8.0, seed=3)
+        real_run = oracles.run_scenario
+
+        def tight(candidate):
+            result = real_run(candidate)
+            result.round_limit = result.rounds - 1
+            return result
+
+        monkeypatch.setattr(oracles, "run_scenario", tight)
+        row = evaluate_point(spec)
+        assert diverging_oracles(row) == ("round-bound",)
+        assert row["oracles"]["round-bound"]["detail"].startswith(
+            "round-bound: ran "
+        )
+
+
+class TestReferenceOnlyProtocols:
+    def test_async_point_is_judged_against_its_step_budget(self):
+        spec = ScenarioSpec(
+            protocol="async-real-aa", n=4, t=1, adversary="silent",
+            scheduler="random:3", known_range=8.0, seed=3,
+        )
+        assert not batch_replayable(spec)
+        row = evaluate_point(spec)
+        statuses = {name: cell["status"] for name, cell in row["oracles"].items()}
+        assert statuses == {
+            "execution": "ok",
+            "backend-parity": "skipped",
+            "metrics-parity": "skipped",
+            "cross-protocol": "skipped",
+            "round-bound": "ok",
+        }
+        assert run_scenario(spec).round_limit == spec.max_steps
+        assert 0 < row["rounds"] <= spec.max_steps
+
+    def test_baseline_point_skips_the_parity_cells(self):
+        spec = ScenarioSpec(
+            protocol="tree-aa-baseline", n=7, t=2, tree="caterpillar:4x2",
+            adversary="silent", seed=3,
+        )
+        assert not batch_replayable(spec)
+        row = evaluate_point(spec)
+        assert row["ok"]
+        assert row["oracles"]["backend-parity"]["status"] == "skipped"
+        assert row["oracles"]["metrics-parity"]["status"] == "skipped"
+        assert row["oracles"]["round-bound"]["status"] == "ok"
+
+
+class TestVerdictBlindSpot:
+    """The execution oracle reads the run's own AA verdict."""
+
+    @pytest.mark.parametrize("case", CORPUS_CASES, ids=lambda case: case.name)
+    def test_corpus_case_diverges_exactly_when_it_violates(self, case):
+        # round-bound findings are the round-bound cell's, not execution's.
+        expected = set(case.expected_violations) - {"round-bound"}
+        row = evaluate_point(case.spec)
+        execution = row["oracles"]["execution"]
+        assert (execution["status"] == "divergence") == bool(expected)
+        for oracle in expected:
+            assert f"{oracle}: " in execution["detail"]
+
+    def test_crash_names_the_no_exception_finding(self, monkeypatch):
+        from repro.flywheel import oracles
+
+        def crash(candidate):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(oracles, "run_scenario", crash)
+        row = evaluate_point(tree_spec())
+        assert row["oracles"]["execution"] == {
+            "status": "divergence",
+            "detail": "no-exception: RuntimeError: boom",
+        }
+        assert row["oracles"]["round-bound"]["status"] == "skipped"
+
+    def test_malformed_spec_raises_instead_of_diverging(self):
+        with pytest.raises(SpecError, match="malformed tree spec"):
+            evaluate_point(tree_spec(tree="random:4:x"))

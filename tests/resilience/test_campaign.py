@@ -1,9 +1,9 @@
-"""Campaign engine: deterministic generation, execution, reporting.
+"""Campaigns: deterministic generation, execution on the flywheel engine.
 
 The flagship acceptance test runs a 200-scenario seeded campaign across
-every adversary kind and every scheduler and requires *zero* invariant
-violations — the resilience lab's statement that the simulator's guards
-hold everywhere in the sampled space, not just on the handwritten tests.
+every adversary kind and every scheduler and requires *zero* divergences
+— the resilience lab's statement that the simulator's guards hold
+everywhere in the sampled space, not just on the handwritten tests.
 """
 
 import json
@@ -11,15 +11,39 @@ import json
 import pytest
 
 from repro.analysis.spec import ScenarioSpec
-from repro.resilience import (
-    CampaignConfig,
-    generate_scenarios,
-    resilience_point_runner,
-    run_campaign,
+from repro.analysis.strategies import specs_digest
+from repro.flywheel import (
+    FlywheelConfig,
+    diverging_oracles,
+    flywheel_point_runner,
+    read_ledger,
+    run_flywheel,
 )
+from repro.resilience import CampaignConfig, check_violations, generate_scenarios
 
 #: Seed of the flagship regression campaign (also replayed by CI).
 FLAGSHIP_SEED = 42
+
+
+def run_campaign(config, ledger_path, **overrides):
+    """Run a generated campaign the way ``repro campaign`` does."""
+    flywheel = FlywheelConfig(
+        seed=config.seed,
+        count=config.count,
+        ledger_path=str(ledger_path),
+        no_cache=True,
+        **overrides,
+    )
+    return run_flywheel(flywheel, specs=generate_scenarios(config))
+
+
+def ledger_rows(path):
+    """The point rows of a campaign ledger, by index."""
+    return {
+        record["index"]: record["row"]
+        for record in read_ledger(str(path))
+        if record["type"] == "point"
+    }
 
 
 class TestConfigValidation:
@@ -94,10 +118,10 @@ class TestPointRunner:
             protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
             adversary="silent", corrupt=(2,),
         )
-        row = resilience_point_runner({"spec": spec.to_dict()}, 999)
+        row = flywheel_point_runner({"spec": spec.to_dict()}, 999)
         json.dumps(row)  # must be serialisable for the sweep cache
         assert row["ok"] is True
-        assert row["violated"] == []
+        assert diverging_oracles(row) == ()
         assert ScenarioSpec.from_dict(row["spec"]) == spec
 
     def test_engine_seed_is_ignored(self):
@@ -106,7 +130,7 @@ class TestPointRunner:
             adversary="noise:3", corrupt=(2,), seed=5,
         )
         params = {"spec": spec.to_dict()}
-        assert resilience_point_runner(params, 1) == resilience_point_runner(
+        assert flywheel_point_runner(params, 1) == flywheel_point_runner(
             params, 2
         )
 
@@ -116,50 +140,61 @@ class TestPointRunner:
             inputs=(0.0, 5.0, 10.0, 5.0, 0.0, 5.0, 10.0),
             adversary="silent", corrupt=(1, 3, 5),
         )
-        row = resilience_point_runner({"spec": spec.to_dict()}, 0)
+        row = flywheel_point_runner({"spec": spec.to_dict()}, 0)
         assert row["ok"] is False
-        assert row["violated"] == ["agreement"]
-        assert row["violations"][0]["oracle"] == "agreement"
+        assert diverging_oracles(row) == ("execution",)
+        assert row["oracles"]["execution"]["detail"].startswith("agreement: ")
 
 
 class TestCampaignRuns:
     def test_small_campaign_is_deterministic(self, tmp_path):
         config = CampaignConfig(count=12, seed=9)
-        first = run_campaign(config, no_cache=True)
-        second = run_campaign(config, no_cache=True)
-        assert first.rows == second.rows
+        run_campaign(config, tmp_path / "first.jsonl")
+        run_campaign(config, tmp_path / "second.jsonl")
+        assert ledger_rows(tmp_path / "first.jsonl") == ledger_rows(
+            tmp_path / "second.jsonl"
+        )
 
-    def test_campaign_report_digests(self):
+    def test_campaign_report_digests(self, tmp_path):
         config = CampaignConfig(
             count=10, seed=5, corruption_ratio=0.45,
             adversaries=("silent",), protocols=("real-aa",),
         )
-        report = run_campaign(config, no_cache=True)
+        report = run_campaign(config, tmp_path / "ledger.jsonl")
         assert not report.ok
-        assert report.violations_by_oracle().get("agreement", 0) > 0
-        assert set(report.violations_by_adversary()) == {"silent"}
-        pairs = report.violating_scenarios()
-        assert pairs and all(violations for _, violations in pairs)
-        assert "violating" in report.summary()
+        # Exactly the points the invariant oracles flag diverge, each on
+        # the execution oracle, whose detail names the finding.
+        violating = {
+            index
+            for index, spec in enumerate(generate_scenarios(config))
+            if check_violations(spec)
+        }
+        assert violating
+        assert {d["index"] for d in report.divergences} == violating
+        assert all(d["oracles"] == ["execution"] for d in report.divergences)
+        rows = ledger_rows(tmp_path / "ledger.jsonl")
+        for index in violating:
+            assert "agreement: " in rows[index]["oracles"]["execution"]["detail"]
+        assert f"{len(violating)} divergences" in report.summary()
 
     def test_campaign_jsonl_sibling(self, tmp_path):
-        path = tmp_path / "campaign.jsonl"
+        path = tmp_path / "ledger.jsonl"
         config = CampaignConfig(count=4, seed=11)
-        run_campaign(config, no_cache=True, jsonl_path=str(path))
-        records = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        assert records[0]["type"] == "sweep_header"
+        run_campaign(config, path)
+        records = list(read_ledger(str(path)))
+        assert records[0]["type"] == "header"
+        # The ledger identifies the specs that actually ran.
+        assert records[0]["stream_digest"] == specs_digest(
+            generate_scenarios(config)
+        )
         assert sum(1 for r in records if r["type"] == "point") == 4
+        assert records[-1]["type"] == "done"
 
-    def test_flagship_campaign_is_clean(self):
+    def test_flagship_campaign_is_clean(self, tmp_path):
         # The acceptance criterion: >= 200 seeded scenarios spanning all
-        # adversaries and schedulers, zero violations under legal guards.
+        # adversaries and schedulers, zero divergences under legal guards.
         config = CampaignConfig(count=200, seed=FLAGSHIP_SEED)
-        report = run_campaign(config, jobs=2, no_cache=True)
-        assert len(report.rows) == 200
-        failing = [
-            (row["spec"], row["violated"])
-            for row in report.violating_rows
-        ]
-        assert report.ok, f"violating scenarios: {failing[:3]}"
+        report = run_campaign(config, tmp_path / "ledger.jsonl", jobs=2)
+        assert report.executed == 200
+        failing = [(d["index"], d["oracles"]) for d in report.divergences]
+        assert report.ok, f"diverging scenarios: {failing[:3]}"

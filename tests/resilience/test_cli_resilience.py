@@ -4,7 +4,7 @@ import json
 
 from repro.analysis.spec import ScenarioSpec
 from repro.cli import main
-from repro.resilience import cost
+from repro.resilience import cost, load_case
 
 
 def violating_scenario_file(tmp_path):
@@ -25,7 +25,8 @@ class TestCampaignCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "8 scenarios, 0 violating" in out
+        assert "8 executed" in out
+        assert "0 divergences" in out
 
     def test_degradation_campaign_exits_one_and_tables_violations(
         self, capsys, tmp_path
@@ -35,23 +36,26 @@ class TestCampaignCommand:
                 "campaign", "--count", "8", "--seed", "5", "--no-cache",
                 "--corruption-ratio", "0.45", "--protocols", "real-aa",
                 "--adversaries", "silent",
-                "--save-violations", str(tmp_path / "viols"),
+                "--corpus-dir", str(tmp_path / "corpus"),
             ]
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "violating" in out
-        saved = sorted((tmp_path / "viols").glob("violation-*.json"))
+        assert '"oracles": ["execution"]' in out
+        saved = sorted((tmp_path / "corpus").glob("*.json"))
         assert saved
-        # each saved file is a replayable spec
-        ScenarioSpec.from_dict(json.loads(saved[0].read_text()))
+        # each filed case is a shrunk, schema-2 corpus case ...
+        case = load_case(str(saved[0]))
+        assert case.expected_violations
+        # ... that `repro shrink` reads
+        assert main(["shrink", str(saved[0])]) == 0
 
     def test_campaign_jsonl_report(self, capsys, tmp_path):
-        path = tmp_path / "report.jsonl"
+        path = tmp_path / "ledger.jsonl"
         code = main(
             [
                 "campaign", "--count", "4", "--seed", "2", "--no-cache",
-                "--jsonl", str(path),
+                "--ledger", str(path),
             ]
         )
         assert code == 0

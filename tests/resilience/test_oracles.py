@@ -101,6 +101,10 @@ class TestRealValidityAndAgreement:
         result = real_result(honest_outputs={0: 1.0, 1: math.inf, 2: 1.2})
         assert "validity" in violated_oracles(evaluate(result))
 
+    def test_int_too_large_for_a_float_is_a_validity_violation(self):
+        result = real_result(honest_outputs={0: 1.0, 1: 10**400, 2: 1.2})
+        assert "validity" in violated_oracles(evaluate(result))
+
     def test_output_outside_input_hull(self):
         result = real_result(honest_outputs={0: 1.0, 1: 1.2, 2: 9.0})
         names = violated_oracles(evaluate(result))

@@ -275,8 +275,8 @@ class TestScenarioBridge:
         assert spelled.t_assumed == 1
         assert spelled.run().honest_outputs == spec.run().honest_outputs
 
-    def test_campaigns_accept_specs(self):
-        from repro.resilience.campaign import CampaignConfig, run_campaign
+    def test_campaigns_accept_specs(self, tmp_path):
+        from repro.flywheel import FlywheelConfig, run_flywheel
 
         specs = [
             ScenarioSpec(
@@ -290,9 +290,15 @@ class TestScenarioBridge:
             )
             for seed in range(3)
         ]
-        report = run_campaign(CampaignConfig(count=1), specs=specs, no_cache=True)
+        config = FlywheelConfig(
+            seed=0,
+            count=len(specs),
+            ledger_path=str(tmp_path / "ledger.jsonl"),
+            no_cache=True,
+        )
+        report = run_flywheel(config, specs=specs)
         assert report.ok
-        assert len(report.rows) == 3
+        assert report.executed == 3
 
 
 class TestAsyncDialect:
@@ -349,9 +355,9 @@ class TestAsyncDialect:
             execute_spec_point(spec)
 
     def test_flywheel_stream_digest_is_unchanged(self):
-        from repro.analysis.strategies import stream_digest
+        from repro.analysis.strategies import spec_stream, specs_digest
 
-        assert stream_digest(0, 500) == (
+        assert specs_digest(spec_stream(0, 500)) == (
             "5ecd3ff13a5f992d7f1af08869619ebacc786e1fd8f825b92c0052401d6e1221"
         )
 

@@ -22,6 +22,6 @@ from repro.analysis.strategies import (  # noqa: F401
     scenario_specs,
     small_trees,
     spec_stream,
-    stream_digest,
+    specs_digest,
     trees_with_vertex_choices,
 )
