@@ -18,13 +18,21 @@ The *operational* iteration counts used by the implementation
 ``R`` whose guaranteed shrink factor brings the publicly known input range
 below ``ε``.  They are always at most the Theorem-3 bound for the parameter
 ranges the benchmarks sweep, which benchmark T2 verifies explicitly.
+
+The worst-case factor behind those counts is a dynamic program over burn
+schedules (:class:`_BurnFactorTable`).  Its row maximisation has a
+monotone argmax — the row's best remaining budget moves right as the
+budget grows — so each layer is filled by divide and conquer in
+``O(t log t)`` rather than by the ``O(t²)`` scan, with every cell the same
+IEEE expression and hence the same bits.  The tests keep the quadratic
+scan as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
 #: Remark 3 (Theorem 1 of [7]): each RealAA iteration takes three rounds.
 ROUNDS_PER_ITERATION = 3
@@ -106,23 +114,59 @@ def adjusted_schedule_factor(n: int, t: int, schedule: Iterable[int]) -> float:
 class _BurnFactorTable:
     """Bottom-up burn-schedule DP for one ``(n, t)``, shared across ``R``.
 
-    ``layers[r][b]`` is the best shrink factor an adversary achieves with
+    ``full[r][b]`` is the best shrink factor an adversary achieves with
     ``r`` iterations left and ``b`` budget remaining, having already burned
     ``t − b`` senders — the budget determines the burn count, so the state
     space is ``(r, b)``, not the ``(r, b, burned)`` of the naive recursion.
     Substituting ``q = b − t_i`` (the budget left *after* the round), the
-    step denominator ``n − 2t − burned − t_i`` becomes ``(n − 3t) + q``:
+    step denominator ``n − 2t − burned − t_i`` becomes ``d + q`` with
+    ``d = n − 3t``:
 
-        layers[r][b] = max over q in [r−1, b−1] of
-                       min(1, (b − q) / (n − 3t + q)) · layers[r−1][q]
+        full[r][b] = max over q in [r−1, b−1] of f(b, q),
+        f(b, q)    = min(1, (b − q) / (d + q)) · P[q],   P = full[r−1]
 
-    Each layer is built once and reused by every ``R`` the iteration-count
-    search probes; large-``t`` layers are vectorised with NumPy when it is
-    importable (the arithmetic is identical operation for operation, so the
-    two paths produce bit-equal factors).
+    (``P[q] = 0`` for ``q < r − 1``: every iteration needs a fresh burn.)
+
+    **Monotone argmax.**  ``P`` is nonnegative and nondecreasing in the
+    budget, and for ``b < b'``, ``q < q' < b``::
+
+        f(b, q') ≥ f(b, q)  ⟹  f(b', q') ≥ f(b', q).
+
+    The cap ``min(1, ·)`` binds on a prefix of ``q`` (``b − q ≥ d + q``),
+    and binds at ``b'`` wherever it binds at ``b``.  Three cases at ``b'``:
+    both cells capped — the claim is ``P[q'] ≥ P[q]``; neither capped — the
+    uncapped step's growth ``(b' − x) / (b − x)`` increases in ``x``, so
+    moving from ``b`` to ``b'`` multiplies ``f(·, q')`` by at least what it
+    multiplies ``f(·, q)`` by; only ``q`` capped — ``f(b', q) = P[q]``, and
+    ``b' − q ≥ d + q`` gives ``min(1, (b − q) / (d + q)) ≥ (b − q) /
+    (b' − q)``, so the previous case's argument goes through with the
+    growth at ``q`` taken as ``(b' − q) / (b − q)``.  Hence any argmax of a
+    row ``b`` beats everything to its left in every later row, and the
+    rightmost argmax strictly beats everything to its right in every
+    earlier row.
+
+    Each full layer is therefore filled by divide and conquer: solve the
+    middle row over its window, then rows below it search
+    ``[lo, rightmost argmax]`` and rows above it ``[rightmost argmax, hi]``.
+    Both windows are exact under ties, and they share one column, so each
+    recursion level's windows total ``O(t)`` and a layer costs
+    ``O(t log t)`` instead of ``O(t²)``.  (Starting the upper window at the
+    *leftmost* argmax is exact too, but the cap makes long ties — layer
+    2's capped cells read ``P[q] = 1`` for every ``q ≥ d`` — and the
+    overlapping windows then double level by level.)  The lemma holds in exact arithmetic; that
+    the rounded cells keep it — so every cell is bit-equal to the quadratic
+    fill — is checked against that fill in ``tests/protocols/test_rounds.py``,
+    not proved.
+
+    Every cell is the IEEE expression ``min(b − q, d + q) / (d + q) · P[q]``
+    on both paths: one recursion level at a time over NumPy arrays when
+    ``t`` exceeds :attr:`NUMPY_THRESHOLD` and NumPy is importable, the same
+    recursion in pure Python otherwise.  Only the latest full layer is kept
+    (a new ``R`` reads just ``full[R − 1]``), plus the top cell ``full[R][t]``
+    of every ``R`` built or probed.
     """
 
-    #: Budgets up to this size stay on the dependency-free Python loop.
+    #: Budgets up to this size stay on the dependency-free Python recursion.
     NUMPY_THRESHOLD = 256
 
     def __init__(self, n: int, t: int) -> None:
@@ -130,14 +174,17 @@ class _BurnFactorTable:
         self.n = n
         self.t = t
         self.d = n - 3 * t  # >= 1 whenever t < n/3
+        self._np: Any = _numpy() if t > self.NUMPY_THRESHOLD else None
         # full[1] has a closed form: a single burn is maximised by the
         # whole budget at once (the step shrinks in q), so
         # full[1][b] = min(1, b / d) — the q = 0 term, bit for bit.
-        self.full: List[List[float]] = [
-            [1.0] * (t + 1),
-            [min(1.0, b / self.d) for b in range(t + 1)],
-        ]
-        self.tops: Dict[int, float] = {1: self.full[1][t]}
+        self.rounds = 1
+        if self._np is None:
+            self.layer: Any = [min(1.0, b / self.d) for b in range(t + 1)]
+        else:
+            budgets = self._np.arange(t + 1, dtype=self._np.float64)
+            self.layer = self._np.minimum(budgets / self.d, 1.0)
+        self.tops: Dict[int, float] = {1: float(self.layer[t])}
 
     def factor(self, iterations: int) -> float:
         """``worst_burn_factor(n, t, iterations)`` — 0 beyond ``R = t``."""
@@ -146,71 +193,109 @@ class _BurnFactorTable:
         if iterations > self.t:
             return 0.0
         if iterations not in self.tops:
-            # The top cell of layer R reads the *full* layer R−1, which
-            # reads the full layer below it, and so on: the iteration
-            # search pays O(t²) only once per full layer, and the single
-            # O(t) top row for the R it is probing.
-            while len(self.full) < iterations:
-                self.full.append(self._layer(len(self.full)))
-            self.tops[iterations] = self._row(iterations, self.t)
+            # The top cell of layer R reads the full layer R−1, which reads
+            # the full layer below it, and so on: the iteration search
+            # builds each full layer once, and only the O(t) top row of
+            # the R it is probing.
+            while self.rounds < iterations - 1:
+                self.rounds += 1
+                self.layer = self._layer(self.rounds)
+                self.tops.setdefault(self.rounds, float(self.layer[self.t]))
+            self.tops[iterations] = self._top(iterations)
         return self.tops[iterations]
 
-    def _numpy(self) -> Any:
-        if self.t > self.NUMPY_THRESHOLD:
-            try:
-                import numpy
-
-                return numpy
-            except ImportError:  # pragma: no cover - numpy ships in CI
-                return None
-        return None
-
-    def _layer(self, rounds: int) -> List[float]:
-        """The full layer *rounds* (budgets ``0 … t``) from the one below."""
-        np = self._numpy()
-        if np is None:
-            layer = [0.0] * (self.t + 1)
-            for b in range(rounds, self.t + 1):
-                layer[b] = self._row(rounds, b)
-            return layer
-        size = self.t + 1
-        previous = np.asarray(self.full[rounds - 1], dtype=np.float64)
-        q = np.arange(size, dtype=np.float64)
-        den = np.arange(self.d, self.d + size, dtype=np.float64)
-        buffer = np.empty(size, dtype=np.float64)
-        layer = np.zeros(size, dtype=np.float64)
-        for b in range(rounds, size):
-            row = buffer[:b]
-            np.subtract(float(b), q[:b], out=row)
-            np.minimum(row, den[:b], out=row)
-            np.divide(row, den[:b], out=row)
-            np.multiply(row, previous[:b], out=row)
-            layer[b] = row.max()
-        return [float(value) for value in layer]
-
-    def _row(self, rounds: int, b: int) -> float:
-        """``layers[rounds][b]`` from the full layer ``rounds − 1``."""
-        previous = self.full[rounds - 1]
-        np = self._numpy()
+    def _top(self, rounds: int) -> float:
+        """``full[rounds][t]`` from the kept full layer ``rounds − 1``."""
+        previous, d, t = self.layer, self.d, self.t
+        np = self._np
         if np is None:
             top = 0.0
-            for q in range(rounds - 1, b):
-                step = min(1.0, (b - q) / (self.d + q))
-                top = max(top, step * previous[q])
+            for q in range(rounds - 1, t):
+                top = max(top, min(t - q, d + q) / (d + q) * previous[q])
             return top
-        if b <= rounds - 1:
-            return 0.0
-        # min(b − q, d + q) / (d + q) equals min(1, (b − q)/(d + q))
-        # exactly: the quotient is the identical IEEE division below the
-        # cap, and d/d = 1.0 at or above it.  q < rounds − 1 carries
-        # previous[q] == 0.0 and loses the max on its own.
-        q = np.arange(b, dtype=np.float64)
-        den = np.arange(self.d, self.d + b, dtype=np.float64)
-        row = np.subtract(float(b), q)
+        q = np.arange(rounds - 1, t, dtype=np.float64)
+        den = q + d
+        row = np.subtract(float(t), q)
         np.minimum(row, den, out=row)
         np.divide(row, den, out=row)
-        np.multiply(row, np.asarray(previous[:b], dtype=np.float64), out=row)
+        np.multiply(row, previous[rounds - 1 : t], out=row)
         return float(row.max())
+
+    def _layer(self, rounds: int) -> Any:
+        """The full layer *rounds* (budgets ``0 … t``) from the kept one.
+
+        Rows ``b < rounds`` are 0; rows ``rounds … t`` start as one
+        segment searching ``q ∈ [rounds − 1, t − 1]``.
+        """
+        if self._np is not None:
+            return self._layer_numpy(rounds)
+        previous, d = self.layer, self.d
+        layer = [0.0] * (self.t + 1)
+        # (first row, last row, first q, last q) of each open segment.
+        stack = [(rounds, self.t, rounds - 1, self.t - 1)]
+        while stack:
+            row_lo, row_hi, q_lo, q_hi = stack.pop()
+            b = (row_lo + row_hi) // 2
+            best, split = -1.0, q_lo
+            for q in range(q_lo, min(q_hi, b - 1) + 1):
+                cell = min(b - q, d + q) / (d + q) * previous[q]
+                if cell >= best:
+                    best, split = cell, q
+            layer[b] = best
+            if row_lo < b:
+                stack.append((row_lo, b - 1, q_lo, split))
+            if b < row_hi:
+                stack.append((b + 1, row_hi, split, q_hi))
+        return layer
+
+    def _layer_numpy(self, rounds: int) -> Any:
+        """:meth:`_layer` one recursion level per pass over flat arrays."""
+        np = self._np
+        previous, d = self.layer, float(self.d)
+        layer = np.zeros(self.t + 1, dtype=np.float64)
+        row_lo = np.array([rounds])
+        row_hi = np.array([self.t])
+        q_lo = np.array([rounds - 1])
+        q_hi = np.array([self.t - 1])
+        while row_lo.size:
+            b = (row_lo + row_hi) // 2
+            # Window [q_lo, min(q_hi, b − 1)] of each segment's middle row,
+            # never empty: q_lo ≤ row_lo − 1 ≤ b − 1 holds for every segment.
+            lengths = np.minimum(q_hi, b - 1) - q_lo + 1
+            starts = np.cumsum(lengths) - lengths
+            cells_total = int(starts[-1] + lengths[-1])
+            flat = np.arange(cells_total)
+            q = flat - np.repeat(starts - q_lo, lengths)
+            qf = q.astype(np.float64)
+            den = qf + d
+            cells = np.repeat(b.astype(np.float64), lengths)
+            np.subtract(cells, qf, out=cells)
+            np.minimum(cells, den, out=cells)
+            np.divide(cells, den, out=cells)
+            np.multiply(cells, previous[q], out=cells)
+            best = np.maximum.reduceat(cells, starts)
+            layer[b] = best
+            hit = cells == np.repeat(best, lengths)
+            split = q[np.maximum.reduceat(np.where(hit, flat, -1), starts)]
+            below = row_lo < b
+            above = b < row_hi
+            row_lo, row_hi, q_lo, q_hi = (
+                np.concatenate((row_lo[below], b[above] + 1)),
+                np.concatenate((b[below] - 1, row_hi[above])),
+                np.concatenate((q_lo[below], split[above])),
+                np.concatenate((split[below], q_hi[above])),
+            )
+        return layer
+
+
+def _numpy() -> Any:
+    """The NumPy module, or ``None`` where it is not installed."""
+    try:
+        import numpy
+
+        return numpy
+    except ImportError:  # pragma: no cover - numpy ships in CI
+        return None
 
 
 @lru_cache(maxsize=8)

@@ -12,7 +12,20 @@ with validation.  Algorithms that need a *rooted* view of the tree live in
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from .paths import TreePath
 
 Label = Hashable
 
@@ -40,7 +53,9 @@ class LabeledTree:
         If the resulting graph is empty, disconnected, or contains a cycle.
     """
 
-    __slots__ = ("_adjacency", "_vertices", "_root_label")
+    # ``_diameter_path`` memoises :func:`repro.trees.paths.diameter_path`:
+    # the tree is immutable, so its double BFS runs once per tree object.
+    __slots__ = ("_adjacency", "_vertices", "_root_label", "_diameter_path")
 
     def __init__(
         self,
@@ -74,6 +89,7 @@ class LabeledTree:
         }
         self._check_connected()
         self._root_label: Label = self._vertices[0]
+        self._diameter_path: Optional[TreePath] = None
 
     def _check_connected(self) -> None:
         start = next(iter(self._adjacency))

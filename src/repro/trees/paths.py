@@ -182,10 +182,14 @@ def diameter_path(tree: LabeledTree) -> TreePath:
 
     Deterministic: ties are broken towards lower labels, and the result is
     returned in canonical orientation (lower-labeled endpoint first).
+    Computed once per tree object and kept on it (trees are immutable).
     """
-    a, _ = farthest_vertex(tree, tree.root_label)
-    b, _ = farthest_vertex(tree, a)
-    return path_between(tree, a, b).canonical()
+    path = tree._diameter_path
+    if path is None:
+        a, _ = farthest_vertex(tree, tree.root_label)
+        b, _ = farthest_vertex(tree, a)
+        path = tree._diameter_path = path_between(tree, a, b).canonical()
+    return path
 
 
 def diameter(tree: LabeledTree) -> int:

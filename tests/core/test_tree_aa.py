@@ -275,3 +275,34 @@ class TestRoundComplexity:
             for pid in range(n)
         }
         assert len(durations) == 1
+
+
+class TestDiameterWalkedOnce:
+    def test_one_walk_per_tree_object(self, monkeypatch):
+        """Every party and the round budget read one memoised diameter;
+        a second run on the same tree walks it zero times and outputs the
+        same vertices."""
+        from repro.trees import paths
+
+        walks = []
+        farthest = paths.farthest_vertex
+
+        def counting(tree, source):
+            walks.append(tree)
+            return farthest(tree, source)
+
+        monkeypatch.setattr(paths, "farthest_vertex", counting)
+        tree = random_tree(31, seed=4)
+        rng = random.Random(2)
+        inputs = [rng.choice(tree.vertices) for _ in range(10)]
+        first = run_tree_aa(tree, inputs, 3, adversary=SilentAdversary())
+        # One diameter walk is a double BFS: two farthest-vertex searches.
+        assert [w for w in walks if w is tree] == [tree, tree]
+        second = run_tree_aa(tree, inputs, 3, adversary=SilentAdversary())
+        assert [w for w in walks if w is tree] == [tree, tree]
+        assert first.execution.outputs == second.execution.outputs
+        fresh = LabeledTree(tree.edges())
+        assert fresh == tree and fresh._diameter_path is None
+        assert run_tree_aa(
+            fresh, inputs, 3, adversary=SilentAdversary()
+        ).execution.outputs == first.execution.outputs
