@@ -15,14 +15,13 @@ import random
 import pytest
 
 from repro.adversary import SilentAdversary
-from repro.analysis import tree_agreement, tree_validity
 from repro.asynchrony import (
     AsyncNoiseAdversary,
     AsyncTreeAAParty,
     RandomScheduler,
     run_async_protocol,
 )
-from repro.core import run_tree_aa
+from repro.core import judge_tree, run_tree_aa
 from repro.trees import diameter, path_tree
 
 N, T = 7, 2
@@ -49,10 +48,10 @@ def test_t9_table(report, benchmark):
 
             async_result = run_async_tree(tree, inputs)
             assert async_result.completed
-            async_outputs = list(async_result.honest_outputs.values())
-            honest_inputs = [inputs[p] for p in sorted(async_result.honest)]
-            assert tree_validity(tree, honest_inputs, async_outputs)
-            assert tree_agreement(tree, async_outputs)
+            honest_inputs = {p: inputs[p] for p in sorted(async_result.honest)}
+            assert judge_tree(
+                tree, honest_inputs, async_result.honest_outputs
+            ).achieved_aa
             iterations = async_result.parties[0].iterations
 
             sync_outcome = run_tree_aa(tree, inputs, T, adversary=SilentAdversary())

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.analysis import tree_agreement, tree_validity
 from repro.asynchrony import (
     AsyncNoiseAdversary,
     AsyncTreeAAParty,
@@ -23,6 +22,7 @@ from repro.asynchrony import (
     SplitScheduler,
     run_async_protocol,
 )
+from repro.core import judge_tree
 from repro.trees import random_tree
 
 N, T = 7, 2
@@ -74,10 +74,8 @@ def test_a4_table(report, benchmark):
         ):
             result = run_with(scheduler, tree, inputs)
             assert result.completed
-            outputs = list(result.honest_outputs.values())
-            honest_inputs = [inputs[p] for p in sorted(result.honest)]
-            assert tree_validity(tree, honest_inputs, outputs)
-            assert tree_agreement(tree, outputs)
+            honest_inputs = {p: inputs[p] for p in sorted(result.honest)}
+            assert judge_tree(tree, honest_inputs, result.honest_outputs).achieved_aa
             if baseline_steps is None:
                 baseline_steps = result.trace.steps
             first = min(result.first_done.values()) if result.first_done else 0

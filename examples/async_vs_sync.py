@@ -14,7 +14,7 @@ Run:  python examples/async_vs_sync.py
 
 import random
 
-from repro.analysis import format_table, tree_agreement, tree_validity
+from repro.analysis import format_table
 from repro.asynchrony import (
     AsyncNoiseAdversary,
     AsyncTreeAAParty,
@@ -22,7 +22,7 @@ from repro.asynchrony import (
     run_async_protocol,
 )
 from repro.adversary.realaa_attacks import BurnScheduleAdversary
-from repro.core import run_tree_aa
+from repro.core import judge_tree, run_tree_aa
 from repro.trees import diameter, path_tree
 
 
@@ -42,11 +42,9 @@ def main() -> None:
             scheduler=RandomScheduler(1),
             max_steps=2_000_000,
         )
-        async_outputs = list(async_result.honest_outputs.values())
-        honest_inputs = [inputs[p] for p in sorted(async_result.honest)]
+        honest_inputs = {p: inputs[p] for p in sorted(async_result.honest)}
         assert async_result.completed
-        assert tree_validity(tree, honest_inputs, async_outputs)
-        assert tree_agreement(tree, async_outputs)
+        assert judge_tree(tree, honest_inputs, async_result.honest_outputs).achieved_aa
 
         sync_outcome = run_tree_aa(
             tree, inputs, t, adversary=BurnScheduleAdversary([1, 1])

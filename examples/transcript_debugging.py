@@ -23,8 +23,7 @@ import os
 import tempfile
 
 from repro.adversary.realaa_attacks import BurnScheduleAdversary
-from repro.analysis import tree_validity
-from repro.core import TreeAAParty
+from repro.core import TreeAAParty, judge_tree
 from repro.net import InvariantMonitor, MultiObserver, TranscriptRecorder, run_protocol
 from repro.observability import MetricsCollector, export_run, load_run, render_report
 from repro.trees import convex_hull, figure_tree
@@ -65,8 +64,8 @@ def main() -> None:
     print(f"Byzantine messages sent in total: {recorder.byzantine_message_total}")
     print(f"Invariant 'outputs-in-hull' held in all {monitor.checked_rounds} rounds.")
     print(f"\nHonest outputs: {result.honest_outputs}")
-    honest_inputs = [inputs[p] for p in sorted(result.honest)]
-    assert tree_validity(tree, honest_inputs, list(result.honest_outputs.values()))
+    honest_inputs = {p: inputs[p] for p in sorted(result.honest)}
+    assert judge_tree(tree, honest_inputs, result.honest_outputs).valid
     print("Validity re-checked offline: ok.")
 
     # Export the same execution as a JSONL trace and summarise it offline —

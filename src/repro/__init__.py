@@ -14,12 +14,12 @@ including every substrate the paper relies on:
   Dolev, and Hoch ([6]) that TreeAA uses as its building block;
 * :mod:`repro.core` — the paper's contribution: the path reduction
   (Section 4), projection (Section 5), PathsFinder (Section 6), and TreeAA
-  (Section 7);
+  (Section 7), and the AA judgement every verdict and oracle reads;
 * :mod:`repro.baselines` — the prior iteration-outline protocols on ℝ and
   on trees the paper improves upon;
 * :mod:`repro.lowerbound` — Fekete's ``K(R, D)`` bound and Theorem 2's
   round lower bound, plus executable chain-of-views constructions;
-* :mod:`repro.analysis` — AA property checkers and experiment harnesses;
+* :mod:`repro.analysis` — convergence statistics and experiment harnesses;
 * :mod:`repro.observability` — structured per-round metrics, the JSONL
   trace format, and offline run reports (see docs/OBSERVABILITY.md).
 

@@ -1,14 +1,9 @@
-"""Execution analysis: AA property checkers, convergence stats, sweeps."""
+"""Execution analysis: convergence stats, sweeps, scenario specs, tables."""
 
 from .metrics import (
     convergence_factors,
     honest_value_ranges,
     overall_factor,
-    real_agreement,
-    real_validity,
-    tree_agreement,
-    tree_output_diameter,
-    tree_validity,
 )
 from .parallel import (
     SWEEP_SCHEMA_VERSION,
@@ -40,11 +35,6 @@ from .sweep import spread_inputs, tree_spec_for
 from .tables import format_table, print_table
 
 __all__ = [
-    "real_validity",
-    "real_agreement",
-    "tree_validity",
-    "tree_agreement",
-    "tree_output_diameter",
     "honest_value_ranges",
     "convergence_factors",
     "overall_factor",

@@ -1,61 +1,16 @@
-"""Property checkers and convergence statistics for executions.
+"""Convergence statistics for executions.
 
-AA's three properties (Definition 1 on ℝ, Definition 2 on trees) become
-executable predicates here, along with the per-iteration convergence series
-that the T3 benchmark compares against Lemma 5.
+The per-iteration convergence series that the T3 benchmark compares
+against Lemma 5.  AA's three properties (Definition 1 on ℝ, Definition 2
+on trees) are judged by :func:`repro.core.api.judge_real` and
+:func:`~repro.core.api.judge_tree`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..net.network import ExecutionResult
-from ..trees.convex import in_convex_hull
-from ..trees.labeled_tree import Label, LabeledTree
-from ..trees.paths import distance
-
-
-def real_validity(
-    honest_inputs: Iterable[float], honest_outputs: Iterable[float]
-) -> bool:
-    """Definition 1's Validity: outputs within the range of honest inputs."""
-    inputs = list(honest_inputs)
-    lo, hi = min(inputs), max(inputs)
-    return all(lo <= v <= hi for v in honest_outputs)
-
-
-def real_agreement(honest_outputs: Iterable[float], epsilon: float) -> bool:
-    """Definition 1's ε-Agreement."""
-    outputs = list(honest_outputs)
-    return max(outputs) - min(outputs) <= epsilon
-
-
-def tree_validity(
-    tree: LabeledTree,
-    honest_inputs: Iterable[Label],
-    honest_outputs: Iterable[Label],
-) -> bool:
-    """Definition 2's Validity: outputs in the honest inputs' convex hull."""
-    anchors = list(honest_inputs)
-    return all(in_convex_hull(tree, v, anchors) for v in honest_outputs)
-
-
-def tree_output_diameter(
-    tree: LabeledTree, honest_outputs: Iterable[Label]
-) -> int:
-    """The largest pairwise distance among honest outputs."""
-    outputs = list(honest_outputs)
-    worst = 0
-    for i in range(len(outputs)):
-        for j in range(i + 1, len(outputs)):
-            if outputs[i] != outputs[j]:
-                worst = max(worst, distance(tree, outputs[i], outputs[j]))
-    return worst
-
-
-def tree_agreement(tree: LabeledTree, honest_outputs: Iterable[Label]) -> bool:
-    """Definition 2's 1-Agreement."""
-    return tree_output_diameter(tree, honest_outputs) <= 1
 
 
 def honest_value_ranges(execution: ExecutionResult) -> List[float]:

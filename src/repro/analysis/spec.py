@@ -31,6 +31,7 @@ additions.
 
 from __future__ import annotations
 
+import functools
 import io
 import random
 from dataclasses import dataclass, replace
@@ -107,6 +108,18 @@ ADVERSARY_KINDS = (
 
 class SpecError(ValueError):
     """A ScenarioSpec is malformed (as data, before any execution)."""
+
+
+#: How many grammar-built trees :meth:`ScenarioSpec.build_tree` keeps.
+_TREE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
+def _grammar_tree(tree: str) -> Any:
+    """A grammar tree, parsed once per process: trees are immutable, so the
+    executions of one point share it and its diameter memo.  A malformed
+    string raises on every call (failures are not cached)."""
+    return parse_tree_spec(tree)
 
 
 class SpecVersionError(SpecError):
@@ -438,12 +451,16 @@ class ScenarioSpec:
     # -- execution -----------------------------------------------------
 
     def build_tree(self) -> Any:
-        """Parse the spec's tree (:func:`repro.trees.parse_tree_spec`)."""
+        """The spec's tree (:func:`repro.trees.parse_tree_spec`); grammar
+        trees come from a bounded per-process cache, ``@file`` trees are
+        read anew on every call."""
         if not self.tree:
             raise SpecError(f"{self.protocol} specs need a tree spec")
-        return parse_tree_spec(self.tree)
+        if self.tree.startswith("@"):
+            return parse_tree_spec(self.tree)
+        return _grammar_tree(self.tree)
 
-    def make_inputs(self, tree: Optional[Any] = None) -> List[Any]:
+    def make_inputs(self) -> List[Any]:
         """The concrete input vector: explicit inputs, or the seeded
         worst-case spread pattern the sweep engine uses."""
         if self.inputs is not None:
@@ -454,8 +471,7 @@ class ScenarioSpec:
             values = [0.0 if i % 2 == 0 else float(spread) for i in range(self.n)]
             rng.shuffle(values)
             return values
-        if tree is None:
-            tree = self.build_tree()
+        tree = self.build_tree()
         if self.protocol == "path-aa" and not self.project:
             # Section-4 inputs must lie on the commonly known path.
             from ..trees.paths import diameter_path
@@ -538,7 +554,7 @@ def run_with_adversary(
             backend=spec.backend,
         )
     tree = spec.build_tree()
-    inputs = spec.make_inputs(tree)
+    inputs = spec.make_inputs()
     if spec.protocol == "path-aa":
         from ..trees.paths import diameter_path
 
@@ -700,7 +716,7 @@ def run_spec_point(spec: ScenarioSpec, adversary: Optional[Any]) -> Tuple[Any, D
         protocol=spec.protocol,
         params={"spec": spec.to_dict()},
         tree=tree,
-        inputs=spec.make_inputs(tree),
+        inputs=spec.make_inputs(),
         verdicts=row["verdicts"],
         t=spec.t,
     )

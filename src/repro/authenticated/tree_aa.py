@@ -168,7 +168,7 @@ def run_auth_tree_aa(
 ):
     """Run authenticated TreeAA end to end; returns a
     :class:`~repro.core.api.TreeAAOutcome`."""
-    from ..core.api import TreeAAOutcome, _evaluate_tree_outputs
+    from ..core.api import tree_aa_outcome
     from ..net.runner import run_protocol
 
     n = len(inputs)
@@ -181,14 +181,4 @@ def run_auth_tree_aa(
         ),
         adversary=adversary,
     )
-    honest_inputs = {pid: inputs[pid] for pid in sorted(execution.honest)}
-    honest_outputs = execution.honest_outputs
-    verdicts = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
-    return TreeAAOutcome(
-        execution=execution,
-        tree=tree,
-        honest_inputs=honest_inputs,
-        honest_outputs=honest_outputs,
-        rounds=execution.trace.rounds_executed,
-        **verdicts,
-    )
+    return tree_aa_outcome(execution, tree, inputs)

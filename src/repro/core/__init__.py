@@ -7,8 +7,11 @@ entry points.
 """
 
 from .api import (
+    AAJudgement,
     RealAAOutcome,
     TreeAAOutcome,
+    judge_real,
+    judge_tree,
     run_path_aa,
     run_real_aa,
     run_tree_aa,
@@ -39,4 +42,7 @@ __all__ = [
     "run_real_aa",
     "TreeAAOutcome",
     "RealAAOutcome",
+    "AAJudgement",
+    "judge_real",
+    "judge_tree",
 ]

@@ -4,18 +4,29 @@ These helpers are what the examples and benchmarks use: build the parties,
 run the synchronous network under a chosen adversary, and evaluate the AA
 properties (Termination / Validity / 1- or ε-Agreement) on the honest
 outputs.
+
+The AA contract is judged once: :func:`judge_real` (Definition 1) and
+:func:`judge_tree` (Definition 2) return the :class:`AAJudgement` that the
+outcome verdicts, the :mod:`repro.resilience.oracles` invariants and the
+tests read.  It is total: ``None`` is a missing output; ``NaN``, ±inf,
+bools, ints beyond float range, non-vertices and unhashables are garbage
+(invalid), never an exception; an int in the hull is a valid real output;
+an empty honest set has not terminated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..net.faults import FaultPlan
 from ..net.messages import PartyId
 from ..net.network import ExecutionResult, TraceLevel
 from ..net.runner import PartyFactory, run_protocol
-from ..protocols.realaa import RealAAParty
+from ..protocols.realaa import RealAAParty, is_real
 from ..trees.convex import in_convex_hull
 from ..trees.labeled_tree import Label, LabeledTree
 from ..trees.paths import TreePath, distance
@@ -30,17 +41,20 @@ if TYPE_CHECKING:
 
 @dataclass
 class TreeAAOutcome:
-    """A TreeAA (or path-AA) execution together with its AA verdicts."""
+    """A TreeAA (or path-AA) execution together with its AA verdicts
+    (read from :func:`judge_tree`)."""
 
     execution: ExecutionResult
     tree: LabeledTree
     honest_inputs: Dict[PartyId, Label]
     honest_outputs: Dict[PartyId, Label]
-    #: Termination: every honest party produced a vertex of the tree.
+    #: Termination: some honest party exists and every one has an output.
     terminated: bool
-    #: Validity: every honest output is in the honest inputs' convex hull.
+    #: Validity: every honest output is a vertex in the honest inputs'
+    #: convex hull.
     valid: bool
-    #: The largest pairwise distance between honest outputs.
+    #: The largest distance between distinct vertex outputs (0 unless
+    #: terminated).
     output_diameter: int
     #: 1-Agreement: ``output_diameter ≤ 1``.
     agreement: bool
@@ -53,7 +67,8 @@ class TreeAAOutcome:
 
 @dataclass
 class RealAAOutcome:
-    """A RealAA execution together with its AA verdicts."""
+    """A RealAA execution together with its AA verdicts (read from
+    :func:`judge_real`; ``output_spread`` is ``inf`` unless terminated)."""
 
     execution: ExecutionResult
     epsilon: float
@@ -74,36 +89,130 @@ class RealAAOutcome:
         return self.terminated and self.valid and self.agreement
 
 
-def _evaluate_tree_outputs(
-    tree: LabeledTree,
-    honest_inputs: Dict[PartyId, Label],
-    honest_outputs: Dict[PartyId, Any],
-) -> Dict[str, Any]:
-    terminated = all(
-        output is not None and output in tree for output in honest_outputs.values()
+@dataclass(frozen=True)
+class AAJudgement:
+    """Definitions 1–2 applied to one execution's honest outputs.
+
+    Offending honest pids, in pid order: ``missing`` (``None``),
+    ``garbage`` (not a finite real / not a vertex), ``outside`` (outside
+    the honest inputs' hull).  ``spread``: ``max − min`` of the well-formed
+    real outputs, or the largest distance between distinct vertex outputs.
+    ``bound``: ε, or 1 on trees.  ``hull``: the inputs' interval on ℝ.
+    """
+
+    #: How many honest parties were judged (0 = an empty honest set).
+    honest: int
+    missing: Tuple[PartyId, ...]
+    garbage: Tuple[PartyId, ...]
+    outside: Tuple[PartyId, ...]
+    spread: float
+    bound: float
+    hull: Tuple[float, float] = (math.inf, -math.inf)
+
+    @property
+    def terminated(self) -> bool:
+        return self.honest > 0 and not self.missing
+
+    @property
+    def valid(self) -> bool:
+        return self.terminated and not self.garbage and not self.outside
+
+    @property
+    def agreement(self) -> bool:
+        return self.terminated and self.spread <= self.bound
+
+    @property
+    def achieved_aa(self) -> bool:
+        return self.valid and self.agreement
+
+
+def _partition(
+    outputs: Mapping[PartyId, Any],
+    well_formed: Callable[[Any], bool],
+    all_well_formed: Callable[[Iterable[Any]], bool],
+) -> Tuple[Tuple[PartyId, ...], Tuple[PartyId, ...], Mapping[PartyId, Any]]:
+    """Missing pids, garbage pids, and the well-formed outputs by pid
+    (without a per-party pass when the whole-map check holds)."""
+    try:
+        if all_well_formed(outputs.values()):
+            return (), (), outputs
+    except TypeError:
+        pass
+    missing: List[PartyId] = []
+    garbage: List[PartyId] = []
+    good: Dict[PartyId, Any] = {}
+    for pid, output in outputs.items():
+        if output is None:
+            missing.append(pid)
+        elif well_formed(output):
+            good[pid] = output
+        else:
+            garbage.append(pid)
+    return tuple(sorted(missing)), tuple(sorted(garbage)), good
+
+
+def _finite_floats(values: Iterable[Any]) -> bool:
+    """All floats, and a finite float sum: no NaN or ±inf among them."""
+    return set(map(type, values)) == {float} and math.isfinite(sum(values))
+
+
+def judge_real(
+    honest_inputs: Mapping[PartyId, Any],
+    honest_outputs: Mapping[PartyId, Any],
+    epsilon: float,
+) -> AAJudgement:
+    """Judge real outputs against Definition 1 (ε-agreement)."""
+    inputs = [float(v) for v in honest_inputs.values()]
+    lo, hi = min(inputs, default=math.inf), max(inputs, default=-math.inf)
+    missing, garbage, good = _partition(honest_outputs, is_real, _finite_floats)
+    # float() is monotone, so the extremes of the converted outputs are
+    # the converted extremes.
+    low = float(min(good.values())) if good else 0.0
+    high = float(max(good.values())) if good else 0.0
+    outside: Tuple[PartyId, ...] = ()
+    if good and not lo <= low <= high <= hi:
+        outside = tuple(sorted(p for p, v in good.items() if not lo <= float(v) <= hi))
+    return AAJudgement(
+        len(honest_outputs), missing, garbage, outside, high - low, epsilon, (lo, hi)
     )
+
+
+def judge_tree(
+    tree: LabeledTree,
+    honest_inputs: Mapping[PartyId, Any],
+    honest_outputs: Mapping[PartyId, Any],
+) -> AAJudgement:
+    """Judge vertex outputs on *tree* against Definition 2 (1-agreement)."""
+
+    def is_vertex(value: Any) -> bool:
+        try:
+            return value in tree
+        except TypeError:  # unhashable garbage
+            return False
+
+    def all_vertices(values: Iterable[Any]) -> bool:
+        # Membership is decided by value, so the distinct values suffice.
+        labels = set(values)
+        return None not in labels and all(map(is_vertex, labels))
+
+    missing, garbage, good = _partition(honest_outputs, is_vertex, all_vertices)
     # Hull membership and pairwise distance depend only on the *distinct*
     # labels involved, so dedupe before the tree walks: honest outputs
-    # cluster on a handful of vertices even at n = 100,000, and the naive
-    # per-party loops were the quadratic term in large-n verdicts.
-    anchors = sorted(set(honest_inputs.values()))
-    distinct = sorted(set(honest_outputs.values())) if terminated else []
-    valid = terminated and all(
-        in_convex_hull(tree, output, anchors) for output in distinct
-    )
-    output_diameter = 0
-    if terminated and distinct:
-        for i in range(len(distinct)):
-            for j in range(i + 1, len(distinct)):
-                output_diameter = max(
-                    output_diameter, distance(tree, distinct[i], distinct[j])
-                )
-    return {
-        "terminated": terminated,
-        "valid": valid,
-        "output_diameter": output_diameter,
-        "agreement": terminated and output_diameter <= 1,
-    }
+    # cluster on a handful of vertices even at n = 100,000.
+    anchors = set(_partition(honest_inputs, is_vertex, all_vertices)[2].values())
+    distinct = sorted(set(good.values()), key=repr)
+    far = {v for v in distinct if not (anchors and in_convex_hull(tree, v, anchors))}
+    diameter = 0
+    for i in range(len(distinct)):
+        for j in range(i + 1, len(distinct)):
+            diameter = max(diameter, distance(tree, distinct[i], distinct[j]))
+    outside = tuple(sorted(pid for pid, v in good.items() if v in far)) if far else ()
+    return AAJudgement(len(honest_outputs), missing, garbage, outside, diameter, 1)
+
+
+#: The name ``tree_aa_outcome`` calls the tree judge by (perfbench traces
+#: it as ``core.evaluate``).
+_evaluate_tree_outputs = judge_tree
 
 
 def tree_aa_outcome(
@@ -113,14 +222,17 @@ def tree_aa_outcome(
     counterpart of :func:`real_aa_outcome`)."""
     honest_inputs = {pid: inputs[pid] for pid in sorted(execution.honest)}
     honest_outputs = execution.honest_outputs
-    verdicts = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
+    judgement = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
     return TreeAAOutcome(
         execution=execution,
         tree=tree,
         honest_inputs=honest_inputs,
         honest_outputs=honest_outputs,
+        terminated=judgement.terminated,
+        valid=judgement.valid,
+        output_diameter=int(judgement.spread) if judgement.terminated else 0,
+        agreement=judgement.agreement,
         rounds=execution.trace.rounds_executed,
-        **verdicts,
     )
 
 
@@ -352,15 +464,7 @@ def real_aa_outcome(
     """
     honest_inputs = {pid: float(inputs[pid]) for pid in sorted(execution.honest)}
     honest_outputs = execution.honest_outputs
-    terminated = all(
-        isinstance(v, float) for v in honest_outputs.values()
-    ) and bool(honest_outputs)
-    lo, hi = min(honest_inputs.values()), max(honest_inputs.values())
-    valid = terminated and all(
-        lo <= v <= hi for v in honest_outputs.values()
-    )
-    outs = list(honest_outputs.values())
-    spread = (max(outs) - min(outs)) if terminated else float("inf")
+    judgement = judge_real(honest_inputs, honest_outputs, epsilon)
     measured: Optional[int] = None
     if local_iterations and None not in local_iterations:
         measured = 3 * max(local_iterations)
@@ -369,10 +473,10 @@ def real_aa_outcome(
         epsilon=epsilon,
         honest_inputs=honest_inputs,
         honest_outputs=honest_outputs,
-        terminated=terminated,
-        valid=valid,
-        output_spread=spread,
-        agreement=terminated and spread <= epsilon,
+        terminated=judgement.terminated,
+        valid=judgement.valid,
+        output_spread=judgement.spread if judgement.terminated else math.inf,
+        agreement=judgement.agreement,
         rounds=rounds,
         measured_rounds=measured,
     )

@@ -3,8 +3,9 @@
 Where :func:`~repro.flywheel.engine.run_flywheel` executes points
 in-process, :func:`run_soak` feeds the same seeded stream to a running
 scenario service (:mod:`repro.service`) as batches of paired jobs — each
-batch-replayable point submitted once per backend — and applies the
-backend-parity comparison to the rows the service returns.  That makes
+batch-replayable point submitted once per backend — and judges each pair
+of result rows with the flywheel's own ``backend-parity`` cell, detail
+and all (a point the service could not run is an error side).  That makes
 one campaign serve two purposes: a differential sweep *and* a sustained
 load/recovery test of the service itself (combine with the chaos
 harness's fault injection to soak a service that is being killed and
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List
 
-from ..analysis.spec import ScenarioSpec
 from ..analysis.strategies import spec_stream
-from .oracles import _comparable, _diff_description, batch_replayable
+from .oracles import Side, _check_backend_parity, batch_replayable
 
 #: Points per submitted job; small enough that service restarts mid-soak
 #: re-run little, large enough to amortise HTTP round trips.
@@ -52,12 +52,12 @@ class SoakReport:
         )
 
 
-def _service_row(record: Dict[str, Any]) -> Dict[str, Any]:
-    """A service point record reduced to its backend-comparable fields."""
-    row = {
-        k: v for k, v in record.items() if k not in ("type", "index")
-    }
-    return _comparable(row)
+def _side(record: Dict[str, Any]) -> Side:
+    """A service point record as one engine's side of the parity check."""
+    row = record.get("row")
+    if row is None:
+        return ("error", f"point {record.get('status')}")
+    return ("ok", row)
 
 
 def run_soak(
@@ -90,13 +90,13 @@ def run_soak(
             for backend in ("reference", "batch"):
                 payload = {
                     "points": [
-                        _with_backend(s, backend).to_dict() for s in paired
+                        replace(s, backend=backend).to_dict() for s in paired
                     ]
                 }
-                jobs.append((backend, client.submit(payload)["id"]))
+                jobs.append((backend, client.submit(payload)["job_id"]))
         if solo:
             payload = {"points": [s.to_dict() for s in solo]}
-            jobs.append(("reference-only", client.submit(payload)["id"]))
+            jobs.append(("reference-only", client.submit(payload)["job_id"]))
         rows: Dict[str, List[Dict[str, Any]]] = {}
         for backend, job_id in jobs:
             client.wait(job_id, timeout=timeout)
@@ -109,20 +109,17 @@ def run_soak(
         report.executed += len(chunk)
         report.reference_only += len(solo)
         for offset, (index, spec) in enumerate(paired_at):
-            left = _service_row(rows["reference"][offset])
-            right = _service_row(rows["batch"][offset])
+            cell = _check_backend_parity(
+                _side(rows["reference"][offset]), _side(rows["batch"][offset])
+            )
             report.compared += 1
-            if left != right:
+            if cell["status"] == "divergence":
                 report.divergences.append(
                     {
                         "index": index,
                         "spec": spec.to_dict(),
                         "oracles": ["backend-parity"],
-                        "detail": _diff_description(left, right),
+                        "detail": cell["detail"],
                     }
                 )
     return report
-
-
-def _with_backend(spec: ScenarioSpec, backend: str) -> ScenarioSpec:
-    return replace(spec, backend=backend)

@@ -24,18 +24,22 @@ over a finished :class:`~repro.resilience.scenario.ScenarioResult`:
 
 :func:`evaluate` runs them all and returns the violations — an empty list
 is a healthy run; every flywheel and campaign point is judged by it.
-Oracles are total: they never raise on garbage outputs (``NaN``,
-``None``, non-vertices, ints too large for a float); garbage surfaces as
-violations instead.
+``termination``, ``validity`` and ``agreement`` format the findings of the
+one AA judgement (:func:`repro.core.api.judge_real` /
+:func:`~repro.core.api.judge_tree`) that the outcome verdicts read too,
+so a row's ``ok`` and its oracles cannot disagree.  The judgement is
+total: it never raises on garbage outputs (``NaN``, ``None``,
+non-vertices, ints too large for a float); garbage surfaces as violations
+instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from ..analysis.spec import BASELINE_PROTOCOL
-from ..protocols.realaa import is_real
+from ..core.api import AAJudgement, judge_real, judge_tree
 from .scenario import ScenarioResult
 
 #: Protocols judged by the tree oracles (convex-hull validity, 1-agreement).
@@ -68,130 +72,45 @@ class Violation:
         return cls(oracle=str(payload["oracle"]), detail=str(payload["detail"]))
 
 
-def _check_termination(result: ScenarioResult) -> List[Violation]:
+def _check_termination(result: ScenarioResult, judgement: AAJudgement) -> List[Violation]:
     """Every honest party has an output; async runs completed."""
     violations: List[Violation] = []
     if not result.completed:
         violations.append(
-            Violation(
-                "termination",
-                result.stall or "execution did not complete",
-            )
+            Violation("termination", result.stall or "execution did not complete")
         )
-    missing = sorted(
-        pid for pid, value in result.honest_outputs.items() if value is None
-    )
-    if missing:
+    if judgement.missing:
         violations.append(
-            Violation("termination", f"honest parties {missing} have no output")
+            Violation("termination", f"honest parties {list(judgement.missing)} have no output")
         )
-    if not result.honest_outputs:
+    if not judgement.honest:
         violations.append(Violation("termination", "no honest outputs at all"))
     return violations
 
 
-def _check_real(result: ScenarioResult) -> List[Violation]:
-    """Validity and ε-agreement on ℝ.
-
-    ``None`` outputs are the termination oracle's finding, not a validity
-    one, so they are excluded here.
-    """
-    violations: List[Violation] = []
-    outputs = {
-        pid: v for pid, v in result.honest_outputs.items() if v is not None
-    }
-    bad = sorted(pid for pid, v in outputs.items() if not is_real(v))
-    if bad:
-        violations.append(
-            Violation(
-                "validity",
-                f"honest parties {bad} output non-real values "
-                f"{[outputs[pid] for pid in bad]!r}",
-            )
-        )
-    values = {pid: float(v) for pid, v in outputs.items() if is_real(v)}
-    if not values:
-        return violations
-    inputs = [float(v) for v in result.honest_inputs.values()]
-    lo, hi = min(inputs), max(inputs)
-    outside = sorted(pid for pid, v in values.items() if not lo <= v <= hi)
-    if outside:
-        violations.append(
-            Violation(
-                "validity",
-                f"outputs of {outside} outside honest input hull "
-                f"[{lo:g}, {hi:g}]",
-            )
-        )
-    spread = max(values.values()) - min(values.values())
-    epsilon = result.spec.epsilon
-    if spread > epsilon:
-        violations.append(
-            Violation(
-                "agreement",
-                f"output spread {spread:g} exceeds epsilon {epsilon:g}",
-            )
-        )
-    return violations
-
-
-def _in_tree(tree: Any, value: Any) -> bool:
-    """Tree membership that tolerates unhashable garbage outputs."""
-    try:
-        return value in tree
-    except TypeError:
-        return False
-
-
-def _check_tree(result: ScenarioResult) -> List[Violation]:
-    """Convex-hull validity and 1-agreement on the tree."""
-    from ..trees.convex import in_convex_hull
-    from ..trees.paths import distance
-
-    violations: List[Violation] = []
-    tree = result.tree_obj
-    if tree is None:
+def _check_contract(
+    result: ScenarioResult, judgement: AAJudgement, on_tree: bool
+) -> List[Violation]:
+    """Validity and agreement: ε on ℝ, 1 on trees."""
+    if on_tree and result.tree_obj is None:
         return [Violation("validity", "no tree attached to a tree-protocol result")]
-    outputs = {
-        pid: v for pid, v in result.honest_outputs.items() if v is not None
-    }
-    bad = sorted(pid for pid, v in outputs.items() if not _in_tree(tree, v))
-    if bad:
-        violations.append(
-            Violation(
-                "validity",
-                f"honest parties {bad} output non-vertices "
-                f"{[outputs[pid] for pid in bad]!r}",
-            )
-        )
-    vertices = {pid: v for pid, v in outputs.items() if _in_tree(tree, v)}
-    anchors = [v for v in result.honest_inputs.values() if _in_tree(tree, v)]
-    if not vertices or not anchors:
-        return violations
-    outside = sorted(
-        pid
-        for pid, v in vertices.items()
-        if not in_convex_hull(tree, v, anchors)
-    )
-    if outside:
-        violations.append(
-            Violation(
-                "validity",
-                f"outputs of {outside} outside the honest inputs' hull",
-            )
-        )
-    values = sorted(set(vertices.values()), key=repr)
-    diameter = 0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            diameter = max(diameter, distance(tree, values[i], values[j]))
-    if diameter > 1:
-        violations.append(
-            Violation(
-                "agreement",
-                f"honest output diameter {diameter} exceeds 1",
-            )
-        )
+    violations: List[Violation] = []
+    if judgement.garbage:
+        kind = "non-vertices" if on_tree else "non-real values"
+        outputs = [result.honest_outputs[pid] for pid in judgement.garbage]
+        detail = f"honest parties {list(judgement.garbage)} output {kind} {outputs!r}"
+        violations.append(Violation("validity", detail))
+    if judgement.outside:
+        lo, hi = judgement.hull
+        hull = "the honest inputs' hull" if on_tree else f"honest input hull [{lo:g}, {hi:g}]"
+        detail = f"outputs of {list(judgement.outside)} outside {hull}"
+        violations.append(Violation("validity", detail))
+    if judgement.spread > judgement.bound:
+        if on_tree:
+            detail = f"honest output diameter {judgement.spread} exceeds 1"
+        else:
+            detail = f"output spread {judgement.spread:g} exceeds epsilon {judgement.bound:g}"
+        violations.append(Violation("agreement", detail))
     return violations
 
 
@@ -219,13 +138,15 @@ def evaluate(result: ScenarioResult) -> List[Violation]:
     """
     if result.error is not None:
         return [Violation("no-exception", result.error)]
-    violations = _check_termination(result)
-    has_outputs = any(v is not None for v in result.honest_outputs.values())
-    if has_outputs:
-        if result.spec.protocol in TREE_PROTOCOLS:
-            violations.extend(_check_tree(result))
-        else:
-            violations.extend(_check_real(result))
+    inputs, outputs = result.honest_inputs, result.honest_outputs
+    on_tree = result.spec.protocol in TREE_PROTOCOLS
+    if on_tree:
+        judgement = judge_tree(result.tree_obj, inputs, outputs)
+    else:
+        judgement = judge_real(inputs, outputs, result.spec.epsilon)
+    violations = _check_termination(result, judgement)
+    if judgement.honest > len(judgement.missing):
+        violations.extend(_check_contract(result, judgement, on_tree))
     violations.extend(_check_round_bound(result))
     return violations
 

@@ -75,13 +75,12 @@ def _capture_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}{location}"
 
 
-def round_budget(spec: ScenarioSpec, tree: Optional[Any] = None) -> int:
+def round_budget(spec: ScenarioSpec) -> int:
     """The most rounds (async: delivery steps) a run of ``spec`` may take.
 
     Theorem 3 at the effective known range (``real-aa``), Theorem 4
     (``tree-aa``), RealAA over the path with ε = 1 (``path-aa``), the
     halving baseline's ``O(log D)`` schedule, or ``max_steps`` (async).
-    ``tree`` is the spec's parsed tree, if the caller has it.
     """
     from ..baselines.iterative_tree import tree_halving_iterations
     from ..protocols.rounds import (
@@ -100,8 +99,7 @@ def round_budget(spec: ScenarioSpec, tree: Optional[Any] = None) -> int:
         return realaa_duration(
             max(known_range, spec.epsilon), spec.epsilon, spec.n, spec.assumed_t
         )
-    if tree is None:
-        tree = spec.build_tree()
+    tree = spec.build_tree()
     tree_diameter = diameter(tree)
     if spec.protocol == "tree-aa":
         return tree_aa_round_bound(tree.n_vertices, tree_diameter)
@@ -120,7 +118,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         honest_inputs=dict(outcome.honest_inputs),
         honest_outputs=dict(outcome.honest_outputs),
         rounds=outcome.rounds,
-        round_limit=round_budget(spec, getattr(outcome, "tree", None)),
+        round_limit=round_budget(spec),
         fault_counts={
             "dropped": execution.trace.faults_dropped,
             "duplicated": execution.trace.faults_duplicated,

@@ -1,4 +1,4 @@
-"""Tests for the AA property checkers and convergence statistics."""
+"""Tests for the AA judgement's property verdicts and convergence statistics."""
 
 import pytest
 
@@ -7,43 +7,57 @@ from repro.analysis import (
     convergence_factors,
     honest_value_ranges,
     overall_factor,
-    real_agreement,
-    real_validity,
-    tree_agreement,
-    tree_output_diameter,
-    tree_validity,
 )
+from repro.core import judge_real, judge_tree
 from repro.net import run_protocol
 from repro.protocols import RealAAParty
 from repro.trees import figure_tree, path_tree
 
 
+def _by_pid(values):
+    """A value list as the pid-keyed map the judgement reads."""
+    return dict(enumerate(values))
+
+
 class TestRealCheckers:
     def test_validity(self):
-        assert real_validity([0.0, 10.0], [5.0, 0.0, 10.0])
-        assert not real_validity([0.0, 10.0], [10.5])
+        inputs = _by_pid([0.0, 10.0])
+        assert judge_real(inputs, _by_pid([5.0, 0.0, 10.0]), 10.0).valid
+        judgement = judge_real(inputs, _by_pid([10.5]), 10.0)
+        assert not judgement.valid
+        assert judgement.outside == (0,)
 
     def test_agreement(self):
-        assert real_agreement([1.0, 1.4], 0.5)
-        assert not real_agreement([1.0, 1.6], 0.5)
+        inputs = _by_pid([0.0, 2.0])
+        assert judge_real(inputs, _by_pid([1.0, 1.4]), 0.5).agreement
+        assert not judge_real(inputs, _by_pid([1.0, 1.6]), 0.5).agreement
 
 
 class TestTreeCheckers:
     def test_validity_on_figure_tree(self):
         tree = figure_tree()
-        assert tree_validity(tree, ["v3", "v6", "v5"], ["v2", "v3"])
-        assert not tree_validity(tree, ["v3", "v6", "v5"], ["v4"])
+        inputs = _by_pid(["v3", "v6", "v5"])
+        assert judge_tree(tree, inputs, _by_pid(["v2", "v3"])).valid
+        judgement = judge_tree(tree, inputs, _by_pid(["v4"]))
+        assert not judgement.valid
+        assert judgement.outside == (0,)
 
     def test_output_diameter(self):
         tree = figure_tree()
-        assert tree_output_diameter(tree, ["v6", "v6"]) == 0
-        assert tree_output_diameter(tree, ["v6", "v3"]) == 1
-        assert tree_output_diameter(tree, ["v6", "v5"]) == 3
+
+        def diameter(outputs):
+            return judge_tree(tree, _by_pid(outputs), _by_pid(outputs)).spread
+
+        assert diameter(["v6", "v6"]) == 0
+        assert diameter(["v6", "v3"]) == 1
+        assert diameter(["v6", "v5"]) == 3
 
     def test_agreement(self):
         tree = figure_tree()
-        assert tree_agreement(tree, ["v3", "v3", "v6"])
-        assert not tree_agreement(tree, ["v6", "v7"])  # siblings: distance 2
+        outputs = _by_pid(["v3", "v3", "v6"])
+        assert judge_tree(tree, outputs, outputs).agreement
+        siblings = _by_pid(["v6", "v7"])  # distance 2
+        assert not judge_tree(tree, siblings, siblings).agreement
 
 
 class TestConvergenceSeries:

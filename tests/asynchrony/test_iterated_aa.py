@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import tree_agreement, tree_validity
+from repro.core import judge_tree
 from repro.asynchrony import (
     AsyncLiarAdversary,
     AsyncNoiseAdversary,
@@ -157,10 +157,8 @@ class TestAsyncTreeAA:
             scheduler=RandomScheduler(seed),
         )
         assert result.completed
-        outputs = list(result.honest_outputs.values())
-        honest_inputs = [inputs[p] for p in sorted(result.honest)]
-        assert tree_validity(tree, honest_inputs, outputs)
-        assert tree_agreement(tree, outputs)
+        honest_inputs = {p: inputs[p] for p in sorted(result.honest)}
+        assert judge_tree(tree, honest_inputs, result.honest_outputs).achieved_aa
 
     @given(
         trees_with_vertex_choices(n_choices=7, min_vertices=2),
@@ -178,10 +176,8 @@ class TestAsyncTreeAA:
             tree, inputs, 2, adversary=adversary, scheduler=RandomScheduler(seed)
         )
         assert result.completed
-        outputs = list(result.honest_outputs.values())
-        honest_inputs = [inputs[p] for p in sorted(result.honest)]
-        assert tree_validity(tree, honest_inputs, outputs)
-        assert tree_agreement(tree, outputs)
+        honest_inputs = {p: inputs[p] for p in sorted(result.honest)}
+        assert judge_tree(tree, honest_inputs, result.honest_outputs).achieved_aa
 
     def test_iterations_scale_with_log_diameter(self):
         short = AsyncTreeAAParty(0, 4, 1, path_tree(16), path_tree(16).vertices[0])

@@ -14,7 +14,7 @@ from repro.adversary import (
     SilentAdversary,
 )
 from repro.adversary.realaa_attacks import BurnScheduleAdversary
-from repro.analysis import tree_agreement, tree_output_diameter, tree_validity
+from repro.core import judge_tree
 from repro.baselines import IterativeTreeAAParty, tree_halving_iterations
 from repro.net import run_protocol
 from repro.trees import (
@@ -93,19 +93,15 @@ class TestAAProperties:
         rng = random.Random(11)
         inputs = [rng.choice(tree.vertices) for _ in range(n)]
         result = run_baseline(tree, inputs, t, adversary=adversary_factory())
-        honest_inputs = [inputs[p] for p in sorted(result.honest)]
-        honest_outputs = list(result.honest_outputs.values())
-        assert tree_validity(tree, honest_inputs, honest_outputs)
-        assert tree_agreement(tree, honest_outputs)
+        honest_inputs = {p: inputs[p] for p in sorted(result.honest)}
+        assert judge_tree(tree, honest_inputs, result.honest_outputs).achieved_aa
 
     @given(trees_with_vertex_choices(n_choices=7, min_vertices=2))
     def test_property_random_trees(self, tree_and_inputs):
         tree, inputs = tree_and_inputs
         result = run_baseline(tree, inputs, 2, adversary=BurnScheduleAdversary([2]))
-        honest_inputs = [inputs[p] for p in sorted(result.honest)]
-        honest_outputs = list(result.honest_outputs.values())
-        assert tree_validity(tree, honest_inputs, honest_outputs)
-        assert tree_agreement(tree, honest_outputs)
+        honest_inputs = {p: inputs[p] for p in sorted(result.honest)}
+        assert judge_tree(tree, honest_inputs, result.honest_outputs).achieved_aa
 
 
 class TestConvergenceBehaviour:

@@ -25,23 +25,23 @@ class TestRunTreeAA:
 
     def test_verdicts_detect_invalid_outputs(self):
         """Force a bogus output and check the verdict machinery catches it."""
-        from repro.core.api import _evaluate_tree_outputs
+        from repro.core import judge_tree
 
         tree = figure_tree()
-        verdicts = _evaluate_tree_outputs(
-            tree, {0: "v6", 1: "v6"}, {0: "v6", 1: "v5"}
-        )
-        assert verdicts["terminated"]
-        assert not verdicts["valid"]  # v5 outside hull {v6}
-        assert verdicts["output_diameter"] == 3
-        assert not verdicts["agreement"]
+        judgement = judge_tree(tree, {0: "v6", 1: "v6"}, {0: "v6", 1: "v5"})
+        assert judgement.terminated
+        assert not judgement.valid  # v5 outside hull {v6}
+        assert judgement.outside == (1,)
+        assert judgement.spread == 3
+        assert not judgement.agreement
 
     def test_verdicts_detect_missing_output(self):
-        from repro.core.api import _evaluate_tree_outputs
+        from repro.core import judge_tree
 
-        verdicts = _evaluate_tree_outputs(figure_tree(), {0: "v6"}, {0: None})
-        assert not verdicts["terminated"]
-        assert not verdicts["valid"]
+        judgement = judge_tree(figure_tree(), {0: "v6"}, {0: None})
+        assert judgement.missing == (0,)
+        assert not judgement.terminated
+        assert not judgement.valid
 
 
 class TestRunPathAA:

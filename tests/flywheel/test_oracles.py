@@ -218,3 +218,51 @@ class TestVerdictBlindSpot:
     def test_malformed_spec_raises_instead_of_diverging(self):
         with pytest.raises(SpecError, match="malformed tree spec"):
             evaluate_point(tree_spec(tree="random:4:x"))
+
+
+class TestTreeBuiltOnce:
+    def test_point_parses_and_walks_its_tree_once(self, monkeypatch):
+        from repro.analysis import spec as spec_module
+        from repro.trees import paths
+
+        spec = tree_spec(tree="caterpillar:5x2")
+        monkeypatch.setattr(
+            spec_module, "_grammar_tree", spec_module.parse_tree_spec
+        )
+        uncached = evaluate_point(spec)
+        monkeypatch.undo()
+        spec_module._grammar_tree.cache_clear()
+
+        parses, walks = [], []
+        parse, farthest = spec_module.parse_tree_spec, paths.farthest_vertex
+        monkeypatch.setattr(
+            spec_module,
+            "parse_tree_spec",
+            lambda text: parses.append(text) or parse(text),
+        )
+        # diameter_path's double BFS: two farthest-vertex searches per walk.
+        monkeypatch.setattr(
+            paths,
+            "farthest_vertex",
+            lambda tree, source: walks.append(source) or farthest(tree, source),
+        )
+        row = evaluate_point(spec)
+        assert parses == ["caterpillar:5x2"]
+        assert len(walks) == 2
+        assert row == uncached
+
+    def test_malformed_tree_raises_on_every_call(self):
+        spec = tree_spec(tree="random:4:x")
+        for _ in range(2):
+            with pytest.raises(SpecError, match="malformed tree spec"):
+                spec.build_tree()
+
+    def test_file_trees_are_read_anew(self, tmp_path):
+        from repro.trees import path_tree, tree_to_json
+
+        source = tmp_path / "tree.json"
+        source.write_text(tree_to_json(path_tree(4)))
+        spec = tree_spec(tree=f"@{source}")
+        first = spec.build_tree()
+        source.write_text(tree_to_json(path_tree(6)))
+        assert spec.build_tree().n_vertices == 6 != first.n_vertices

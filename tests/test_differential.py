@@ -105,7 +105,6 @@ class TestSyncVsAsyncAA:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_trees(self, seed):
-        from repro.analysis import tree_agreement, tree_validity
         from repro.asynchrony import (
             AsyncSilentAdversary,
             AsyncTreeAAParty,
@@ -113,7 +112,7 @@ class TestSyncVsAsyncAA:
             run_async_protocol,
         )
         from repro.adversary import SilentAdversary
-        from repro.core import run_tree_aa
+        from repro.core import judge_tree, run_tree_aa
         from repro.trees import random_tree
 
         tree = random_tree(20, seed)
@@ -133,10 +132,8 @@ class TestSyncVsAsyncAA:
             max_steps=400_000,
         )
         assert async_result.completed
-        outputs = list(async_result.honest_outputs.values())
-        honest_inputs = [inputs[p] for p in sorted(async_result.honest)]
-        assert tree_validity(tree, honest_inputs, outputs)
-        assert tree_agreement(tree, outputs)
+        honest_inputs = {p: inputs[p] for p in sorted(async_result.honest)}
+        assert judge_tree(tree, honest_inputs, async_result.honest_outputs).achieved_aa
 
 
 class TestGoldenExecutions:
@@ -145,7 +142,7 @@ class TestGoldenExecutions:
 
     def test_figure_tree_burn_execution(self):
         from repro.adversary.realaa_attacks import BurnScheduleAdversary
-        from repro.core import run_tree_aa
+        from repro.core import judge_tree, run_tree_aa
         from repro.trees import figure_tree
 
         outcome = run_tree_aa(
