@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..net.faults import FaultPlan
 from ..net.network import TraceLevel
+from ..protocols.realaa import is_real
 from ..trees.grammar import parse_tree_spec
 from .parallel import SweepCache, register_runner
 
@@ -322,6 +323,16 @@ class ScenarioSpec:
             raise SpecError(f"need n >= 1, got {self.n}")
         if self.t < 0:
             raise SpecError(f"need t >= 0, got {self.t}")
+        if self.t_assumed is not None and self.t_assumed < 0:
+            raise SpecError(f"need t_assumed >= 0, got {self.t_assumed}")
+        if not is_real(self.epsilon) or self.epsilon <= 0:
+            raise SpecError(f"need a finite epsilon > 0, got {self.epsilon!r}")
+        if self.known_range is not None and (
+            not is_real(self.known_range) or self.known_range < 0
+        ):
+            raise SpecError(
+                f"need a finite known_range >= 0, got {self.known_range!r}"
+            )
         if self.backend not in SPEC_BACKENDS:
             raise SpecError(f"unknown backend {self.backend!r}")
         if self.trace_level not in TRACE_LEVELS:

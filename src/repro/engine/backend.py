@@ -15,11 +15,16 @@ reference engine's determinism and therefore the seeding discipline of
 generator only, never the engine, so cache keys stay comparable across
 backends (they differ exactly in the recorded ``backend`` field).
 
-Parties in the returned execution are read-only *views*
-(:class:`BatchRealAAView` and friends): they expose the diagnostic
-attributes the reference party classes expose (``value``, ``bad``,
-``history``, ``local_termination_iteration``, ``output``, …) but cannot be
-driven — their round methods raise
+Validation is the reference's own: each ``run_*`` builds party 0 with the
+reference party constructor (the factory the dense engine drives), so
+guard order and messages match because the same code raises them; the
+other parties' inputs are then checked in pid order.
+
+Parties in the returned execution are read-only views, all of one class
+(:class:`BatchPartyView`): each exposes the attributes its reference
+party class exposes (``value``, ``bad``, ``history``,
+``local_termination_iteration``, ``output``, ``paths_finder``, …) but
+cannot be driven — its round methods raise
 :class:`~repro.engine.errors.UnsupportedBackendError`.  A phase pays once
 per party class, not once per party: each view keeps a reference to its
 class's outcome, and ``bad`` and ``history`` are built on first read.
@@ -41,20 +46,16 @@ from ..core.closest_int import closest_int
 from ..core.errors import ValidityViolationError, check_index_in_range
 from ..core.path_aa import PathAAParty
 from ..core.projection_aa import KnownPathAAParty
-from ..core.tree_aa import TreeAAParty, projection_phase_iterations
+from ..core.tree_aa import TreeAAParty
 from ..net.messages import Inbox, Outbox, PartyId
 from ..net.network import ExecutionResult, TraceLevel
-from ..net.protocol import ProtocolParty, ProtocolStateError
+from ..net.protocol import ProtocolParty
 from ..observability.collector import MetricsCollector
 from ..protocols.realaa import IterationRecord, RealAAParty, is_real
-from ..protocols.rounds import (
-    ROUNDS_PER_ITERATION,
-    check_resilience,
-    realaa_iterations,
-)
-from ..trees.euler import EulerList, list_construction
+from ..protocols.rounds import ROUNDS_PER_ITERATION
+from ..trees.euler import EulerList
 from ..trees.labeled_tree import Label, LabeledTree
-from ..trees.paths import TreePath, diameter
+from ..trees.paths import TreePath
 from ..trees.projection import project_onto_path
 from .dense import DenseExecution
 from .errors import UnsupportedBackendError
@@ -73,20 +74,104 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class BatchPartyView(ProtocolParty):
-    """Read-only party stand-in returned inside batch execution results.
+    """Read-only stand-in for one reference party, inside batch results.
 
-    Carries the reference party's diagnostic surface without the state
-    machine; driving it is a contract violation and raises
+    One class describes the parties of every protocol.  A view holds its
+    own attributes in slots, plus the attribute dict it shares with every
+    view built at the same site (``n``, ``t``, ``epsilon``, the Euler
+    list, …; see :func:`_view_attributes`).  A read the view cannot
+    answer itself falls back to that dict; an assignment stays with the
+    view.  Between them, the two hold exactly the attributes the
+    reference party class exposes.  The state machine is not there, so
+    the round methods raise
     :class:`~repro.engine.errors.UnsupportedBackendError`.
+
+    Two kinds of attribute are derived on read instead of stored:
+
+    * ``bad`` and ``history`` of a RealAA-family view (one whose shared
+      attributes hold ``_ran``).  A phase binds each member view to its
+      class's :class:`~repro.engine.kernel.ClassPhaseOutcome` (see
+      :func:`_populate_realaa_views`), and the view builds its own ``set``
+      and ``list`` on first read and keeps them.  A view whose party never
+      ran reads ``set()`` and ``[]``; assigning either replaces it.
+    * ``path`` of a TreeAA view (one whose shared attributes hold
+      ``projection_phase``): the output of its PathsFinder view, ``None``
+      until phase 1 ended.
     """
 
-    def __init__(self, pid: PartyId, n: int, t: int, duration: int) -> None:
-        super().__init__(pid, n, t)
-        self._duration = duration
+    # Slots rather than a per-view dict: views are built per party at
+    # large n, with attribute sets that differ by site.
+    __slots__ = (
+        "pid",
+        "_shared",
+        "output",
+        "input_value",
+        "value",
+        "local_termination_iteration",
+        "_ran",
+        "bad",
+        "history",
+        "input_vertex",
+        "selected_vertex",
+        "path",
+        "projection",
+        "paths_finder",
+        "projection_phase",
+    )
+
+    _shared: Dict[str, Any]
+    value: float
+    local_termination_iteration: Optional[int]
+    projection_phase: Optional["BatchPartyView"]
+    _ran: Optional[Tuple[ClassPhaseOutcome, RealAAPhaseResult]]
+
+    def __init__(
+        self, pid: PartyId, shared: Dict[str, Any], own: Dict[str, Any]
+    ) -> None:
+        self.pid = pid
+        self._shared = shared
+        for name, value in own.items():
+            setattr(self, name, value)
 
     @property
     def duration(self) -> int:
         return self._duration
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes the view does not hold itself.
+        if name == "_shared" or name.startswith("__"):
+            # A bare instance being unpickled or copied has no _shared yet.
+            raise AttributeError(name)
+        shared = self._shared
+        if name in shared:
+            return shared[name]
+        if name in ("bad", "history") and "_ran" in shared:
+            ran = self._ran
+            if ran is None:
+                value: Any = set() if name == "bad" else []
+            elif name == "bad":
+                value = set(np.flatnonzero(ran[0].bad).tolist())
+            else:
+                outcome, phase = ran
+                pid = self.pid
+                value = [
+                    IterationRecord(
+                        iteration=record.iteration,
+                        accepted=record.accepted,
+                        newly_detected=record.newly_detected,
+                        trimmed_range=record.trimmed_range,
+                        new_value=phase.snapshots[record.iteration][pid].item(),
+                    )
+                    for record in outcome.records
+                ]
+            setattr(self, name, value)
+            return value
+        if name == "path" and "projection_phase" in shared:
+            finder = self.paths_finder
+            return None if finder is None else finder.output
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     def messages_for_round(self, round_index: int) -> Outbox:
         raise UnsupportedBackendError(
@@ -101,173 +186,37 @@ class BatchPartyView(ProtocolParty):
         )
 
 
-class BatchRealAAView(BatchPartyView):
-    """The diagnostic surface of :class:`~repro.protocols.realaa.RealAAParty`.
+def _view_attributes(
+    n: int, t: int, duration: int, **attributes: Any
+) -> Dict[str, Any]:
+    """The attributes shared by every view built at one site.
 
-    ``bad`` and ``history`` are class-uniform apart from each record's
-    ``new_value``, so a phase binds every member view to its class's
-    :class:`~repro.engine.kernel.ClassPhaseOutcome` (see
-    :func:`_populate_realaa_views`) and each view builds its own ``set``
-    and ``list`` on first read, caching them.  A view whose party never
-    ran reads ``set()`` and ``[]``; assigning either attribute replaces
-    the cached value.
+    Stored once per site, not once per party: views read them through
+    :meth:`BatchPartyView.__getattr__`.
     """
-
-    def __init__(
-        self,
-        pid: PartyId,
-        n: int,
-        t: int,
-        duration: int,
-        input_value: float,
-        epsilon: float,
-        iterations: int,
-    ) -> None:
-        super().__init__(pid, n, t, duration)
-        self.input_value = input_value
-        self.value = input_value
-        self.epsilon = epsilon
-        self.iterations = iterations
-        self.local_termination_iteration: Optional[int] = None
-        #: ``(class outcome, phase)`` of the phase that ran this party.
-        self._ran: Optional[Tuple[ClassPhaseOutcome, RealAAPhaseResult]] = None
-        self._bad: Optional[Set[PartyId]] = None
-        self._history: Optional[List[IterationRecord]] = None
-
-    @property
-    def bad(self) -> Set[PartyId]:
-        """The final ``BAD`` set (built from the class outcome once)."""
-        if self._bad is None:
-            ran = self._ran
-            self._bad = (
-                set() if ran is None else set(np.flatnonzero(ran[0].bad).tolist())
-            )
-        return self._bad
-
-    @bad.setter
-    def bad(self, bad: Set[PartyId]) -> None:
-        self._bad = bad
-
-    @property
-    def history(self) -> List[IterationRecord]:
-        """Per-iteration records; ``new_value`` is this party's snapshot."""
-        if self._history is None:
-            ran = self._ran
-            if ran is None:
-                self._history = []
-            else:
-                outcome, phase = ran
-                pid = self.pid
-                self._history = [
-                    IterationRecord(
-                        iteration=record.iteration,
-                        accepted=record.accepted,
-                        newly_detected=record.newly_detected,
-                        trimmed_range=record.trimmed_range,
-                        new_value=phase.snapshots[record.iteration][pid].item(),
-                    )
-                    for record in outcome.records
-                ]
-        return self._history
-
-    @history.setter
-    def history(self, history: List[IterationRecord]) -> None:
-        self._history = history
+    return dict(n=n, t=t, output=None, _duration=duration, **attributes)
 
 
-class BatchPathsFinderView(BatchRealAAView):
-    """The diagnostic surface of :class:`~repro.core.paths_finder.PathsFinderParty`."""
+def _realaa_attributes(
+    n: int, t: int, iterations: int, epsilon: float = 1.0, **attributes: Any
+) -> Dict[str, Any]:
+    """Shared attributes of a RealAA-family view before its phase ran.
 
-    def __init__(
-        self,
-        pid: PartyId,
-        n: int,
-        t: int,
-        duration: int,
-        input_value: float,
-        iterations: int,
-        tree: LabeledTree,
-        euler: EulerList,
-        input_vertex: Label,
-    ) -> None:
-        super().__init__(pid, n, t, duration, input_value, 1.0, iterations)
-        self.tree = tree
-        self.euler = euler
-        self.input_vertex = input_vertex
-        self.selected_vertex: Optional[Label] = None
-
-
-class BatchProjectionView(BatchRealAAView):
-    """The diagnostic surface of :class:`~repro.core.tree_aa.ProjectionPhaseParty`."""
-
-    def __init__(
-        self,
-        pid: PartyId,
-        n: int,
-        t: int,
-        duration: int,
-        input_value: float,
-        iterations: int,
-        path: TreePath,
-        projection: Label,
-    ) -> None:
-        super().__init__(pid, n, t, duration, input_value, 1.0, iterations)
-        self.path = path
-        self.projection = projection
-
-
-class BatchPathAAView(BatchRealAAView):
-    """The diagnostic surface of the Section-4/5 path party classes."""
-
-    def __init__(
-        self,
-        pid: PartyId,
-        n: int,
-        t: int,
-        duration: int,
-        input_value: float,
-        iterations: int,
-        path: TreePath,
-        input_vertex: Label,
-        tree: Optional[LabeledTree] = None,
-        projection: Optional[Label] = None,
-    ) -> None:
-        super().__init__(pid, n, t, duration, input_value, 1.0, iterations)
-        self.path = path
-        self.input_vertex = input_vertex
-        if tree is not None:
-            self.tree = tree
-        if projection is not None:
-            self.projection = projection
-
-
-class BatchTreeAAView(BatchPartyView):
-    """The diagnostic surface of :class:`~repro.core.tree_aa.TreeAAParty`."""
-
-    def __init__(
-        self,
-        pid: PartyId,
-        n: int,
-        t: int,
-        duration: int,
-        tree: LabeledTree,
-        input_vertex: Label,
-        root: Label,
-    ) -> None:
-        super().__init__(pid, n, t, duration)
-        self.tree = tree
-        self.input_vertex = input_vertex
-        self.root = root
-        self.paths_finder: Optional[BatchPathsFinderView] = None
-        self.projection_phase: Optional[BatchProjectionView] = None
-
-    @property
-    def path(self) -> Optional[TreePath]:
-        """The PathsFinder output path (``None`` until phase 1 ended)."""
-        if self.paths_finder is None:
-            return None
-        output = self.paths_finder.output
-        return output if isinstance(output, TreePath) else None
+    :class:`~repro.protocols.realaa.RealAAParty`'s own, plus the
+    subclass's *attributes*.  Each view adds ``input_value`` and
+    ``value``; :func:`_populate_realaa_views` binds ``_ran``.
+    """
+    return _view_attributes(
+        n,
+        t,
+        ROUNDS_PER_ITERATION * iterations,
+        epsilon=epsilon,
+        iterations=iterations,
+        local_termination_iteration=None,
+        accusations=True,
+        _ran=None,
+        **attributes,
+    )
 
 
 def _resolve_collector(
@@ -355,80 +304,51 @@ def _attach_metrics(
     )
 
 
-def _finish_metrics(
-    execution: "AnyExecution",
-    honest_outputs: Optional[List[Any]] = None,
-) -> None:
-    """Patch the final row's hull and flush pending rows (run succeeded)."""
-    if execution.metrics is not None:
-        execution.metrics.finalize(honest_outputs)
-        execution.metrics.flush()
-
-
-def _finish_dense(
+def _finish_run(
     execution: "AnyExecution",
     adversary: Optional["Adversary"],
     outputs: Dict[PartyId, Any],
-    parties: Dict[int, Any],
-) -> None:
-    """Dense-mode epilogue: puppet results + success-path bookkeeping.
+    views: Dict[int, BatchPartyView],
+) -> ExecutionResult:
+    """The end every run shares, once its phases succeeded.
 
-    The dense engine drove *real* puppet objects; surface them (and their
-    outputs) in the result exactly like the reference engine does, copy
-    the fault counters onto the trace and mirror the replay clone's
-    diagnostics onto the caller's adversary instance.
+    Patches the final metrics row's hull from the honest outputs and
+    flushes the pending rows.  In dense mode the engine drove *real*
+    puppet objects: they (and their outputs) replace the views in the
+    result exactly as the reference engine reports them, the fault
+    counters go onto the trace, and the replay clone's diagnostics are
+    mirrored onto the caller's adversary instance.
     """
-    if not isinstance(execution, DenseExecution):
-        return
-    for pid in sorted(execution.corrupted):
-        party = execution.party_objects.get(pid)
-        if party is not None:
-            outputs[pid] = party.output
-            parties[pid] = party
-    execution.finalize_trace()
-    execution.copy_diagnostics(adversary)
-
-
-def _realaa_shared_checks(
-    n: int,
-    t: int,
-    first_input: float,
-    epsilon: float,
-    known_range: Optional[float],
-    iterations: Optional[int],
-) -> int:
-    """Party-0's constructor validation, in reference order; resolved count.
-
-    Mirrors :class:`~repro.protocols.realaa.RealAAParty` construction for
-    pid 0 exactly (guard order and messages), so invalid parameters raise
-    the identical exception on either backend.
-    """
-    if t < 0 or n < 1:
-        raise ValueError("need n >= 1 and t >= 0")
-    check_resilience(n, t)
-    if not is_real(first_input):
-        raise ValueError(f"input must be a finite real, got {first_input!r}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if (known_range is None) == (iterations is None):
-        raise ValueError("give exactly one of known_range / iterations")
-    if iterations is None:
-        if known_range is None:  # unreachable: the xor check above
-            raise ProtocolStateError("known_range and iterations both None")
-        iterations = realaa_iterations(known_range, epsilon, n, t)
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    return iterations
+    if execution.metrics is not None:
+        honest = sorted(execution.honest_set)
+        execution.metrics.finalize([outputs[pid] for pid in honest])
+        execution.metrics.flush()
+    parties: Dict[int, Any] = dict(views)
+    if isinstance(execution, DenseExecution):
+        for pid in sorted(execution.corrupted):
+            party = execution.party_objects.get(pid)
+            if party is not None:
+                outputs[pid] = party.output
+                parties[pid] = party
+        execution.finalize_trace()
+        execution.copy_diagnostics(adversary)
+    return ExecutionResult(
+        outputs=outputs,
+        honest=execution.honest_set,
+        corrupted=set(execution.corrupted),
+        trace=execution.trace,
+        parties=parties,
+    )
 
 
 def _populate_realaa_views(
-    views: Dict[int, BatchRealAAView], phase: RealAAPhaseResult
+    views: Dict[int, BatchPartyView], phase: RealAAPhaseResult
 ) -> List[float]:
     """Bind one phase's per-class results to the per-party views.
 
     Each view gets its final value, its termination iteration and a
     reference to its class's outcome; ``bad`` and ``history`` are built
-    from that on first read (:class:`BatchRealAAView`).  Returns the
+    from that on first read (:class:`BatchPartyView`).  Returns the
     phase's final values as a list indexed by pid.
     """
     values = phase.values.tolist()
@@ -451,13 +371,39 @@ def _active_pids(phase: RealAAPhaseResult) -> List[int]:
     return sorted(pids)
 
 
+def _honest_first(
+    pids: List[int], honest: Set[int], step: "Callable[[int], None]"
+) -> List[int]:
+    """Run *step* for each of *pids*: honest parties first, then puppets.
+
+    The reference order of events at a phase end: the first honest
+    :class:`~repro.core.errors.ValidityViolationError` (lowest pid)
+    raises out of the run, while a corrupted puppet whose validity guard
+    fires dies silently (the adversary pops it).  Returns the dead
+    puppets' ids.
+    """
+    for pid in pids:
+        if pid in honest:
+            step(pid)
+    dead: List[int] = []
+    for pid in pids:
+        if pid not in honest:
+            try:
+                step(pid)
+            except ValidityViolationError:
+                dead.append(pid)
+    return dead
+
+
 class BatchSynchronousEngine:
     """Batched executor for RealAA / PathAA / TreeAA.
 
-    Stateless facade: each ``run_*`` method validates inputs exactly like
-    the reference party constructors, replays the supported adversary via
-    its :class:`~repro.engine.spec.BatchAdversarySpec`, runs the kernel,
-    and assembles the same outcome dataclass the reference API returns.
+    Stateless facade.  Each ``run_*`` method validates its arguments by
+    building party 0 with the reference constructor (the same factory
+    the dense engine drives) and checking the other parties' inputs in
+    pid order, replays the supported adversary via its
+    :class:`~repro.engine.spec.BatchAdversarySpec`, runs the kernel, and
+    assembles the same outcome dataclass the reference API returns.
     """
 
     # -- RealAA ---------------------------------------------------------
@@ -488,24 +434,9 @@ class BatchSynchronousEngine:
         if known_range is None and iterations is None:
             known_range = max(inputs) - min(inputs) if n else 0.0
         party_t = t if t_assumed is None else t_assumed
-        its: Optional[int] = None
-        if n:
-            its = _realaa_shared_checks(
-                n, party_t, inputs[0], epsilon, known_range, iterations
-            )
-            for pid in range(1, n):
-                if not is_real(inputs[pid]):
-                    raise ValueError(
-                        f"input must be a finite real, got {inputs[pid]!r}"
-                    )
-        execution = _make_execution(
-            n,
-            t,
-            party_t,
-            spec,
-            trace_level,
-            fault_plan,
-            lambda pid: RealAAParty(
+
+        def factory(pid: int) -> RealAAParty:
+            return RealAAParty(
                 pid,
                 n,
                 party_t,
@@ -513,43 +444,34 @@ class BatchSynchronousEngine:
                 epsilon=epsilon,
                 known_range=known_range,
                 iterations=iterations,
-            ),
-        )
-        duration = 0 if its is None else ROUNDS_PER_ITERATION * its
-        _attach_metrics(execution, collector, duration, True)
-        views: Dict[int, BatchRealAAView] = {
-            pid: BatchRealAAView(
-                pid,
-                n,
-                party_t,
-                duration,
-                float(inputs[pid]),
-                float(epsilon),
-                its if its is not None else 0,
             )
-            for pid in range(n)
+
+        its = 0
+        if n:
+            its = factory(0).iterations
+            for pid in range(1, n):
+                if not is_real(inputs[pid]):
+                    factory(pid)  # raises the constructor's own error
+        execution = _make_execution(
+            n, t, party_t, spec, trace_level, fault_plan, factory
+        )
+        _attach_metrics(execution, collector, ROUNDS_PER_ITERATION * its, True)
+        values = [float(v) for v in inputs]
+        shared = _realaa_attributes(n, party_t, its, float(epsilon))
+        views = {
+            pid: BatchPartyView(pid, shared, {"input_value": value, "value": value})
+            for pid, value in enumerate(values)
         }
         outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
-        if its is not None and execution.has_honest:
+        if n and execution.has_honest:
             phase = execution.run_realaa_phase(
-                np.array([float(v) for v in inputs], dtype=np.float64),
-                float(epsilon),
-                its,
+                np.array(values, dtype=np.float64), float(epsilon), its
             )
             final = _populate_realaa_views(views, phase)
             for pid in _active_pids(phase):
                 outputs[pid] = final[pid]
                 views[pid].output = final[pid]
-        _finish_metrics(execution)
-        parties: Dict[int, Any] = dict(views)
-        _finish_dense(execution, adversary, outputs, parties)
-        result = ExecutionResult(
-            outputs=outputs,
-            honest=execution.honest_set,
-            corrupted=set(execution.corrupted),
-            trace=execution.trace,
-            parties=parties,
-        )
+        result = _finish_run(execution, adversary, outputs, views)
         return real_aa_outcome(
             result,
             inputs,
@@ -557,7 +479,7 @@ class BatchSynchronousEngine:
             result.trace.rounds_executed,
             [
                 views[pid].local_termination_iteration
-                for pid in sorted(execution.honest_set)
+                for pid in sorted(result.honest)
             ],
         )
 
@@ -582,22 +504,7 @@ class BatchSynchronousEngine:
         n = len(inputs)
         party_t = t if t_assumed is None else t_assumed
         canonical = path.canonical()
-        positions: List[float] = []
-        projections: Dict[int, Label] = {}
-        its: Optional[int] = None
-        for pid in range(n):
-            if project:
-                tree.require_vertex(inputs[pid])
-                projection = project_onto_path(tree, inputs[pid], canonical)
-                position = canonical.position_of(projection)
-                projections[pid] = projection
-            else:
-                position = canonical.position_of(inputs[pid])
-            if pid == 0:
-                its = _realaa_shared_checks(
-                    n, party_t, float(position), 1.0, float(canonical.length), None
-                )
-            positions.append(float(position))
+        factory: "Callable[[int], RealAAParty]"
         if project:
             factory = lambda pid: KnownPathAAParty(  # noqa: E731
                 pid, n, party_t, tree, canonical, inputs[pid]
@@ -606,65 +513,57 @@ class BatchSynchronousEngine:
             factory = lambda pid: PathAAParty(  # noqa: E731
                 pid, n, party_t, canonical, inputs[pid]
             )
+        its = factory(0).iterations if n else 0
+        positions: List[float] = []
+        projections: Dict[int, Label] = {}
+        for pid in range(n):
+            if project:
+                tree.require_vertex(inputs[pid])
+                projection = project_onto_path(tree, inputs[pid], canonical)
+                position = canonical.position_of(projection)
+                projections[pid] = projection
+            else:
+                position = canonical.position_of(inputs[pid])
+            positions.append(float(position))
         execution = _make_execution(
             n, t, party_t, spec, trace_level, fault_plan, factory
         )
-        duration = 0 if its is None else ROUNDS_PER_ITERATION * its
-        honest_sorted = sorted(execution.honest_set)
         _attach_metrics(
             execution,
             collector,
-            duration,
+            ROUNDS_PER_ITERATION * its,
             True,
-            honest_estimates=[inputs[pid] for pid in honest_sorted],
+            honest_estimates=[inputs[pid] for pid in sorted(execution.honest_set)],
         )
-        views: Dict[int, BatchRealAAView] = {
-            pid: BatchPathAAView(
-                pid,
-                n,
-                party_t,
-                duration,
-                positions[pid],
-                its if its is not None else 0,
-                canonical,
-                inputs[pid],
-                tree=tree if project else None,
-                projection=projections.get(pid),
-            )
-            for pid in range(n)
-        }
+        # KnownPathAAParty adds the tree and the projection to PathAAParty.
+        shared = _realaa_attributes(n, party_t, its, path=canonical)
+        if project:
+            shared["tree"] = tree
+        views: Dict[int, BatchPartyView] = {}
+        for pid, position in enumerate(positions):
+            own: Dict[str, Any] = {
+                "input_value": position,
+                "value": position,
+                "input_vertex": inputs[pid],
+            }
+            if project:
+                own["projection"] = projections[pid]
+            views[pid] = BatchPartyView(pid, shared, own)
         outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
-        if its is not None and execution.has_honest:
+        if n and execution.has_honest:
             phase = execution.run_realaa_phase(
                 np.array(positions, dtype=np.float64), 1.0, its
             )
             final = _populate_realaa_views(views, phase)
-            active = _active_pids(phase)
-            honest = execution.honest_set
-            for pid in [p for p in active if p in honest] + [
-                p for p in active if p not in honest
-            ]:
+
+            def output(pid: int) -> None:
                 value = final[pid]
                 index = closest_int(value)
-                if pid in honest:
-                    check_index_in_range(index, len(canonical), "the path", value)
-                elif not 0 <= index < len(canonical):
-                    continue  # the puppet died of the validity guard
-                vertex = canonical[index]
-                outputs[pid] = vertex
-                views[pid].output = vertex
-        _finish_metrics(
-            execution, [outputs[pid] for pid in honest_sorted]
-        )
-        parties: Dict[int, Any] = dict(views)
-        _finish_dense(execution, adversary, outputs, parties)
-        result = ExecutionResult(
-            outputs=outputs,
-            honest=execution.honest_set,
-            corrupted=set(execution.corrupted),
-            trace=execution.trace,
-            parties=parties,
-        )
+                check_index_in_range(index, len(canonical), "the path", value)
+                outputs[pid] = views[pid].output = canonical[index]
+
+            _honest_first(_active_pids(phase), execution.honest_set, output)
+        result = _finish_run(execution, adversary, outputs, views)
         return tree_aa_outcome(result, tree, inputs)
 
     # -- TreeAA ---------------------------------------------------------
@@ -686,87 +585,83 @@ class BatchSynchronousEngine:
         spec = resolve_batch_spec(adversary)
         n = len(inputs)
         party_t = t if t_assumed is None else t_assumed
-        outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
-        views: Dict[int, ProtocolParty] = {}
-        duration = 0
+
+        def factory(pid: int) -> TreeAAParty:
+            return TreeAAParty(pid, n, party_t, tree, inputs[pid], root=root)
+
+        first: Optional[TreeAAParty] = None
         if n:
-            # Party 0's constructor order: shared guards, own vertex, then
-            # the public phase parameters (which may reject a bad root).
-            if party_t < 0 or n < 1:
-                raise ValueError("need n >= 1 and t >= 0")
-            check_resilience(n, party_t)
-            tree.require_vertex(inputs[0])
-            root_resolved = tree.root_label if root is None else root
-            trivial = diameter(tree) <= 1
-            if not trivial:
-                euler_default = list_construction(tree)
-                phase1_iterations = realaa_iterations(
-                    float(len(euler_default) - 1), 1.0, n, party_t
-                )
-                phase2_iterations = projection_phase_iterations(
-                    tree, n, party_t, root_resolved
-                )
-                euler = list_construction(tree, root_resolved)
-                duration = ROUNDS_PER_ITERATION * (
-                    phase1_iterations + phase2_iterations
-                )
+            first = factory(0)
             for pid in range(1, n):
                 tree.require_vertex(inputs[pid])
         execution = _make_execution(
-            n,
-            t,
-            party_t,
-            spec,
-            trace_level,
-            fault_plan,
-            lambda pid: TreeAAParty(
-                pid, n, party_t, tree, inputs[pid], root=root
-            ),
+            n, t, party_t, spec, trace_level, fault_plan, factory
         )
-        honest_sorted = sorted(execution.honest_set)
+        duration = 0 if first is None else first.duration
         _attach_metrics(
             execution,
             collector,
             duration,
             False,
-            honest_estimates=[inputs[pid] for pid in honest_sorted],
+            honest_estimates=[inputs[pid] for pid in sorted(execution.honest_set)],
         )
-        if n and trivial:
+        outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
+        views: Dict[int, BatchPartyView] = {}
+        finder = None if first is None else first.paths_finder
+        if first is not None and finder is None:
             # Trivial input space: 0 rounds, every party outputs its input
             # (set at construction, so even silent puppets carry it).
+            shared = _view_attributes(
+                n,
+                party_t,
+                0,
+                tree=tree,
+                root=first.root,
+                paths_finder=None,
+                projection_phase=None,
+            )
             for pid in range(n):
-                view = BatchTreeAAView(
-                    pid, n, party_t, 0, tree, inputs[pid], root_resolved
+                vertex = inputs[pid]
+                views[pid] = BatchPartyView(
+                    pid, shared, {"input_vertex": vertex, "output": vertex}
                 )
-                view.output = inputs[pid]
-                views[pid] = view
-                outputs[pid] = inputs[pid]
-        elif n:
-            phase1_rounds = ROUNDS_PER_ITERATION * phase1_iterations
+                outputs[pid] = vertex
+        elif first is not None and finder is not None:
+            # Party 0 built its PathsFinder sub-party; the Euler list and
+            # both phases' iteration counts are public, so all parties
+            # share them.  Phase 2 takes the rest of the declared duration.
+            euler = finder.euler
+            phase1_iterations = finder.iterations
+            phase2_iterations = (duration - finder.duration) // ROUNDS_PER_ITERATION
             values1 = [
                 float(euler.first_occurrence(inputs[pid])) for pid in range(n)
             ]
-            finder_views: Dict[int, BatchRealAAView] = {}
-            tree_views: Dict[int, BatchTreeAAView] = {}
+            shared = _view_attributes(
+                n,
+                party_t,
+                duration,
+                tree=tree,
+                root=first.root,
+                projection_phase=None,
+            )
+            finder_shared = _realaa_attributes(
+                n,
+                party_t,
+                phase1_iterations,
+                tree=tree,
+                euler=euler,
+                selected_vertex=None,
+            )
             for pid in range(n):
-                tree_view = BatchTreeAAView(
-                    pid, n, party_t, duration, tree, inputs[pid], root_resolved
-                )
-                finder = BatchPathsFinderView(
+                vertex, value = inputs[pid], values1[pid]
+                finder_view = BatchPartyView(
                     pid,
-                    n,
-                    party_t,
-                    phase1_rounds,
-                    values1[pid],
-                    phase1_iterations,
-                    tree,
-                    euler,
-                    inputs[pid],
+                    finder_shared,
+                    {"input_value": value, "value": value, "input_vertex": vertex},
                 )
-                tree_view.paths_finder = finder
-                finder_views[pid] = finder
-                tree_views[pid] = tree_view
-                views[pid] = tree_view
+                views[pid] = BatchPartyView(
+                    pid, shared, {"input_vertex": vertex, "paths_finder": finder_view}
+                )
             if execution.has_honest:
                 self._run_tree_phases(
                     execution,
@@ -776,22 +671,10 @@ class BatchSynchronousEngine:
                     values1,
                     phase1_iterations,
                     phase2_iterations,
-                    tree_views,
-                    finder_views,
+                    views,
                     outputs,
                 )
-        _finish_metrics(
-            execution, [outputs[pid] for pid in honest_sorted]
-        )
-        parties: Dict[int, Any] = dict(views)
-        _finish_dense(execution, adversary, outputs, parties)
-        result = ExecutionResult(
-            outputs=outputs,
-            honest=execution.honest_set,
-            corrupted=set(execution.corrupted),
-            trace=execution.trace,
-            parties=parties,
-        )
+        result = _finish_run(execution, adversary, outputs, views)
         return tree_aa_outcome(result, tree, inputs)
 
     def _run_tree_phases(
@@ -803,29 +686,31 @@ class BatchSynchronousEngine:
         values1: List[float],
         phase1_iterations: int,
         phase2_iterations: int,
-        tree_views: Dict[int, BatchTreeAAView],
-        finder_views: Dict[int, BatchRealAAView],
+        tree_views: Dict[int, BatchPartyView],
         outputs: Dict[PartyId, Any],
     ) -> None:
         """Both TreeAA phases plus the boundary logic between them.
 
-        The phase-1 → phase-2 boundary mirrors the reference execution
-        order: corrupted puppets whose validity guard fires die silently
-        (the adversary pops them); the first *honest* violation raises out
-        of the run, in ascending pid order.
+        The phase-1 → phase-2 boundary follows the reference execution
+        order (:func:`_honest_first`): a corrupted puppet whose validity
+        guard fires dies silently; the first *honest* violation raises out
+        of the run.
         """
         n = execution.n
+        honest = execution.honest_set
+        projection_shared = _realaa_attributes(
+            n, execution.party_t, phase2_iterations
+        )
         phase1 = execution.run_realaa_phase(
             np.array(values1, dtype=np.float64), 1.0, phase1_iterations
         )
-        final1 = _populate_realaa_views(finder_views, phase1)
-        honest = execution.honest_set
-        active = _active_pids(phase1)
+        final1 = _populate_realaa_views(
+            {pid: view.paths_finder for pid, view in tree_views.items()}, phase1
+        )
         paths: Dict[int, TreePath] = {}
         positions: Dict[int, float] = {}
-        dead = np.zeros(n, dtype=bool)
         path_memo: Dict[int, Tuple[Label, TreePath]] = {}
-        position_memo: Dict[Tuple[int, Label], Tuple[Label, int]] = {}
+        position_memo: Dict[Tuple[int, Label], Tuple[Label, float]] = {}
 
         def select_path(pid: int) -> None:
             value = final1[pid]
@@ -837,38 +722,32 @@ class BatchSynchronousEngine:
                 pair = (vertex, TreePath(euler.rooted.root_path(vertex)))
                 path_memo[index] = pair
             selected, found = pair
-            finder = finder_views[pid]
-            if isinstance(finder, BatchPathsFinderView):
-                finder.selected_vertex = selected
+            view = tree_views[pid]
+            finder = view.paths_finder
+            finder.selected_vertex = selected
             finder.output = found
             paths[pid] = found
             key = (index, inputs[pid])
             memoised = position_memo.get(key)
             if memoised is None:
                 projection = project_onto_path(tree, inputs[pid], found)
-                memoised = (projection, found.position_of(projection))
+                memoised = (projection, float(found.position_of(projection)))
                 position_memo[key] = memoised
             projection, position = memoised
-            positions[pid] = float(position)
-            view = tree_views[pid]
-            view.projection_phase = BatchProjectionView(
+            positions[pid] = position
+            view.projection_phase = BatchPartyView(
                 pid,
-                n,
-                view.t,
-                ROUNDS_PER_ITERATION * phase2_iterations,
-                float(position),
-                phase2_iterations,
-                found,
-                projection,
+                projection_shared,
+                {
+                    "input_value": position,
+                    "value": position,
+                    "path": found,
+                    "projection": projection,
+                },
             )
 
-        for pid in [p for p in active if p in honest]:
-            select_path(pid)  # raises for the lowest violating honest pid
-        for pid in [p for p in active if p not in honest]:
-            try:
-                select_path(pid)
-            except ValidityViolationError:
-                dead[pid] = True
+        dead = np.zeros(n, dtype=bool)
+        dead[_honest_first(_active_pids(phase1), honest, select_path)] = True
         execution.retire_dead(dead)
         if execution.metrics is not None:
             # Phase 1's final metrics row was held back: in the reference
@@ -880,33 +759,26 @@ class BatchSynchronousEngine:
         for pid, position in positions.items():
             values2[pid] = position
         phase2 = execution.run_realaa_phase(values2, 1.0, phase2_iterations)
-        projection_views: Dict[int, BatchRealAAView] = {}
-        for pid in _active_pids(phase2):
+        active2 = _active_pids(phase2)
+        projection_views: Dict[int, BatchPartyView] = {}
+        for pid in active2:
             phase_view = tree_views[pid].projection_phase
             if phase_view is not None:
                 projection_views[pid] = phase_view
         final2 = _populate_realaa_views(projection_views, phase2)
 
-        def finish(pid: int, raising: bool) -> None:
+        def finish(pid: int) -> None:
             value = final2[pid]
             index = closest_int(value)
             if index < 0:
-                if raising:
-                    raise ValidityViolationError(
-                        f"closestInt({value}) = {index} below the path start "
-                        "— RealAA validity was violated"
-                    )
-                return  # the puppet died of the validity guard
+                raise ValidityViolationError(
+                    f"closestInt({value}) = {index} below the path start "
+                    "— RealAA validity was violated"
+                )
             own_path = paths[pid]
             vertex = own_path.end if index >= len(own_path) else own_path[index]
-            phase_view = tree_views[pid].projection_phase
-            if phase_view is not None:
-                phase_view.output = vertex
+            projection_views[pid].output = vertex
             tree_views[pid].output = vertex
             outputs[pid] = vertex
 
-        final_active = _active_pids(phase2)
-        for pid in [p for p in final_active if p in honest]:
-            finish(pid, raising=True)
-        for pid in [p for p in final_active if p not in honest]:
-            finish(pid, raising=False)
+        _honest_first(active2, honest, finish)

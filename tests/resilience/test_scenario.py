@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.adversary import ChaosAdversary, CrashAdversary, SilentAdversary
 from repro.analysis.spec import ScenarioSpec, SpecError, build_scheduler
@@ -15,7 +17,7 @@ from repro.asynchrony import (
     SplitScheduler,
 )
 from repro.protocols.rounds import realaa_duration
-from repro.resilience import cost, execute_scenario
+from repro.resilience import cost, evaluate, execute_scenario
 
 
 def real_spec(**overrides):
@@ -27,6 +29,14 @@ def real_spec(**overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+#: Numbers around every edge of a numeric spec field.
+_NUMBERS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-5, max_value=10**6)
+    | st.sampled_from([0, 0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300])
+)
 
 
 class TestValidation:
@@ -61,6 +71,51 @@ class TestValidation:
     def test_scenario_error_is_value_error(self):
         # The CLI and campaign engine catch ValueError for bad data.
         assert issubclass(SpecError, ValueError)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", 0.0),
+            ("epsilon", -1.0),
+            ("epsilon", math.nan),
+            ("epsilon", math.inf),
+            ("known_range", -3.0),
+            ("known_range", math.nan),
+            ("known_range", math.inf),
+            ("t_assumed", -1),
+        ],
+    )
+    def test_bad_numbers_rejected(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            real_spec(**{field: value})
+
+    @given(
+        protocol=st.sampled_from(["real-aa", "path-aa", "tree-aa"]),
+        epsilon=_NUMBERS,
+        known_range=st.none() | _NUMBERS,
+        t_assumed=st.none() | st.integers(min_value=-3, max_value=1),
+        backend=st.sampled_from(["reference", "batch"]),
+    )
+    def test_numeric_fields_are_total(
+        self, protocol, epsilon, known_range, t_assumed, backend
+    ):
+        """A spec is rejected as data, or it runs without crashing."""
+        try:
+            spec = ScenarioSpec(
+                protocol=protocol,
+                n=4,
+                t=1,
+                tree=None if protocol == "real-aa" else "figure",
+                epsilon=epsilon,
+                known_range=known_range,
+                t_assumed=t_assumed,
+                backend=backend,
+                seed=3,
+            )
+        except SpecError:
+            return
+        oracles = [v.oracle for v in evaluate(execute_scenario(spec))]
+        assert "no-exception" not in oracles, oracles
 
 
 class TestSerialisation:

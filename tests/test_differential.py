@@ -185,3 +185,60 @@ class TestGoldenExecutions:
         assert ranges[1] == pytest.approx(10 / 3)
         assert ranges[2] == pytest.approx(10 / 6)
         assert ranges[3] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBatchPartySurface:
+    """Batch party views expose exactly the attributes the reference
+    parties do: ``hasattr`` answers the same for every public name either
+    side has, on the top-level party and on the TreeAA sub-phases."""
+
+    @staticmethod
+    def _runs():
+        from repro.core import run_path_aa, run_real_aa, run_tree_aa
+        from repro.trees import LabeledTree, diameter_path, figure_tree
+
+        tree = figure_tree()
+        path = diameter_path(tree)
+        edge = LabeledTree.from_parent_map({"b": "a"})
+        return {
+            "real-aa": lambda b: run_real_aa([0.0, 1.0, 2.0, 3.0, 4.0], 1, epsilon=0.5, backend=b),
+            "path-aa": lambda b: run_path_aa(tree, path, ["v6", "v3", "v2", "v4", "v8"], 1, backend=b),
+            "known-path-aa": lambda b: run_path_aa(
+                tree, path, ["v1", "v5", "v7", "v3", "v8"], 1, project=True, backend=b
+            ),
+            "tree-aa": lambda b: run_tree_aa(tree, ["v1", "v5", "v7", "v3", "v8"], 1, backend=b),
+            "trivial-tree-aa": lambda b: run_tree_aa(edge, ["a", "b", "b", "a"], 1, backend=b),
+        }
+
+    @staticmethod
+    def _surfaces(party):
+        """(label, party) for the party and each TreeAA sub-phase it has."""
+        found = [("party", party)]
+        for name in ("paths_finder", "projection_phase"):
+            phase = getattr(party, name, None)
+            if phase is not None:
+                found.append((name, phase))
+        return found
+
+    @pytest.mark.parametrize(
+        "run", ["real-aa", "path-aa", "known-path-aa", "tree-aa", "trivial-tree-aa"]
+    )
+    def test_same_public_attributes(self, run):
+        pytest.importorskip("numpy")
+        call = self._runs()[run]
+        reference = call("reference").execution.parties
+        batch = call("batch").execution.parties
+        for pid in sorted(reference):
+            ref_surfaces = self._surfaces(reference[pid])
+            batch_surfaces = dict(self._surfaces(batch[pid]))
+            assert [label for label, _ in ref_surfaces] == list(batch_surfaces)
+            for label, ref_party in ref_surfaces:
+                names = {
+                    name for name in vars(ref_party) if not name.startswith("_")
+                } | {"duration", "path", "bad", "history", "paths_finder", "euler"}
+                mismatched = sorted(
+                    name
+                    for name in names
+                    if hasattr(ref_party, name) != hasattr(batch_surfaces[label], name)
+                )
+                assert mismatched == [], (run, pid, label)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs-consistency gate: docstring coverage + executable documentation.
+"""Docs-consistency gate: docstrings, named symbols, executable blocks.
 
-Two checks, both run by CI's ``docs`` job (and runnable locally):
+Three checks, all run by CI's ``docs`` job (and runnable locally):
 
 1. **Docstring coverage** — every module, public class, and public
    module-level function under ``src/repro/`` must carry a docstring.
@@ -12,7 +12,15 @@ Two checks, both run by CI's ``docs`` job (and runnable locally):
    on their base class, and re-documenting each trivial override would
    only drown the docstrings that matter.
 
-2. **Executable documentation** — every fenced ````` ```python ````` block
+2. **Named symbols resolve** — every dotted ``repro.…`` name and every
+   ``from repro… import …`` in README.md and ``docs/*.md`` must import
+   (a module prefix, then attributes).  Inside fenced Python blocks the
+   names are read with :mod:`ast` — imports, and attribute chains rooted
+   at ``repro`` — so string literals (a linter fixture's
+   ``module="repro.service.example"``) are data, not names.  Elsewhere a
+   regular expression finds them.
+
+3. **Executable documentation** — every fenced ````` ```python ````` block
    in README.md and the docs/ pages listed in ``EXECUTED_DOCS`` is
    executed (with ``src/`` on ``sys.path`` and the sweep cache redirected
    to a throwaway directory), so the documented quickstarts can never
@@ -24,6 +32,7 @@ Run:  python tools/docs_check.py
 """
 
 import ast
+import importlib
 import os
 import re
 import sys
@@ -32,6 +41,11 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 PACKAGE_ROOT = os.path.join(SRC, "repro")
+NAMED_DOCS = ["README.md"] + sorted(
+    os.path.join("docs", name)
+    for name in os.listdir(os.path.join(REPO, "docs"))
+    if name.endswith(".md")
+)
 EXECUTED_DOCS = [
     "README.md",
     os.path.join("docs", "ARCHITECTURE.md"),
@@ -87,10 +101,128 @@ def check_docstrings():
 
 
 # ----------------------------------------------------------------------
-# Check 2: executable documentation
+# Check 2: named symbols resolve
 # ----------------------------------------------------------------------
 
 FENCE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
+DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+FROM_IMPORT = re.compile(
+    r"\bfrom\s+(repro(?:\.\w+)*)\s+import\s+\(?\s*([\w\s,]+)"
+)
+
+
+def resolves(name):
+    """Whether dotted *name* imports: its longest module prefix, then attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+class _CodeNames(ast.NodeVisitor):
+    """Collects the repro names one parsed Python block uses."""
+
+    def __init__(self):
+        self.names = []
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            if alias.name.split(".")[0] == "repro":
+                self.names.append((node.lineno, alias.name))
+
+    def visit_ImportFrom(self, node):
+        module = node.module or ""
+        if module.split(".")[0] == "repro":
+            for alias in node.names:
+                if alias.name != "*":
+                    self.names.append((node.lineno, f"{module}.{alias.name}"))
+
+    def visit_Attribute(self, node):
+        attrs = []
+        base = node
+        while isinstance(base, ast.Attribute):
+            attrs.append(base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id == "repro":
+            self.names.append((node.lineno, ".".join(["repro"] + attrs[::-1])))
+        else:
+            self.generic_visit(node)
+
+
+def code_names(block):
+    """``(line, name)`` for each repro name a Python block uses (1-based)."""
+    visitor = _CodeNames()
+    visitor.visit(ast.parse(block))
+    return visitor.names
+
+
+def text_names(text):
+    """``(line, name)`` for each repro name in prose or a non-Python fence."""
+    names = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for match in FROM_IMPORT.finditer(line):
+            for imported in match.group(2).split(","):
+                imported = imported.strip()
+                if imported.isidentifier():
+                    names.append((lineno, f"{match.group(1)}.{imported}"))
+        names += [(lineno, match.group(0)) for match in DOTTED.finditer(line)]
+    return names
+
+
+def doc_names(text):
+    """``(line, name)`` for every repro name a Markdown document uses."""
+
+    def placed(start, found):
+        base = text.count("\n", 0, start)
+        return [(base + lineno, name) for lineno, name in found]
+
+    names = []
+    last = 0
+    for match in FENCE.finditer(text):
+        names += placed(last, text_names(text[last : match.start()]))
+        try:
+            found = code_names(match.group(1))
+        except SyntaxError:
+            found = text_names(match.group(1))
+        names += placed(match.start(1), found)
+        last = match.end()
+    return names + placed(last, text_names(text[last:]))
+
+
+def unresolved_names(path):
+    """Yield ``(lineno, name)`` for each repro name in *path* that does not import."""
+    with open(path) as handle:
+        text = handle.read()
+    seen = {}
+    for lineno, name in doc_names(text):
+        if name not in seen:
+            seen[name] = resolves(name)
+        if not seen[name]:
+            yield lineno, name
+
+
+def check_names(docs=NAMED_DOCS):
+    failures = []
+    checked = 0
+    for doc in docs:
+        checked += 1
+        for lineno, name in unresolved_names(os.path.join(REPO, doc)):
+            failures.append(f"{doc}:{lineno}: `{name}` does not resolve")
+    print(f"named symbols: {checked} documents checked", flush=True)
+    return failures
+
+
+# ----------------------------------------------------------------------
+# Check 3: executable documentation
+# ----------------------------------------------------------------------
 
 
 def python_blocks(path):
@@ -123,7 +255,7 @@ def run_doc_blocks():
 
 
 def main():
-    failures = check_docstrings() + run_doc_blocks()
+    failures = check_docstrings() + check_names() + run_doc_blocks()
     for failure in failures:
         print(failure)
     if failures:
