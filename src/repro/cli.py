@@ -45,8 +45,16 @@ Adversaries (``--adversary``): ``none``, ``silent``, ``passive``,
 :func:`repro.analysis.spec.build_adversary` grammar, except that a bare
 ``crash`` crashes at round 3.
 
-``tree-aa``, ``real-aa``, ``trace`` and ``sweep`` describe every run as a
-:class:`~repro.analysis.spec.ScenarioSpec` and execute that.
+Layout: :data:`FLAGS` declares each flag's argparse options once, and
+:data:`COMMANDS` lists each (sub)command's help line, handler and flags
+(with the few per-command defaults); :func:`build_parser` reads both.
+``tree-aa``, ``real-aa`` and ``trace`` build their
+:class:`~repro.analysis.spec.ScenarioSpec` in :func:`_spec`, ``sweep``
+plans specs for the parallel engine, and every handler turns the
+exceptions a user can cause into a :class:`CLIError` through
+:func:`user_errors` (``error: ...``, exit 2).  Argument guards raise
+``ValueError`` and are user errors; soundness failures raise
+``RuntimeError`` and stay tracebacks.
 """
 
 from __future__ import annotations
@@ -56,13 +64,15 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Type
 
 from .adversary import NoAdversary
 from .analysis import format_table
 from .analysis.spec import (
     BASELINE_PROTOCOL,
+    SPEC_BACKENDS,
     SPEC_RUNNER,
     SPEC_SWEEP_NAME,
     ScenarioSpec,
@@ -95,6 +105,16 @@ class CLIError(ValueError):
     """A user-facing argument error."""
 
 
+@contextmanager
+def user_errors(*types: Type[BaseException], prefix: str = "") -> Iterator[None]:
+    """Re-raise an exception of *types* from the block as a
+    :class:`CLIError` reading ``prefix + str(exc)``."""
+    try:
+        yield
+    except types as exc:
+        raise CLIError(f"{prefix}{exc}") from None
+
+
 def adversary_spec(spec: str) -> str:
     """The spec-grammar adversary an ``--adversary`` value names.
 
@@ -110,10 +130,8 @@ def make_adversary(spec: str, t: int):
     corruption set), the rest follows :func:`adversary_spec`."""
     if spec == "none":
         return NoAdversary()
-    try:
+    with user_errors(SpecError):
         return build_adversary(adversary_spec(spec), t=t)
-    except SpecError as exc:
-        raise CLIError(str(exc)) from None
 
 
 def pick_inputs(tree: LabeledTree, spec: str, n: int) -> List:
@@ -132,38 +150,36 @@ def pick_inputs(tree: LabeledTree, spec: str, n: int) -> List:
     return labels
 
 
+def _read_json(path: str, what: str = "") -> Any:
+    """The JSON document in *path*; an unreadable file is a user error."""
+    with user_errors(OSError, ValueError, prefix=f"cannot read {what}{path!r}: "):
+        with open(path) as handle:
+            return json.load(handle)
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 
 
-def _tree_spec(args: argparse.Namespace, **fields: Any) -> ScenarioSpec:
-    """The ``tree-aa`` spec of ``--tree``/``--inputs``/``--n``/``--t``."""
-    tree = parse_tree_spec(args.tree)
+def _spec(args: argparse.Namespace, protocol: str, **fields: Any) -> ScenarioSpec:
+    """The spec of a run verb's flags: ``tree-aa`` reads
+    ``--tree``/``--inputs``/``--n``, ``real-aa`` reads its reals from
+    ``--inputs`` and ``--epsilon``; both read ``--t`` and
+    ``--adversary``."""
+    if protocol == "tree-aa":
+        tree = parse_tree_spec(args.tree)
+        inputs = tuple(pick_inputs(tree, args.inputs, args.n))
+        fields.update(n=args.n, tree=args.tree)
+    else:
+        with user_errors(ValueError, prefix="malformed inputs: "):
+            inputs = tuple(float(x) for x in args.inputs.split(","))
+        fields.update(n=len(inputs), epsilon=args.epsilon)
     return ScenarioSpec(
-        protocol="tree-aa",
-        n=args.n,
-        t=args.t,
-        tree=args.tree,
-        inputs=tuple(pick_inputs(tree, args.inputs, args.n)),
-        adversary=adversary_spec(args.adversary),
-        **fields,
-    )
-
-
-def _real_spec(args: argparse.Namespace, **fields: Any) -> ScenarioSpec:
-    """The ``real-aa`` spec of ``--inputs``/``--t``/``--epsilon``."""
-    try:
-        inputs = tuple(float(x) for x in args.inputs.split(","))
-    except ValueError as exc:
-        raise CLIError(f"malformed inputs: {exc}") from None
-    return ScenarioSpec(
-        protocol="real-aa",
-        n=len(inputs),
+        protocol=protocol,
         t=args.t,
         inputs=inputs,
         adversary=adversary_spec(args.adversary),
-        epsilon=args.epsilon,
         **fields,
     )
 
@@ -185,7 +201,8 @@ def _print_outcome(
 
 def cmd_tree_aa(args: argparse.Namespace) -> int:
     """Run one TreeAA execution and print the verdict table."""
-    outcome = _tree_spec(args).run()
+    with user_errors(ValueError):
+        outcome = _spec(args, "tree-aa").run()
     tree = outcome.tree
     rows = [
         ["|V(T)|", tree.n_vertices],
@@ -207,7 +224,8 @@ def cmd_auth_tree_aa(args: argparse.Namespace) -> int:
     tree = parse_tree_spec(args.tree)
     inputs = pick_inputs(tree, args.inputs, args.n)
     adversary = make_adversary(args.adversary, args.t)
-    outcome = run_auth_tree_aa(tree, inputs, args.t, adversary=adversary)
+    with user_errors(ValueError):
+        outcome = run_auth_tree_aa(tree, inputs, args.t, adversary=adversary)
     rows = [
         ["|V(T)|", tree.n_vertices],
         ["threshold", f"t={args.t} < n/2={args.n / 2:g}"],
@@ -227,7 +245,8 @@ def cmd_auth_tree_aa(args: argparse.Namespace) -> int:
 
 def cmd_real_aa(args: argparse.Namespace) -> int:
     """Run one RealAA(eps) execution on the given real inputs."""
-    outcome = _real_spec(args).run()
+    with user_errors(ValueError):
+        outcome = _spec(args, "real-aa").run()
     rows = [
         ["rounds", outcome.rounds],
         ["measured rounds", outcome.measured_rounds],
@@ -248,11 +267,7 @@ def _load_spec_payload(path: str) -> dict:
     native ``{"points": ...}`` / ``{"base": ..., "grid": ...}`` shapes —
     the same file works for ``repro sweep --spec`` and ``repro submit``.
     """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise CLIError(f"cannot read spec file {path!r}: {exc}") from None
+    payload = _read_json(path, "spec file ")
     if isinstance(payload, list):
         return {"points": payload}
     if isinstance(payload, dict) and "points" not in payload and "grid" not in payload:
@@ -266,10 +281,8 @@ def _spec_sweep_grid(args: argparse.Namespace) -> Any:
     """``repro sweep --spec``: the planned specs, one table row each."""
     from .service import PlanError, plan_points
 
-    try:
+    with user_errors(PlanError):
         specs = plan_points(_load_spec_payload(args.spec), base_seed=args.base_seed)
-    except PlanError as exc:
-        raise CLIError(str(exc)) from None
     headers = ["protocol", "network", "backend", "adversary", "rounds", "AA ok"]
 
     def table(rows: List[dict]) -> List[list]:
@@ -296,10 +309,8 @@ def _tree_sweep_grid(args: argparse.Namespace) -> Any:
     grid, points = [], []
     for family in args.families.split(","):
         for size in args.sizes.split(","):
-            try:
+            with user_errors(ValueError):
                 tree = tree_spec_for(family, int(size))
-            except ValueError as exc:
-                raise CLIError(str(exc)) from None
             spec = ScenarioSpec(
                 protocol="tree-aa",
                 n=args.n,
@@ -334,14 +345,12 @@ def _tree_sweep_grid(args: argparse.Namespace) -> Any:
 def _real_sweep_grid(args: argparse.Namespace) -> Any:
     """``repro sweep --kind real-aa``: ``realaa-point`` params per
     (network, spread)."""
-    try:
+    with user_errors(ValueError, prefix="malformed sweep grid: "):
         networks = [
             tuple(int(x) for x in pair.split(":"))
             for pair in args.networks.split(",")
         ]
         spreads = [float(s) for s in args.spreads.split(",")]
-    except ValueError as exc:
-        raise CLIError(f"malformed sweep grid: {exc}") from None
     if any(len(pair) != 2 for pair in networks):
         raise CLIError("--networks takes comma-separated n:t pairs")
     grid = [
@@ -393,7 +402,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             grid, headers, table = _real_sweep_grid(args)
             name, runner = "cli-real-aa", "realaa-point"
-    try:
+    # A guard's ValueError, or e.g. --backend batch with an adversary the
+    # batch engine cannot replay: the refusal is part of the contract,
+    # but the CLI surfaces it as a clean error, not a traceback.
+    with user_errors(UnsupportedBackendError, ValueError):
         report = run_grid(
             name,
             runner,
@@ -404,11 +416,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             base_seed=args.base_seed,
             jsonl_path=args.jsonl,
         )
-    except UnsupportedBackendError as exc:
-        # e.g. --backend batch with an adversary the batch engine cannot
-        # replay: the refusal is part of the contract, but the CLI
-        # surfaces it as a clean error, not a traceback.
-        raise CLIError(str(exc)) from None
     rows = table(report.rows)
     print(format_table(headers, rows, title=title))
     print()
@@ -418,19 +425,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Record one protocol execution as a JSONL trace file."""
-    if args.kind == "tree-aa":
-        if not args.tree:
-            raise CLIError("--tree is required for tree-aa traces")
-        spec = _tree_spec(args, record=True)
-    else:
-        spec = _real_spec(args, record=True)
-    row = execute_spec_point(spec)
+    if args.kind == "tree-aa" and not args.tree:
+        raise CLIError("--tree is required for tree-aa traces")
+    with user_errors(ValueError):
+        row = execute_spec_point(_spec(args, args.kind, record=True))
     lines = row["trace_jsonl"].splitlines()
-    try:
+    with user_errors(OSError, prefix=f"cannot write {args.out!r}: "):
         with open(args.out, "w") as handle:
             handle.write(row["trace_jsonl"])
-    except OSError as exc:
-        raise CLIError(f"cannot write {args.out!r}: {exc}") from None
     footer = json.loads(lines[-1])
     print(
         f"recorded {footer['rounds']} rounds "
@@ -443,12 +445,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Render the summary of a recorded JSONL trace."""
     from .observability import TraceFormatError, load_run, render_report
 
-    try:
-        run = load_run(args.trace)
-    except OSError as exc:
-        raise CLIError(f"cannot read {args.trace!r}: {exc}") from None
-    except TraceFormatError as exc:
-        raise CLIError(str(exc)) from None
+    with user_errors(TraceFormatError):
+        with user_errors(OSError, prefix=f"cannot read {args.trace!r}: "):
+            run = load_run(args.trace)
     print(render_report(run, max_rounds=args.rounds))
     return 0
 
@@ -456,15 +455,16 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     """Print the paper's round bounds for the given D, n, t, eps."""
     d, n, t = args.diameter, args.n, args.t
-    rows = [
-        ["Theorem 3 upper (RealAA rounds)", theorem3_round_bound(d, args.epsilon)],
-        ["operational RealAA budget", realaa_duration(d, args.epsilon, n, t)],
-        ["Theorem 4 upper (TreeAA rounds)", tree_aa_round_bound(int(d) + 1, int(d))],
-        ["Theorem 2 lower", round(theorem2_lower_bound(d, n, t), 3)],
-        ["Corollary 1 integer lower", min_rounds_required(d, n, t)],
-        ["K(1, D)", round(fekete_K(1, d, n, t), 6)],
-        ["K(2, D)", round(fekete_K(2, d, n, t), 6)],
-    ]
+    with user_errors(ValueError):
+        rows = [
+            ["Theorem 3 upper (RealAA rounds)", theorem3_round_bound(d, args.epsilon)],
+            ["operational RealAA budget", realaa_duration(d, args.epsilon, n, t)],
+            ["Theorem 4 upper (TreeAA rounds)", tree_aa_round_bound(int(d) + 1, int(d))],
+            ["Theorem 2 lower", round(theorem2_lower_bound(d, n, t), 3)],
+            ["Corollary 1 integer lower", min_rounds_required(d, n, t)],
+            ["K(1, D)", round(fekete_K(1, d, n, t), 6)],
+            ["K(2, D)", round(fekete_K(2, d, n, t), 6)],
+        ]
     print(
         format_table(
             ["bound", "rounds"],
@@ -483,22 +483,9 @@ def cmd_make_tree(args: argparse.Namespace) -> int:
             print(f"{u} {v}")
     elif args.format == "json":
         print(tree_to_json(tree, indent=2))
-    elif args.format == "dot":
-        print(tree_to_dot(tree))
     else:
-        raise CLIError(f"unknown format {args.format!r}")
+        print(tree_to_dot(tree))
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the protocol-invariant linter (shared with tools/protolint.py).
-
-    Exit codes follow the linter's contract: 0 clean, 1 findings,
-    2 usage error.
-    """
-    from .statics.cli import run as lint_run
-
-    return lint_run(args.lint_args, prog="repro lint")
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -517,7 +504,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         overrides["protocols"] = tuple(args.protocols.split(","))
     if args.adversaries:
         overrides["adversaries"] = tuple(args.adversaries.split(","))
-    try:
+    # config, spec (e.g. a typo'd --adversaries name), LedgerError,
+    # CorruptLogError
+    with user_errors(ValueError):
         config = CampaignConfig(
             count=args.count,
             seed=args.seed,
@@ -527,7 +516,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             **overrides,
         )
-        # e.g. a typo'd --adversaries name surfaces as a SpecError here
         specs = generate_scenarios(config)
         with tempfile.TemporaryDirectory(prefix="repro-campaign-") as scratch:
             report = run_flywheel(
@@ -543,16 +531,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 ),
                 specs=specs,
             )
-    except ValueError as exc:  # config, spec, LedgerError, CorruptLogError
-        raise CLIError(str(exc)) from None
     return _flywheel_finish(report)
 
 
 def cmd_shrink(args: argparse.Namespace) -> int:
     """Delta-debug a violating spec JSON to a minimal reproduction."""
-    import json as json_module
-
-    from .analysis.spec import ScenarioSpec
     from .resilience import (
         NotViolatingError,
         ReproCase,
@@ -561,22 +544,16 @@ def cmd_shrink(args: argparse.Namespace) -> int:
         shrink_report,
     )
 
-    try:
-        with open(args.scenario) as handle:
-            payload = json_module.load(handle)
-    except (OSError, ValueError) as exc:
-        raise CLIError(f"cannot read {args.scenario!r}: {exc}") from None
+    payload = _read_json(args.scenario)
     # Accept both bare specs and full corpus cases.
     if isinstance(payload, dict) and "protocol" not in payload:
         payload = payload.get("spec")
-    try:
+    with user_errors(
+        AttributeError, KeyError, TypeError, ValueError, prefix="malformed spec: "
+    ):
         spec = ScenarioSpec.from_dict(payload)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CLIError(f"malformed spec: {exc}") from None
-    try:
+    with user_errors(NotViolatingError):
         result = shrink(spec, max_checks=args.max_checks)
-    except NotViolatingError as exc:
-        raise CLIError(str(exc)) from None
     print(shrink_report(result))
     if args.out:
         case = ReproCase(
@@ -589,9 +566,7 @@ def cmd_shrink(args: argparse.Namespace) -> int:
         print(f"\nminimal reproduction saved to {path}")
     else:
         print()
-        print(
-            json_module.dumps(result.minimal.to_dict(), indent=2, sort_keys=True)
-        )
+        print(json.dumps(result.minimal.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
@@ -600,7 +575,7 @@ def _flywheel_config(args: argparse.Namespace) -> Any:
     from .flywheel import FlywheelConfig
     from .flywheel.selftest import PERTURBATIONS
 
-    perturb = getattr(args, "inject_divergence", None)
+    perturb = args.inject_divergence
     if perturb:
         perturb = PERTURBATIONS.get(perturb, perturb)
     return FlywheelConfig(
@@ -619,8 +594,6 @@ def _flywheel_config(args: argparse.Namespace) -> Any:
 
 def _flywheel_finish(report: Any) -> int:
     """Print a campaign report; exit 1 when any oracle diverged."""
-    import json as json_module
-
     print(report.summary())
     for record in report.divergences:
         line = {
@@ -629,29 +602,19 @@ def _flywheel_finish(report: Any) -> int:
             "case": record.get("case"),
             "shrunk": record.get("shrunk"),
         }
-        print(json_module.dumps(line, sort_keys=True))
+        print(json.dumps(line, sort_keys=True))
     return 0 if report.ok else 1
 
 
 def cmd_flywheel_run(args: argparse.Namespace) -> int:
-    """Start a fresh differential campaign (see docs/FLYWHEEL.md)."""
+    """Start a fresh differential campaign, or (``flywheel resume``)
+    continue a killed one from its ledger, exactly once (see
+    docs/FLYWHEEL.md)."""
     from .flywheel import run_flywheel
 
-    try:
-        report = run_flywheel(_flywheel_config(args))
-    except ValueError as exc:  # LedgerError, CorruptLogError
-        raise CLIError(str(exc)) from None
-    return _flywheel_finish(report)
-
-
-def cmd_flywheel_resume(args: argparse.Namespace) -> int:
-    """Continue a killed campaign from its ledger (exactly-once)."""
-    from .flywheel import run_flywheel
-
-    try:
-        report = run_flywheel(_flywheel_config(args), resume=True)
-    except ValueError as exc:  # LedgerError, CorruptLogError
-        raise CLIError(str(exc)) from None
+    resume = args.flywheel_command == "resume"
+    with user_errors(ValueError):  # LedgerError, CorruptLogError
+        report = run_flywheel(_flywheel_config(args), resume=resume)
     return _flywheel_finish(report)
 
 
@@ -659,10 +622,8 @@ def cmd_flywheel_status(args: argparse.Namespace) -> int:
     """Summarise a campaign ledger: progress, divergences, completion."""
     from .flywheel import load_state
 
-    try:
+    with user_errors(ValueError):  # LedgerError, CorruptLogError
         state = load_state(args.ledger)
-    except ValueError as exc:  # LedgerError, CorruptLogError
-        raise CLIError(str(exc)) from None
     if state.header is None:
         raise CLIError(f"{args.ledger!r} holds no campaign header")
     header = state.header
@@ -686,7 +647,7 @@ def cmd_flywheel_selftest(args: argparse.Namespace) -> int:
     from .flywheel import SelfTestError, run_selftest
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="flywheel-selftest-")
-    try:
+    with user_errors(SelfTestError):
         report = run_selftest(
             os.path.join(workdir, "ledger.jsonl"),
             os.path.join(workdir, "corpus"),
@@ -695,8 +656,6 @@ def cmd_flywheel_selftest(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             perturbation=args.perturbation,
         )
-    except SelfTestError as exc:
-        raise CLIError(str(exc)) from None
     caught = [
         d for d in report.divergences if d.get("case") or d.get("filed")
     ]
@@ -713,7 +672,7 @@ def cmd_flywheel_soak(args: argparse.Namespace) -> int:
     from .service import ServiceClient, ServiceClientError
 
     client = ServiceClient(args.url)
-    try:
+    with user_errors(ServiceClientError, OSError, prefix="service error: "):
         report = run_soak(
             client,
             seed=args.seed,
@@ -721,8 +680,6 @@ def cmd_flywheel_soak(args: argparse.Namespace) -> int:
             batch=args.batch,
             timeout=args.timeout,
         )
-    except ServiceClientError as exc:
-        raise CLIError(f"service error: {exc}") from None
     print(report.summary())
     for record in report.divergences:
         print(f"  point {record['index']}: {record['detail']}")
@@ -750,12 +707,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         retry_max_attempts=args.retry_attempts,
         executor=args.executor,
     )
-    try:
-        service = ScenarioService(config).start()
-    except CorruptLogError as exc:
-        raise CLIError(str(exc)) from None
-    except OSError as exc:
-        raise CLIError(f"cannot bind {args.host}:{args.port}: {exc}") from None
+    with user_errors(CorruptLogError):
+        with user_errors(OSError, prefix=f"cannot bind {args.host}:{args.port}: "):
+            service = ScenarioService(config).start()
     print(f"serving on {service.url}", flush=True)
     if args.data_dir:
         print(f"results persist to {args.data_dir}", flush=True)
@@ -783,17 +737,15 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
     payload = _load_spec_payload(args.spec)
     client = ServiceClient(args.url, retries=args.retries)
-    try:
+    with user_errors(
+        ServiceClientError, OSError, prefix=f"submit to {args.url} failed: "
+    ):
         submitted = client.submit(payload)
-    except (ServiceClientError, OSError) as exc:
-        raise CLIError(f"submit to {args.url} failed: {exc}") from None
     print(f"{submitted['job_id']}: {submitted['points']} points queued")
     if not args.wait:
         return 0
-    try:
+    with user_errors(ServiceClientError, OSError):  # TimeoutError is an OSError
         final = client.wait(submitted["job_id"], timeout=args.timeout)
-    except (ServiceClientError, OSError, TimeoutError) as exc:
-        raise CLIError(str(exc)) from None
     counts = final["counts"]
     print(
         f"{final['job_id']}: {final['status']} "
@@ -810,17 +762,18 @@ def cmd_cancel(args: argparse.Namespace) -> int:
     from .service import ServiceClient, ServiceClientError
 
     client = ServiceClient(args.url)
-    try:
-        outcome = client.cancel(args.job)
-    except ServiceClientError as exc:
-        # 409 is a meaningful answer, not a failure: the job already
-        # reached a terminal state, so there is nothing left to cancel.
-        if exc.code == 409:
+    with user_errors(
+        ServiceClientError, OSError, prefix=f"cancel at {args.url} failed: "
+    ):
+        try:
+            outcome = client.cancel(args.job)
+        except ServiceClientError as exc:
+            # 409 is a meaningful answer, not a failure: the job already
+            # reached a terminal state, so there is nothing left to cancel.
+            if exc.code != 409:
+                raise
             print(f"{args.job}: already terminal")
             return 1
-        raise CLIError(f"cancel at {args.url} failed: {exc}") from None
-    except OSError as exc:
-        raise CLIError(f"cancel at {args.url} failed: {exc}") from None
     print(f"{outcome['job_id']}: cancellation requested")
     return 0
 
@@ -846,30 +799,29 @@ def cmd_status(args: argparse.Namespace) -> int:
     from .service import ServiceClient, ServiceClientError
 
     client = ServiceClient(args.url)
-    try:
-        if not args.job:
-            jobs = client.jobs()
-            rows = [
-                [
-                    job["job_id"],
-                    job["status"],
-                    sum(job["counts"].values()),
-                    job["counts"]["cached"],
-                    job["counts"]["failed"],
-                ]
-                for job in jobs
+    with user_errors(
+        ServiceClientError, OSError, prefix=f"status from {args.url} failed: "
+    ):
+        found = client.job(args.job) if args.job else client.jobs()
+    if not args.job:
+        rows = [
+            [
+                job["job_id"],
+                job["status"],
+                sum(job["counts"].values()),
+                job["counts"]["cached"],
+                job["counts"]["failed"],
             ]
-            print(
-                format_table(
-                    ["job", "status", "points", "cached", "failed"],
-                    rows,
-                    title=f"jobs at {args.url}",
-                )
+            for job in found
+        ]
+        print(
+            format_table(
+                ["job", "status", "points", "cached", "failed"],
+                rows,
+                title=f"jobs at {args.url}",
             )
-            return 0
-        status = client.job(args.job)
-    except (ServiceClientError, OSError) as exc:
-        raise CLIError(f"status from {args.url} failed: {exc}") from None
+        )
+        return 0
     rows = [
         [
             point["index"],
@@ -881,14 +833,14 @@ def cmd_status(args: argparse.Namespace) -> int:
             point.get("rounds", "-"),
             point.get("ok", "-"),
         ]
-        for point in status["points"]
+        for point in found["points"]
     ]
     print(
         format_table(
             ["#", "status", "protocol", "network", "backend", "adversary",
              "rounds", "AA ok"],
             rows,
-            title=f"{status['job_id']}: {status['status']}",
+            title=f"{found['job_id']}: {found['status']}",
         )
     )
     return 0
@@ -916,415 +868,264 @@ def cmd_chain_demo(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+# The parser
+# ----------------------------------------------------------------------
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """The `python -m repro` argument parser, one subcommand per cmd_*."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Round-optimal Byzantine Approximate Agreement on trees",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tree-aa", help="run TreeAA")
-    p.add_argument("--tree", required=True, help="tree spec (e.g. path:30)")
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--inputs", default="random:0", help="labels or random[:SEED]")
-    p.add_argument("--adversary", default="burn")
-    p.set_defaults(func=cmd_tree_aa)
-
-    p = sub.add_parser(
-        "auth-tree-aa", help="run the authenticated (t < n/2) TreeAA"
-    )
-    p.add_argument("--tree", required=True)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--inputs", default="random:0")
-    p.add_argument("--adversary", default="passive")
-    p.set_defaults(func=cmd_auth_tree_aa)
-
-    p = sub.add_parser("real-aa", help="run RealAA(eps)")
-    p.add_argument("--inputs", required=True, help="comma-separated reals")
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--adversary", default="silent")
-    p.set_defaults(func=cmd_real_aa)
-
-    p = sub.add_parser(
-        "sweep", help="run an experiment grid (parallel, cached)"
-    )
-    p.add_argument(
-        "--kind", default="tree-aa", choices=["tree-aa", "real-aa"]
-    )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
-    p.add_argument("--cache-dir", default=None, help="result cache directory")
-    p.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument(
-        "--families",
+#: Each argument's argparse options, declared once.  A key without the
+#: ``--`` prefix is a positional argument.
+FLAGS: Dict[str, Dict[str, Any]] = {
+    # -- one execution ------------------------------------------------
+    "--kind": dict(default="tree-aa", choices=["tree-aa", "real-aa"]),
+    "--tree": dict(required=True, help="tree spec (e.g. path:30)"),
+    "--n": dict(type=int, default=7),
+    "--t": dict(type=int, default=2),
+    "--inputs": dict(
+        default="random:0",
+        help="tree-aa: labels or random[:SEED]; real-aa: comma-separated reals",
+    ),
+    "--epsilon": dict(type=float, default=0.5, help="RealAA's agreement parameter ε"),
+    "--adversary": dict(default="burn"),
+    "--diameter": dict(type=float, required=True),
+    "--out": dict(
+        help="output path: the JSONL trace (trace), or the minimal "
+        "reproduction as a corpus case JSON (shrink)"
+    ),
+    "trace": dict(help="path to a file written by `repro trace`"),
+    "--rounds": dict(
+        type=int, help="limit the per-round table to the first N rounds"
+    ),
+    "tree": dict(help="tree spec (e.g. caterpillar:6x2)"),
+    "--format": dict(default="edges", choices=["edges", "json", "dot"]),
+    # -- the parallel engine ------------------------------------------
+    "--jobs": dict(
+        type=int, default=1, help="worker processes (0 = all cores, except under serve)"
+    ),
+    "--cache-dir": dict(help="result cache directory"),
+    "--no-cache": dict(action="store_true", help="disable the result cache"),
+    "--base-seed": dict(type=int, default=0),
+    "--families": dict(
         default="path,caterpillar,random,star",
         help="tree-aa: comma-separated tree families",
-    )
-    p.add_argument(
-        "--sizes", default="15,63,255", help="tree-aa: comma-separated |V(T)|"
-    )
-    p.add_argument(
-        "--networks", default="7:2,13:4", help="real-aa: comma-separated n:t"
-    )
-    p.add_argument(
-        "--spreads", default="16,1024", help="real-aa: comma-separated D"
-    )
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--adversary", default="burn")
-    p.add_argument(
-        "--jsonl",
-        default=None,
-        help="also persist the sweep rows as machine-readable JSONL",
-    )
-    p.add_argument(
-        "--backend",
+    ),
+    "--sizes": dict(default="15,63,255", help="tree-aa: comma-separated |V(T)|"),
+    "--networks": dict(default="7:2,13:4", help="real-aa: comma-separated n:t"),
+    "--spreads": dict(default="16,1024", help="real-aa: comma-separated D"),
+    "--jsonl": dict(help="also persist the sweep rows as machine-readable JSONL"),
+    "--backend": dict(
         default="reference",
-        choices=["reference", "batch"],
+        choices=SPEC_BACKENDS,
         help="execution engine (batch = vectorized large-n engine)",
-    )
-    p.add_argument(
-        "--spec",
-        default=None,
+    ),
+    "--spec": dict(
         metavar="FILE",
         help="run ScenarioSpecs from a JSON file instead of --kind grids "
         "(one spec, a list, or a base+grid payload; shares the scenario "
         "service's cache entries)",
-    )
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "trace", help="record one execution as a JSONL trace"
-    )
-    p.add_argument(
-        "--kind", default="tree-aa", choices=["tree-aa", "real-aa"]
-    )
-    p.add_argument("--tree", help="tree spec (tree-aa only)")
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument(
-        "--inputs",
-        default="random:0",
-        help="tree-aa: labels or random[:SEED]; real-aa: comma-separated reals",
-    )
-    p.add_argument("--epsilon", type=float, default=0.5, help="real-aa only")
-    p.add_argument("--adversary", default="burn")
-    p.add_argument("--out", required=True, help="JSONL trace output path")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "report", help="summarise a recorded JSONL trace"
-    )
-    p.add_argument("trace", help="path to a file written by `repro trace`")
-    p.add_argument(
-        "--rounds",
-        type=int,
-        default=None,
-        help="limit the per-round table to the first N rounds",
-    )
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("bounds", help="print the paper's round bounds")
-    p.add_argument("--diameter", type=float, required=True)
-    p.add_argument("--n", type=int, default=13)
-    p.add_argument("--t", type=int, default=4)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("make-tree", help="generate and print a tree")
-    p.add_argument("tree", help="tree spec (e.g. caterpillar:6x2)")
-    p.add_argument("--format", default="edges", choices=["edges", "json", "dot"])
-    p.set_defaults(func=cmd_make_tree)
-
-    p = sub.add_parser(
-        "lint",
-        help="run the protocol-invariant linter (PL001-PL004)",
-        add_help=False,
-    )
-    p.add_argument(
-        "lint_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to the linter (see `repro lint --help`)",
-    )
-    p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
-        "campaign",
-        help="run a seeded fault-injection campaign through the flywheel oracles",
-    )
-    p.add_argument("--count", type=int, default=200, help="scenarios to generate")
-    p.add_argument("--seed", type=int, default=0, help="campaign master seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
-    p.add_argument("--cache-dir", default=None, help="result cache directory")
-    p.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument(
-        "--protocols",
-        default=None,
-        help="comma-separated protocol subset (default: all three)",
-    )
-    p.add_argument(
-        "--adversaries",
-        default=None,
-        help="comma-separated adversary kinds (default: all)",
-    )
-    p.add_argument(
-        "--corruption-ratio",
-        type=float,
-        default=None,
-        help="|F|/n for every scenario (past 1/3 = degradation mode)",
-    )
-    p.add_argument(
-        "--fault-probability",
+    ),
+    # -- campaigns ----------------------------------------------------
+    "--count": dict(type=int, default=200, help="points in the campaign"),
+    "--seed": dict(type=int, default=0, help="campaign master seed"),
+    "--protocols": dict(
+        help="comma-separated protocol subset (default: all three)"
+    ),
+    "--adversaries": dict(help="comma-separated adversary kinds (default: all)"),
+    "--corruption-ratio": dict(
+        type=float, help="|F|/n for every scenario (past 1/3 = degradation mode)"
+    ),
+    "--fault-probability": dict(
         type=float,
         default=0.0,
         help="cap for sampled drop/duplicate/corrupt probabilities",
-    )
-    p.add_argument(
-        "--allow-model-violations",
+    ),
+    "--allow-model-violations": dict(
         action="store_true",
         help="required with --fault-probability: fault plans break the "
         "Byzantine model on purpose",
-    )
-    p.add_argument(
-        "--corpus-dir",
-        default=None,
+    ),
+    "--corpus-dir": dict(
         metavar="DIR",
         help="shrink each divergence and file it here as a corpus case "
         "(inputs for `repro shrink`)",
-    )
-    p.add_argument(
-        "--ledger",
-        default=None,
-        help="keep the campaign ledger JSONL here (one row per point)",
-    )
-    p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser(
-        "shrink",
-        help="delta-debug a violating spec JSON to a minimal reproduction",
-    )
-    p.add_argument(
-        "scenario",
-        help="spec JSON, or a corpus case (e.g. from `repro campaign --corpus-dir`)",
-    )
-    p.add_argument(
-        "--out",
-        default=None,
-        help="write the minimal reproduction as a corpus case JSON",
-    )
-    p.add_argument(
-        "--description",
+    ),
+    "--ledger": dict(
+        help="campaign ledger JSONL, one row per point (the resume checkpoint)"
+    ),
+    "ledger": dict(help="campaign ledger JSONL"),
+    "--shard-size": dict(type=int, default=250, help="points per checkpointed shard"),
+    "--max-shrink-checks": dict(
+        type=int, default=200, help="execution budget per divergence shrink"
+    ),
+    "--inject-divergence": dict(
+        metavar="NAME",
+        help="perturb batch rows via a named seam (rounds, verdicts) or "
+        "module:function — oracle self-testing only; implies --no-cache",
+    ),
+    "--perturbation": dict(
+        default="rounds", help="named seam (rounds, verdicts) or module:function"
+    ),
+    "--workdir": dict(
+        help="where the throwaway ledger/corpus land (default: a tempdir)"
+    ),
+    "scenario": dict(
+        help="spec JSON, or a corpus case (e.g. from `repro campaign --corpus-dir`)"
+    ),
+    "--description": dict(
         default="shrunk by `repro shrink`",
         help="description stored in the corpus case",
-    )
-    p.add_argument(
-        "--max-checks",
-        type=int,
-        default=400,
-        help="execution budget for the shrinker",
-    )
-    p.set_defaults(func=cmd_shrink)
-
-    p = sub.add_parser(
-        "serve", help="run the scenario service (sweep-as-a-service)"
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=8642, help="bind port (0 = pick a free one)"
-    )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes per job")
-    p.add_argument("--cache-dir", default=None, help="result cache directory")
-    p.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    p.add_argument(
-        "--data-dir",
-        default=None,
+    ),
+    "--max-checks": dict(
+        type=int, default=400, help="execution budget for the shrinker"
+    ),
+    "--scenarios": dict(type=int, default=50, help="seeded scenario count"),
+    # -- the scenario service -----------------------------------------
+    "--host": dict(default="127.0.0.1"),
+    "--port": dict(type=int, default=8642, help="bind port (0 = pick a free one)"),
+    "--data-dir": dict(
         help="persist finished jobs as sweep JSONL here (also what "
-        "GET /results queries across restarts)",
-    )
-    p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument(
-        "--queue-depth",
+        "GET /results queries across restarts)"
+    ),
+    "--queue-depth": dict(
         type=int,
         default=64,
         help="jobs allowed to queue before POST /jobs sheds load with "
         "429 (0 = unlimited)",
-    )
-    p.add_argument(
-        "--retry-attempts",
+    ),
+    "--retry-attempts": dict(
         type=int,
         default=3,
         help="attempts per point before it is quarantined as failed",
-    )
-    p.add_argument(
-        "--executor",
-        default=None,
+    ),
+    "--executor": dict(
         help="point executor as module:function (default: the real one; "
-        "the chaos harness injects faults here)",
-    )
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "submit", help="submit a scenario grid to a running service"
-    )
-    p.add_argument(
-        "spec",
-        help="JSON file: one ScenarioSpec, a list, or a base+grid payload",
-    )
-    p.add_argument("--url", default="http://127.0.0.1:8642")
-    p.add_argument(
-        "--wait", action="store_true", help="poll until the job finishes"
-    )
-    p.add_argument(
-        "--timeout", type=float, default=300.0, help="--wait deadline in seconds"
-    )
-    p.add_argument(
-        "--retries",
+        "the chaos harness injects faults here)"
+    ),
+    "spec": dict(help="JSON file: one ScenarioSpec, a list, or a base+grid payload"),
+    "--url": dict(default="http://127.0.0.1:8642", help="service base URL"),
+    "--wait": dict(action="store_true", help="poll until the job finishes"),
+    "--timeout": dict(type=float, default=300.0, help="wait deadline in seconds"),
+    "--retries": dict(
         type=int,
         default=0,
         help="retransmit through connection errors/5xx/429 this many "
         "times (deterministic seeds make resubmission cache-safe)",
-    )
-    p.set_defaults(func=cmd_submit)
+    ),
+    "job": dict(help="job id (omit to list with `status`)"),
+    "--batch": dict(type=int, default=50, help="points per job"),
+}
 
-    p = sub.add_parser(
-        "status", help="show a running service's jobs (or one job's points)"
-    )
-    p.add_argument("job", nargs="?", default=None, help="job id (omit to list)")
-    p.add_argument("--url", default="http://127.0.0.1:8642")
-    p.set_defaults(func=cmd_status)
+_POOL = ["--jobs", "--cache-dir", "--no-cache"]
+_FLYWHEEL_RUN = [
+    "--seed", ("--count", dict(default=5000)),
+    ("--ledger", dict(default="flywheel-ledger.jsonl")), "--shard-size",
+    *_POOL, "--corpus-dir", "--max-shrink-checks", "--inject-divergence",
+]
 
-    p = sub.add_parser(
-        "cancel", help="request cancellation of a running service job"
-    )
-    p.add_argument("job", help="job id to cancel")
-    p.add_argument("--url", default="http://127.0.0.1:8642")
-    p.set_defaults(func=cmd_cancel)
+#: ``(sub)command -> (help, handler, arguments)``.  An argument is a
+#: :data:`FLAGS` key, or ``(key, overrides)`` where this command's
+#: default, ``required`` or ``nargs`` differs.  A group (``flywheel``)
+#: has no handler and ``None`` for arguments; its subcommands follow.
+COMMANDS: Dict[str, Any] = {
+    "tree-aa": ("run TreeAA", cmd_tree_aa,
+                ["--tree", "--n", "--t", "--inputs", "--adversary"]),
+    "auth-tree-aa": (
+        "run the authenticated (t < n/2) TreeAA", cmd_auth_tree_aa,
+        ["--tree", ("--n", dict(default=5)), "--t", "--inputs",
+         ("--adversary", dict(default="passive"))],
+    ),
+    "real-aa": (
+        "run RealAA(eps)", cmd_real_aa,
+        [("--inputs", dict(default=None, required=True)), ("--t", dict(default=1)),
+         "--epsilon", ("--adversary", dict(default="silent"))],
+    ),
+    "sweep": (
+        "run an experiment grid (parallel, cached)", cmd_sweep,
+        ["--kind", *_POOL, "--base-seed", "--n", "--t", "--families", "--sizes",
+         "--networks", "--spreads", ("--epsilon", dict(default=1.0)),
+         "--adversary", "--jsonl", "--backend", "--spec"],
+    ),
+    "trace": (
+        "record one execution as a JSONL trace", cmd_trace,
+        ["--kind", ("--tree", dict(required=False)), "--n", "--t", "--inputs",
+         "--epsilon", "--adversary", ("--out", dict(required=True))],
+    ),
+    "report": ("summarise a recorded JSONL trace", cmd_report, ["trace", "--rounds"]),
+    "bounds": (
+        "print the paper's round bounds", cmd_bounds,
+        ["--diameter", ("--n", dict(default=13)), ("--t", dict(default=4)),
+         ("--epsilon", dict(default=1.0))],
+    ),
+    "make-tree": ("generate and print a tree", cmd_make_tree, ["tree", "--format"]),
+    # `main` hands `lint` to the linter's own parser; it is listed here
+    # for `repro --help`.
+    "lint": ("run the protocol-invariant linter (PL001-PL004)", None, []),
+    "campaign": (
+        "run a seeded fault-injection campaign through the flywheel oracles",
+        cmd_campaign,
+        ["--count", "--seed", *_POOL, "--epsilon", "--protocols", "--adversaries",
+         "--corruption-ratio", "--fault-probability", "--allow-model-violations",
+         "--corpus-dir", "--ledger"],
+    ),
+    "shrink": (
+        "delta-debug a violating spec JSON to a minimal reproduction", cmd_shrink,
+        ["scenario", "--out", "--description", "--max-checks"],
+    ),
+    "serve": (
+        "run the scenario service (sweep-as-a-service)", cmd_serve,
+        ["--host", "--port", *_POOL, "--data-dir", "--base-seed", "--queue-depth",
+         "--retry-attempts", "--executor"],
+    ),
+    "submit": (
+        "submit a scenario grid to a running service", cmd_submit,
+        ["spec", "--url", "--wait", "--timeout", "--retries"],
+    ),
+    "status": (
+        "show a running service's jobs (or one job's points)", cmd_status,
+        [("job", dict(nargs="?")), "--url"],
+    ),
+    "cancel": ("request cancellation of a running service job", cmd_cancel,
+               ["job", "--url"]),
+    "service-chaos": (
+        "chaos-test the scenario service (fault injection + invariants)",
+        cmd_service_chaos, ["--scenarios", "--seed"],
+    ),
+    "flywheel": ("resumable differential mega-campaigns (docs/FLYWHEEL.md)", None, None),
+    "flywheel run": ("start a fresh campaign", cmd_flywheel_run, _FLYWHEEL_RUN),
+    "flywheel resume": ("continue a killed campaign from its ledger",
+                        cmd_flywheel_run, _FLYWHEEL_RUN),
+    "flywheel status": ("summarise a campaign ledger", cmd_flywheel_status, ["ledger"]),
+    "flywheel selftest": (
+        "inject a batch bug; assert it is detected, shrunk, and filed",
+        cmd_flywheel_selftest,
+        [("--seed", dict(default=2025)), ("--count", dict(default=24)), "--jobs",
+         "--perturbation", "--workdir"],
+    ),
+    "flywheel soak": (
+        "stream the campaign through a running service", cmd_flywheel_soak,
+        [("--url", dict(default=None, required=True)), "--seed",
+         ("--count", dict(default=500)), "--batch", "--timeout"],
+    ),
+    "chain-demo": ("Fekete's chain of views, executed", cmd_chain_demo, ["--n", "--t"]),
+}
 
-    p = sub.add_parser(
-        "service-chaos",
-        help="chaos-test the scenario service (fault injection + invariants)",
-    )
-    p.add_argument(
-        "--scenarios", type=int, default=50, help="seeded scenario count"
-    )
-    p.add_argument("--seed", type=int, default=0, help="campaign master seed")
-    p.set_defaults(func=cmd_service_chaos)
 
-    p = sub.add_parser(
-        "flywheel",
-        help="resumable differential mega-campaigns (docs/FLYWHEEL.md)",
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser: one subparser per
+    :data:`COMMANDS` entry, its arguments taken from :data:`FLAGS`."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Round-optimal Byzantine Approximate Agreement on trees",
     )
-    fsub = p.add_subparsers(dest="flywheel_command", required=True)
-
-    def _campaign_flags(fp: argparse.ArgumentParser) -> None:
-        fp.add_argument("--seed", type=int, default=0, help="stream seed")
-        fp.add_argument(
-            "--count", type=int, default=5000, help="points in the campaign"
-        )
-        fp.add_argument(
-            "--ledger",
-            default="flywheel-ledger.jsonl",
-            help="campaign ledger JSONL (the resume checkpoint)",
-        )
-        fp.add_argument(
-            "--shard-size",
-            type=int,
-            default=250,
-            help="points per checkpointed shard",
-        )
-        fp.add_argument(
-            "--jobs", type=int, default=1, help="worker processes (0 = cpus)"
-        )
-        fp.add_argument("--cache-dir", default=None, help="sweep cache dir")
-        fp.add_argument(
-            "--no-cache", action="store_true", help="bypass the sweep cache"
-        )
-        fp.add_argument(
-            "--corpus-dir",
-            default=None,
-            help="file shrunk divergences here (e.g. tests/corpus)",
-        )
-        fp.add_argument(
-            "--max-shrink-checks",
-            type=int,
-            default=200,
-            help="execution budget per divergence shrink",
-        )
-        fp.add_argument(
-            "--inject-divergence",
-            default=None,
-            metavar="NAME",
-            help=(
-                "perturb batch rows via a named seam (rounds, verdicts) or "
-                "module:function — oracle self-testing only; implies "
-                "--no-cache"
-            ),
-        )
-
-    fp = fsub.add_parser("run", help="start a fresh campaign")
-    _campaign_flags(fp)
-    fp.set_defaults(func=cmd_flywheel_run)
-
-    fp = fsub.add_parser(
-        "resume", help="continue a killed campaign from its ledger"
-    )
-    _campaign_flags(fp)
-    fp.set_defaults(func=cmd_flywheel_resume)
-
-    fp = fsub.add_parser("status", help="summarise a campaign ledger")
-    fp.add_argument("ledger", help="campaign ledger JSONL")
-    fp.set_defaults(func=cmd_flywheel_status)
-
-    fp = fsub.add_parser(
-        "selftest",
-        help="inject a batch bug; assert it is detected, shrunk, and filed",
-    )
-    fp.add_argument("--seed", type=int, default=2025)
-    fp.add_argument("--count", type=int, default=24)
-    fp.add_argument("--jobs", type=int, default=1)
-    fp.add_argument(
-        "--perturbation",
-        default="rounds",
-        help="named seam (rounds, verdicts) or module:function",
-    )
-    fp.add_argument(
-        "--workdir",
-        default=None,
-        help="where the throwaway ledger/corpus land (default: a tempdir)",
-    )
-    fp.set_defaults(func=cmd_flywheel_selftest)
-
-    fp = fsub.add_parser(
-        "soak", help="stream the campaign through a running service"
-    )
-    fp.add_argument("--url", required=True, help="service base URL")
-    fp.add_argument("--seed", type=int, default=0)
-    fp.add_argument("--count", type=int, default=500)
-    fp.add_argument("--batch", type=int, default=50, help="points per job")
-    fp.add_argument(
-        "--timeout", type=float, default=300.0, help="per-job wait budget"
-    )
-    fp.set_defaults(func=cmd_flywheel_soak)
-
-    p = sub.add_parser("chain-demo", help="Fekete's chain of views, executed")
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--t", type=int, default=2)
-    p.set_defaults(func=cmd_chain_demo)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, (help_text, func, arguments) in COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        sub = groups[group].add_parser(name, help=help_text)
+        if arguments is None:
+            groups[path] = sub.add_subparsers(dest=f"{path}_command", required=True)
+            continue
+        sub.set_defaults(func=func)
+        for argument in arguments:
+            key, overrides = argument if isinstance(argument, tuple) else (argument, {})
+            sub.add_argument(key, **{**FLAGS[key], **overrides})
     return parser
 
 
@@ -1334,12 +1135,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # `lint` forwards its flags verbatim to the shared linter CLI;
     # argparse.REMAINDER cannot capture leading optionals, so dispatch
     # before the main parser sees them.
-    if arglist and arglist[0] == "lint":
+    if arglist[:1] == ["lint"]:
         from .statics.cli import run as lint_run
 
         return lint_run(arglist[1:], prog="repro lint")
-    parser = build_parser()
-    args = parser.parse_args(arglist)
+    args = build_parser().parse_args(arglist)
     try:
         return args.func(args)
     except (CLIError, SpecError) as exc:

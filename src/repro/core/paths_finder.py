@@ -35,12 +35,13 @@ def paths_finder_duration(tree: LabeledTree, n: int, t: int) -> int:
     """The publicly computable duration of PathsFinder, in rounds.
 
     The honest RealAA inputs are indices into ``L``, hence at most
-    ``|L| − 1 ≤ 2·|V(T)| − 1`` apart (Lemma 2 property 2); the list itself
-    is public, so the exact ``|L| − 1`` is used.  This is the operational
-    counterpart of the paper's ``R_PathsFinder := R_RealAA(2·|V(T)|, 1)``.
+    ``|L| − 1`` apart (Lemma 2 property 2).  The Euler list holds one
+    entry per vertex plus one per edge, so ``|L| = 2·|V(T)| − 1`` for
+    every root, and the exact ``|L| − 1 = 2·|V(T)| − 2`` is used without
+    building the list.  This is the operational counterpart of the
+    paper's ``R_PathsFinder := R_RealAA(2·|V(T)|, 1)``.
     """
-    euler = list_construction(tree)
-    return realaa_duration(float(len(euler) - 1), 1.0, n, t)
+    return realaa_duration(float(2 * tree.n_vertices - 2), 1.0, n, t)
 
 
 class PathsFinderParty(RealAAParty):

@@ -15,13 +15,14 @@
    (:mod:`repro.flywheel.ledger`) gains one ``point`` record per index.
    A killed campaign resumes from the parsed ledger and executes every
    remaining point exactly once.
-4. **Shrink and file** — each diverging point is minimised with the
-   resilience lab's delta-debugging shrinker (driven by the
-   *differential* oracles via :func:`shrink`'s pluggable check) and
-   filed under ``tests/corpus/`` as a replayable
+4. **Shrink and file** — with a ``corpus_dir``, each diverging point
+   is minimised with the resilience lab's delta-debugging shrinker
+   (driven by the *differential* oracles via :func:`shrink`'s pluggable
+   check) and filed there (e.g. ``tests/corpus/``) as a replayable
    :class:`~repro.resilience.corpus.ReproCase` of the minimal spec,
    whose ``flywheel`` extra records the stream position and the oracle
-   verdict.
+   verdict.  Without one, the divergence is recorded in the ledger
+   only, unshrunk.
 """
 
 from __future__ import annotations
@@ -119,10 +120,13 @@ def _divergence_check(perturb: Optional[str]) -> Any:
 def _file_divergence(
     config: FlywheelConfig, index: int, spec: ScenarioSpec, row: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Shrink one diverging point and file it as a corpus case.
+    """Record one diverging point; with a ``corpus_dir``, shrink it and
+    file the minimum as a corpus case.
 
     Returns the ledger ``divergence`` payload: oracle names, shrink
     stats, the minimal spec, and the corpus case name once filed.
+    Without a ``corpus_dir`` nothing is filed, so nothing is shrunk:
+    each shrink check costs a reference run plus a batch run.
     """
     oracle_names = diverging_oracles(row)
     record: Dict[str, Any] = {
@@ -131,6 +135,8 @@ def _file_divergence(
         "filed": False,
         "shrunk": False,
     }
+    if config.corpus_dir is None:
+        return record
     minimal = spec
     try:
         result = shrink(
@@ -148,33 +154,32 @@ def _file_divergence(
         record["shrink_report"] = shrink_report(result)
         record["minimal_spec"] = minimal.to_dict()
 
-    if config.corpus_dir is not None:
-        name = f"flywheel-{config.seed}-{index:05d}"
-        case = ReproCase(
-            name=name,
-            description=(
-                "flywheel divergence on oracles "
-                f"{', '.join(oracle_names)} (stream seed {config.seed}, "
-                f"point {index}); replay with repro.flywheel.replay_flywheel_case"
-            ),
-            spec=minimal,
-            # The *resilience* verdict of the minimal spec, so the tier-1
-            # corpus replay (which runs the invariant oracles, not the
-            # differential ones) stays self-consistent.
-            expected_violations=check_violations(minimal),
-            extras={
-                "flywheel": {
-                    "stream_seed": config.seed,
-                    "index": index,
-                    "oracles": list(oracle_names),
-                    "perturb": config.perturb,
-                    "batch_supported": batch_replayable(minimal),
-                }
-            },
-        )
-        record["case"] = name
-        record["path"] = save_case(case, config.corpus_dir)
-        record["filed"] = True
+    name = f"flywheel-{config.seed}-{index:05d}"
+    case = ReproCase(
+        name=name,
+        description=(
+            "flywheel divergence on oracles "
+            f"{', '.join(oracle_names)} (stream seed {config.seed}, "
+            f"point {index}); replay with repro.flywheel.replay_flywheel_case"
+        ),
+        spec=minimal,
+        # The *resilience* verdict of the minimal spec, so the tier-1
+        # corpus replay (which runs the invariant oracles, not the
+        # differential ones) stays self-consistent.
+        expected_violations=check_violations(minimal),
+        extras={
+            "flywheel": {
+                "stream_seed": config.seed,
+                "index": index,
+                "oracles": list(oracle_names),
+                "perturb": config.perturb,
+                "batch_supported": batch_replayable(minimal),
+            }
+        },
+    )
+    record["case"] = name
+    record["path"] = save_case(case, config.corpus_dir)
+    record["filed"] = True
     return record
 
 

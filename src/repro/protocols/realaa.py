@@ -35,7 +35,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..net.messages import Inbox, Outbox, PartyId
 from ..net.protocol import ProtocolParty, ProtocolStateError
 from .gradecast import GRADE_LOW, ParallelGradecast
-from .rounds import ROUNDS_PER_ITERATION, check_resilience, realaa_iterations
+from .rounds import (
+    ROUNDS_PER_ITERATION,
+    check_epsilon,
+    check_resilience,
+    realaa_iterations,
+)
 
 
 def is_real(value: object) -> bool:
@@ -110,8 +115,7 @@ class RealAAParty(ProtocolParty):
         check_resilience(n, t)
         if not is_real(input_value):
             raise ValueError(f"input must be a finite real, got {input_value!r}")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(epsilon)
         if (known_range is None) == (iterations is None):
             raise ValueError("give exactly one of known_range / iterations")
         if iterations is None:

@@ -50,6 +50,14 @@ def check_resilience(n: int, t: int) -> None:
         )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Require a finite agreement parameter ``ε > 0``."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
+
+
 def lemma5_factor(n: int, t: int, iterations: int) -> float:
     """The guaranteed range-shrink factor ``t^R / (R^R · (n − 2t)^R)``.
 
@@ -348,10 +356,11 @@ def realaa_iterations(known_range: float, epsilon: float, n: int, t: int) -> int
     (``t ∈ Θ(n)``, large ``D/ε``).
     """
     check_resilience(n, t)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
     if known_range < 0:
         raise ValueError("known_range must be non-negative")
+    if not math.isfinite(known_range):
+        raise ValueError(f"known_range must be finite, got {known_range!r}")
     iterations = 1
     if t == 0:
         return iterations

@@ -24,7 +24,7 @@ from repro.trees import (
     random_tree,
 )
 
-from ..strategies import trees_with_vertex_choices
+from ..strategies import small_trees, trees_with_vertex_choices
 
 
 def run_paths_finder(tree, inputs, t, adversary=None):
@@ -69,6 +69,16 @@ class TestBasics:
     def test_duration_formula(self):
         tree = figure_tree()
         assert duration_fn(tree, 7, 2) == PathsFinderParty(0, 7, 2, tree, "v1").duration
+
+    @given(small_trees(), st.data())
+    def test_duration_closed_form_matches_every_rooted_list(self, tree, data):
+        """The duration reads ``|L| = 2·|V(T)| − 1`` without building the
+        list; every root's list has that length, so it matches the party's
+        own rooted list."""
+        root = data.draw(st.sampled_from(tree.vertices))
+        assert len(list_construction(tree, root)) == 2 * tree.n_vertices - 1
+        party = PathsFinderParty(0, 4, 1, tree, root, root=root)
+        assert duration_fn(tree, 4, 1) == party.duration
 
     def test_selected_vertex_recorded(self):
         result = run_paths_finder(figure_tree(), ["v6", "v6", "v6", "v6"], t=0)

@@ -87,6 +87,24 @@ GUARD_CASES: List[GuardCase] = [
     ("real-known-range-negative", run_real_aa,
      dict(inputs=REALS, t=1, epsilon=1.0, known_range=-3.0),
      "ValueError", "known_range must be non-negative"),
+    ("real-epsilon-nan", run_real_aa,
+     dict(inputs=REALS, t=1, epsilon=NAN),
+     "ValueError", "epsilon must be finite, got nan"),
+    ("real-epsilon-inf", run_real_aa,
+     dict(inputs=REALS, t=1, epsilon=INF),
+     "ValueError", "epsilon must be finite, got inf"),
+    ("real-epsilon-nan-with-iterations", run_real_aa,
+     dict(inputs=REALS, t=1, epsilon=NAN, iterations=3),
+     "ValueError", "epsilon must be finite, got nan"),
+    ("real-epsilon-negative-inf", run_real_aa,
+     dict(inputs=REALS, t=1, epsilon=-INF),
+     "ValueError", "epsilon must be positive"),
+    ("real-known-range-nan", run_real_aa,
+     dict(inputs=REALS, t=1, epsilon=1.0, known_range=NAN),
+     "ValueError", "known_range must be finite, got nan"),
+    ("real-known-range-inf", run_real_aa,
+     dict(inputs=REALS, t=1, epsilon=1.0, known_range=INF),
+     "ValueError", "known_range must be finite, got inf"),
     # -- guard order: the earlier guard wins --------------------------
     ("real-tolerance-before-input", run_real_aa,
      dict(inputs=[NAN] + REALS[1:], t=2, epsilon=-1.0),

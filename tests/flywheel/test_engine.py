@@ -200,6 +200,22 @@ class TestInjectedDivergence:
             )
 
 
+class TestUnfiledDivergence:
+    """Without a ``corpus_dir`` nothing is filed, so nothing is shrunk."""
+
+    def test_divergences_are_recorded_unshrunk(self, tmp_path):
+        cfg = config(
+            tmp_path, count=6, corpus_dir=None, perturb=PERTURBATIONS["rounds"]
+        )
+        report = run_flywheel(cfg)
+        assert report.divergences
+        state = load_state(cfg.ledger_path)
+        for record in report.divergences + list(state.divergences):
+            assert record["shrunk"] is False and record["filed"] is False
+            assert "shrink_checks" not in record
+            assert "minimal_spec" not in record
+
+
 class TestPathAADivergence:
     """path-aa points shrink and file like every other protocol."""
 

@@ -1,17 +1,62 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import os
 
 import pytest
 
 from repro.analysis import SpecError
 from repro.cli import (
     CLIError,
+    build_parser,
     main,
     make_adversary,
     pick_inputs,
 )
 from repro.trees import diameter, figure_tree, parse_tree_spec, tree_to_json
+
+
+SURFACE_PINS = os.path.join(os.path.dirname(__file__), "cli_surface_pins.json")
+
+
+def parser_surface(parser, path=""):
+    """``{command path: [argument row, ...]}`` for *parser* and every
+    subparser below it, except ``lint`` (its flags belong to
+    :mod:`repro.statics.cli`)."""
+    surface = {path: []}
+    for action in parser._actions:
+        surface[path].append([
+            " ".join(action.option_strings) or action.dest,
+            action.default,
+            getattr(action.type, "__name__", action.type),
+            None if action.choices is None else list(action.choices),
+            action.required,
+            action.nargs,
+            type(action).__name__,
+        ])
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if name != "lint":
+                    surface.update(parser_surface(sub, f"{path} {name}".strip()))
+    return surface
+
+
+class TestSurface:
+    """Every (sub)command keeps each argument's option strings, default,
+    type, choices, ``required``, ``nargs`` and action class, in order."""
+
+    def test_matches_the_pinned_surface(self):
+        with open(SURFACE_PINS) as handle:
+            pinned = json.load(handle)
+        del pinned["_fields"]
+        surface = parser_surface(build_parser())
+        assert sorted(surface) == sorted(pinned)
+        for path, rows in pinned.items():
+            # JSON text, so an int default never passes for a float one
+            assert [json.dumps(row) for row in surface[path]] == [
+                json.dumps(row) for row in rows
+            ], path
 
 
 class TestTreeSpecs:
@@ -336,23 +381,26 @@ class TestAuthenticatedCommand:
         assert code == 0
         assert "t=3 < n/2=3.5" in out
 
-    def test_auth_tree_aa_rejects_half(self, capsys):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            main(
-                [
-                    "auth-tree-aa",
-                    "--tree",
-                    "path:5",
-                    "--n",
-                    "4",
-                    "--t",
-                    "2",
-                    "--inputs",
-                    "random",
-                ]
-            )
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["auth-tree-aa", "--tree", "path:5", "--n", "4", "--t", "2",
+              "--inputs", "random"], "t < n/2"),
+            (["tree-aa", "--tree", "path:5", "--n", "4", "--t", "2"], "t < n/3"),
+            (["real-aa", "--inputs", "0,1,2,3", "--t", "2"], "t < n/3"),
+            (["bounds", "--diameter", "1000", "--n", "4", "--t", "2"], "t < n/3"),
+            (["sweep", "--kind", "real-aa", "--networks", "4:2", "--no-cache"],
+             "t < n/3"),
+            (["trace", "--kind", "real-aa", "--inputs", "0,1,2,3", "--t", "2",
+              "--out", "unused.jsonl"], "t < n/3"),
+        ],
+        ids=["auth-tree-aa", "tree-aa", "real-aa", "bounds", "sweep", "trace"],
+    )
+    def test_auth_tree_aa_rejects_half(self, argv, message, capsys):
+        # A guard's ValueError is a user error: exit 2, no traceback.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestCorruptLogs:

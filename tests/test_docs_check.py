@@ -49,3 +49,49 @@ def test_the_gate_fails_on_a_dead_name(tmp_path):
 
 def test_the_repository_docs_name_only_live_symbols():
     assert docs_check.check_names() == []
+
+
+CLI_DOC = """# A page running live and dead commands
+
+```bash
+python -m repro sweep --kind real-aa \\
+    --no-such-flag 3 --jobs=2 > /tmp/out.txt
+PYTHONPATH=src python -m repro flywheel run --seed 0 | tee --gone
+python -m repro flywheel rerun --seed 0
+python -m repro teleport --now
+python -m repro lint --json --rules=PL001 --no-such-rule
+python -m repro status job-0000 --url "$URL" && python -m repro cancel --job
+```
+
+`python -m repro sweep --prose-is-not-checked`
+"""
+
+
+def test_dead_cli_flags_and_verbs_are_reported_with_their_lines(tmp_path):
+    path = tmp_path / "PAGE.md"
+    path.write_text(CLI_DOC)
+    parsers = docs_check.cli_parsers()
+    problems = [
+        (lineno, problem)
+        for lineno, words in docs_check.doc_commands(str(path))
+        for problem in docs_check.dead_flags(words, parsers)
+    ]
+    assert problems == [
+        (4, "`repro sweep` has no flag `--no-such-flag`"),
+        (7, "`repro flywheel rerun` is not a command"),
+        (8, "`repro teleport` is not a command"),
+        (9, "`repro lint` has no flag `--no-such-rule`"),
+        (10, "`repro cancel` has no flag `--job`"),
+    ]
+
+
+def test_the_gate_fails_on_a_dead_flag(tmp_path):
+    path = tmp_path / "PAGE.md"
+    path.write_text(CLI_DOC)
+    failures = docs_check.check_cli_flags([str(path)])
+    assert len(failures) == 5
+    assert failures[0].endswith(":4: `repro sweep` has no flag `--no-such-flag`")
+
+
+def test_the_repository_docs_and_ci_name_only_live_flags():
+    assert docs_check.check_cli_flags() == []

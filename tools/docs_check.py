@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs-consistency gate: docstrings, named symbols, executable blocks.
+"""Docs-consistency gate: docstrings, named symbols, CLI flags, executable blocks.
 
-Three checks, all run by CI's ``docs`` job (and runnable locally):
+Four checks, all run by CI's ``docs`` job (and runnable locally):
 
 1. **Docstring coverage** — every module, public class, and public
    module-level function under ``src/repro/`` must carry a docstring.
@@ -20,7 +20,15 @@ Three checks, all run by CI's ``docs`` job (and runnable locally):
    ``module="repro.service.example"``) are data, not names.  Elsewhere a
    regular expression finds them.
 
-3. **Executable documentation** — every fenced ````` ```python ````` block
+3. **CLI commands name live flags** — every ``python -m repro <verb> …``
+   line in a fenced block of README.md and ``docs/*.md``, and in
+   ``.github/workflows/ci.yml``, is checked against ``repro``'s own
+   parser (line continuations joined first, the command cut at the first
+   shell operator): each verb and ``flywheel`` subverb must exist, and
+   each ``--flag`` must be an option of that parser.  ``lint`` is
+   checked against the linter's parser it forwards to.
+
+4. **Executable documentation** — every fenced ````` ```python ````` block
    in README.md and the docs/ pages listed in ``EXECUTED_DOCS`` is
    executed (with ``src/`` on ``sys.path`` and the sweep cache redirected
    to a throwaway directory), so the documented quickstarts can never
@@ -31,10 +39,12 @@ Exit status is non-zero on any failure, with one line per offence.
 Run:  python tools/docs_check.py
 """
 
+import argparse
 import ast
 import importlib
 import os
 import re
+import shlex
 import sys
 import tempfile
 
@@ -46,6 +56,7 @@ NAMED_DOCS = ["README.md"] + sorted(
     for name in os.listdir(os.path.join(REPO, "docs"))
     if name.endswith(".md")
 )
+CLI_DOCS = NAMED_DOCS + [os.path.join(".github", "workflows", "ci.yml")]
 EXECUTED_DOCS = [
     "README.md",
     os.path.join("docs", "ARCHITECTURE.md"),
@@ -221,7 +232,111 @@ def check_names(docs=NAMED_DOCS):
 
 
 # ----------------------------------------------------------------------
-# Check 3: executable documentation
+# Check 3: CLI commands name live flags
+# ----------------------------------------------------------------------
+
+ANY_FENCE = re.compile(r"^```[^\n]*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
+INVOCATION = re.compile(r"\bpython3? -m repro(?=\s|$)")
+
+
+def cli_parsers():
+    """``{verb path: parser}`` for ``repro`` and every subcommand below
+    it (``""`` is the top level, ``"flywheel run"`` a subverb)."""
+    from repro.cli import build_parser
+    from repro.statics.cli import build_parser as lint_parser
+
+    parsers = {}
+
+    def walk(parser, path):
+        parsers[path] = parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, f"{path} {name}".strip())
+
+    walk(build_parser(), "")
+    parsers["lint"] = lint_parser(prog="repro lint")
+    return parsers
+
+
+def command_lines(text):
+    """``(line, arguments)`` for each ``python -m repro`` command in
+    *text*, continuations joined, cut at the first shell operator."""
+    lines = text.splitlines()
+    index = 0
+    while index < len(lines):
+        start, line = index, lines[index]
+        while line.endswith("\\") and index + 1 < len(lines):
+            index += 1
+            line = line[:-1] + " " + lines[index].strip()
+        index += 1
+        for command in INVOCATION.split(line)[1:]:
+            lexer = shlex.shlex(command, posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            try:
+                tokens = list(lexer)
+            except ValueError:  # an unbalanced quote: take the words
+                tokens = command.split()
+            words = []
+            for token in tokens:
+                if set(token) <= set(lexer.punctuation_chars):
+                    break
+                words.append(token)
+            yield start + 1, words
+
+
+def dead_flags(words, parsers):
+    """Problems with one command's words: an unknown verb, or a flag its
+    (sub)parser does not take."""
+    path = ""
+    for word in words:
+        if word.startswith("-"):
+            break
+        if f"{path} {word}".strip() in parsers:
+            path = f"{path} {word}".strip()
+        elif parsers[path]._subparsers:
+            return [f"`{f'repro {path}'.strip()} {word}` is not a command"]
+        else:
+            break  # a positional argument
+    options = parsers[path]._option_string_actions
+    return [
+        f"`{f'repro {path}'.strip()}` has no flag `{word.split('=')[0]}`"
+        for word in words
+        if word.startswith("-") and word != "--" and word.split("=")[0] not in options
+    ]
+
+
+def doc_commands(path):
+    """``(lineno, words)`` for each ``python -m repro`` command in *path*:
+    in its fenced blocks, or anywhere in a workflow file."""
+    with open(path) as handle:
+        text = handle.read()
+    blocks = (
+        [(0, text)]
+        if path.endswith(".yml")
+        else [(match.start(1), match.group(1)) for match in ANY_FENCE.finditer(text)]
+    )
+    for offset, block in blocks:
+        base = text.count("\n", 0, offset)
+        for lineno, words in command_lines(block):
+            yield base + lineno, words
+
+
+def check_cli_flags(docs=CLI_DOCS):
+    failures = []
+    parsers = cli_parsers()
+    flags = 0
+    for doc in docs:
+        for lineno, words in doc_commands(os.path.join(REPO, doc)):
+            flags += sum(word.startswith("--") and word != "--" for word in words)
+            for problem in dead_flags(words, parsers):
+                failures.append(f"{doc}:{lineno}: {problem}")
+    print(f"CLI flags: {flags} flags in {len(docs)} documents checked", flush=True)
+    return failures
+
+
+# ----------------------------------------------------------------------
+# Check 4: executable documentation
 # ----------------------------------------------------------------------
 
 
@@ -255,7 +370,9 @@ def run_doc_blocks():
 
 
 def main():
-    failures = check_docstrings() + check_names() + run_doc_blocks()
+    failures = (
+        check_docstrings() + check_names() + check_cli_flags() + run_doc_blocks()
+    )
     for failure in failures:
         print(failure)
     if failures:
