@@ -271,6 +271,13 @@ def _execute_point(task: Tuple[str, Dict[str, Any], int]) -> Dict[str, Any]:
     return get_runner(runner_name)(params, seed)
 
 
+def resolve_jobs(jobs: int) -> int:
+    """The worker-process count *jobs* asks for: ``0`` means every core."""
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 1 (or 0 for cpu_count), got {jobs}")
+    return jobs or os.cpu_count() or 1
+
+
 def run_grid(
     name: str,
     runner: str,
@@ -322,10 +329,7 @@ def run_grid(
     ``backend`` field, or the ``realaa-point`` ``backend`` param), so rows
     computed by one engine are never served to the other.
     """
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1 (or 0 for cpu_count), got {jobs}")
+    jobs = resolve_jobs(jobs)
     started = time.perf_counter()
     grid = [dict(params) for params in grid]
     seeds = [point_seed(name, params, base_seed) for params in grid]

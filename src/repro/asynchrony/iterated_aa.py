@@ -30,12 +30,12 @@ delivery.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set
 
+from ..baselines.iterative_real import halving_iterations
 from ..net.messages import PartyId
-from ..protocols.realaa import is_real
+from ..protocols.realaa import is_real, trimmed_midpoint
 from ..trees.labeled_tree import Label, LabeledTree
 from ..trees.paths import diameter
 from ..trees.safe_area import safe_area_midpoint
@@ -201,12 +201,7 @@ class AsyncRealAAParty(IteratedAsyncAAParty):
         if iterations is None:
             if known_range is None:
                 raise ValueError("give known_range or iterations")
-            if epsilon <= 0:
-                raise ValueError("epsilon must be positive")
-            if known_range <= epsilon:
-                iterations = 1
-            else:
-                iterations = max(1, math.ceil(math.log2(known_range / epsilon)))
+            iterations = halving_iterations(known_range, epsilon)
         super().__init__(pid, n, t, float(input_value), iterations)
         self.epsilon = epsilon
 
@@ -214,10 +209,7 @@ class AsyncRealAAParty(IteratedAsyncAAParty):
         return is_real(value)
 
     def _update(self, values: List[Any]) -> float:
-        ordered = sorted(float(v) for v in values)
-        if len(ordered) > 2 * self.t:
-            ordered = ordered[self.t : len(ordered) - self.t]
-        return (ordered[0] + ordered[-1]) / 2.0
+        return trimmed_midpoint([float(v) for v in values], self.t)
 
 
 class AsyncTreeAAParty(IteratedAsyncAAParty):

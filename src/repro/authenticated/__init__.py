@@ -1,8 +1,11 @@
 """The authenticated setting (t < n/2) — the paper's Section-7 note.
 
 Simulated unforgeable signatures, Dolev–Strong broadcast, the exact-AA
-engine it yields, and TreeAA with that engine plugged in — demonstrating
-that the paper's reduction is independent of the corruption threshold.
+engine it yields, and :class:`AuthTreeAAParty`: a
+:class:`~repro.core.tree_aa.TreeAAParty` subclass that swaps in that
+engine and the ``t < n/2`` check and changes nothing else —
+demonstrating that the paper's reduction is independent of the
+corruption threshold.
 """
 
 from .adversary import DSEquivocatorAdversary, SignatureForgeryAdversary

@@ -19,12 +19,11 @@ reduction needs.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional
 
 from ..net.messages import Inbox, Outbox, PartyId
 from ..net.protocol import ProtocolParty
-from ..protocols.realaa import is_real
+from ..protocols.realaa import is_real, trimmed_update
 from .dolev_strong import BOTTOM, ParallelDolevStrong
 from .signatures import SignatureAuthority, Signer
 
@@ -50,12 +49,7 @@ def exact_trimmed_mean(values: List[float], n: int, t: int) -> float:
         raise ValueError(
             f"extracted only {m} values but >= n - t = {n - t} are guaranteed"
         )
-    k = m - (n - t)
-    ordered = sorted(values)
-    if k > 0:
-        ordered = ordered[k : m - k]
-    # Clamped: the float mean may land one ulp outside the envelope.
-    return min(max(math.fsum(ordered) / len(ordered), ordered[0]), ordered[-1])
+    return trimmed_update(values, m - (n - t))[0]
 
 
 class ExactRealAAParty(ProtocolParty):

@@ -2,11 +2,13 @@
 
 "Our reduction is independent of the number of corrupted parties: whenever
 protocol RealAA achieves AA on ``[1, 2·|V(T)|]``, our protocol TreeAA
-achieves AA on the input space tree ``T``" — demonstrated here by swapping
-the real-valued engine.  With the Dolev–Strong exact-AA engine the two
-stages each cost ``t + 1`` rounds, tolerate every ``t < n/2``, and (since
-the engine is *exact*) the honest parties obtain identical paths and
-identical output vertices — AA with room to spare.
+achieves AA on the input space tree ``T``" — demonstrated here by a
+:class:`~repro.core.tree_aa.TreeAAParty` subclass that swaps only the
+real-valued engine: the resilience check becomes ``t < n/2`` and both
+phases run the Dolev–Strong exact-AA engine, ``t + 1`` rounds each.  The
+tree↔ℝ maps, the phase plumbing and the trivial-diameter case are
+TreeAA's own.  Since the engine is *exact*, the honest parties obtain
+identical paths and identical output vertices — AA with room to spare.
 
 Round-optimality at ``t < n/2`` would require Proxcensus [22] as the
 engine (out of scope here); this module reproduces the *reduction* claim,
@@ -17,14 +19,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.closest_int import closest_int
-from ..core.errors import ValidityViolationError, check_index_in_range
-from ..net.messages import Inbox, Outbox, PartyId
-from ..net.protocol import PhasedParty, ProtocolParty
-from ..trees.euler import EulerList, list_construction
+from ..core.paths_finder import euler_list, euler_root_path
+from ..core.projection_aa import project_position
+from ..core.tree_aa import TreeAAParty, TreeAAPhases, clamp_to_path
+from ..net.messages import PartyId
+from ..net.protocol import ProtocolParty
+from ..trees.euler import EulerList
 from ..trees.labeled_tree import Label, LabeledTree
-from ..trees.paths import TreePath, diameter
-from ..trees.projection import project_onto_path
+from ..trees.paths import TreePath
 from .exact_aa import ExactRealAAParty, check_authenticated_resilience
 from .signatures import SignatureAuthority
 
@@ -43,7 +45,7 @@ class AuthPathsFinderParty(ExactRealAAParty):
         root: Optional[Label] = None,
     ) -> None:
         tree.require_vertex(input_vertex)
-        euler = list_construction(tree, root)
+        euler = euler_list(tree, root)
         index = euler.first_occurrence(input_vertex)
         # Domain separation: this phase's signatures must be useless in the
         # projection phase (and vice versa).
@@ -52,9 +54,7 @@ class AuthPathsFinderParty(ExactRealAAParty):
         self.euler: EulerList = euler
 
     def _final_output(self) -> TreePath:
-        index = closest_int(self.value)
-        check_index_in_range(index, len(self.euler), "L", self.value)
-        return TreePath(self.euler.rooted.root_path(self.euler[index]))
+        return euler_root_path(self.euler, self.value)[1]
 
 
 class AuthProjectionPhaseParty(ExactRealAAParty):
@@ -71,31 +71,18 @@ class AuthProjectionPhaseParty(ExactRealAAParty):
         path: TreePath,
         input_vertex: Label,
     ) -> None:
-        projection = project_onto_path(tree, input_vertex, path)
-        super().__init__(
-            pid,
-            n,
-            t,
-            authority,
-            float(path.position_of(projection)),
-            session="tree-aa/proj",
-        )
+        position = project_position(tree, input_vertex, path)[1]
+        super().__init__(pid, n, t, authority, position, session="tree-aa/proj")
         self.path = path
 
     def _final_output(self) -> Label:
-        index = closest_int(self.value)
-        if index < 0:
-            raise ValidityViolationError(
-                f"closestInt({self.value}) = {index} below the path start — "
-                "engine validity violated"
-            )
-        if index >= len(self.path):
-            return self.path.end
-        return self.path[index]
+        return clamp_to_path(self.path, self.value)
 
 
-class AuthTreeAAParty(ProtocolParty):
+class AuthTreeAAParty(TreeAAParty):
     """TreeAA with the authenticated exact-AA engine (``t < n/2``)."""
+
+    _check_resilience = staticmethod(check_authenticated_resilience)
 
     def __init__(
         self,
@@ -107,56 +94,23 @@ class AuthTreeAAParty(ProtocolParty):
         input_vertex: Label,
         root: Optional[Label] = None,
     ) -> None:
-        super().__init__(pid, n, t)
-        check_authenticated_resilience(n, t)
-        tree.require_vertex(input_vertex)
-        self.tree = tree
+        # Set before TreeAA's constructor, which builds phase 1.
         self.authority = authority
         self.signer = authority.signer(pid)
-        self.input_vertex = input_vertex
-        self.root = tree.root_label if root is None else root
-        self.paths_finder: Optional[AuthPathsFinderParty] = None
-        self.projection_phase: Optional[AuthProjectionPhaseParty] = None
-        self._inner: Optional[PhasedParty] = None
-        if diameter(tree) <= 1:
-            self.output = input_vertex
-            return
-        phase_rounds = t + 1
+        super().__init__(pid, n, t, tree, input_vertex, root=root)
 
-        def make_phase1(_previous: object) -> ProtocolParty:
-            self.paths_finder = AuthPathsFinderParty(
-                pid, n, t, authority, tree, input_vertex, root=self.root
-            )
-            return self.paths_finder
+    def _phases(self) -> TreeAAPhases:
+        """Both phases on the exact engine, ``t + 1`` rounds each."""
+        pid, n, t, tree, vertex = self.pid, self.n, self.t, self.tree, self.input_vertex
+        authority = self.authority
 
-        def make_phase2(path: TreePath) -> ProtocolParty:
-            self.projection_phase = AuthProjectionPhaseParty(
-                pid, n, t, authority, tree, path, input_vertex
-            )
-            return self.projection_phase
+        def finder() -> ProtocolParty:
+            return AuthPathsFinderParty(pid, n, t, authority, tree, vertex, self.root)
 
-        self._inner = PhasedParty(
-            pid,
-            n,
-            t,
-            phases=[(phase_rounds, make_phase1), (phase_rounds, make_phase2)],
-        )
+        def projection(path: TreePath) -> ProtocolParty:
+            return AuthProjectionPhaseParty(pid, n, t, authority, tree, path, vertex)
 
-    @property
-    def duration(self) -> int:
-        return 0 if self._inner is None else self._inner.duration
-
-    def messages_for_round(self, round_index: int) -> Outbox:
-        if self._inner is None:
-            return {}
-        return self._inner.messages_for_round(round_index)
-
-    def receive_round(self, round_index: int, inbox: Inbox) -> None:
-        if self._inner is None:
-            return
-        self._inner.receive_round(round_index, inbox)
-        if self._inner.output is not None:
-            self.output = self._inner.output
+        return (t + 1, finder), (t + 1, projection)
 
 
 def run_auth_tree_aa(

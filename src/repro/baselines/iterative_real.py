@@ -28,7 +28,7 @@ from typing import List, Literal, Optional, Set
 from ..net.messages import Inbox, Outbox, PartyId, broadcast
 from ..net.protocol import ProtocolParty, ProtocolStateError
 from ..protocols.gradecast import GRADE_LOW, ParallelGradecast
-from ..protocols.realaa import is_real
+from ..protocols.realaa import is_real, trimmed_midpoint
 from ..protocols.rounds import check_resilience
 
 Distribution = Literal["gradecast", "naive"]
@@ -174,13 +174,8 @@ class IterativeRealAAParty(ProtocolParty):
 
     def _update(self, iteration: int, accepted: List[float]) -> None:
         if accepted:
-            ordered = sorted(accepted)
-            if len(ordered) > 2 * self.t:
-                core = ordered[self.t : len(ordered) - self.t]
-            else:
-                core = ordered
             # Midpoint of the safe interval: the outline's halving rule.
-            self.value = (core[0] + core[-1]) / 2.0
+            self.value = trimmed_midpoint(accepted, self.t)
         self.history.append(
             BaselineIterationRecord(
                 iteration=iteration,

@@ -692,7 +692,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Stops on ``POST /shutdown`` or Ctrl-C; either way pending points are
     marked ``cancelled`` before the process exits (see docs/SERVICE.md).
     """
-    from .jsonlog import CorruptLogError
     from .service import ScenarioService, ServiceConfig
 
     config = ServiceConfig(
@@ -707,7 +706,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         retry_max_attempts=args.retry_attempts,
         executor=args.executor,
     )
-    with user_errors(CorruptLogError):
+    # ValueError: a corrupt journal (CorruptLogError) or a negative --jobs,
+    # both raised before the socket is bound.
+    with user_errors(ValueError):
         with user_errors(OSError, prefix=f"cannot bind {args.host}:{args.port}: "):
             service = ScenarioService(config).start()
     print(f"serving on {service.url}", flush=True)
@@ -898,7 +899,7 @@ FLAGS: Dict[str, Dict[str, Any]] = {
     "--format": dict(default="edges", choices=["edges", "json", "dot"]),
     # -- the parallel engine ------------------------------------------
     "--jobs": dict(
-        type=int, default=1, help="worker processes (0 = all cores, except under serve)"
+        type=int, default=1, help="worker processes (0 = all cores)"
     ),
     "--cache-dir": dict(help="result cache directory"),
     "--no-cache": dict(action="store_true", help="disable the result cache"),

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ValidityViolationError
+
 
 def closest_int(j: float) -> int:
     """The closest integer to *j*, rounding ``.5`` up (paper's definition)."""
@@ -27,3 +29,15 @@ def closest_int(j: float) -> int:
     if j - z < (z + 1) - j:
         return int(z)
     return int(z) + 1
+
+
+def closest_index(value: float, length: int, what: str) -> int:
+    """``closestInt(value)`` as an index into *what* (``length`` entries),
+    which Remark 1 keeps in range whenever RealAA's Validity held."""
+    index = closest_int(value)
+    if not 0 <= index < length:
+        raise ValidityViolationError(
+            f"closestInt({value}) = {index} fell outside {what} "
+            f"(length {length}) — RealAA validity was violated"
+        )
+    return index

@@ -21,11 +21,3 @@ class ValidityViolationError(RuntimeError):
     experiment, never a legal Byzantine behaviour.
     """
 
-
-def check_index_in_range(index: int, length: int, what: str, value: float) -> None:
-    """Raise :class:`ValidityViolationError` unless ``0 <= index < length``."""
-    if not 0 <= index < length:
-        raise ValidityViolationError(
-            f"closestInt({value}) = {index} fell outside {what} "
-            f"(length {length}) — RealAA validity was violated"
-        )

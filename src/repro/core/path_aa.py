@@ -13,13 +13,17 @@ differs).
 
 from __future__ import annotations
 
-
 from ..net.messages import PartyId
 from ..protocols.realaa import RealAAParty
 from ..trees.labeled_tree import Label
 from ..trees.paths import TreePath
-from .closest_int import closest_int
-from .errors import check_index_in_range
+from .closest_int import closest_index
+
+
+def vertex_at(path: TreePath, value: float) -> Label:
+    """``v_closestInt(value)``: the vertex of *path* a final real value
+    names (guarded: Remark 1 makes the rounded index a legal position)."""
+    return path[closest_index(value, len(path), "the path")]
 
 
 class PathAAParty(RealAAParty):
@@ -61,8 +65,4 @@ class PathAAParty(RealAAParty):
         self.input_vertex = input_vertex
 
     def _final_output(self) -> Label:
-        index = closest_int(self.value)
-        # Remark 1: RealAA validity keeps j within the honest positions, so
-        # the rounded index is a legal position; the guard enforces that.
-        check_index_in_range(index, len(self.path), "the path", self.value)
-        return self.path[index]
+        return vertex_at(self.path, self.value)

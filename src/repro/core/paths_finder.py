@@ -19,7 +19,7 @@ trailing edge.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..net.messages import PartyId
 from ..protocols.realaa import RealAAParty
@@ -27,8 +27,23 @@ from ..protocols.rounds import realaa_duration
 from ..trees.euler import EulerList, list_construction
 from ..trees.labeled_tree import Label, LabeledTree
 from ..trees.paths import TreePath
-from .closest_int import closest_int
-from .errors import check_index_in_range
+from .closest_int import closest_index
+
+
+def euler_list(tree: LabeledTree, root: Optional[Label] = None) -> EulerList:
+    """``ListConstruction(T, v_root)``, built once per tree object and root:
+    every party derives the identical list (Lemma 2), so one serves all."""
+    key = tree.root_label if root is None else root
+    euler = tree._euler_lists.get(key)
+    if euler is None:
+        euler = tree._euler_lists[key] = list_construction(tree, key)
+    return euler
+
+
+def euler_root_path(euler: EulerList, value: float) -> Tuple[Label, TreePath]:
+    """``L_closestInt(value)`` and its root path ``P(v_root, L_…)``."""
+    vertex = euler[closest_index(value, len(euler), "L")]
+    return vertex, TreePath(euler.rooted.root_path(vertex))
 
 
 def paths_finder_duration(tree: LabeledTree, n: int, t: int) -> int:
@@ -61,7 +76,7 @@ class PathsFinderParty(RealAAParty):
         root: Optional[Label] = None,
     ) -> None:
         tree.require_vertex(input_vertex)
-        euler = list_construction(tree, root)
+        euler = euler_list(tree, root)
         index = euler.first_occurrence(input_vertex)  # i := min L(v_IN)
         super().__init__(
             pid,
@@ -78,7 +93,5 @@ class PathsFinderParty(RealAAParty):
         self.selected_vertex: Optional[Label] = None
 
     def _final_output(self) -> TreePath:
-        index = closest_int(self.value)
-        check_index_in_range(index, len(self.euler), "L", self.value)
-        self.selected_vertex = self.euler[index]
-        return TreePath(self.euler.rooted.root_path(self.selected_vertex))
+        self.selected_vertex, path = euler_root_path(self.euler, self.value)
+        return path

@@ -12,13 +12,20 @@ protocol under the stronger assumption — and as the second phase's logic.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..net.messages import PartyId
 from ..protocols.realaa import RealAAParty
 from ..trees.labeled_tree import Label, LabeledTree
 from ..trees.paths import TreePath
 from ..trees.projection import project_onto_path
-from .closest_int import closest_int
-from .errors import check_index_in_range
+from .path_aa import vertex_at
+
+
+def project_position(tree: LabeledTree, vertex: Label, path: TreePath) -> Tuple[Label, float]:
+    """``proj_P(vertex)`` and its position on *path*, the RealAA input."""
+    projection = project_onto_path(tree, vertex, path)
+    return projection, float(path.position_of(projection))
 
 
 class KnownPathAAParty(RealAAParty):
@@ -45,14 +52,12 @@ class KnownPathAAParty(RealAAParty):
         path: TreePath,
         input_vertex: Label,
     ) -> None:
-        tree.require_vertex(input_vertex)
-        projection = project_onto_path(tree, input_vertex, path)
-        position = path.position_of(projection)
+        projection, position = project_position(tree, input_vertex, path)
         super().__init__(
             pid,
             n,
             t,
-            input_value=float(position),
+            input_value=position,
             epsilon=1.0,
             known_range=float(path.length),
         )
@@ -62,6 +67,4 @@ class KnownPathAAParty(RealAAParty):
         self.projection = projection
 
     def _final_output(self) -> Label:
-        index = closest_int(self.value)
-        check_index_in_range(index, len(self.path), "the path", self.value)
-        return self.path[index]
+        return vertex_at(self.path, self.value)

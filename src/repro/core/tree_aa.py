@@ -20,7 +20,7 @@ for any ``t < n/3`` within ``O(log |V(T)| / log log |V(T)|)`` rounds.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 from ..net.messages import Inbox, Outbox, PartyId
 from ..net.protocol import PhasedParty, ProtocolParty
@@ -31,12 +31,34 @@ from ..protocols.rounds import (
     realaa_iterations,
 )
 from ..trees.labeled_tree import Label, LabeledTree
-from ..trees.lca import RootedTree
 from ..trees.paths import TreePath, diameter
-from ..trees.projection import project_onto_path
 from .closest_int import closest_int
 from .errors import ValidityViolationError
-from .paths_finder import PathsFinderParty, paths_finder_duration
+from .paths_finder import PathsFinderParty, euler_list, paths_finder_duration
+from .projection_aa import project_position
+
+#: (declared rounds, factory) for PathsFinder, then for the projection phase.
+TreeAAPhases = Tuple[
+    Tuple[int, Callable[[], ProtocolParty]],
+    Tuple[int, Callable[[TreePath], ProtocolParty]],
+]
+
+
+def clamp_to_path(path: TreePath, value: float) -> Label:
+    """TreeAA lines 5–6: the vertex of the own *path* at ``closestInt(value)``.
+
+    An index past the path's end means this party holds the shorter path of
+    the Lemma-4 pair; it outputs its last vertex ``v_k``, and Theorem 4
+    shows all honest parties then output ``v_{k*}`` or ``v_{k*+1}``.  An
+    index below the start can only come from a RealAA validity violation.
+    """
+    index = closest_int(value)
+    if index < 0:
+        raise ValidityViolationError(
+            f"closestInt({value}) = {index} below the path start — "
+            "RealAA validity was violated"
+        )
+    return path.end if index >= len(path) else path[index]
 
 
 class ProjectionPhaseParty(RealAAParty):
@@ -57,13 +79,12 @@ class ProjectionPhaseParty(RealAAParty):
         input_vertex: Label,
         iterations: int,
     ) -> None:
-        projection = project_onto_path(tree, input_vertex, path)
-        position = path.position_of(projection)
+        projection, position = project_position(tree, input_vertex, path)
         super().__init__(
             pid,
             n,
             t,
-            input_value=float(position),
+            input_value=position,
             epsilon=1.0,
             iterations=iterations,
         )
@@ -71,18 +92,7 @@ class ProjectionPhaseParty(RealAAParty):
         self.projection = projection
 
     def _final_output(self) -> Label:
-        index = closest_int(self.value)
-        if index < 0:
-            raise ValidityViolationError(
-                f"closestInt({self.value}) = {index} below the path start — "
-                "RealAA validity was violated"
-            )
-        if index >= len(self.path):
-            # TreeAA line 6: this party holds the shorter path of the
-            # Lemma-4 pair; output its last vertex (v_k).  Theorem 4 shows
-            # all honest parties then output v_{k*} or v_{k*+1}.
-            return self.path.end
-        return self.path[index]
+        return clamp_to_path(self.path, self.value)
 
 
 def projection_phase_iterations(
@@ -94,7 +104,7 @@ def projection_phase_iterations(
     bounded by the rooted tree's height — a public quantity (and at most
     ``D(T)``, the bound Theorem 4's statement uses).
     """
-    rooted = RootedTree(tree, root)
+    rooted = euler_list(tree, root).rooted
     height = max(rooted.depth(v) for v in tree.vertices)
     return realaa_iterations(float(max(1, height)), 1.0, n, t)
 
@@ -106,6 +116,10 @@ class TreeAAParty(ProtocolParty):
     its input immediately; Section 2), so the protocol proper only runs for
     ``D(T) > 1``.
 
+    The reduction does not depend on the real-valued engine (the paper's
+    §7 note): a subclass may swap :meth:`_check_resilience` and
+    :meth:`_phases`, and keeps everything else.
+
     Attributes
     ----------
     paths_finder:
@@ -114,6 +128,8 @@ class TreeAAParty(ProtocolParty):
     projection_phase:
         The phase-2 sub-party (available once phase 1's boundary passed).
     """
+
+    _check_resilience = staticmethod(check_resilience)
 
     def __init__(
         self,
@@ -125,33 +141,28 @@ class TreeAAParty(ProtocolParty):
         root: Optional[Label] = None,
     ) -> None:
         super().__init__(pid, n, t)
-        check_resilience(n, t)
+        self._check_resilience(n, t)
         tree.require_vertex(input_vertex)
         self.tree = tree
         self.input_vertex = input_vertex
         self.root = tree.root_label if root is None else root
-        self.paths_finder: Optional[PathsFinderParty] = None
-        self.projection_phase: Optional[ProjectionPhaseParty] = None
+        self.paths_finder: Optional[ProtocolParty] = None
+        self.projection_phase: Optional[ProtocolParty] = None
         self._inner: Optional[PhasedParty] = None
         if diameter(tree) <= 1:
             # Trivial input space: 0 rounds, output the own input.
             self.output = input_vertex
             return
-
-        phase1_rounds = paths_finder_duration(tree, n, t)
-        phase2_iterations = projection_phase_iterations(tree, n, t, self.root)
-        phase2_rounds = ROUNDS_PER_ITERATION * phase2_iterations
+        (phase1_rounds, make_finder), (phase2_rounds, make_projection) = (
+            self._phases()
+        )
 
         def make_phase1(_previous: object) -> ProtocolParty:
-            self.paths_finder = PathsFinderParty(
-                pid, n, t, tree, input_vertex, root=self.root
-            )
+            self.paths_finder = make_finder()
             return self.paths_finder
 
         def make_phase2(path: TreePath) -> ProtocolParty:
-            self.projection_phase = ProjectionPhaseParty(
-                pid, n, t, tree, path, input_vertex, phase2_iterations
-            )
+            self.projection_phase = make_projection(path)
             return self.projection_phase
 
         self._inner = PhasedParty(
@@ -160,6 +171,20 @@ class TreeAAParty(ProtocolParty):
             t,
             phases=[(phase1_rounds, make_phase1), (phase2_rounds, make_phase2)],
         )
+
+    def _phases(self) -> TreeAAPhases:
+        """PathsFinder and the projection phase, each on ``RealAA(1)``."""
+        pid, n, t, tree, vertex = self.pid, self.n, self.t, self.tree, self.input_vertex
+        finder_rounds = paths_finder_duration(tree, n, t)
+        iterations = projection_phase_iterations(tree, n, t, self.root)
+
+        def finder() -> ProtocolParty:
+            return PathsFinderParty(pid, n, t, tree, vertex, root=self.root)
+
+        def projection(path: TreePath) -> ProtocolParty:
+            return ProjectionPhaseParty(pid, n, t, tree, path, vertex, iterations)
+
+        return (finder_rounds, finder), (ROUNDS_PER_ITERATION * iterations, projection)
 
     @property
     def duration(self) -> int:

@@ -32,7 +32,7 @@ class's outcome, and ``bad`` and ``history`` are built on first read.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, cast
 
 import numpy as np
 
@@ -42,11 +42,11 @@ from ..core.api import (
     real_aa_outcome,
     tree_aa_outcome,
 )
-from ..core.closest_int import closest_int
-from ..core.errors import ValidityViolationError, check_index_in_range
-from ..core.path_aa import PathAAParty
-from ..core.projection_aa import KnownPathAAParty
-from ..core.tree_aa import TreeAAParty
+from ..core.errors import ValidityViolationError
+from ..core.path_aa import PathAAParty, vertex_at
+from ..core.paths_finder import PathsFinderParty, euler_root_path
+from ..core.projection_aa import KnownPathAAParty, project_position
+from ..core.tree_aa import TreeAAParty, clamp_to_path
 from ..net.messages import Inbox, Outbox, PartyId
 from ..net.network import ExecutionResult, TraceLevel
 from ..net.protocol import ProtocolParty
@@ -56,7 +56,6 @@ from ..protocols.rounds import ROUNDS_PER_ITERATION
 from ..trees.euler import EulerList
 from ..trees.labeled_tree import Label, LabeledTree
 from ..trees.paths import TreePath
-from ..trees.projection import project_onto_path
 from .dense import DenseExecution
 from .errors import UnsupportedBackendError
 from .kernel import BatchExecution, ClassPhaseOutcome, RealAAPhaseResult
@@ -518,13 +517,12 @@ class BatchSynchronousEngine:
         projections: Dict[int, Label] = {}
         for pid in range(n):
             if project:
-                tree.require_vertex(inputs[pid])
-                projection = project_onto_path(tree, inputs[pid], canonical)
-                position = canonical.position_of(projection)
-                projections[pid] = projection
+                projections[pid], position = project_position(
+                    tree, inputs[pid], canonical
+                )
             else:
-                position = canonical.position_of(inputs[pid])
-            positions.append(float(position))
+                position = float(canonical.position_of(inputs[pid]))
+            positions.append(position)
         execution = _make_execution(
             n, t, party_t, spec, trace_level, fault_plan, factory
         )
@@ -557,10 +555,7 @@ class BatchSynchronousEngine:
             final = _populate_realaa_views(views, phase)
 
             def output(pid: int) -> None:
-                value = final[pid]
-                index = closest_int(value)
-                check_index_in_range(index, len(canonical), "the path", value)
-                outputs[pid] = views[pid].output = canonical[index]
+                outputs[pid] = views[pid].output = vertex_at(canonical, final[pid])
 
             _honest_first(_active_pids(phase), execution.honest_set, output)
         result = _finish_run(execution, adversary, outputs, views)
@@ -607,7 +602,7 @@ class BatchSynchronousEngine:
         )
         outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
         views: Dict[int, BatchPartyView] = {}
-        finder = None if first is None else first.paths_finder
+        finder = None if first is None else cast(Optional[PathsFinderParty], first.paths_finder)
         if first is not None and finder is None:
             # Trivial input space: 0 rounds, every party outputs its input
             # (set at construction, so even silent puppets carry it).
@@ -709,30 +704,27 @@ class BatchSynchronousEngine:
         )
         paths: Dict[int, TreePath] = {}
         positions: Dict[int, float] = {}
-        path_memo: Dict[int, Tuple[Label, TreePath]] = {}
-        position_memo: Dict[Tuple[int, Label], Tuple[Label, float]] = {}
+        # Per-class memos: a class shares its final value, hence its path.
+        path_memo: Dict[float, Tuple[Label, TreePath]] = {}
+        position_memo: Dict[Tuple[Label, Label], Tuple[Label, float]] = {}
 
         def select_path(pid: int) -> None:
             value = final1[pid]
-            index = closest_int(value)
-            check_index_in_range(index, len(euler), "L", value)
-            pair = path_memo.get(index)
+            pair = path_memo.get(value)
             if pair is None:
-                vertex = euler[index]
-                pair = (vertex, TreePath(euler.rooted.root_path(vertex)))
-                path_memo[index] = pair
+                pair = path_memo[value] = euler_root_path(euler, value)
             selected, found = pair
             view = tree_views[pid]
             finder = view.paths_finder
             finder.selected_vertex = selected
             finder.output = found
             paths[pid] = found
-            key = (index, inputs[pid])
+            key = (selected, inputs[pid])
             memoised = position_memo.get(key)
             if memoised is None:
-                projection = project_onto_path(tree, inputs[pid], found)
-                memoised = (projection, float(found.position_of(projection)))
-                position_memo[key] = memoised
+                memoised = position_memo[key] = project_position(
+                    tree, inputs[pid], found
+                )
             projection, position = memoised
             positions[pid] = position
             view.projection_phase = BatchPartyView(
@@ -768,15 +760,7 @@ class BatchSynchronousEngine:
         final2 = _populate_realaa_views(projection_views, phase2)
 
         def finish(pid: int) -> None:
-            value = final2[pid]
-            index = closest_int(value)
-            if index < 0:
-                raise ValidityViolationError(
-                    f"closestInt({value}) = {index} below the path start "
-                    "— RealAA validity was violated"
-                )
-            own_path = paths[pid]
-            vertex = own_path.end if index >= len(own_path) else own_path[index]
+            vertex = clamp_to_path(paths[pid], final2[pid])
             projection_views[pid].output = vertex
             tree_views[pid].output = vertex
             outputs[pid] = vertex

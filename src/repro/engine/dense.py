@@ -40,7 +40,6 @@ array updates.  The class kernel remains the large-``n`` fast path.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -51,10 +50,11 @@ from ..net.network import (
     ByzantineModelError,
     ExecutionTrace,
     TraceLevel,
+    admit_corruptions,
     payload_units,
 )
 from ..protocols.gradecast import _clean_vector
-from ..protocols.realaa import is_real
+from ..protocols.realaa import is_real, trimmed_update
 from .errors import UnsupportedBackendError
 from .kernel import (
     ClassIterationRecord,
@@ -191,25 +191,13 @@ class DenseExecution:
     def _register_corruptions(
         self, party_factory: Optional[Callable[[int], Any]]
     ) -> None:
-        spec = self.spec
-        if spec is None or spec.kind == KIND_NONE:
+        if self.spec is None:
             return
-        if spec.corrupted is not None:
-            requested = set(spec.corrupted)
-        else:
-            requested = set(range(self.n - self.t_net, self.n))
-        if not requested:
+        requested = self.spec.requested_corruptions(self.n, self.t_net)
+        if not admit_corruptions(
+            self.corrupted, requested, self.n, self.t_net, self.trace, 0
+        ):
             return
-        if len(requested) > self.t_net:
-            raise ByzantineModelError(
-                f"adversary requested {len(requested)} "
-                f"corruptions but the budget is t={self.t_net}"
-            )
-        for pid in sorted(requested):
-            if not 0 <= pid < self.n:
-                raise ByzantineModelError(f"cannot corrupt unknown party {pid}")
-            self.corrupted.add(pid)
-            self.trace.corruption_rounds[pid] = 0
         if party_factory is not None:
             self.party_objects = {
                 pid: party_factory(pid) for pid in sorted(self.corrupted)
@@ -641,16 +629,9 @@ class DenseExecution:
                             f"accepted origin {missing[0]} has no recorded "
                             "candidate value; use backend='reference'"
                         )
-                    picked = cand_arr[origins]
-                    core = np.sort(picked)
-                    if int(core.size) > 2 * t:
-                        core = core[t : int(core.size) - t]
-                    lo = float(core[0])
-                    hi = float(core[-1])
-                    trimmed_range = hi - lo
-                    mean = math.fsum(core.tolist()) / int(core.size)
-                    values[pid] = min(max(mean, lo), hi)
-                    accepted = dict(zip(origin_ids, picked.tolist()))
+                    picked = cand_arr[origins].tolist()
+                    values[pid], trimmed_range = trimmed_update(picked, t)
+                    accepted = dict(zip(origin_ids, picked))
                 else:
                     trimmed_range = 0.0
                     accepted = {}

@@ -20,10 +20,10 @@ mutually indistinguishable at the message level:
   differ within a class, and an iteration that accepts nothing keeps the
   old per-party value).
 
-Equivalence with the reference engine is exact, not approximate: sorting,
-``math.fsum`` (correctly rounded, hence order-independent), trimming and
-clamping are performed with the same scalar operations on the same
-multisets, and the :class:`~repro.net.network.ExecutionTrace` counters are
+Equivalence with the reference engine is exact, not approximate: each
+class's new value comes from the reference's own trim rule
+(:func:`repro.protocols.realaa.trimmed_update`) applied to the same
+multiset, and the :class:`~repro.net.network.ExecutionTrace` counters are
 reproduced closed-form per round.  The differential conformance suite
 (``tests/engine/``) pins this bit-for-bit.
 
@@ -35,14 +35,14 @@ masked by a recipient set), which is what the class collapse factors out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..net.network import ByzantineModelError, ExecutionTrace, TraceLevel
-from .spec import KIND_CRASH, KIND_NONE, KIND_PASSIVE, KIND_SILENT, BatchAdversarySpec
+from ..net.network import ExecutionTrace, TraceLevel, admit_corruptions
+from ..protocols.realaa import trimmed_update
+from .spec import KIND_CRASH, KIND_NONE, KIND_PASSIVE, BatchAdversarySpec
 
 #: Delivery scopes of one sender class in one round: everyone, only
 #: recipients with ids below ``partial_to`` (the mid-send crash of
@@ -158,25 +158,11 @@ class BatchExecution:
     # -- corruption bookkeeping ----------------------------------------
 
     def _register_corruptions(self) -> None:
-        spec = self.spec
-        if spec is None or spec.kind == KIND_NONE:
-            return
-        if spec.corrupted is not None:
-            requested = set(spec.corrupted)
-        else:
-            requested = set(range(self.n - self.t_net, self.n))
-        if not requested:
-            return
-        if len(requested) > self.t_net:
-            raise ByzantineModelError(
-                f"adversary requested {len(requested)} "
-                f"corruptions but the budget is t={self.t_net}"
+        if self.spec is not None:
+            requested = self.spec.requested_corruptions(self.n, self.t_net)
+            admit_corruptions(
+                self.corrupted, requested, self.n, self.t_net, self.trace, 0
             )
-        for pid in sorted(requested):
-            if not 0 <= pid < self.n:
-                raise ByzantineModelError(f"cannot corrupt unknown party {pid}")
-            self.corrupted.add(pid)
-            self.trace.corruption_rounds[pid] = 0
 
     @property
     def honest_set(self) -> Set[int]:
@@ -521,16 +507,10 @@ class BatchExecution:
         newly = tuple(np.flatnonzero(quorum | low_confidence).tolist())
         origins = np.flatnonzero(accepted_mask)
         if origins.size:
-            picked = v_pre[origins]
-            core = np.sort(picked)
-            if int(core.size) > 2 * t:
-                core = core[t : int(core.size) - t]
-            lo = float(core[0])
-            hi = float(core[-1])
-            trimmed_range = hi - lo
-            mean = math.fsum(core.tolist()) / int(core.size)
-            values[self.classes[rc].mask] = min(max(mean, lo), hi)
-            accepted = dict(zip(origins.tolist(), picked.tolist()))
+            picked = v_pre[origins].tolist()
+            value, trimmed_range = trimmed_update(picked, t)
+            values[self.classes[rc].mask] = value
+            accepted = dict(zip(origins.tolist(), picked))
         else:
             trimmed_range = 0.0
             accepted = {}

@@ -80,6 +80,14 @@ class BatchAdversarySpec:
     partial_to: int = 0
     params: Optional[Tuple[Tuple[str, Any], ...]] = None
 
+    def requested_corruptions(self, n: int, t: int) -> FrozenSet[int]:
+        """The ids this spec corrupts among ``n`` parties under budget ``t``."""
+        if self.kind == KIND_NONE:
+            return frozenset()
+        if self.corrupted is not None:
+            return self.corrupted
+        return frozenset(range(n - t, n))
+
     def param_dict(self) -> dict:
         """``params`` as a plain dict (empty when no params were given)."""
         return dict(self.params) if self.params else {}

@@ -21,10 +21,10 @@ corrupted parties.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Tuple
 
+from ..protocols.realaa import trimmed_mean, trimmed_midpoint
 from ..trees.labeled_tree import Label, LabeledTree
 from ..trees.paths import diameter_path, distance
 from ..trees.safe_area import safe_area_midpoint
@@ -156,10 +156,7 @@ def trimmed_mean_rule(t: int) -> OutputRule:
     """The one-round rule RealAA's iterations use: trim ``t``/``t``, average."""
 
     def rule(view: View) -> float:
-        ordered = sorted(view)
-        if len(ordered) > 2 * t:
-            ordered = ordered[t : len(ordered) - t]
-        return math.fsum(ordered) / len(ordered)
+        return trimmed_mean(view, t)
 
     return rule
 
@@ -168,10 +165,7 @@ def trimmed_midpoint_rule(t: int) -> OutputRule:
     """The outline baseline's rule: trim ``t``/``t``, take the midpoint."""
 
     def rule(view: View) -> float:
-        ordered = sorted(view)
-        if len(ordered) > 2 * t:
-            ordered = ordered[t : len(ordered) - t]
-        return (ordered[0] + ordered[-1]) / 2.0
+        return trimmed_midpoint(view, t)
 
     return rule
 

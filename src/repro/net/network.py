@@ -185,6 +185,33 @@ class ExecutionResult:
         return {pid: self.outputs[pid] for pid in sorted(self.honest)}
 
 
+def admit_corruptions(
+    corrupted: Set[PartyId],
+    requested: Iterable[PartyId],
+    n: int,
+    t: int,
+    trace: ExecutionTrace,
+    round_index: int,
+) -> List[PartyId]:
+    """Corrupt the *requested* parties within the budget *t*: every engine's
+    one corruption check.  Returns the newly corrupted ids, ascending."""
+    new = set(requested) - corrupted
+    if not new:
+        return []
+    if len(corrupted) + len(new) > t:
+        raise ByzantineModelError(
+            f"adversary requested {len(corrupted) + len(new)} "
+            f"corruptions but the budget is t={t}"
+        )
+    admitted = sorted(new)
+    for pid in admitted:
+        if not 0 <= pid < n:
+            raise ByzantineModelError(f"cannot corrupt unknown party {pid}")
+        corrupted.add(pid)
+        trace.corruption_rounds[pid] = round_index
+    return admitted
+
+
 class SynchronousNetwork:
     """Lockstep executor for one protocol instance.
 
@@ -260,23 +287,11 @@ class SynchronousNetwork:
         )
 
     def _register_corruptions(self, new: Set[PartyId], round_index: int) -> None:
-        new = set(new) - self.corrupted
-        if not new:
-            return
-        if len(self.corrupted) + len(new) > self.t:
-            raise ByzantineModelError(
-                f"adversary requested {len(self.corrupted) + len(new)} "
-                f"corruptions but the budget is t={self.t}"
-            )
-        for pid in sorted(new):
-            if not 0 <= pid < self.n:
-                raise ByzantineModelError(f"cannot corrupt unknown party {pid}")
-            self.corrupted.add(pid)
-            self.trace.corruption_rounds[pid] = round_index
-        if self.adversary is not None:
-            self.adversary.on_corrupted(
-                {pid: self.parties[pid] for pid in sorted(new)}
-            )
+        admitted = admit_corruptions(
+            self.corrupted, new, self.n, self.t, self.trace, round_index
+        )
+        if admitted and self.adversary is not None:
+            self.adversary.on_corrupted({pid: self.parties[pid] for pid in admitted})
 
     def run(self, max_rounds: Optional[int] = None) -> ExecutionResult:
         """Execute until every honest party's protocol duration has elapsed."""

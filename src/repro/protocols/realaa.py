@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..net.messages import Inbox, Outbox, PartyId
 from ..net.protocol import ProtocolParty, ProtocolStateError
@@ -57,19 +57,44 @@ def is_real(value: object) -> bool:
         return False
 
 
-def trimmed_mean(values: Sequence[float], t: int) -> float:
-    """Discard the ``t`` lowest and ``t`` highest values; average the rest.
+def trim(values: Iterable[float], t: int) -> List[float]:
+    """*values* in ascending order, less the ``t`` lowest and the ``t``
+    highest when more than ``2t`` remain.
 
     The safe-area computation of RealAA: with at most ``t`` Byzantine values
     present, everything that survives the double trim lies within the honest
-    values' range, so the mean does too (Validity, Lemma 6).
+    values' range (Validity, Lemma 6).  Every trimming rule of the package —
+    both engines, the baselines and the lower-bound rules — calls this.
     """
-    if not values:
-        raise ValueError("cannot take the trimmed mean of no values")
     ordered = sorted(values)
     if len(ordered) > 2 * t:
-        ordered = ordered[t : len(ordered) - t]
-    return math.fsum(ordered) / len(ordered)
+        return ordered[t : len(ordered) - t]
+    return ordered
+
+
+def trimmed_mean(values: Sequence[float], t: int) -> float:
+    """Discard the ``t`` lowest and ``t`` highest values; average the rest."""
+    if not values:
+        raise ValueError("cannot take the trimmed mean of no values")
+    core = trim(values, t)
+    return math.fsum(core) / len(core)
+
+
+def trimmed_update(values: Iterable[float], t: int) -> Tuple[float, float]:
+    """One RealAA iteration's new value and the range of its trimmed core.
+
+    The mean is clamped into the core: at large magnitudes the float mean
+    can land one ulp outside it, and Validity is exact.
+    """
+    core = trim(values, t)
+    mean = math.fsum(core) / len(core)
+    return min(max(mean, core[0]), core[-1]), core[-1] - core[0]
+
+
+def trimmed_midpoint(values: Iterable[float], t: int) -> float:
+    """The iteration outline's update ([12]): the trimmed values' midpoint."""
+    core = trim(values, t)
+    return (core[0] + core[-1]) / 2.0
 
 
 @dataclass
@@ -242,17 +267,8 @@ class RealAAParty(ProtocolParty):
                     newly_detected.append(origin)
         self.bad.update(newly_detected)
 
-        values = list(accepted.values())
-        if values:
-            ordered = sorted(values)
-            if len(ordered) > 2 * self.t:
-                core = ordered[self.t : len(ordered) - self.t]
-            else:
-                core = ordered
-            trimmed_range = core[-1] - core[0]
-            # Clamp into the core's envelope: the float mean can land one
-            # ulp outside it at large magnitudes, and Validity is exact.
-            self.value = min(max(math.fsum(core) / len(core), core[0]), core[-1])
+        if accepted:
+            self.value, trimmed_range = trimmed_update(accepted.values(), self.t)
         else:
             trimmed_range = 0.0  # keep the old value (cannot happen honestly)
 

@@ -383,8 +383,9 @@ def theorem3_round_bound(spread: float, epsilon: float) -> int:
     matching how such bounds are read in the paper (constants absorb the
     small-``D`` regime, where 3 rounds — one iteration — always suffice).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_epsilon(epsilon)
+    if not math.isfinite(spread):
+        raise ValueError(f"spread D must be finite, got {spread!r}")
     if spread <= epsilon:
         return ROUNDS_PER_ITERATION
     ratio = spread / epsilon

@@ -59,6 +59,7 @@ from ..analysis.parallel import (
     SweepCache,
     SweepReport,
     default_cache_dir,
+    resolve_jobs,
     write_sweep_jsonl,
 )
 from ..analysis.spec import (
@@ -167,12 +168,12 @@ class Worker(threading.Thread):
         executor: Optional[str] = None,
     ) -> None:
         super().__init__(name="scenario-worker", daemon=True)
+        self.pool_jobs = resolve_jobs(pool_jobs)
         self.store = store
         self.cache: Optional[SweepCache] = (
             None if no_cache else SweepCache(cache_dir or default_cache_dir())
         )
         self.data_dir = data_dir
-        self.pool_jobs = max(1, pool_jobs)
         self.retry = retry or RetryPolicy()
         self.executor_path = executor or DEFAULT_EXECUTOR
         self._execute = resolve_executor(executor)

@@ -25,6 +25,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:
+    from .euler import EulerList
     from .paths import TreePath
 
 Label = Hashable
@@ -53,9 +54,10 @@ class LabeledTree:
         If the resulting graph is empty, disconnected, or contains a cycle.
     """
 
-    # ``_diameter_path`` memoises :func:`repro.trees.paths.diameter_path`:
-    # the tree is immutable, so its double BFS runs once per tree object.
-    __slots__ = ("_adjacency", "_vertices", "_root_label", "_diameter_path")
+    # ``_diameter_path`` memoises :func:`repro.trees.paths.diameter_path`
+    # and ``_euler_lists`` :func:`repro.core.paths_finder.euler_list` (keyed
+    # by root): the tree is immutable, so each is built once per tree object.
+    __slots__ = ("_adjacency", "_vertices", "_root_label", "_diameter_path", "_euler_lists")
 
     def __init__(
         self,
@@ -90,6 +92,7 @@ class LabeledTree:
         self._check_connected()
         self._root_label: Label = self._vertices[0]
         self._diameter_path: Optional[TreePath] = None
+        self._euler_lists: Dict[Label, EulerList] = {}
 
     def _check_connected(self) -> None:
         start = next(iter(self._adjacency))

@@ -171,15 +171,22 @@ class TestFigure5Scenario:
             # the red vertex is never output: it lies outside the hull
             assert "w_red" not in set(outcome.honest_outputs.values())
 
-    def test_clamp_path_exercised(self):
-        """Drive the ProjectionPhaseParty clamp directly: closestInt beyond
-        the own (shorter) path outputs the path's last vertex."""
+    @pytest.mark.parametrize("engine", ["core", "authenticated"])
+    def test_clamp_path_exercised(self, engine):
+        """Drive the projection phase's clamp directly, on both engines:
+        closestInt beyond the own (shorter) path outputs its last vertex."""
+        from repro.authenticated import AuthProjectionPhaseParty, SignatureAuthority
         from repro.core.tree_aa import ProjectionPhaseParty
         from repro.trees import TreePath
 
         tree = self.figure5_tree()
         path = TreePath(["v1", "v2", "v3"])
-        party = ProjectionPhaseParty(0, 4, 1, tree, path, "v1", iterations=1)
+        if engine == "core":
+            party = ProjectionPhaseParty(0, 4, 1, tree, path, "v1", iterations=1)
+        else:
+            party = AuthProjectionPhaseParty(
+                0, 4, 1, SignatureAuthority(), tree, path, "v1"
+            )
         party.value = 3.2  # beyond the path's last position (2)
         assert party._final_output() == "v3"
 

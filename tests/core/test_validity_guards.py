@@ -12,6 +12,11 @@ import sys
 
 import pytest
 
+from repro.authenticated import (
+    AuthPathsFinderParty,
+    AuthProjectionPhaseParty,
+    SignatureAuthority,
+)
 from repro.core import ValidityViolationError
 from repro.core.path_aa import PathAAParty
 from repro.core.paths_finder import PathsFinderParty
@@ -20,6 +25,22 @@ from repro.core.tree_aa import ProjectionPhaseParty
 from repro.trees import diameter_path, path_tree
 
 N, T = 4, 1
+
+#: Both engines' phase parties share the core's tree maps and guards.
+PATHS_FINDERS = {
+    "core": lambda tree, vertex: PathsFinderParty(0, N, T, tree, vertex),
+    "authenticated": lambda tree, vertex: AuthPathsFinderParty(
+        0, N, T, SignatureAuthority(), tree, vertex
+    ),
+}
+PROJECTION_PHASES = {
+    "core": lambda tree, path, vertex: ProjectionPhaseParty(
+        0, N, T, tree, path, vertex, iterations=1
+    ),
+    "authenticated": lambda tree, path, vertex: AuthProjectionPhaseParty(
+        0, N, T, SignatureAuthority(), tree, path, vertex
+    ),
+}
 
 
 def _tree_and_path():
@@ -42,18 +63,18 @@ class TestGuardsRaise:
         with pytest.raises(ValidityViolationError, match="validity"):
             party._final_output()
 
-    def test_paths_finder_party_guard(self):
+    @pytest.mark.parametrize("engine", list(PATHS_FINDERS))
+    def test_paths_finder_party_guard(self, engine):
         tree, _ = _tree_and_path()
-        party = PathsFinderParty(0, N, T, tree, tree.vertices[0])
+        party = PATHS_FINDERS[engine](tree, tree.vertices[0])
         party.value = 1e9
         with pytest.raises(ValidityViolationError, match="validity"):
             party._final_output()
 
-    def test_projection_phase_negative_guard(self):
+    @pytest.mark.parametrize("engine", list(PROJECTION_PHASES))
+    def test_projection_phase_negative_guard(self, engine):
         tree, path = _tree_and_path()
-        party = ProjectionPhaseParty(
-            0, N, T, tree, path, tree.vertices[0], iterations=1
-        )
+        party = PROJECTION_PHASES[engine](tree, path, tree.vertices[0])
         party.value = -3.0
         with pytest.raises(ValidityViolationError, match="validity"):
             party._final_output()

@@ -5,12 +5,14 @@ import json
 import pytest
 
 from repro.service import (
+    JobStore,
     PlanError,
     ScenarioService,
     ServiceClient,
     ServiceClientError,
     ServiceConfig,
 )
+from repro.service.worker import Worker
 
 #: A small mixed-backend grid (4 points) used by most round-trip tests.
 GRID_PAYLOAD = {
@@ -268,6 +270,15 @@ class TestPoolMode:
         inline_rows = _run_rows(tmp_path / "inline", pool_jobs=1)
         pooled_rows = _run_rows(tmp_path / "pool", pool_jobs=2)
         assert inline_rows == pooled_rows
+
+    def test_zero_pool_jobs_means_every_core(self, monkeypatch):
+        # Constructed only: the worker thread is never started.
+        monkeypatch.setattr("os.cpu_count", lambda: 7)
+        assert Worker(JobStore(), no_cache=True, pool_jobs=0).pool_jobs == 7
+
+    def test_negative_pool_jobs_rejected(self):
+        with pytest.raises(ValueError, match="got -3"):
+            Worker(JobStore(), no_cache=True, pool_jobs=-3)
 
 
 def _run_rows(root, pool_jobs):

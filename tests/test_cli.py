@@ -220,6 +220,25 @@ class TestCommands:
         assert code == 0
         assert "Theorem 2 lower" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--diameter", "inf", "spread D must be finite, got inf"),
+            ("--diameter", "nan", "spread D must be finite, got nan"),
+            ("--epsilon", "nan", "epsilon must be finite, got nan"),
+        ],
+    )
+    def test_bounds_rejects_non_finite(self, flag, value, message, capsys):
+        argv = ["bounds", "--diameter", "1000", "--n", "13", "--t", "4", flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_serve_rejects_negative_jobs(self, tmp_path, capsys):
+        # Refused while the service is built, before the socket is bound.
+        argv = ["serve", "--port", "0", "--jobs", "-1", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
+
     def test_make_tree_json_round_trips(self, capsys):
         code = main(["make-tree", "figure", "--format", "json"])
         out = capsys.readouterr().out
