@@ -645,11 +645,13 @@ def _run_async(
 
 
 def effective_known_range(spec: ScenarioSpec, inputs: Sequence[float]) -> float:
-    """``known_range``, or the spread of the real inputs when it is unset
-    (the same default :func:`repro.core.api.run_real_aa` applies)."""
+    """``known_range``, or :func:`repro.core.api.run_real_aa`'s default
+    for the real inputs when it is unset."""
+    from ..core.api import default_known_range
+
     if spec.known_range is not None:
         return float(spec.known_range)
-    return (max(inputs) - min(inputs)) if inputs else 0.0
+    return default_known_range(inputs)
 
 
 def run_spec(spec: ScenarioSpec) -> Any:

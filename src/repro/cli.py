@@ -389,8 +389,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis import run_grid
     from .engine import UnsupportedBackendError
 
-    if args.jobs < 0:
-        raise CLIError("--jobs must be >= 1, or 0 for all cores")
     name, runner = SPEC_SWEEP_NAME, SPEC_RUNNER
     if args.spec:
         grid, headers, table = _spec_sweep_grid(args)
@@ -647,7 +645,7 @@ def cmd_flywheel_selftest(args: argparse.Namespace) -> int:
     from .flywheel import SelfTestError, run_selftest
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="flywheel-selftest-")
-    with user_errors(SelfTestError):
+    with user_errors(SelfTestError, ValueError):
         report = run_selftest(
             os.path.join(workdir, "ledger.jsonl"),
             os.path.join(workdir, "corpus"),

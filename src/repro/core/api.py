@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, cast,
 )
 
 from ..net.faults import FaultPlan
@@ -236,21 +236,49 @@ def tree_aa_outcome(
     )
 
 
-def _select_backend(backend: str) -> Any:
-    """Resolve *backend* to an engine object, or ``None`` for the reference.
+def default_known_range(inputs: Sequence[float]) -> float:
+    """RealAA's ``known_range`` when the caller gives neither it nor
+    ``iterations``: the spread of *inputs* (0 for none)."""
+    return max(inputs) - min(inputs) if len(inputs) else 0.0
 
-    The batch engine is imported lazily so that the NumPy stack is only
-    loaded when a caller actually opts into ``backend="batch"``.
+
+def _execute(
+    backend: str,
+    batch_run: str,
+    factory: PartyFactory,
+    inputs: Sequence[Any],
+    t: int,
+    adversary: Optional[Adversary],
+    trace_level: TraceLevel,
+    observer: Optional[Observer],
+    fault_plan: Optional[FaultPlan],
+) -> ExecutionResult:
+    """Run the parties *factory* builds, one per entry of *inputs*.
+
+    ``"reference"`` drives them through :func:`run_protocol`; ``"batch"``
+    hands the factory and *inputs* to the
+    :class:`~repro.engine.backend.BatchSynchronousEngine` method named
+    *batch_run*.  The batch engine is imported lazily so that the NumPy
+    stack is only loaded when a caller actually opts into it.
     """
     if backend == "reference":
-        return None
+        return run_protocol(
+            len(inputs),
+            t,
+            factory,
+            adversary=adversary,
+            trace_level=trace_level,
+            observer=observer,
+            fault_plan=fault_plan,
+        )
     if backend != "batch":
         raise ValueError(
             f"unknown backend {backend!r} (choose 'reference' or 'batch')"
         )
     from ..engine.backend import BatchSynchronousEngine
 
-    return BatchSynchronousEngine()
+    run: Callable[..., ExecutionResult] = getattr(BatchSynchronousEngine(), batch_run)
+    return run(factory, inputs, t, adversary, trace_level, observer, fault_plan)
 
 
 def run_tree_aa(
@@ -289,29 +317,18 @@ def run_tree_aa(
     it cannot replay (transcript recorders and other observers, custom
     ``estimate_fn``, adaptive adversaries).
     """
-    engine = _select_backend(backend)
-    if engine is not None:
-        return engine.run_tree_aa(
-            tree,
-            inputs,
-            t,
-            adversary=adversary,
-            root=root,
-            trace_level=trace_level,
-            observer=observer,
-            fault_plan=fault_plan,
-            t_assumed=t_assumed,
-        )
     n = len(inputs)
     party_t = t if t_assumed is None else t_assumed
-    execution = run_protocol(
-        n,
-        t,
+    execution = _execute(
+        backend,
+        "run_tree_aa",
         lambda pid: TreeAAParty(pid, n, party_t, tree, inputs[pid], root=root),
-        adversary=adversary,
-        trace_level=trace_level,
-        observer=observer,
-        fault_plan=fault_plan,
+        inputs,
+        t,
+        adversary,
+        trace_level,
+        observer,
+        fault_plan,
     )
     return tree_aa_outcome(execution, tree, inputs)
 
@@ -337,20 +354,6 @@ def run_path_aa(
     ``t_assumed`` are the same resilience-lab hooks as in
     :func:`run_tree_aa`; ``backend`` selects the engine as there.
     """
-    engine = _select_backend(backend)
-    if engine is not None:
-        return engine.run_path_aa(
-            tree,
-            path,
-            inputs,
-            t,
-            adversary=adversary,
-            project=project,
-            observer=observer,
-            trace_level=trace_level,
-            fault_plan=fault_plan,
-            t_assumed=t_assumed,
-        )
     n = len(inputs)
     party_t = t if t_assumed is None else t_assumed
     canonical = path.canonical()
@@ -363,14 +366,8 @@ def run_path_aa(
         factory = lambda pid: PathAAParty(  # noqa: E731
             pid, n, party_t, canonical, inputs[pid]
         )
-    execution = run_protocol(
-        n,
-        t,
-        factory,
-        adversary=adversary,
-        trace_level=trace_level,
-        observer=observer,
-        fault_plan=fault_plan,
+    execution = _execute(
+        backend, "run_path_aa", factory, inputs, t, adversary, trace_level, observer, fault_plan
     )
     return tree_aa_outcome(execution, tree, inputs)
 
@@ -401,27 +398,13 @@ def run_real_aa(
     without touching protocol-layer guards.  ``backend`` selects the
     engine as in :func:`run_tree_aa`.
     """
-    engine = _select_backend(backend)
-    if engine is not None:
-        return engine.run_real_aa(
-            inputs,
-            t,
-            epsilon,
-            known_range=known_range,
-            iterations=iterations,
-            adversary=adversary,
-            trace_level=trace_level,
-            observer=observer,
-            fault_plan=fault_plan,
-            t_assumed=t_assumed,
-        )
     n = len(inputs)
     if known_range is None and iterations is None:
-        known_range = max(inputs) - min(inputs) if n else 0.0
+        known_range = default_known_range(inputs)
     party_t = t if t_assumed is None else t_assumed
-    execution = run_protocol(
-        n,
-        t,
+    execution = _execute(
+        backend,
+        "run_real_aa",
         lambda pid: RealAAParty(
             pid,
             n,
@@ -431,10 +414,12 @@ def run_real_aa(
             known_range=known_range,
             iterations=iterations,
         ),
-        adversary=adversary,
-        trace_level=trace_level,
-        observer=observer,
-        fault_plan=fault_plan,
+        inputs,
+        t,
+        adversary,
+        trace_level,
+        observer,
+        fault_plan,
     )
     return real_aa_outcome(
         execution,
@@ -442,9 +427,8 @@ def run_real_aa(
         epsilon,
         execution.trace.rounds_executed,
         [
-            execution.parties[pid].local_termination_iteration
+            cast(RealAAParty, execution.parties[pid]).local_termination_iteration
             for pid in sorted(execution.honest)
-            if isinstance(execution.parties[pid], RealAAParty)
         ],
     )
 

@@ -1,10 +1,11 @@
-"""`BatchSynchronousEngine` — the batched drop-in for the core API.
+"""`BatchSynchronousEngine` — the batched executor behind ``backend="batch"``.
 
-Produces the same :class:`~repro.core.api.RealAAOutcome` /
-:class:`~repro.core.api.TreeAAOutcome` objects as the reference
-``backend="reference"`` path, computed by the class-collapsed array kernel
-(:mod:`repro.engine.kernel`) instead of per-party message passing.  Every
-observable is replicated: outputs, AA verdicts, the full
+Executes the party factory that :mod:`repro.core.api` builds for each
+run, computed by the class-collapsed array kernel
+(:mod:`repro.engine.kernel`) instead of per-party message passing, and
+returns an :class:`~repro.net.network.ExecutionResult` that
+:mod:`repro.core.api` judges exactly as it judges the reference's.
+Every observable is replicated: outputs, the full
 :class:`~repro.net.network.ExecutionTrace`, validation errors (message and
 order), per-iteration party diagnostics, and the
 :class:`~repro.core.errors.ValidityViolationError` raise points.
@@ -16,9 +17,9 @@ generator only, never the engine, so cache keys stay comparable across
 backends (they differ exactly in the recorded ``backend`` field).
 
 Validation is the reference's own: each ``run_*`` builds party 0 with the
-reference party constructor (the factory the dense engine drives), so
-guard order and messages match because the same code raises them; the
-other parties' inputs are then checked in pid order.
+factory (the one the dense engine drives), so guard order and messages
+match because the same code raises them; the other parties' inputs are
+then checked in pid order.
 
 Parties in the returned execution are read-only views, all of one class
 (:class:`BatchPartyView`): each exposes the attributes its reference
@@ -36,14 +37,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from ..core.api import (
-    RealAAOutcome,
-    TreeAAOutcome,
-    real_aa_outcome,
-    tree_aa_outcome,
-)
 from ..core.errors import ValidityViolationError
-from ..core.path_aa import PathAAParty, vertex_at
+from ..core.path_aa import vertex_at
 from ..core.paths_finder import PathsFinderParty, euler_root_path
 from ..core.projection_aa import KnownPathAAParty, project_position
 from ..core.tree_aa import TreeAAParty, clamp_to_path
@@ -66,7 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Callable, Union
 
     from ..adversary.base import Adversary
+    from ..core.path_aa import PathAAParty
     from ..net.faults import FaultPlan
+    from ..net.runner import PartyFactory
     from ..net.trace import Observer
 
     AnyExecution = Union[BatchExecution, DenseExecution]
@@ -340,6 +337,21 @@ def _finish_run(
     )
 
 
+def _run_without_parties(
+    t: int,
+    spec: Optional[BatchAdversarySpec],
+    trace_level: TraceLevel,
+    fault_plan: Optional["FaultPlan"],
+    factory: "PartyFactory",
+    adversary: Optional["Adversary"],
+) -> ExecutionResult:
+    """A run with ``n = 0``: there is no party 0 to read the run's
+    parameters from, and nothing executes (as in the reference, no
+    metrics row is emitted)."""
+    execution = _make_execution(0, t, t, spec, trace_level, fault_plan, factory)
+    return _finish_run(execution, adversary, {}, {})
+
+
 def _populate_realaa_views(
     views: Dict[int, BatchPartyView], phase: RealAAPhaseResult
 ) -> List[float]:
@@ -397,30 +409,32 @@ def _honest_first(
 class BatchSynchronousEngine:
     """Batched executor for RealAA / PathAA / TreeAA.
 
-    Stateless facade.  Each ``run_*`` method validates its arguments by
-    building party 0 with the reference constructor (the same factory
-    the dense engine drives) and checking the other parties' inputs in
-    pid order, replays the supported adversary via its
-    :class:`~repro.engine.spec.BatchAdversarySpec`, runs the kernel, and
-    assembles the same outcome dataclass the reference API returns.
+    Stateless facade.  Each ``run_*`` method executes the party factory
+    :mod:`repro.core.api` built for the run, the one the reference
+    engine and the dense engine drive.  It refuses what it cannot
+    replay, builds party 0 (whose constructor validates the run and
+    holds its public parameters: ``t``, iteration counts, the path or
+    the Euler list), checks the other parties' inputs in pid order,
+    replays the supported adversary via its
+    :class:`~repro.engine.spec.BatchAdversarySpec` and runs the kernel.
+    It returns the :class:`~repro.net.network.ExecutionResult` that
+    :mod:`repro.core.api` judges.
     """
 
     # -- RealAA ---------------------------------------------------------
 
     def run_real_aa(
         self,
+        factory: "PartyFactory",
         inputs: Sequence[float],
         t: int,
-        epsilon: float,
-        known_range: Optional[float] = None,
-        iterations: Optional[int] = None,
-        adversary: Optional["Adversary"] = None,
-        trace_level: TraceLevel = TraceLevel.FULL,
-        observer: Optional["Observer"] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        t_assumed: Optional[int] = None,
-    ) -> RealAAOutcome:
-        """Batched :func:`repro.core.api.run_real_aa` (same signature)."""
+        adversary: Optional["Adversary"],
+        trace_level: TraceLevel,
+        observer: Optional["Observer"],
+        fault_plan: Optional["FaultPlan"],
+    ) -> ExecutionResult:
+        """Execute *factory*'s :class:`~repro.protocols.realaa.RealAAParty`
+        parties, one per entry of *inputs*."""
         collector = _resolve_collector(observer)
         if collector is not None and collector.tree is not None:
             raise UnsupportedBackendError(
@@ -430,101 +444,70 @@ class BatchSynchronousEngine:
             )
         spec = resolve_batch_spec(adversary)
         n = len(inputs)
-        if known_range is None and iterations is None:
-            known_range = max(inputs) - min(inputs) if n else 0.0
-        party_t = t if t_assumed is None else t_assumed
-
-        def factory(pid: int) -> RealAAParty:
-            return RealAAParty(
-                pid,
-                n,
-                party_t,
-                inputs[pid],
-                epsilon=epsilon,
-                known_range=known_range,
-                iterations=iterations,
-            )
-
-        its = 0
-        if n:
-            its = factory(0).iterations
-            for pid in range(1, n):
-                if not is_real(inputs[pid]):
-                    factory(pid)  # raises the constructor's own error
+        if not n:
+            return _run_without_parties(t, spec, trace_level, fault_plan, factory, adversary)
+        first = cast(RealAAParty, factory(0))
+        for pid in range(1, n):
+            if not is_real(inputs[pid]):
+                factory(pid)  # raises the constructor's own error
+        its = first.iterations
         execution = _make_execution(
-            n, t, party_t, spec, trace_level, fault_plan, factory
+            n, t, first.t, spec, trace_level, fault_plan, factory
         )
         _attach_metrics(execution, collector, ROUNDS_PER_ITERATION * its, True)
         values = [float(v) for v in inputs]
-        shared = _realaa_attributes(n, party_t, its, float(epsilon))
+        shared = _realaa_attributes(n, first.t, its, first.epsilon)
         views = {
             pid: BatchPartyView(pid, shared, {"input_value": value, "value": value})
             for pid, value in enumerate(values)
         }
         outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
-        if n and execution.has_honest:
+        if execution.has_honest:
             phase = execution.run_realaa_phase(
-                np.array(values, dtype=np.float64), float(epsilon), its
+                np.array(values, dtype=np.float64), first.epsilon, its
             )
             final = _populate_realaa_views(views, phase)
             for pid in _active_pids(phase):
                 outputs[pid] = final[pid]
                 views[pid].output = final[pid]
-        result = _finish_run(execution, adversary, outputs, views)
-        return real_aa_outcome(
-            result,
-            inputs,
-            epsilon,
-            result.trace.rounds_executed,
-            [
-                views[pid].local_termination_iteration
-                for pid in sorted(result.honest)
-            ],
-        )
+        return _finish_run(execution, adversary, outputs, views)
 
     # -- PathAA / KnownPathAA -------------------------------------------
 
     def run_path_aa(
         self,
-        tree: LabeledTree,
-        path: TreePath,
+        factory: "PartyFactory",
         inputs: Sequence[Label],
         t: int,
-        adversary: Optional["Adversary"] = None,
-        project: bool = False,
-        observer: Optional["Observer"] = None,
-        trace_level: TraceLevel = TraceLevel.FULL,
-        fault_plan: Optional["FaultPlan"] = None,
-        t_assumed: Optional[int] = None,
-    ) -> TreeAAOutcome:
-        """Batched :func:`repro.core.api.run_path_aa` (same signature)."""
+        adversary: Optional["Adversary"],
+        trace_level: TraceLevel,
+        observer: Optional["Observer"],
+        fault_plan: Optional["FaultPlan"],
+    ) -> ExecutionResult:
+        """Execute *factory*'s :class:`~repro.core.path_aa.PathAAParty`
+        (Section 4) or :class:`~repro.core.projection_aa.KnownPathAAParty`
+        (Section 5) parties, one per entry of *inputs*."""
         collector = _resolve_collector(observer)
         spec = resolve_batch_spec(adversary)
         n = len(inputs)
-        party_t = t if t_assumed is None else t_assumed
-        canonical = path.canonical()
-        factory: "Callable[[int], RealAAParty]"
-        if project:
-            factory = lambda pid: KnownPathAAParty(  # noqa: E731
-                pid, n, party_t, tree, canonical, inputs[pid]
-            )
-        else:
-            factory = lambda pid: PathAAParty(  # noqa: E731
-                pid, n, party_t, canonical, inputs[pid]
-            )
-        its = factory(0).iterations if n else 0
+        if not n:
+            return _run_without_parties(t, spec, trace_level, fault_plan, factory, adversary)
+        first = cast("Union[PathAAParty, KnownPathAAParty]", factory(0))
+        canonical = first.path
+        tree = first.tree if isinstance(first, KnownPathAAParty) else None
         positions: List[float] = []
         projections: Dict[int, Label] = {}
         for pid in range(n):
-            if project:
+            if tree is not None:
                 projections[pid], position = project_position(
                     tree, inputs[pid], canonical
                 )
             else:
                 position = float(canonical.position_of(inputs[pid]))
             positions.append(position)
+        its = first.iterations
         execution = _make_execution(
-            n, t, party_t, spec, trace_level, fault_plan, factory
+            n, t, first.t, spec, trace_level, fault_plan, factory
         )
         _attach_metrics(
             execution,
@@ -534,8 +517,8 @@ class BatchSynchronousEngine:
             honest_estimates=[inputs[pid] for pid in sorted(execution.honest_set)],
         )
         # KnownPathAAParty adds the tree and the projection to PathAAParty.
-        shared = _realaa_attributes(n, party_t, its, path=canonical)
-        if project:
+        shared = _realaa_attributes(n, first.t, its, path=canonical)
+        if tree is not None:
             shared["tree"] = tree
         views: Dict[int, BatchPartyView] = {}
         for pid, position in enumerate(positions):
@@ -544,11 +527,11 @@ class BatchSynchronousEngine:
                 "value": position,
                 "input_vertex": inputs[pid],
             }
-            if project:
+            if tree is not None:
                 own["projection"] = projections[pid]
             views[pid] = BatchPartyView(pid, shared, own)
         outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
-        if n and execution.has_honest:
+        if execution.has_honest:
             phase = execution.run_realaa_phase(
                 np.array(positions, dtype=np.float64), 1.0, its
             )
@@ -558,41 +541,35 @@ class BatchSynchronousEngine:
                 outputs[pid] = views[pid].output = vertex_at(canonical, final[pid])
 
             _honest_first(_active_pids(phase), execution.honest_set, output)
-        result = _finish_run(execution, adversary, outputs, views)
-        return tree_aa_outcome(result, tree, inputs)
+        return _finish_run(execution, adversary, outputs, views)
 
     # -- TreeAA ---------------------------------------------------------
 
     def run_tree_aa(
         self,
-        tree: LabeledTree,
+        factory: "PartyFactory",
         inputs: Sequence[Label],
         t: int,
-        adversary: Optional["Adversary"] = None,
-        root: Optional[Label] = None,
-        trace_level: TraceLevel = TraceLevel.FULL,
-        observer: Optional["Observer"] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        t_assumed: Optional[int] = None,
-    ) -> TreeAAOutcome:
-        """Batched :func:`repro.core.api.run_tree_aa` (same signature)."""
+        adversary: Optional["Adversary"],
+        trace_level: TraceLevel,
+        observer: Optional["Observer"],
+        fault_plan: Optional["FaultPlan"],
+    ) -> ExecutionResult:
+        """Execute *factory*'s :class:`~repro.core.tree_aa.TreeAAParty`
+        parties, one per entry of *inputs*."""
         collector = _resolve_collector(observer)
         spec = resolve_batch_spec(adversary)
         n = len(inputs)
-        party_t = t if t_assumed is None else t_assumed
-
-        def factory(pid: int) -> TreeAAParty:
-            return TreeAAParty(pid, n, party_t, tree, inputs[pid], root=root)
-
-        first: Optional[TreeAAParty] = None
-        if n:
-            first = factory(0)
-            for pid in range(1, n):
-                tree.require_vertex(inputs[pid])
+        if not n:
+            return _run_without_parties(t, spec, trace_level, fault_plan, factory, adversary)
+        first = cast(TreeAAParty, factory(0))
+        tree = first.tree
+        for pid in range(1, n):
+            tree.require_vertex(inputs[pid])
         execution = _make_execution(
-            n, t, party_t, spec, trace_level, fault_plan, factory
+            n, t, first.t, spec, trace_level, fault_plan, factory
         )
-        duration = 0 if first is None else first.duration
+        duration = first.duration
         _attach_metrics(
             execution,
             collector,
@@ -602,26 +579,22 @@ class BatchSynchronousEngine:
         )
         outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
         views: Dict[int, BatchPartyView] = {}
-        finder = None if first is None else cast(Optional[PathsFinderParty], first.paths_finder)
-        if first is not None and finder is None:
+        shared = _view_attributes(
+            n, first.t, duration, tree=tree, root=first.root, projection_phase=None
+        )
+        finder = cast(Optional[PathsFinderParty], first.paths_finder)
+        if finder is None:
             # Trivial input space: 0 rounds, every party outputs its input
             # (set at construction, so even silent puppets carry it).
-            shared = _view_attributes(
-                n,
-                party_t,
-                0,
-                tree=tree,
-                root=first.root,
-                paths_finder=None,
-                projection_phase=None,
-            )
             for pid in range(n):
                 vertex = inputs[pid]
                 views[pid] = BatchPartyView(
-                    pid, shared, {"input_vertex": vertex, "output": vertex}
+                    pid,
+                    shared,
+                    {"input_vertex": vertex, "output": vertex, "paths_finder": None},
                 )
                 outputs[pid] = vertex
-        elif first is not None and finder is not None:
+        else:
             # Party 0 built its PathsFinder sub-party; the Euler list and
             # both phases' iteration counts are public, so all parties
             # share them.  Phase 2 takes the rest of the declared duration.
@@ -631,17 +604,9 @@ class BatchSynchronousEngine:
             values1 = [
                 float(euler.first_occurrence(inputs[pid])) for pid in range(n)
             ]
-            shared = _view_attributes(
-                n,
-                party_t,
-                duration,
-                tree=tree,
-                root=first.root,
-                projection_phase=None,
-            )
             finder_shared = _realaa_attributes(
                 n,
-                party_t,
+                first.t,
                 phase1_iterations,
                 tree=tree,
                 euler=euler,
@@ -669,8 +634,7 @@ class BatchSynchronousEngine:
                     views,
                     outputs,
                 )
-        result = _finish_run(execution, adversary, outputs, views)
-        return tree_aa_outcome(result, tree, inputs)
+        return _finish_run(execution, adversary, outputs, views)
 
     def _run_tree_phases(
         self,

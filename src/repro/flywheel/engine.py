@@ -32,13 +32,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import repro
 
-from ..analysis.parallel import register_runner, run_grid
+from ..analysis.parallel import register_runner, resolve_jobs, run_grid
 from ..analysis.spec import ScenarioSpec
 from ..analysis.strategies import spec_stream, specs_digest
 from ..resilience.corpus import ReproCase, save_case
 from ..resilience.shrink import check_violations, shrink, shrink_report
 from .ledger import LedgerWriter, check_compatible, load_state
-from .oracles import batch_replayable, diverging_oracles, evaluate_point
+from .oracles import batch_replayable, diverging_oracles, evaluate_point, resolve_perturb
 
 #: Default shard size: large enough to amortise pool start-up, small
 #: enough that a kill loses at most a few seconds of work.
@@ -74,6 +74,14 @@ class FlywheelConfig:
     max_shrink_checks: int = 200
     #: ``module:function`` batch-row perturbation (the self-test seam).
     perturb: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Refused here, before run_flywheel opens the ledger: a bad
+        # argument must not leave a campaign header behind.
+        if self.shard_size < 1:
+            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
+        resolve_jobs(self.jobs)
+        resolve_perturb(self.perturb)
 
 
 @dataclass

@@ -86,7 +86,10 @@ def resolve_perturb(path: Optional[str]) -> Optional[Callable[[Dict[str, Any]], 
     if not path:
         return None
     module_name, _, func_name = path.partition(":")
-    module = importlib.import_module(module_name)
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError as exc:
+        raise ValueError(f"perturb seam {path!r} cannot be imported: {exc}") from None
     func = getattr(module, func_name, None)
     if not callable(func):
         raise ValueError(f"perturb seam {path!r} is not callable")

@@ -29,7 +29,7 @@ import pytest
 from repro.adversary.base import Adversary, NoAdversary
 from repro.adversary.chaos import ChaosAdversary
 from repro.adversary.realaa_attacks import BurnScheduleAdversary
-from repro.adversary.strategies import SilentAdversary
+from repro.adversary.strategies import RandomNoiseAdversary, SilentAdversary
 from repro.analysis.parallel import run_grid
 from repro.analysis.spec import ScenarioSpec, spec_cache_key
 from repro.core.api import run_path_aa, run_real_aa, run_tree_aa
@@ -271,6 +271,33 @@ class TestUnsupportedFeatures:
             run_real_aa(
                 INPUTS, 1, epsilon=1.0, observer=collector, backend="batch"
             )
+
+    @pytest.mark.parametrize("refused", ["observer", "adversary"])
+    @pytest.mark.parametrize("entry", ["real", "path", "tree"])
+    def test_refusal_comes_before_input_validation(self, entry, refused):
+        # Party 0's input is invalid (nan, or not a vertex): the reference
+        # raises that guard's error, while the batch engine refuses the
+        # feature first, before it builds any party.
+        tree = small_tree()
+        run = {
+            "real": lambda **kw: run_real_aa(
+                [float("nan")] + INPUTS[1:4], 1, epsilon=1.0, **kw
+            ),
+            "path": lambda **kw: run_path_aa(
+                tree, diameter_path(tree), ["zz", "c", "d", "d"], 1, **kw
+            ),
+            "tree": lambda **kw: run_tree_aa(tree, ["zz", "a", "b", "c"], 1, **kw),
+        }[entry]
+
+        def extra():
+            if refused == "observer":
+                return {"observer": TranscriptRecorder()}
+            return {"adversary": RandomNoiseAdversary(corrupt={3})}
+
+        with pytest.raises((ValueError, KeyError)):
+            run(backend="reference", **extra())
+        with pytest.raises(UnsupportedBackendError):
+            run(backend="batch", **extra())
 
     def test_chaos_subclass_refuses(self):
         class Nastier(ChaosAdversary):

@@ -457,3 +457,39 @@ class TestCorruptLogs:
         code = main(["serve", "--port", "0", "--data-dir", str(data_dir),
                      "--cache-dir", str(tmp_path / "cache")])
         self.assert_one_line_error(code, capsys, journal)
+
+
+class TestFlywheelArguments:
+    """A bad argument is refused with ``error: ...``, exit 2, before a
+    ledger (or a sweep's JSONL) is written."""
+
+    JOBS = "jobs must be >= 1 (or 0 for cpu_count), got -1"
+    SEAM = "perturb seam 'bogus' cannot be imported"
+    RUN = ["flywheel", "run", "--count", "3", "--no-cache", "--ledger", "{log}"]
+    SELFTEST = ["flywheel", "selftest", "--workdir", "{dir}"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--kind", "real-aa", "--no-cache", "--jsonl", "{log}",
+              "--jobs", "-1"], JOBS),
+            (["campaign", "--count", "3", "--no-cache", "--ledger", "{log}",
+              "--jobs", "-1"], JOBS),
+            (RUN + ["--jobs", "-1"], JOBS),
+            (RUN + ["--shard-size", "0"], "shard_size must be >= 1, got 0"),
+            (RUN + ["--inject-divergence", "bogus"], SEAM),
+            (SELFTEST + ["--jobs", "-1"], JOBS),
+            (SELFTEST + ["--count", "-3"], "campaign of -3 points got 0 specs"),
+            (SELFTEST + ["--perturbation", "bogus"], SEAM),
+        ],
+        ids=[
+            "sweep-jobs", "campaign-jobs", "run-jobs", "run-shard-size",
+            "run-perturb", "selftest-jobs", "selftest-count", "selftest-perturb",
+        ],
+    )
+    def test_refused_before_the_ledger(self, argv, message, tmp_path, capsys):
+        log = tmp_path / "ledger.jsonl"
+        assert main([arg.format(log=log, dir=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not log.exists()
