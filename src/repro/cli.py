@@ -64,7 +64,7 @@ import json
 import os
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Type
 
@@ -645,15 +645,23 @@ def cmd_flywheel_selftest(args: argparse.Namespace) -> int:
     from .flywheel import SelfTestError, run_selftest
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="flywheel-selftest-")
-    with user_errors(SelfTestError, ValueError):
-        report = run_selftest(
-            os.path.join(workdir, "ledger.jsonl"),
-            os.path.join(workdir, "corpus"),
-            seed=args.seed,
-            count=args.count,
-            jobs=args.jobs,
-            perturbation=args.perturbation,
-        )
+    try:
+        with user_errors(SelfTestError, ValueError):
+            report = run_selftest(
+                os.path.join(workdir, "ledger.jsonl"),
+                os.path.join(workdir, "corpus"),
+                seed=args.seed,
+                count=args.count,
+                jobs=args.jobs,
+                perturbation=args.perturbation,
+            )
+    except CLIError:
+        if not args.workdir:
+            # A refused argument left the temporary directory empty;
+            # a failed self-test's ledger stays for inspection.
+            with suppress(OSError):
+                os.rmdir(workdir)
+        raise
     caught = [
         d for d in report.divergences if d.get("case") or d.get("filed")
     ]

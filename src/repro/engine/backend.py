@@ -19,21 +19,43 @@ backends (they differ exactly in the recorded ``backend`` field).
 Validation is the reference's own: each ``run_*`` builds party 0 with the
 factory (the one the dense engine drives), so guard order and messages
 match because the same code raises them; the other parties' inputs are
-then checked in pid order.
+then checked once per distinct input, in first-occurrence order, so the
+first failure is the lowest failing pid's.
 
-Parties in the returned execution are read-only views, all of one class
-(:class:`BatchPartyView`): each exposes the attributes its reference
-party class exposes (``value``, ``bad``, ``history``,
-``local_termination_iteration``, ``output``, ``paths_finder``, …) but
-cannot be driven — its round methods raise
-:class:`~repro.engine.errors.UnsupportedBackendError`.  A phase pays once
-per party class, not once per party: each view keeps a reference to its
-class's outcome, and ``bad`` and ``history`` are built on first read.
+Work after the kernel is paid per class and per distinct value, not per
+party.  The maps between and after the phases (the validity-guarded
+``closestInt`` lookups, PathsFinder's root path, the projection, the
+final clamp) depend only on a party's value and input, so each runs once
+per distinct key (:func:`_honest_first`).  Parties in the returned
+execution are read-only views, all of one class
+(:class:`BatchPartyView`), held by a read-only mapping
+(:class:`_PartyViews`) that builds a party's view the first time its pid
+is read: a run nobody inspects builds none.  Each view exposes the
+attributes its reference party class exposes (``value``, ``bad``,
+``history``, ``local_termination_iteration``, ``output``,
+``paths_finder``, …), read from the arrays and per-key tables the phases
+produced, but cannot be driven — its round methods raise
+:class:`~repro.engine.errors.UnsupportedBackendError`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, cast
+import operator
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 
@@ -58,7 +80,7 @@ from .metrics import BatchMetrics
 from .spec import CLASS_KINDS, BatchAdversarySpec, resolve_batch_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Callable, Union
+    from typing import Union
 
     from ..adversary.base import Adversary
     from ..core.path_aa import PathAAParty
@@ -68,43 +90,55 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     AnyExecution = Union[BatchExecution, DenseExecution]
 
+#: Reads one party's value of an attribute: ``pid → value``.
+_Reader = Callable[[int], Any]
+
+
+class _Site:
+    """What the views built at one site read.
+
+    ``shared`` holds the attributes all of its parties have in common
+    (``n``, ``t``, ``epsilon``, the Euler list, …); ``own`` holds one
+    reader per attribute that differs by party.
+    """
+
+    __slots__ = ("shared", "own")
+
+    def __init__(self, shared: Dict[str, Any], own: Dict[str, _Reader]) -> None:
+        self.shared = shared
+        self.own = own
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.shared or name in self.own
+
 
 class BatchPartyView(ProtocolParty):
     """Read-only stand-in for one reference party, inside batch results.
 
     One class describes the parties of every protocol.  A view holds its
-    own attributes in slots, plus the attribute dict it shares with every
-    view built at the same site (``n``, ``t``, ``epsilon``, the Euler
-    list, …; see :func:`_view_attributes`).  A read the view cannot
-    answer itself falls back to that dict; an assignment stays with the
-    view.  Between them, the two hold exactly the attributes the
-    reference party class exposes.  The state machine is not there, so
-    the round methods raise
+    pid and its :class:`_Site`, nothing else, until an attribute is read:
+    a shared attribute is answered from the site, a per-party one is read
+    from the phase's arrays and per-key tables through the site's reader,
+    once, and kept in the view's slot.  ``bad`` and ``history`` are built
+    anew for each view, so no two views share a container (``history``
+    records carry their own ``accepted`` dicts); a view whose party never
+    ran reads ``set()`` and ``[]``.  An assignment stays with the view and
+    wins over the reader.  A TreeAA view's ``path`` is the output of its
+    PathsFinder view, ``None`` until phase 1 ended.  Between them, site
+    and view hold exactly the attributes the reference party class
+    exposes.  The state machine is not there, so the round methods raise
     :class:`~repro.engine.errors.UnsupportedBackendError`.
-
-    Two kinds of attribute are derived on read instead of stored:
-
-    * ``bad`` and ``history`` of a RealAA-family view (one whose shared
-      attributes hold ``_ran``).  A phase binds each member view to its
-      class's :class:`~repro.engine.kernel.ClassPhaseOutcome` (see
-      :func:`_populate_realaa_views`), and the view builds its own ``set``
-      and ``list`` on first read and keeps them.  A view whose party never
-      ran reads ``set()`` and ``[]``; assigning either replaces it.
-    * ``path`` of a TreeAA view (one whose shared attributes hold
-      ``projection_phase``): the output of its PathsFinder view, ``None``
-      until phase 1 ended.
     """
 
-    # Slots rather than a per-view dict: views are built per party at
-    # large n, with attribute sets that differ by site.
+    # Slots rather than a per-view dict: one per attribute a reader may
+    # fill, so a read is kept and an assignment replaces it.
     __slots__ = (
         "pid",
-        "_shared",
+        "_site",
         "output",
         "input_value",
         "value",
         "local_termination_iteration",
-        "_ran",
         "bad",
         "history",
         "input_vertex",
@@ -115,19 +149,14 @@ class BatchPartyView(ProtocolParty):
         "projection_phase",
     )
 
-    _shared: Dict[str, Any]
+    _site: _Site
     value: float
     local_termination_iteration: Optional[int]
     projection_phase: Optional["BatchPartyView"]
-    _ran: Optional[Tuple[ClassPhaseOutcome, RealAAPhaseResult]]
 
-    def __init__(
-        self, pid: PartyId, shared: Dict[str, Any], own: Dict[str, Any]
-    ) -> None:
+    def __init__(self, pid: PartyId, site: _Site) -> None:
         self.pid = pid
-        self._shared = shared
-        for name, value in own.items():
-            setattr(self, name, value)
+        self._site = site
 
     @property
     def duration(self) -> int:
@@ -135,34 +164,18 @@ class BatchPartyView(ProtocolParty):
 
     def __getattr__(self, name: str) -> Any:
         # Reached only for attributes the view does not hold itself.
-        if name == "_shared" or name.startswith("__"):
-            # A bare instance being unpickled or copied has no _shared yet.
+        if name == "_site" or name.startswith("__"):
+            # A bare instance being unpickled or copied has no _site yet.
             raise AttributeError(name)
-        shared = self._shared
-        if name in shared:
-            return shared[name]
-        if name in ("bad", "history") and "_ran" in shared:
-            ran = self._ran
-            if ran is None:
-                value: Any = set() if name == "bad" else []
-            elif name == "bad":
-                value = set(np.flatnonzero(ran[0].bad).tolist())
-            else:
-                outcome, phase = ran
-                pid = self.pid
-                value = [
-                    IterationRecord(
-                        iteration=record.iteration,
-                        accepted=record.accepted,
-                        newly_detected=record.newly_detected,
-                        trimmed_range=record.trimmed_range,
-                        new_value=phase.snapshots[record.iteration][pid].item(),
-                    )
-                    for record in outcome.records
-                ]
+        site = self._site
+        if name in site.shared:
+            return site.shared[name]
+        read = site.own.get(name)
+        if read is not None:
+            value = read(self.pid)
             setattr(self, name, value)
             return value
-        if name == "path" and "projection_phase" in shared:
+        if name == "path" and "paths_finder" in site:
             finder = self.paths_finder
             return None if finder is None else finder.output
         raise AttributeError(
@@ -182,36 +195,182 @@ class BatchPartyView(ProtocolParty):
         )
 
 
-def _view_attributes(
-    n: int, t: int, duration: int, **attributes: Any
-) -> Dict[str, Any]:
-    """The attributes shared by every view built at one site.
+class _PartyViews(Mapping[PartyId, ProtocolParty]):
+    """``ExecutionResult.parties`` of a batch run: pid → party, read-only.
 
-    Stored once per site, not once per party: views read them through
-    :meth:`BatchPartyView.__getattr__`.
+    Holds the pids ``0 … n−1``, in order.  A party's view is built the
+    first time its pid is read and kept, so repeated reads return the
+    same object and a run nobody inspects builds no view.  Dense-engine
+    puppets are real party objects, held from the start in place of
+    their views.
     """
-    return dict(n=n, t=t, output=None, _duration=duration, **attributes)
+
+    def __init__(self, n: int, site: _Site, puppets: Dict[int, Any]) -> None:
+        self._n = n
+        self._site = site
+        self._parties: Dict[int, Any] = dict(puppets)
+
+    def _index(self, pid: object) -> Optional[int]:
+        """*pid* as a party index (as a dict keyed ``0 … n−1`` would
+        match it), ``None`` when there is no such party."""
+        try:
+            index = operator.index(pid)  # type: ignore[arg-type]
+        except TypeError:
+            return None
+        return index if 0 <= index < self._n else None
+
+    def __getitem__(self, pid: PartyId) -> ProtocolParty:
+        party = self._parties.get(pid)
+        if party is None:
+            index = self._index(pid)
+            if index is None:
+                raise KeyError(pid)
+            party = self._parties[index] = BatchPartyView(index, self._site)
+        return party
+
+    def __contains__(self, pid: object) -> bool:
+        return self._index(pid) is not None
+
+    def __iter__(self) -> Iterator[PartyId]:
+        return iter(range(self._n))
+
+    def __len__(self) -> int:
+        return self._n
 
 
-def _realaa_attributes(
-    n: int, t: int, iterations: int, epsilon: float = 1.0, **attributes: Any
-) -> Dict[str, Any]:
-    """Shared attributes of a RealAA-family view before its phase ran.
+class _Phase:
+    """One RealAA-family phase, as the views of its parties read it.
 
-    :class:`~repro.protocols.realaa.RealAAParty`'s own, plus the
-    subclass's *attributes*.  Each view adds ``input_value`` and
-    ``value``; :func:`_populate_realaa_views` binds ``_ran``.
+    ``initial`` holds every party's input value, ``result`` what the
+    kernel produced (``None`` when the phase never ran) and ``output``
+    reads a party's output.  A party's class outcome is found through a
+    pid → class index built on the first read.
     """
-    return _view_attributes(
-        n,
-        t,
-        ROUNDS_PER_ITERATION * iterations,
-        epsilon=epsilon,
-        iterations=iterations,
-        local_termination_iteration=None,
-        accusations=True,
-        _ran=None,
-        **attributes,
+
+    def __init__(
+        self,
+        initial: np.ndarray,
+        result: Optional[RealAAPhaseResult],
+        output: _Reader,
+    ) -> None:
+        self.initial = initial
+        self.result = result
+        self.output = output
+        self._class_of: Optional[np.ndarray] = None
+
+    def readers(self) -> Dict[str, _Reader]:
+        """The readers of :class:`~repro.protocols.realaa.RealAAParty`'s
+        per-party attributes."""
+        return {
+            "input_value": self.input_value,
+            "value": self.value,
+            "local_termination_iteration": self.local_termination_iteration,
+            "bad": self.bad,
+            "history": self.history,
+            "output": self.output,
+        }
+
+    def _outcome(self, pid: int) -> Optional[ClassPhaseOutcome]:
+        result = self.result
+        if result is None:
+            return None
+        if self._class_of is None:
+            class_of = np.full(len(self.initial), -1, dtype=np.int64)
+            for index in result.outcomes:
+                class_of[list(result.classes[index].ids)] = index
+            self._class_of = class_of
+        index = int(self._class_of[pid])
+        return None if index < 0 else result.outcomes[index]
+
+    def input_value(self, pid: int) -> float:
+        return float(self.initial[pid])
+
+    def value(self, pid: int) -> float:
+        values = self.initial if self.result is None else self.result.values
+        return float(values[pid])
+
+    def local_termination_iteration(self, pid: int) -> Optional[int]:
+        outcome = self._outcome(pid)
+        return None if outcome is None else outcome.local_termination_iteration
+
+    def bad(self, pid: int) -> Set[int]:
+        outcome = self._outcome(pid)
+        return set() if outcome is None else set(np.flatnonzero(outcome.bad).tolist())
+
+    def history(self, pid: int) -> List[IterationRecord]:
+        outcome = self._outcome(pid)
+        if outcome is None or self.result is None:
+            return []
+        snapshots = self.result.snapshots
+        return [
+            IterationRecord(
+                iteration=record.iteration,
+                accepted=record.accepted(),
+                newly_detected=record.newly_detected,
+                trimmed_range=record.trimmed_range,
+                new_value=float(snapshots[record.iteration][pid]),
+            )
+            for record in outcome.records
+        ]
+
+
+class _Keyed:
+    """Reads a value stored once per key: ``table[keys[pid]]``, ``None``
+    where the table has no entry for the party's key."""
+
+    __slots__ = ("keys", "table")
+
+    def __init__(self, keys: np.ndarray, table: Dict[int, Any]) -> None:
+        self.keys = keys
+        self.table = table
+
+    def __call__(self, pid: int) -> Any:
+        return self.table.get(int(self.keys[pid]))
+
+
+class _SubView:
+    """Reads a party's view at a sub-phase *site*; ``None`` for a party
+    outside *present* (every party when *present* is ``None``)."""
+
+    __slots__ = ("site", "present")
+
+    def __init__(self, site: _Site, present: Optional[np.ndarray] = None) -> None:
+        self.site = site
+        self.present = present
+
+    def __call__(self, pid: int) -> Optional[BatchPartyView]:
+        if self.present is not None and not self.present[pid]:
+            return None
+        return BatchPartyView(pid, self.site)
+
+
+def _realaa_site(
+    n: int,
+    t: int,
+    iterations: int,
+    phase: _Phase,
+    epsilon: float = 1.0,
+    own: Optional[Dict[str, _Reader]] = None,
+    **attributes: Any,
+) -> _Site:
+    """The site of a RealAA-family phase's views.
+
+    :class:`~repro.protocols.realaa.RealAAParty`'s attributes, read from
+    *phase*, plus the subclass's shared *attributes* and *own* readers.
+    """
+    readers = phase.readers()
+    readers.update(own or {})
+    return _Site(
+        dict(
+            n=n,
+            t=t,
+            _duration=ROUNDS_PER_ITERATION * iterations,
+            epsilon=epsilon,
+            iterations=iterations,
+            accusations=True,
+            **attributes,
+        ),
+        readers,
     )
 
 
@@ -303,37 +462,39 @@ def _attach_metrics(
 def _finish_run(
     execution: "AnyExecution",
     adversary: Optional["Adversary"],
-    outputs: Dict[PartyId, Any],
-    views: Dict[int, BatchPartyView],
+    outputs: List[Any],
+    site: _Site,
 ) -> ExecutionResult:
     """The end every run shares, once its phases succeeded.
 
-    Patches the final metrics row's hull from the honest outputs and
-    flushes the pending rows.  In dense mode the engine drove *real*
+    *outputs* lists every party's output by pid, *site* is what its views
+    read.  Patches the final metrics row's hull from the honest outputs
+    and flushes the pending rows.  In dense mode the engine drove *real*
     puppet objects: they (and their outputs) replace the views in the
     result exactly as the reference engine reports them, the fault
     counters go onto the trace, and the replay clone's diagnostics are
     mirrored onto the caller's adversary instance.
     """
+    by_pid: Dict[PartyId, Any] = dict(enumerate(outputs))
     if execution.metrics is not None:
         honest = sorted(execution.honest_set)
-        execution.metrics.finalize([outputs[pid] for pid in honest])
+        execution.metrics.finalize([by_pid[pid] for pid in honest])
         execution.metrics.flush()
-    parties: Dict[int, Any] = dict(views)
+    puppets: Dict[int, Any] = {}
     if isinstance(execution, DenseExecution):
         for pid in sorted(execution.corrupted):
             party = execution.party_objects.get(pid)
             if party is not None:
-                outputs[pid] = party.output
-                parties[pid] = party
+                by_pid[pid] = party.output
+                puppets[pid] = party
         execution.finalize_trace()
         execution.copy_diagnostics(adversary)
     return ExecutionResult(
-        outputs=outputs,
-        honest=execution.honest_set,
+        outputs=by_pid,
+        honest=set(execution.honest_set),
         corrupted=set(execution.corrupted),
         trace=execution.trace,
-        parties=parties,
+        parties=_PartyViews(execution.n, site, puppets),
     )
 
 
@@ -349,61 +510,107 @@ def _run_without_parties(
     parameters from, and nothing executes (as in the reference, no
     metrics row is emitted)."""
     execution = _make_execution(0, t, t, spec, trace_level, fault_plan, factory)
-    return _finish_run(execution, adversary, {}, {})
+    return _finish_run(execution, adversary, [], _Site({}, {}))
 
 
-def _populate_realaa_views(
-    views: Dict[int, BatchPartyView], phase: RealAAPhaseResult
-) -> List[float]:
-    """Bind one phase's per-class results to the per-party views.
+def _per_input(
+    inputs: List[Label], compute: Callable[[Label], Any]
+) -> Tuple[np.ndarray, List[Label], List[Any]]:
+    """*compute* once per distinct input: ``(codes, distinct, results)``.
 
-    Each view gets its final value, its termination iteration and a
-    reference to its class's outcome; ``bad`` and ``history`` are built
-    from that on first read (:class:`BatchPartyView`).  Returns the
-    phase's final values as a list indexed by pid.
+    Party ``pid``'s input is ``distinct[codes[pid]]`` and its result
+    ``results[codes[pid]]``.  Distinct inputs are computed in order of
+    first occurrence, so the first that fails is the lowest failing pid's.
+    Should any input be unhashable or fail, every input is computed again
+    in pid order, which raises the error the reference raises, at the
+    reference's pid.
     """
-    values = phase.values.tolist()
-    for index, outcome in phase.outcomes.items():
-        ran = (outcome, phase)
-        termination = outcome.local_termination_iteration
-        for pid in phase.classes[index].ids:
-            view = views[pid]
-            view.value = values[pid]
-            view.local_termination_iteration = termination
-            view._ran = ran
-    return values
+    try:
+        distinct = list(dict.fromkeys(inputs))
+        results = [compute(vertex) for vertex in distinct]
+    except Exception:
+        for vertex in inputs:
+            compute(vertex)
+        raise
+    code_of = {vertex: code for code, vertex in enumerate(distinct)}
+    codes = np.fromiter(map(code_of.__getitem__, inputs), np.int64, len(inputs))
+    return codes, distinct, results
 
 
-def _active_pids(phase: RealAAPhaseResult) -> List[int]:
+def _active_pids(phase: RealAAPhaseResult) -> np.ndarray:
     """All party ids whose state machines ran in *phase*, ascending."""
-    pids: List[int] = []
-    for index in phase.outcomes:
-        pids.extend(phase.classes[index].ids)
-    return sorted(pids)
+    ids = chain.from_iterable(phase.classes[index].ids for index in phase.outcomes)
+    return np.sort(np.fromiter(ids, np.int64))
+
+
+def _honest_mask(execution: "AnyExecution") -> np.ndarray:
+    """``mask[pid]``: whether party *pid* is honest."""
+    honest = np.ones(execution.n, dtype=bool)
+    honest[sorted(execution.corrupted)] = False
+    return honest
+
+
+def _value_keys(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct, keys)``: *values* equals ``distinct[keys]``."""
+    distinct, keys = np.unique(values, return_inverse=True)
+    return distinct, keys
 
 
 def _honest_first(
-    pids: List[int], honest: Set[int], step: "Callable[[int], None]"
-) -> List[int]:
-    """Run *step* for each of *pids*: honest parties first, then puppets.
+    pids: np.ndarray,
+    keys: np.ndarray,
+    honest: np.ndarray,
+    evaluate: Callable[[int], None],
+) -> np.ndarray:
+    """Run a phase-end step of *pids* once per distinct key, in the
+    reference's order of events.
 
-    The reference order of events at a phase end: the first honest
-    :class:`~repro.core.errors.ValidityViolationError` (lowest pid)
+    In the reference each party of *pids* (ascending) runs the step on
+    its own key (*keys*, aligned with *pids*; *honest* marks the honest
+    ones), honest parties first: the first honest exception (lowest pid)
     raises out of the run, while a corrupted puppet whose validity guard
-    fires dies silently (the adversary pops it).  Returns the dead
-    puppets' ids.
+    fires dies silently (the adversary pops it).  Equal keys give equal
+    results, so *evaluate* runs once per key: first for the honest
+    parties' keys in order of their first holder, then for the puppets'
+    remaining ones alike, which raises what the lowest failing pid would.
+    Returns the dead puppets' ids.
     """
-    for pid in pids:
-        if pid in honest:
-            step(pid)
-    dead: List[int] = []
-    for pid in pids:
-        if pid not in honest:
+    done: Set[int] = set()
+    failed: List[int] = []
+    puppets = ~honest
+    for is_honest, group in ((True, honest), (False, puppets)):
+        for key in dict.fromkeys(keys[group].tolist()):  # first-holder order
+            if key in done:
+                continue
+            done.add(key)
+            if is_honest:
+                evaluate(key)
+                continue
             try:
-                step(pid)
+                evaluate(key)
             except ValidityViolationError:
-                dead.append(pid)
-    return dead
+                failed.append(key)
+    dead = pids[puppets]
+    # np.isin of two empty arrays would import numpy.ma (~2 MB).
+    return dead[np.isin(keys[puppets], failed)] if failed else dead[:0]
+
+
+def _per_key(keys: np.ndarray, table: Dict[int, Any]) -> np.ndarray:
+    """``table.get(key)`` for each of *keys*, as an object array (looked
+    up once per distinct key)."""
+    distinct, codes = _value_keys(keys)
+    column = np.empty(len(distinct), dtype=object)
+    for code, key in enumerate(distinct.tolist()):
+        column[code] = table.get(key)
+    return column[codes]
+
+
+def _by_pid(n: int, pids: np.ndarray, entries: np.ndarray) -> List[Any]:
+    """*entries* (aligned with *pids*) as a list by pid, ``None`` for the
+    other parties."""
+    by_pid = np.full(n, None, dtype=object)
+    by_pid[pids] = entries
+    return by_pid.tolist()
 
 
 class BatchSynchronousEngine:
@@ -414,8 +621,8 @@ class BatchSynchronousEngine:
     engine and the dense engine drive.  It refuses what it cannot
     replay, builds party 0 (whose constructor validates the run and
     holds its public parameters: ``t``, iteration counts, the path or
-    the Euler list), checks the other parties' inputs in pid order,
-    replays the supported adversary via its
+    the Euler list), checks the other parties' inputs, replays the
+    supported adversary via its
     :class:`~repro.engine.spec.BatchAdversarySpec` and runs the kernel.
     It returns the :class:`~repro.net.network.ExecutionResult` that
     :mod:`repro.core.api` judges.
@@ -455,22 +662,16 @@ class BatchSynchronousEngine:
             n, t, first.t, spec, trace_level, fault_plan, factory
         )
         _attach_metrics(execution, collector, ROUNDS_PER_ITERATION * its, True)
-        values = [float(v) for v in inputs]
-        shared = _realaa_attributes(n, first.t, its, first.epsilon)
-        views = {
-            pid: BatchPartyView(pid, shared, {"input_value": value, "value": value})
-            for pid, value in enumerate(values)
-        }
-        outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
+        initial = np.array([float(v) for v in inputs], dtype=np.float64)
+        outputs: List[Any] = [None] * n
+        result = None
         if execution.has_honest:
-            phase = execution.run_realaa_phase(
-                np.array(values, dtype=np.float64), first.epsilon, its
-            )
-            final = _populate_realaa_views(views, phase)
-            for pid in _active_pids(phase):
-                outputs[pid] = final[pid]
-                views[pid].output = final[pid]
-        return _finish_run(execution, adversary, outputs, views)
+            result = execution.run_realaa_phase(initial, first.epsilon, its)
+            active = _active_pids(result)
+            outputs = _by_pid(n, active, result.values[active])
+        phase = _Phase(initial, result, outputs.__getitem__)
+        site = _realaa_site(n, first.t, its, phase, first.epsilon)
+        return _finish_run(execution, adversary, outputs, site)
 
     # -- PathAA / KnownPathAA -------------------------------------------
 
@@ -494,17 +695,24 @@ class BatchSynchronousEngine:
             return _run_without_parties(t, spec, trace_level, fault_plan, factory, adversary)
         first = cast("Union[PathAAParty, KnownPathAAParty]", factory(0))
         canonical = first.path
-        tree = first.tree if isinstance(first, KnownPathAAParty) else None
-        positions: List[float] = []
-        projections: Dict[int, Label] = {}
-        for pid in range(n):
-            if tree is not None:
-                projections[pid], position = project_position(
-                    tree, inputs[pid], canonical
-                )
-            else:
-                position = float(canonical.position_of(inputs[pid]))
-            positions.append(position)
+        inputs = list(inputs)
+        shared: Dict[str, Any] = {"path": canonical}
+        own: Dict[str, _Reader] = {"input_vertex": inputs.__getitem__}
+        if isinstance(first, KnownPathAAParty):
+            # KnownPathAAParty adds the tree and the projection to PathAAParty.
+            tree = shared["tree"] = first.tree
+            codes, _, projected = _per_input(
+                inputs, lambda vertex: project_position(tree, vertex, canonical)
+            )
+            own["projection"] = _Keyed(
+                codes, {code: pair[0] for code, pair in enumerate(projected)}
+            )
+            positions = [position for _, position in projected]
+        else:
+            codes, _, positions = _per_input(
+                inputs, lambda vertex: float(canonical.position_of(vertex))
+            )
+        initial = np.array(positions, dtype=np.float64)[codes]
         its = first.iterations
         execution = _make_execution(
             n, t, first.t, spec, trace_level, fault_plan, factory
@@ -516,32 +724,22 @@ class BatchSynchronousEngine:
             True,
             honest_estimates=[inputs[pid] for pid in sorted(execution.honest_set)],
         )
-        # KnownPathAAParty adds the tree and the projection to PathAAParty.
-        shared = _realaa_attributes(n, first.t, its, path=canonical)
-        if tree is not None:
-            shared["tree"] = tree
-        views: Dict[int, BatchPartyView] = {}
-        for pid, position in enumerate(positions):
-            own: Dict[str, Any] = {
-                "input_value": position,
-                "value": position,
-                "input_vertex": inputs[pid],
-            }
-            if tree is not None:
-                own["projection"] = projections[pid]
-            views[pid] = BatchPartyView(pid, shared, own)
-        outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
+        outputs: List[Any] = [None] * n
+        result = None
         if execution.has_honest:
-            phase = execution.run_realaa_phase(
-                np.array(positions, dtype=np.float64), 1.0, its
-            )
-            final = _populate_realaa_views(views, phase)
+            result = execution.run_realaa_phase(initial, 1.0, its)
+            active = _active_pids(result)
+            values, keys = _value_keys(result.values[active])
+            vertices: Dict[int, Label] = {}
 
-            def output(pid: int) -> None:
-                outputs[pid] = views[pid].output = vertex_at(canonical, final[pid])
+            def output(key: int) -> None:
+                vertices[key] = vertex_at(canonical, float(values[key]))
 
-            _honest_first(_active_pids(phase), execution.honest_set, output)
-        return _finish_run(execution, adversary, outputs, views)
+            _honest_first(active, keys, _honest_mask(execution)[active], output)
+            outputs = _by_pid(n, active, _per_key(keys, vertices))
+        phase = _Phase(initial, result, outputs.__getitem__)
+        site = _realaa_site(n, first.t, its, phase, own=own, **shared)
+        return _finish_run(execution, adversary, outputs, site)
 
     # -- TreeAA ---------------------------------------------------------
 
@@ -564,8 +762,18 @@ class BatchSynchronousEngine:
             return _run_without_parties(t, spec, trace_level, fault_plan, factory, adversary)
         first = cast(TreeAAParty, factory(0))
         tree = first.tree
-        for pid in range(1, n):
-            tree.require_vertex(inputs[pid])
+        inputs = list(inputs)
+        finder = cast(Optional[PathsFinderParty], first.paths_finder)
+        if finder is None:
+            _per_input(inputs, tree.require_vertex)
+        else:
+            euler = finder.euler
+
+            def first_index(vertex: Label) -> float:
+                tree.require_vertex(vertex)
+                return float(euler.first_occurrence(vertex))
+
+            codes, distinct, firsts = _per_input(inputs, first_index)
         execution = _make_execution(
             n, t, first.t, spec, trace_level, fault_plan, factory
         )
@@ -577,156 +785,147 @@ class BatchSynchronousEngine:
             False,
             honest_estimates=[inputs[pid] for pid in sorted(execution.honest_set)],
         )
-        outputs: Dict[PartyId, Any] = {pid: None for pid in range(n)}
-        views: Dict[int, BatchPartyView] = {}
-        shared = _view_attributes(
-            n, first.t, duration, tree=tree, root=first.root, projection_phase=None
+        shared: Dict[str, Any] = dict(
+            n=n, t=first.t, _duration=duration, tree=tree, root=first.root
         )
-        finder = cast(Optional[PathsFinderParty], first.paths_finder)
+        own: Dict[str, _Reader] = {"input_vertex": inputs.__getitem__}
         if finder is None:
             # Trivial input space: 0 rounds, every party outputs its input
             # (set at construction, so even silent puppets carry it).
-            for pid in range(n):
-                vertex = inputs[pid]
-                views[pid] = BatchPartyView(
-                    pid,
-                    shared,
-                    {"input_vertex": vertex, "output": vertex, "paths_finder": None},
-                )
-                outputs[pid] = vertex
+            shared.update(paths_finder=None, projection_phase=None)
+            outputs = inputs
         else:
             # Party 0 built its PathsFinder sub-party; the Euler list and
             # both phases' iteration counts are public, so all parties
             # share them.  Phase 2 takes the rest of the declared duration.
-            euler = finder.euler
-            phase1_iterations = finder.iterations
             phase2_iterations = (duration - finder.duration) // ROUNDS_PER_ITERATION
-            values1 = [
-                float(euler.first_occurrence(inputs[pid])) for pid in range(n)
-            ]
-            finder_shared = _realaa_attributes(
-                n,
-                first.t,
-                phase1_iterations,
-                tree=tree,
-                euler=euler,
-                selected_vertex=None,
+            outputs = _run_tree_phases(
+                execution,
+                tree,
+                euler,
+                inputs,
+                codes,
+                distinct,
+                np.array(firsts, dtype=np.float64)[codes],
+                finder.iterations,
+                phase2_iterations,
+                shared,
+                own,
             )
-            for pid in range(n):
-                vertex, value = inputs[pid], values1[pid]
-                finder_view = BatchPartyView(
-                    pid,
-                    finder_shared,
-                    {"input_value": value, "value": value, "input_vertex": vertex},
-                )
-                views[pid] = BatchPartyView(
-                    pid, shared, {"input_vertex": vertex, "paths_finder": finder_view}
-                )
-            if execution.has_honest:
-                self._run_tree_phases(
-                    execution,
-                    tree,
-                    inputs,
-                    euler,
-                    values1,
-                    phase1_iterations,
-                    phase2_iterations,
-                    views,
-                    outputs,
-                )
-        return _finish_run(execution, adversary, outputs, views)
+        own["output"] = outputs.__getitem__
+        return _finish_run(execution, adversary, outputs, _Site(shared, own))
 
-    def _run_tree_phases(
-        self,
-        execution: "AnyExecution",
-        tree: LabeledTree,
-        inputs: Sequence[Label],
-        euler: EulerList,
-        values1: List[float],
-        phase1_iterations: int,
-        phase2_iterations: int,
-        tree_views: Dict[int, BatchPartyView],
-        outputs: Dict[PartyId, Any],
-    ) -> None:
-        """Both TreeAA phases plus the boundary logic between them.
 
-        The phase-1 → phase-2 boundary follows the reference execution
-        order (:func:`_honest_first`): a corrupted puppet whose validity
-        guard fires dies silently; the first *honest* violation raises out
-        of the run.
-        """
-        n = execution.n
-        honest = execution.honest_set
-        projection_shared = _realaa_attributes(
-            n, execution.party_t, phase2_iterations
-        )
-        phase1 = execution.run_realaa_phase(
-            np.array(values1, dtype=np.float64), 1.0, phase1_iterations
-        )
-        final1 = _populate_realaa_views(
-            {pid: view.paths_finder for pid, view in tree_views.items()}, phase1
-        )
-        paths: Dict[int, TreePath] = {}
+def _run_tree_phases(
+    execution: "AnyExecution",
+    tree: LabeledTree,
+    euler: EulerList,
+    inputs: List[Label],
+    codes: np.ndarray,
+    distinct: List[Label],
+    values1: np.ndarray,
+    phase1_iterations: int,
+    phase2_iterations: int,
+    shared: Dict[str, Any],
+    own: Dict[str, _Reader],
+) -> List[Any]:
+    """Both TreeAA phases plus the boundary logic between them.
+
+    Party ``pid``'s input is ``distinct[codes[pid]]``.  Fills the TreeAA
+    views' *shared* attributes and *own* readers with the two sub-phase
+    views and returns every party's output by pid.  Each boundary runs
+    once per distinct key (:func:`_honest_first`): PathsFinder's root
+    path and the projection onto it once per (phase-1 value, input),
+    the final clamp once per (path, phase-2 value).
+    """
+    n = execution.n
+    t = execution.party_t
+    width = len(distinct)
+    outputs: List[Any] = [None] * n
+    #: The PathsFinder output and selected vertex per value key, the
+    #: projection and its position per (value, input) key.
+    selected: Dict[int, Label] = {}
+    paths: Dict[int, TreePath] = {}
+    projections: Dict[int, Label] = {}
+    value_keys = np.full(n, -1, dtype=np.int64)
+    pair_keys = np.full(n, -1, dtype=np.int64)
+    result1 = None
+    if execution.has_honest:
+        honest = _honest_mask(execution)
+        result1 = execution.run_realaa_phase(values1, 1.0, phase1_iterations)
+        active1 = _active_pids(result1)
+        values, keys1 = _value_keys(result1.values[active1])
+        value_keys[active1] = keys1
+        pair_keys[active1] = keys1 * width + codes[active1]
         positions: Dict[int, float] = {}
-        # Per-class memos: a class shares its final value, hence its path.
-        path_memo: Dict[float, Tuple[Label, TreePath]] = {}
-        position_memo: Dict[Tuple[Label, Label], Tuple[Label, float]] = {}
 
-        def select_path(pid: int) -> None:
-            value = final1[pid]
-            pair = path_memo.get(value)
-            if pair is None:
-                pair = path_memo[value] = euler_root_path(euler, value)
-            selected, found = pair
-            view = tree_views[pid]
-            finder = view.paths_finder
-            finder.selected_vertex = selected
-            finder.output = found
-            paths[pid] = found
-            key = (selected, inputs[pid])
-            memoised = position_memo.get(key)
-            if memoised is None:
-                memoised = position_memo[key] = project_position(
-                    tree, inputs[pid], found
+        def select_path(key: int) -> None:
+            value_key, input_key = divmod(key, width)
+            if value_key not in paths:
+                selected[value_key], paths[value_key] = euler_root_path(
+                    euler, float(values[value_key])
                 )
-            projection, position = memoised
-            positions[pid] = position
-            view.projection_phase = BatchPartyView(
-                pid,
-                projection_shared,
-                {
-                    "input_value": position,
-                    "value": position,
-                    "path": found,
-                    "projection": projection,
-                },
+            projections[key], positions[key] = project_position(
+                tree, distinct[input_key], paths[value_key]
             )
 
-        dead = np.zeros(n, dtype=bool)
-        dead[_honest_first(_active_pids(phase1), honest, select_path)] = True
-        execution.retire_dead(dead)
+        dead = _honest_first(active1, pair_keys[active1], honest[active1], select_path)
+        retired = np.zeros(n, dtype=bool)
+        retired[dead] = True
+        execution.retire_dead(retired)
         if execution.metrics is not None:
             # Phase 1's final metrics row was held back: in the reference
             # a validity violation raises during that round's receives,
             # before the observer fires.  The boundary passed — flush it.
             execution.metrics.flush()
 
+        alive = np.zeros(n, dtype=bool)
+        alive[active1] = True
+        alive &= ~retired
+        survivors = np.flatnonzero(alive)
         values2 = np.zeros(n, dtype=np.float64)
-        for pid, position in positions.items():
-            values2[pid] = position
-        phase2 = execution.run_realaa_phase(values2, 1.0, phase2_iterations)
-        active2 = _active_pids(phase2)
-        projection_views: Dict[int, BatchPartyView] = {}
-        for pid in active2:
-            phase_view = tree_views[pid].projection_phase
-            if phase_view is not None:
-                projection_views[pid] = phase_view
-        final2 = _populate_realaa_views(projection_views, phase2)
+        values2[survivors] = _per_key(pair_keys[survivors], positions)
+        result2 = execution.run_realaa_phase(values2, 1.0, phase2_iterations)
+        active2 = _active_pids(result2)
+        finals, keys2 = _value_keys(result2.values[active2])
+        final_keys = value_keys[active2] * len(finals) + keys2
+        vertices: Dict[int, Label] = {}
 
-        def finish(pid: int) -> None:
-            vertex = clamp_to_path(paths[pid], final2[pid])
-            projection_views[pid].output = vertex
-            tree_views[pid].output = vertex
-            outputs[pid] = vertex
+        def finish(key: int) -> None:
+            value_key, final_key = divmod(key, len(finals))
+            vertices[key] = clamp_to_path(paths[value_key], float(finals[final_key]))
 
-        _honest_first(active2, honest, finish)
+        _honest_first(active2, final_keys, honest[active2], finish)
+        outputs = _by_pid(n, active2, _per_key(final_keys, vertices))
+        projection = _Phase(values2, result2, outputs.__getitem__)
+        own["projection_phase"] = _SubView(
+            _realaa_site(
+                n,
+                t,
+                phase2_iterations,
+                projection,
+                own={
+                    "path": _Keyed(value_keys, paths),
+                    "projection": _Keyed(pair_keys, projections),
+                },
+            ),
+            alive,
+        )
+    else:
+        shared["projection_phase"] = None
+    finder = _Phase(values1, result1, _Keyed(value_keys, paths))
+    own["paths_finder"] = _SubView(
+        _realaa_site(
+            n,
+            t,
+            phase1_iterations,
+            finder,
+            own={
+                "input_vertex": inputs.__getitem__,
+                "selected_vertex": _Keyed(value_keys, selected),
+            },
+            tree=tree,
+            euler=euler,
+        )
+    )
+    return outputs

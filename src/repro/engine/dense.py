@@ -183,6 +183,8 @@ class DenseExecution:
         self._honest_ids = [
             pid for pid in range(n) if pid not in self.corrupted
         ]
+        #: Ids of the honest parties (see ``BatchExecution.honest_set``).
+        self.honest_set: Set[int] = set(self._honest_ids)
         self._hmask = np.zeros(n, dtype=bool)
         self._hmask[self._honest_ids] = True
 
@@ -204,11 +206,6 @@ class DenseExecution:
             }
         if self.adversary is not None:
             self.adversary.on_corrupted(dict(self.party_objects))
-
-    @property
-    def honest_set(self) -> Set[int]:
-        """Ids of the honest (never corrupted) parties."""
-        return set(range(self.n)) - self.corrupted
 
     @property
     def has_honest(self) -> bool:
@@ -631,16 +628,16 @@ class DenseExecution:
                         )
                     picked = cand_arr[origins].tolist()
                     values[pid], trimmed_range = trimmed_update(picked, t)
-                    accepted = dict(zip(origin_ids, picked))
                 else:
                     trimmed_range = 0.0
-                    accepted = {}
+                    picked = []
                 if local_term[pid] is None and trimmed_range <= epsilon:
                     local_term[pid] = iteration + 1
                 records[pid].append(
                     ClassIterationRecord(
                         iteration=iteration,
-                        accepted=accepted,
+                        origins=origins,
+                        values=picked,
                         newly_detected=tuple(
                             np.flatnonzero(newly[pid]).tolist()
                         ),

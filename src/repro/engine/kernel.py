@@ -82,12 +82,20 @@ class ClassIterationRecord:
 
     Mirrors :class:`repro.protocols.realaa.IterationRecord` minus
     ``new_value`` (which is per-party and read from the value snapshots).
+    The accepted multiset is kept as the ascending ``origins`` and their
+    ``values`` in the same order; :meth:`accepted` builds the record's
+    ``origin → value`` dict, a new one per call.
     """
 
     iteration: int
-    accepted: Dict[int, float]
+    origins: np.ndarray
+    values: List[float]
     newly_detected: Tuple[int, ...]
     trimmed_range: float
+
+    def accepted(self) -> Dict[int, float]:
+        """The accepted ``origin → value`` map, as the reference records it."""
+        return dict(zip(self.origins.tolist(), self.values))
 
 
 @dataclass
@@ -148,6 +156,10 @@ class BatchExecution:
         self.corrupted = set()
         self._round = 0
         self._register_corruptions()
+        #: Ids of the honest (never corrupted) parties.  Corruptions are
+        #: registered only here, so the set is computed once; it is shared,
+        #: so whoever hands it out hands out a copy.
+        self.honest_set: Set[int] = set(range(n)) - self.corrupted
         self.classes = self._build_classes()
         kind = KIND_NONE if spec is None else spec.kind
         partial = 0 if spec is None else spec.partial_to
@@ -165,11 +177,6 @@ class BatchExecution:
             )
 
     @property
-    def honest_set(self) -> Set[int]:
-        """Ids of the honest (never corrupted) parties."""
-        return set(range(self.n)) - self.corrupted
-
-    @property
     def has_honest(self) -> bool:
         """Whether at least one party is honest (else zero rounds run)."""
         return len(self.corrupted) < self.n
@@ -182,7 +189,7 @@ class BatchExecution:
         split_at: Optional[int] = (
             spec.partial_to if spec is not None and kind == KIND_CRASH else None
         )
-        honest_ids = [pid for pid in range(self.n) if pid not in self.corrupted]
+        honest_ids = sorted(self.honest_set)
         corrupt_ids = sorted(self.corrupted)
         groups: List[Tuple[bool, bool, List[int]]] = []
         for corrupt_flag, ids in ((False, honest_ids), (True, corrupt_ids)):
@@ -506,20 +513,19 @@ class BatchExecution:
         rc_bad |= low_confidence
         newly = tuple(np.flatnonzero(quorum | low_confidence).tolist())
         origins = np.flatnonzero(accepted_mask)
-        if origins.size:
-            picked = v_pre[origins].tolist()
+        picked: List[float] = v_pre[origins].tolist()
+        if picked:
             value, trimmed_range = trimmed_update(picked, t)
             values[self.classes[rc].mask] = value
-            accepted = dict(zip(origins.tolist(), picked))
         else:
             trimmed_range = 0.0
-            accepted = {}
         if local_term[rc] is None and trimmed_range <= epsilon:
             local_term[rc] = iteration + 1
         rc_records.append(
             ClassIterationRecord(
                 iteration=iteration,
-                accepted=accepted,
+                origins=origins,
+                values=picked,
                 newly_detected=newly,
                 trimmed_range=trimmed_range,
             )

@@ -78,6 +78,8 @@ class FlywheelConfig:
     def __post_init__(self) -> None:
         # Refused here, before run_flywheel opens the ledger: a bad
         # argument must not leave a campaign header behind.
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
         if self.shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
         resolve_jobs(self.jobs)

@@ -178,7 +178,9 @@ class ExecutionResult:
     honest: Set[PartyId]
     corrupted: Set[PartyId]
     trace: ExecutionTrace
-    parties: Dict[PartyId, ProtocolParty]
+    #: pid → party.  A plain dict of the live parties on the reference
+    #: engine; a read-only mapping of views on the batch backend.
+    parties: Mapping[PartyId, ProtocolParty]
 
     @property
     def honest_outputs(self) -> Dict[PartyId, Any]:

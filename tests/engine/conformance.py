@@ -103,8 +103,9 @@ def _phase_diagnostics(
     """One TreeAA sub-phase's diagnostics; ``None`` when it never ran.
 
     The reference builds a sub-phase party only when its first round is
-    driven, while the batch engine builds every party's view up front; a
-    missing sub-party and an untouched one are the same observation.
+    driven, while a batch view exposes a PathsFinder view for every party
+    of a non-trivial tree, ran or not; a missing sub-party and an
+    untouched one are the same observation.
     """
     if phase is None or _never_ran(phase):
         return None

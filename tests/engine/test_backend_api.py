@@ -11,9 +11,10 @@ differential properties:
   (transcript recorders, custom ``estimate_fn``, adversary subclasses)
   raises the typed :class:`~repro.engine.UnsupportedBackendError`
   instead of silently running wrong;
-* party views build ``bad``/``history`` from their class's outcome on
-  first read, yet behave like plain per-party attributes (own objects,
-  assignable, picklable);
+* ``ExecutionResult.parties`` is a read-only mapping that builds a
+  party's view on its first read (none for a run nobody inspects); views
+  read ``bad``/``history`` from their class's outcome, yet behave like
+  plain per-party attributes (own objects, assignable, picklable);
 * a sweep row computed by one engine is never served from the result
   cache to the other (the regression this PR's cache-key fix guards).
 """
@@ -33,6 +34,7 @@ from repro.adversary.strategies import RandomNoiseAdversary, SilentAdversary
 from repro.analysis.parallel import run_grid
 from repro.analysis.spec import ScenarioSpec, spec_cache_key
 from repro.core.api import run_path_aa, run_real_aa, run_tree_aa
+from repro.core.errors import ValidityViolationError
 from repro.engine import (
     BatchAdversarySpec,
     UnsupportedBackendError,
@@ -41,12 +43,14 @@ from repro.engine import (
 from repro.net.faults import FaultPlan
 from repro.net.trace import TranscriptRecorder
 from repro.observability import MetricsCollector
+from repro.protocols.realaa import RealAAParty
+from repro.trees import figure_tree
 from repro.trees.labeled_tree import LabeledTree
 from repro.trees.paths import diameter_path
 
 from .conformance import realaa_diagnostics
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
 INPUTS = [0.0, 1.0, 2.0, 3.0, 4.0]
 
@@ -166,25 +170,54 @@ class TestReplayedFeatures:
         assert bat_trace.faults_corrupted == ref_trace.faults_corrupted
 
 
-class TestLazyViewDiagnostics:
-    """Batch views build ``bad``/``history`` on first read, per party.
+SILENT_INPUTS = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+SILENT_VERTICES = ["a", "b", "c", "d", "d", "c", "b"]
 
-    Parties 0-4 are honest and form one class; the silent parties 5 and 6
-    never run.  The honest parties detect both silent ones, so every
-    honest view has a non-empty ``BAD`` set and history.
-    """
 
-    INPUTS = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-    def parties(self):
-        outcome = run_real_aa(
-            self.INPUTS,
+def silent_run(protocol: str):
+    """A batch run of *protocol* (n = 7, t = 2) whose parties 5 and 6 are
+    silent.  Parties 0-4 are honest and form one class; they detect both
+    silent parties, so every honest RealAA-family view has a non-empty
+    ``BAD`` set and history."""
+    adversary = SilentAdversary({5, 6})
+    if protocol == "real-aa":
+        return run_real_aa(
+            SILENT_INPUTS, 2, epsilon=0.5, adversary=adversary, backend="batch"
+        )
+    tree = small_tree()
+    if protocol == "path-aa":
+        return run_path_aa(
+            tree,
+            diameter_path(tree),
+            SILENT_VERTICES,
             2,
-            epsilon=0.5,
-            adversary=SilentAdversary({5, 6}),
+            adversary=adversary,
+            project=True,
             backend="batch",
         )
-        return outcome.execution.parties
+    return run_tree_aa(
+        tree, SILENT_VERTICES, 2, adversary=adversary, backend="batch"
+    )
+
+
+#: Per protocol, the RealAA-family views a party of :func:`silent_run` has.
+PHASES = {
+    "real-aa": [lambda party: party],
+    "path-aa": [lambda party: party],
+    "tree-aa": [
+        lambda party: party.paths_finder,
+        lambda party: party.projection_phase,
+    ],
+}
+
+
+class TestLazyViewDiagnostics:
+    """Batch views build ``bad``/``history`` on first read, per party."""
+
+    INPUTS = SILENT_INPUTS
+
+    def parties(self):
+        return silent_run("real-aa").execution.parties
 
     def test_repeated_reads_return_the_same_object(self):
         view = self.parties()[0]
@@ -192,14 +225,18 @@ class TestLazyViewDiagnostics:
         assert view.history is view.history
 
     def test_class_members_do_not_share_containers(self):
-        parties = self.parties()
-        first, second = parties[0], parties[1]
-        before = realaa_diagnostics(second)
-        assert first.bad == second.bad == {5, 6}
-        first.bad.add(99)
-        first.history.clear()
-        assert realaa_diagnostics(second) == before
-        assert 99 not in second.bad
+        for protocol, phases in PHASES.items():
+            parties = silent_run(protocol).execution.parties
+            for phase in phases:
+                first, second = phase(parties[0]), phase(parties[1])
+                before = realaa_diagnostics(second)
+                assert first.bad == second.bad == {5, 6}
+                first.history[0].accepted[99] = 1.0
+                assert 99 not in second.history[0].accepted
+                first.bad.add(99)
+                first.history.clear()
+                assert realaa_diagnostics(second) == before
+                assert 99 not in second.bad
 
     def test_parties_that_never_ran_read_empty(self):
         parties = self.parties()
@@ -232,6 +269,102 @@ class TestLazyViewDiagnostics:
             copied = clone(view)
             assert copied is not view
             assert realaa_diagnostics(copied) == expected[pid]
+
+
+class TestPartiesMapping:
+    """``ExecutionResult.parties`` of a batch run is a read-only mapping
+    that builds each party's view on its first read."""
+
+    @pytest.mark.parametrize("protocol", sorted(PHASES))
+    def test_mapping_contract(self, protocol):
+        parties = silent_run(protocol).execution.parties
+        n = len(SILENT_INPUTS)
+        assert len(parties) == n
+        assert list(parties) == list(range(n))
+        assert [pid for pid, _ in parties.items()] == list(range(n))
+        assert all(parties[pid] is parties[pid] for pid in range(n))
+        assert all(party is parties[pid] for pid, party in parties.items())
+        for missing in (n, -1, "0"):
+            assert missing not in parties
+            with pytest.raises(KeyError):
+                parties[missing]
+        with pytest.raises(TypeError):
+            parties[0] = parties[1]
+
+    def test_dense_puppets_replace_their_views(self):
+        from repro.engine.backend import BatchPartyView
+
+        parties = run_real_aa(
+            INPUTS,
+            1,
+            epsilon=1.0,
+            adversary=ChaosAdversary(seed=7, corrupt={4}),
+            backend="batch",
+        ).execution.parties
+        assert isinstance(parties[4], RealAAParty)
+        assert isinstance(parties[0], BatchPartyView)
+
+    def test_nothing_is_built_before_it_is_read(self, monkeypatch):
+        from repro.engine.backend import BatchPartyView
+
+        built = []
+        build = BatchPartyView.__init__
+
+        def counting(view, pid, site):
+            built.append(pid)
+            build(view, pid, site)
+
+        monkeypatch.setattr(BatchPartyView, "__init__", counting)
+        n = 50_000
+        outcome = run_tree_aa(
+            figure_tree(),
+            ["v3" if pid % 2 else "v8" for pid in range(n)],
+            (n - 1) // 3,
+            backend="batch",
+        )
+        assert outcome.agreement and outcome.valid
+        assert built == []
+        history = outcome.execution.parties[7].projection_phase.history
+        assert history and built == [7, 7]
+
+
+class TestHonestFirst:
+    """The phase-end order of events, evaluated once per distinct key.
+
+    No seed of the conformance suite's generator reaches a boundary
+    failure (the batch-supported adversaries only send values from the
+    honest hull), so the order is pinned on the helper itself: pids
+    0-5 with keys 3, 1, 2, 1, 0, 2; parties 1-3 are honest.
+    """
+
+    def run(self, failing, error=ValidityViolationError):
+        from repro.engine.backend import _honest_first
+
+        evaluated = []
+
+        def evaluate(key):
+            evaluated.append(key)
+            if key in failing:
+                raise error(f"key {key}")
+
+        dead = _honest_first(
+            np.arange(6),
+            np.array([3, 1, 2, 1, 0, 2]),
+            np.array([False, True, True, True, False, False]),
+            evaluate,
+        )
+        return evaluated, dead.tolist()
+
+    def test_the_lowest_honest_failure_raises(self):
+        with pytest.raises(ValidityViolationError, match="key 2"):
+            self.run({2, 3})
+
+    def test_failing_puppets_die_once_per_key(self):
+        assert self.run({0, 3}) == ([1, 2, 3, 0], [0, 4])
+
+    def test_other_puppet_errors_propagate(self):
+        with pytest.raises(KeyError, match="key 3"):
+            self.run({3}, error=KeyError)
 
 
 class TestUnsupportedFeatures:

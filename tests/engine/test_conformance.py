@@ -212,13 +212,9 @@ def _seeded_fault_plan(rng: random.Random):
 SEEDED_CASES = 240
 
 
-@pytest.mark.parametrize("seed", range(SEEDED_CASES))
-def test_seeded_differential_case(seed):
-    """One deterministic mixed-protocol configuration per seed.
-
-    Unlike the Hypothesis properties these cases never vary run to run,
-    so CI replays the exact same 240 comparisons every time.
-    """
+def seeded_case(seed: int):
+    """``(call, observer_factory, kwargs)``: the deterministic
+    mixed-protocol configuration of *seed*, for :func:`differential_check`."""
     rng = random.Random(seed)
     n = rng.randint(1, 12)
     t = rng.randint(0, 4)
@@ -227,48 +223,43 @@ def test_seeded_differential_case(seed):
     with_metrics = rng.random() < 0.5
     protocol = rng.choice(["real", "tree", "path", "projected-path"])
     t_assumed = rng.choice([None, None, rng.randint(0, 3)])
+    common = dict(t=t, adversary=adversary, fault_plan=plan, t_assumed=t_assumed)
     if protocol == "real":
         inputs = [round(rng.uniform(-5.0, 5.0), 3) for _ in range(n)]
-        differential_check(
+        return (
             run_real_aa,
-            observer_factory=MetricsCollector if with_metrics else None,
-            inputs=inputs,
-            t=t,
-            epsilon=rng.choice([0.25, 0.5, 1.0]),
-            adversary=adversary,
-            fault_plan=plan,
-            t_assumed=t_assumed,
+            MetricsCollector if with_metrics else None,
+            dict(common, inputs=inputs, epsilon=rng.choice([0.25, 0.5, 1.0])),
         )
-        return
     tree = random_tree(rng.randint(1, 9), seed=seed)
     observer_factory = (
         (lambda: MetricsCollector(tree=tree)) if with_metrics else None
     )
     inputs = [rng.choice(tree.vertices) for _ in range(n)]
     if protocol == "tree":
-        differential_check(
-            run_tree_aa,
-            observer_factory=observer_factory,
-            tree=tree,
-            inputs=inputs,
-            t=t,
-            adversary=adversary,
-            fault_plan=plan,
-            t_assumed=t_assumed,
-        )
-        return
+        return run_tree_aa, observer_factory, dict(common, tree=tree, inputs=inputs)
     path = diameter_path(tree)
     if protocol == "path":
         inputs = [rng.choice(list(path.vertices)) for _ in range(n)]
-    differential_check(
+    return (
         run_path_aa,
-        observer_factory=observer_factory,
-        tree=tree,
-        path=path,
-        inputs=inputs,
-        t=t,
-        adversary=adversary,
-        fault_plan=plan,
-        t_assumed=t_assumed,
-        project=(protocol == "projected-path"),
+        observer_factory,
+        dict(
+            common,
+            tree=tree,
+            path=path,
+            inputs=inputs,
+            project=(protocol == "projected-path"),
+        ),
     )
+
+
+@pytest.mark.parametrize("seed", range(SEEDED_CASES))
+def test_seeded_differential_case(seed):
+    """One deterministic mixed-protocol configuration per seed.
+
+    Unlike the Hypothesis properties these cases never vary run to run,
+    so CI replays the exact same 240 comparisons every time.
+    """
+    call, observer_factory, kwargs = seeded_case(seed)
+    differential_check(call, observer_factory=observer_factory, **kwargs)

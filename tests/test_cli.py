@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -479,12 +480,14 @@ class TestFlywheelArguments:
             (RUN + ["--shard-size", "0"], "shard_size must be >= 1, got 0"),
             (RUN + ["--inject-divergence", "bogus"], SEAM),
             (SELFTEST + ["--jobs", "-1"], JOBS),
-            (SELFTEST + ["--count", "-3"], "campaign of -3 points got 0 specs"),
+            (RUN + ["--count", "-3"], "count must be >= 0, got -3"),
+            (SELFTEST + ["--count", "-3"], "count must be >= 0, got -3"),
             (SELFTEST + ["--perturbation", "bogus"], SEAM),
         ],
         ids=[
             "sweep-jobs", "campaign-jobs", "run-jobs", "run-shard-size",
-            "run-perturb", "selftest-jobs", "selftest-count", "selftest-perturb",
+            "run-perturb", "selftest-jobs", "run-count", "selftest-count",
+            "selftest-perturb",
         ],
     )
     def test_refused_before_the_ledger(self, argv, message, tmp_path, capsys):
@@ -493,3 +496,11 @@ class TestFlywheelArguments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not log.exists()
+
+    def test_refused_selftest_leaves_no_temporary_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["flywheel", "selftest", "--jobs", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
