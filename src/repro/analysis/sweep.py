@@ -32,8 +32,9 @@ def spread_inputs(
         raise ValueError(f"need n >= 0 parties, got {n}")
     longest = diameter_path(tree)
     picks: List[Label] = [longest.start, longest.end][:n]
-    while len(picks) < n:
-        picks.append(rng.choice(tree.vertices))
+    # One ``rng.choice`` per pick, as a loop of them would draw.
+    choice, vertices = rng.choice, tree.vertices
+    picks += [choice(vertices) for _ in range(n - len(picks))]
     rng.shuffle(picks)
     return picks
 

@@ -426,11 +426,22 @@ def run_real_aa(
         inputs,
         epsilon,
         execution.trace.rounds_executed,
-        [
-            cast(RealAAParty, execution.parties[pid]).local_termination_iteration
-            for pid in sorted(execution.honest)
-        ],
+        _local_iterations(execution),
     )
+
+
+def _local_iterations(execution: ExecutionResult) -> List[Optional[int]]:
+    """The honest parties' local termination iterations, as far as
+    :func:`real_aa_outcome` needs them: their distinct values.  Batch
+    views answer once per class, without a view per party."""
+    honest = sorted(execution.honest)
+    distinct_values = getattr(execution.parties, "distinct_values", None)
+    if distinct_values is not None:
+        return distinct_values("local_termination_iteration", honest)
+    return [
+        cast(RealAAParty, execution.parties[pid]).local_termination_iteration
+        for pid in honest
+    ]
 
 
 def real_aa_outcome(

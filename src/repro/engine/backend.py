@@ -41,7 +41,7 @@ produced, but cannot be driven — its round methods raise
 from __future__ import annotations
 
 import operator
-from itertools import chain
+from itertools import compress
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -94,19 +94,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _Reader = Callable[[int], Any]
 
 
+#: Reads the distinct values of an attribute over many parties at once:
+#: ``pids → values``, without a view per party.
+_BulkReader = Callable[[np.ndarray], List[Any]]
+
+
 class _Site:
     """What the views built at one site read.
 
     ``shared`` holds the attributes all of its parties have in common
     (``n``, ``t``, ``epsilon``, the Euler list, …); ``own`` holds one
-    reader per attribute that differs by party.
+    reader per attribute that differs by party, and ``bulk`` a reader of
+    its distinct values over many parties for the attributes that a
+    class outcome holds once for all its members.
     """
 
-    __slots__ = ("shared", "own")
+    __slots__ = ("shared", "own", "bulk")
 
-    def __init__(self, shared: Dict[str, Any], own: Dict[str, _Reader]) -> None:
+    def __init__(
+        self,
+        shared: Dict[str, Any],
+        own: Dict[str, _Reader],
+        bulk: Optional[Dict[str, _BulkReader]] = None,
+    ) -> None:
         self.shared = shared
         self.own = own
+        self.bulk = bulk or {}
 
     def __contains__(self, name: str) -> bool:
         return name in self.shared or name in self.own
@@ -237,6 +250,21 @@ class _PartyViews(Mapping[PartyId, ProtocolParty]):
     def __len__(self) -> int:
         return self._n
 
+    def distinct_values(self, name: str, pids: Sequence[int]) -> List[Any]:
+        """The distinct values over the parties *pids* (in no particular
+        order) of an attribute the site reads per class (``bulk``).
+
+        Read once per class, without building views, except from the
+        parties already held: built views, whose assignments win, and
+        dense puppets.
+        """
+        index = np.asarray(pids, dtype=np.int64)
+        held = np.zeros(self._n, dtype=bool)
+        held[list(self._parties)] = True
+        values = self._site.bulk[name](index[~held[index]])
+        values += [getattr(self[pid], name) for pid in index[held[index]].tolist()]
+        return list(dict.fromkeys(values))
+
 
 class _Phase:
     """One RealAA-family phase, as the views of its parties read it.
@@ -270,17 +298,46 @@ class _Phase:
             "output": self.output,
         }
 
-    def _outcome(self, pid: int) -> Optional[ClassPhaseOutcome]:
+    def _class_index(self) -> Optional[np.ndarray]:
+        """pid → index of the party's class outcome (``-1`` when its state
+        machine did not run), built on the first call; ``None`` when the
+        phase never ran."""
         result = self.result
         if result is None:
             return None
         if self._class_of is None:
             class_of = np.full(len(self.initial), -1, dtype=np.int64)
             for index in result.outcomes:
-                class_of[list(result.classes[index].ids)] = index
+                class_of[result.classes[index].ids] = index
             self._class_of = class_of
-        index = int(self._class_of[pid])
-        return None if index < 0 else result.outcomes[index]
+        return self._class_of
+
+    def _outcome_at(self, index: int) -> Optional[ClassPhaseOutcome]:
+        """The class outcome at *index* of :meth:`_class_index`."""
+        if index < 0 or self.result is None:
+            return None
+        return self.result.outcomes[index]
+
+    def _outcome(self, pid: int) -> Optional[ClassPhaseOutcome]:
+        class_of = self._class_index()
+        return self._outcome_at(-1 if class_of is None else int(class_of[pid]))
+
+    def local_termination_iterations(self, pids: np.ndarray) -> List[Optional[int]]:
+        """The distinct local termination iterations of *pids*, read once
+        per class."""
+        if not len(pids):
+            return []
+        class_of = self._class_index()
+        if class_of is None:
+            indices = [-1]
+        else:  # np.unique without options would import numpy.ma (~1 MB)
+            indices = (np.flatnonzero(np.bincount(class_of[pids] + 1)) - 1).tolist()
+        return list(
+            dict.fromkeys(
+                None if outcome is None else outcome.local_termination_iteration
+                for outcome in map(self._outcome_at, indices)
+            )
+        )
 
     def input_value(self, pid: int) -> float:
         return float(self.initial[pid])
@@ -371,6 +428,7 @@ def _realaa_site(
             **attributes,
         ),
         readers,
+        {"local_termination_iteration": phase.local_termination_iterations},
     )
 
 
@@ -444,11 +502,18 @@ def _attach_metrics(
     collector: Optional[MetricsCollector],
     total_rounds: int,
     track_value_spread: bool,
-    honest_estimates: Optional[List[Any]] = None,
+    estimates: Optional[Sequence[Any]] = None,
 ) -> None:
-    """Wire a :class:`BatchMetrics` sink onto *execution* (if observed)."""
+    """Wire a :class:`BatchMetrics` sink onto *execution* (if observed).
+
+    *estimates* are every party's input estimates by pid; the honest
+    parties' feed the hull.
+    """
     if collector is None:
         return
+    honest_estimates = None
+    if estimates is not None:
+        honest_estimates = list(compress(estimates, _honest_mask(execution).tolist()))
     execution.metrics = BatchMetrics(
         collector,
         n=execution.n,
@@ -477,8 +542,8 @@ def _finish_run(
     """
     by_pid: Dict[PartyId, Any] = dict(enumerate(outputs))
     if execution.metrics is not None:
-        honest = sorted(execution.honest_set)
-        execution.metrics.finalize([by_pid[pid] for pid in honest])
+        honest = _honest_mask(execution).tolist()
+        execution.metrics.finalize(list(compress(outputs, honest)))
         execution.metrics.flush()
     puppets: Dict[int, Any] = {}
     if isinstance(execution, DenseExecution):
@@ -539,8 +604,8 @@ def _per_input(
 
 def _active_pids(phase: RealAAPhaseResult) -> np.ndarray:
     """All party ids whose state machines ran in *phase*, ascending."""
-    ids = chain.from_iterable(phase.classes[index].ids for index in phase.outcomes)
-    return np.sort(np.fromiter(ids, np.int64))
+    ids = [phase.classes[index].ids for index in phase.outcomes]
+    return np.sort(np.concatenate(ids)) if ids else np.zeros(0, np.int64)
 
 
 def _honest_mask(execution: "AnyExecution") -> np.ndarray:
@@ -717,13 +782,7 @@ class BatchSynchronousEngine:
         execution = _make_execution(
             n, t, first.t, spec, trace_level, fault_plan, factory
         )
-        _attach_metrics(
-            execution,
-            collector,
-            ROUNDS_PER_ITERATION * its,
-            True,
-            honest_estimates=[inputs[pid] for pid in sorted(execution.honest_set)],
-        )
+        _attach_metrics(execution, collector, ROUNDS_PER_ITERATION * its, True, inputs)
         outputs: List[Any] = [None] * n
         result = None
         if execution.has_honest:
@@ -778,13 +837,7 @@ class BatchSynchronousEngine:
             n, t, first.t, spec, trace_level, fault_plan, factory
         )
         duration = first.duration
-        _attach_metrics(
-            execution,
-            collector,
-            duration,
-            False,
-            honest_estimates=[inputs[pid] for pid in sorted(execution.honest_set)],
-        )
+        _attach_metrics(execution, collector, duration, False, inputs)
         shared: Dict[str, Any] = dict(
             n=n, t=first.t, _duration=duration, tree=tree, root=first.root
         )

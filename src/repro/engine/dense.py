@@ -618,6 +618,7 @@ class DenseExecution:
             bad |= low_conf
             for pid in honest_ids:
                 origins = np.flatnonzero(accepted_mask[pid])
+                picked = cand_arr[origins]
                 if origins.size:
                     origin_ids = origins.tolist()
                     missing = [o for o in origin_ids if o not in cand]
@@ -626,11 +627,9 @@ class DenseExecution:
                             f"accepted origin {missing[0]} has no recorded "
                             "candidate value; use backend='reference'"
                         )
-                    picked = cand_arr[origins].tolist()
-                    values[pid], trimmed_range = trimmed_update(picked, t)
+                    values[pid], trimmed_range = trimmed_update(picked.tolist(), t)
                 else:
                     trimmed_range = 0.0
-                    picked = []
                 if local_term[pid] is None and trimmed_range <= epsilon:
                     local_term[pid] = iteration + 1
                 records[pid].append(
@@ -654,7 +653,6 @@ class DenseExecution:
             mask[pid] = True
             classes.append(
                 PartyClass(
-                    ids=(pid,),
                     mask=mask,
                     corrupt=False,
                     group_a=False,

@@ -21,11 +21,21 @@ mutually indistinguishable at the message level:
   old per-party value).
 
 Equivalence with the reference engine is exact, not approximate: each
-class's new value comes from the reference's own trim rule
-(:func:`repro.protocols.realaa.trimmed_update`) applied to the same
+class's new value is the reference's trim rule applied to the same
 multiset, and the :class:`~repro.net.network.ExecutionTrace` counters are
 reproduced closed-form per round.  The differential conformance suite
 (``tests/engine/``) pins this bit-for-bit.
+
+The kernel pays per distinct value, not per party.  A class's accepted
+multiset holds few distinct values (the inputs' at iteration 0, about
+one per class after it), so it is trimmed as the runs of its stable sort
+(:func:`_value_runs`) by
+:func:`~repro.protocols.realaa.trimmed_update_runs`, which returns what
+the reference party's list form
+(:func:`~repro.protocols.realaa.trimmed_update`) returns on the expanded
+list, bit for bit.  The accepted values stay arrays in the iteration
+records; only a reader asking for a record's ``origin → value`` dict
+turns them into Python floats.
 
 Conceptually the reference engine's Byzantine traffic is an ``(n, n)``
 per-recipient payload matrix; because supported adversaries never
@@ -35,13 +45,13 @@ masked by a recipient set), which is what the class collapse factors out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..net.network import ExecutionTrace, TraceLevel, admit_corruptions
-from ..protocols.realaa import trimmed_update
+from ..protocols.realaa import trimmed_update_runs
 from .spec import KIND_CRASH, KIND_NONE, KIND_PASSIVE, BatchAdversarySpec
 
 #: Delivery scopes of one sender class in one round: everyone, only
@@ -61,14 +71,18 @@ class PartyClass:
     reference adversary pops such puppets, after which they neither send
     nor receive).  ``group_a`` marks the crash-recipient group
     (``pid < partial_to``); it is only meaningful under a crash spec.
+    ``mask`` marks the members, ``ids`` lists them ascending.
     """
 
-    ids: Tuple[int, ...]
     mask: np.ndarray
     corrupt: bool
     group_a: bool
     runs: bool
     alive: bool = True
+    ids: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ids = np.flatnonzero(self.mask)
 
     @property
     def size(self) -> int:
@@ -82,20 +96,22 @@ class ClassIterationRecord:
 
     Mirrors :class:`repro.protocols.realaa.IterationRecord` minus
     ``new_value`` (which is per-party and read from the value snapshots).
-    The accepted multiset is kept as the ascending ``origins`` and their
-    ``values`` in the same order; :meth:`accepted` builds the record's
-    ``origin → value`` dict, a new one per call.
+    The accepted multiset is kept as two arrays, the ascending
+    ``origins`` and their ``values`` in the same order (when every
+    origin was accepted, both are shared: the execution's array of all
+    pids and the iteration's pre-iteration snapshot); :meth:`accepted`
+    builds the record's ``origin → value`` dict, a new one per call.
     """
 
     iteration: int
     origins: np.ndarray
-    values: List[float]
+    values: np.ndarray
     newly_detected: Tuple[int, ...]
     trimmed_range: float
 
     def accepted(self) -> Dict[int, float]:
         """The accepted ``origin → value`` map, as the reference records it."""
-        return dict(zip(self.origins.tolist(), self.values))
+        return dict(zip(self.origins.tolist(), self.values.tolist()))
 
 
 @dataclass
@@ -120,6 +136,29 @@ class RealAAPhaseResult:
     outcomes: Dict[int, ClassPhaseOutcome]
     snapshots: List[np.ndarray]
     values: np.ndarray
+
+
+def _value_runs(picked: np.ndarray) -> Tuple[List[float], List[int]]:
+    """*picked* as the runs of its stable sort: ``(values, counts)``.
+
+    A run is a stretch of equal bits, so ``-0.0`` and ``0.0`` stay apart
+    in the order the stable sort leaves them, which is the order the
+    reference party's ``sorted`` leaves the same values in: both read
+    the accepted values by ascending origin.  (``np.unique`` would merge
+    the two zeros into one run, and the range of an all-zero core,
+    ``core[-1] - core[0]``, is ``-0.0`` for ``[0.0, -0.0]``.)  Equal
+    floats other than the two zeros have equal bits, so the faster
+    unstable sort differs from the stable one only inside the zero
+    block, which is put back in origin order.
+    """
+    ordered = np.sort(picked)
+    zero = ordered == 0
+    if zero.any():
+        ordered[zero] = picked[picked == 0]
+    bits = ordered.view(np.int64)
+    starts = [0, *((bits[1:] != bits[:-1]).nonzero()[0] + 1).tolist()]
+    counts = [b - a for a, b in zip(starts, starts[1:] + [ordered.size])]
+    return ordered[starts].tolist(), counts
 
 
 class BatchExecution:
@@ -155,6 +194,8 @@ class BatchExecution:
         self.metrics = None
         self.corrupted = set()
         self._round = 0
+        self._every_pid = np.arange(n)
+        self._every_pid.flags.writeable = False
         self._register_corruptions()
         #: Ids of the honest (never corrupted) parties.  Corruptions are
         #: registered only here, so the set is computed once; it is shared,
@@ -186,38 +227,26 @@ class BatchExecution:
     def _build_classes(self) -> List[PartyClass]:
         spec = self.spec
         kind = KIND_NONE if spec is None else spec.kind
-        split_at: Optional[int] = (
-            spec.partial_to if spec is not None and kind == KIND_CRASH else None
-        )
-        honest_ids = sorted(self.honest_set)
-        corrupt_ids = sorted(self.corrupted)
-        groups: List[Tuple[bool, bool, List[int]]] = []
-        for corrupt_flag, ids in ((False, honest_ids), (True, corrupt_ids)):
-            if split_at is None:
-                groups.append((corrupt_flag, False, ids))
-            else:
-                groups.append(
-                    (corrupt_flag, True, [p for p in ids if p < split_at])
-                )
-                groups.append(
-                    (corrupt_flag, False, [p for p in ids if p >= split_at])
-                )
+        corrupt = np.zeros(self.n, dtype=bool)
+        corrupt[list(self.corrupted)] = True
+        group_a: Optional[np.ndarray] = None
+        if spec is not None and kind == KIND_CRASH:
+            group_a = np.arange(self.n) < spec.partial_to
         classes: List[PartyClass] = []
-        for corrupt_flag, group_a, ids in groups:
-            if not ids:
-                continue
-            mask = np.zeros(self.n, dtype=bool)
-            mask[ids] = True
+        for corrupt_flag, members in ((False, ~corrupt), (True, corrupt)):
             runs = (not corrupt_flag) or kind in (KIND_PASSIVE, KIND_CRASH)
-            classes.append(
-                PartyClass(
-                    ids=tuple(ids),
-                    mask=mask,
-                    corrupt=corrupt_flag,
-                    group_a=group_a,
-                    runs=runs,
-                )
+            parts = (
+                [(False, members)]
+                if group_a is None
+                else [(True, members & group_a), (False, members & ~group_a)]
             )
+            for in_a, mask in parts:
+                if mask.any():
+                    classes.append(
+                        PartyClass(
+                            mask=mask, corrupt=corrupt_flag, group_a=in_a, runs=runs
+                        )
+                    )
         return classes
 
     def retire_dead(self, dead: np.ndarray) -> None:
@@ -231,36 +260,15 @@ class BatchExecution:
             return
         refined: List[PartyClass] = []
         for cls in self.classes:
-            dead_ids = [pid for pid in cls.ids if dead[pid]]
-            if not dead_ids:
+            dead_mask = cls.mask & dead
+            if not dead_mask.any():
                 refined.append(cls)
                 continue
-            alive_ids = [pid for pid in cls.ids if not dead[pid]]
-            if alive_ids:
-                mask = np.zeros(self.n, dtype=bool)
-                mask[alive_ids] = True
-                refined.append(
-                    PartyClass(
-                        ids=tuple(alive_ids),
-                        mask=mask,
-                        corrupt=cls.corrupt,
-                        group_a=cls.group_a,
-                        runs=cls.runs,
-                        alive=cls.alive,
-                    )
-                )
-            dead_mask = np.zeros(self.n, dtype=bool)
-            dead_mask[dead_ids] = True
-            refined.append(
-                PartyClass(
-                    ids=tuple(dead_ids),
-                    mask=dead_mask,
-                    corrupt=cls.corrupt,
-                    group_a=cls.group_a,
-                    runs=cls.runs,
-                    alive=False,
-                )
-            )
+            flags = dict(corrupt=cls.corrupt, group_a=cls.group_a, runs=cls.runs)
+            alive_mask = cls.mask & ~dead
+            if alive_mask.any():
+                refined.append(PartyClass(mask=alive_mask, alive=cls.alive, **flags))
+            refined.append(PartyClass(mask=dead_mask, alive=False, **flags))
         self.classes = refined
 
     # -- delivery model -------------------------------------------------
@@ -375,7 +383,9 @@ class BatchExecution:
         snapshots: List[np.ndarray] = []
 
         for iteration in range(iterations):
-            v_pre = values.copy()
+            # The values before this iteration: the last snapshot, which
+            # nothing writes to again.
+            v_pre = snapshots[-1] if snapshots else values.copy()
 
             # Round 3i: parallel-gradecast value messages, carrying each
             # sender's current BAD set as accusations.
@@ -512,10 +522,15 @@ class BatchExecution:
         low_confidence = (rc_support_count < n - t) & ~rc_bad
         rc_bad |= low_confidence
         newly = tuple(np.flatnonzero(quorum | low_confidence).tolist())
-        origins = np.flatnonzero(accepted_mask)
-        picked: List[float] = v_pre[origins].tolist()
-        if picked:
-            value, trimmed_range = trimmed_update(picked, t)
+        if accepted_mask.all():
+            # Every origin accepted: the records share one array of all
+            # pids and the pre-iteration snapshot instead of copies.
+            origins, picked = self._every_pid, v_pre
+        else:
+            origins = np.flatnonzero(accepted_mask)
+            picked = v_pre[origins]
+        if origins.size:
+            value, trimmed_range = trimmed_update_runs(*_value_runs(picked), t)
             values[self.classes[rc].mask] = value
         else:
             trimmed_range = 0.0

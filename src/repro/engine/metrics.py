@@ -76,18 +76,16 @@ class BatchMetrics:
         self._collector = collector
         self._n = n
         self._corrupted = tuple(sorted(corrupted))
-        corrupted_set = set(self._corrupted)
-        honest = [pid for pid in range(n) if pid not in corrupted_set]
-        self._honest_count = len(honest)
-        self._hmask = np.zeros(n, dtype=bool)
-        self._hmask[honest] = True
+        self._hmask = np.ones(n, dtype=bool)
+        self._hmask[list(self._corrupted)] = False
+        self._honest_count = n - len(self._corrupted)
         self._total_rounds = total_rounds
         self._spread = track_value_spread
         self._inputs: List[Any] = list(honest_estimates or ())
         tree = collector.tree
         self._prefinal_hull: Optional[int] = None
         if tree is not None:
-            estimates = [v for v in self._inputs if v in tree]
+            estimates = [v for v in dict.fromkeys(self._inputs) if v in tree]
             if estimates:
                 self._prefinal_hull = steiner_diameter(tree, estimates)
         self._pending: List[RoundMetrics] = []
@@ -144,21 +142,26 @@ class BatchMetrics:
         *outputs* is pid-ascending over the honest parties.  Mirrors the
         reference estimate fallback: a party contributes its ``output``
         when that is a vertex of the collector's tree, else its input
-        estimate, else nothing.
+        estimate, else nothing.  The hull depends only on the set of
+        estimates, so each distinct ``(output, input)`` pair is judged
+        once and each distinct label tested against the tree once.
         """
         tree = self._collector.tree
         row = self._final_row
         if row is None or tree is None:
             return
-        estimates: List[Any] = []
-        for index, inp in enumerate(self._inputs):
-            out = None
-            if outputs is not None and index < len(outputs):
-                out = outputs[index]
-            if out is not None and out in tree:
-                estimates.append(out)
-            elif inp is not None and inp in tree:
-                estimates.append(inp)
+        padded = list(outputs or ())[: len(self._inputs)]
+        padded += [None] * (len(self._inputs) - len(padded))
+        pairs = set(zip(padded, self._inputs))
+        member = {
+            label: label is not None and label in tree
+            for label in {label for pair in pairs for label in pair}
+        }
+        estimates = {
+            out if member[out] else inp
+            for out, inp in pairs
+            if member[out] or member[inp]
+        }
         row.hull_diameter = (
             steiner_diameter(tree, estimates) if estimates else None
         )

@@ -184,7 +184,8 @@ class ExecutionResult:
 
     @property
     def honest_outputs(self) -> Dict[PartyId, Any]:
-        return {pid: self.outputs[pid] for pid in sorted(self.honest)}
+        honest = sorted(self.honest)
+        return dict(zip(honest, map(self.outputs.__getitem__, honest)))
 
 
 def admit_corruptions(
@@ -196,7 +197,10 @@ def admit_corruptions(
     round_index: int,
 ) -> List[PartyId]:
     """Corrupt the *requested* parties within the budget *t*: every engine's
-    one corruption check.  Returns the newly corrupted ids, ascending."""
+    one corruption check.  Returns the newly corrupted ids, ascending.
+
+    The budget is checked first, then the ids in ascending order; a
+    failed check raises before anything is admitted."""
     new = set(requested) - corrupted
     if not new:
         return []
@@ -206,11 +210,11 @@ def admit_corruptions(
             f"corruptions but the budget is t={t}"
         )
     admitted = sorted(new)
-    for pid in admitted:
-        if not 0 <= pid < n:
-            raise ByzantineModelError(f"cannot corrupt unknown party {pid}")
-        corrupted.add(pid)
-        trace.corruption_rounds[pid] = round_index
+    unknown = [pid for pid in admitted if not 0 <= pid < n]
+    if unknown:
+        raise ByzantineModelError(f"cannot corrupt unknown party {unknown[0]}")
+    corrupted.update(admitted)
+    trace.corruption_rounds.update(dict.fromkeys(admitted, round_index))
     return admitted
 
 

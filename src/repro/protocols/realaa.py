@@ -29,7 +29,9 @@ already ≤ ε — the measured round complexity reported by the benchmarks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..net.messages import Inbox, Outbox, PartyId
@@ -64,7 +66,9 @@ def trim(values: Iterable[float], t: int) -> List[float]:
     The safe-area computation of RealAA: with at most ``t`` Byzantine values
     present, everything that survives the double trim lies within the honest
     values' range (Validity, Lemma 6).  Every trimming rule of the package —
-    both engines, the baselines and the lower-bound rules — calls this.
+    both engines, the baselines and the lower-bound rules — calls this,
+    except the class kernel's run form (:func:`trimmed_update_runs`),
+    which is held bit-equal to :func:`trimmed_update` by a property test.
     """
     ordered = sorted(values)
     if len(ordered) > 2 * t:
@@ -89,6 +93,72 @@ def trimmed_update(values: Iterable[float], t: int) -> Tuple[float, float]:
     core = trim(values, t)
     mean = math.fsum(core) / len(core)
     return min(max(mean, core[0]), core[-1]), core[-1] - core[0]
+
+
+def trimmed_update_runs(
+    values: Sequence[float], counts: Sequence[int], t: int
+) -> Tuple[float, float]:
+    """:func:`trimmed_update` of the ascending runs ``[v] * c``.
+
+    *values* is non-decreasing (the stable sort's order, so ``-0.0`` and
+    ``0.0`` may form adjacent runs) and *counts* positive; the multiset
+    is ``expanded = [values[0]] * counts[0] + [values[1]] * counts[1] +
+    …``.  The result equals ``trimmed_update(expanded, t)`` bit for bit,
+    at a cost per run instead of per value:
+
+    * ``expanded`` is sorted, and ``sorted`` is stable, so ``trim``'s
+      core is ``expanded[t : total - t]`` (the whole list when ``total ≤
+      2t``).  Clipping the runs to that slice leaves core runs whose ends
+      ``lo`` and ``hi`` are the very floats ``core[0]`` and ``core[-1]``
+      (signed zeros included: a run holds one float), so the range
+      ``hi - lo`` and the clamp's bounds are the list form's.
+    * ``math.fsum`` returns the correctly rounded exact sum of its
+      inputs unless an intermediate sum overflows.  A run ``(v, c)``
+      contributes ``Σ ldexp(v, j)`` over the set bits ``j`` of ``c``:
+      each term is exact (scaling by a power of two loses nothing short
+      of overflow), so the terms have the core's exact sum.  While
+      ``max(|lo|, |hi|) · len(core) ≤ 2**1021`` every term, every
+      partial and every prefix sum of either ``fsum`` stays below
+      ``3 · 2**1021 < 2**1023``: neither overflows, both return the
+      same correctly rounded float, and the means agree.  An exact sum
+      of zero is ``+0.0`` for both unless every summand is a zero; then
+      both sum zeros of the same signs (each core run adds at least
+      one term with its own value), so they agree there too.
+    * The clamp ``min(max(mean, lo), hi)`` then sees the same three
+      floats, so it returns the same one, whichever zero it may be.
+
+    Beyond that bound ``fsum`` may raise ``OverflowError`` depending on
+    the order it adds in, so there the core is expanded and handed to
+    :func:`trimmed_update` itself.
+    """
+    ends = list(accumulate(counts))
+    if not ends or not ends[-1]:
+        raise ValueError("cannot trim an empty multiset")
+    total = ends[-1]
+    start, stop = (t, total - t) if total > 2 * t else (0, total)
+    # The runs holding positions start and stop - 1, and the core's runs.
+    first, last = bisect_right(ends, start), bisect_left(ends, stop)
+    core_values = list(values[first : last + 1])
+    core_counts = list(counts[first : last + 1])
+    core_counts[0] = ends[first] - start
+    core_counts[-1] = stop - (ends[last - 1] if last > first else start)
+    lo, hi = core_values[0], core_values[-1]
+    length = stop - start
+    if max(abs(lo), abs(hi)) * length > 2.0**1021:
+        expanded = [v for v, c in zip(core_values, core_counts) for _ in range(c)]
+        return trimmed_update(expanded, 0)
+    terms = core_values
+    if length > len(core_counts):  # some run holds more than one value
+        terms = []
+        for value, count in zip(core_values, core_counts):
+            shift = 0
+            while count:
+                if count & 1:
+                    terms.append(math.ldexp(value, shift))
+                count >>= 1
+                shift += 1
+    mean = math.fsum(terms) / length
+    return min(max(mean, lo), hi), hi - lo
 
 
 def trimmed_midpoint(values: Iterable[float], t: int) -> float:

@@ -182,6 +182,30 @@ class TestSweepHelpers:
         with pytest.raises(ValueError):
             spread_inputs(path_tree(9), -1, random.Random(0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("tree_spec", ["path:1", "path:2", "figure", "random:23:5"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 3000])
+    def test_spread_inputs_draws_as_a_choice_loop(self, seed, tree_spec, n):
+        import random
+
+        from repro.analysis import spread_inputs
+        from repro.trees import diameter_path, parse_tree_spec
+
+        def choice_loop(tree, n, rng):
+            # The draw spread_inputs pins: one rng.choice per pick, then
+            # one shuffle.
+            longest = diameter_path(tree)
+            picks = [longest.start, longest.end][:n]
+            while len(picks) < n:
+                picks.append(rng.choice(tree.vertices))
+            rng.shuffle(picks)
+            return picks
+
+        tree = parse_tree_spec(tree_spec)
+        expected_rng, rng = random.Random(seed), random.Random(seed)
+        assert spread_inputs(tree, n, rng) == choice_loop(tree, n, expected_rng)
+        assert rng.getstate() == expected_rng.getstate()
+
     def test_tree_aa_and_baseline_spec_smoke(self):
         from dataclasses import replace
 

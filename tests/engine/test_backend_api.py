@@ -327,6 +327,45 @@ class TestPartiesMapping:
         history = outcome.execution.parties[7].projection_phase.history
         assert history and built == [7, 7]
 
+    @pytest.mark.parametrize("corrupt", [set(), {1, 5}])
+    def test_real_aa_is_judged_without_views(self, monkeypatch, corrupt):
+        from repro.engine.backend import BatchPartyView
+
+        built = []
+        build = BatchPartyView.__init__
+
+        def counting(view, pid, site):
+            built.append(pid)
+            build(view, pid, site)
+
+        monkeypatch.setattr(BatchPartyView, "__init__", counting)
+        inputs = [float(pid % 5) for pid in range(20)]
+        outcome = run_real_aa(
+            inputs,
+            6,
+            epsilon=0.5,
+            adversary=SilentAdversary(corrupt) if corrupt else None,
+            backend="batch",
+        )
+        assert built == []
+        reference = run_real_aa(
+            inputs,
+            6,
+            epsilon=0.5,
+            adversary=SilentAdversary(corrupt) if corrupt else None,
+        )
+        assert outcome.measured_rounds == reference.measured_rounds
+        assert outcome.measured_rounds is not None
+
+    def test_distinct_values_reads_held_parties(self):
+        parties = silent_run("real-aa").execution.parties
+        honest = [0, 1, 2, 3, 4]
+        per_party = {parties[pid].local_termination_iteration for pid in honest}
+        assert set(parties.distinct_values("local_termination_iteration", honest)) == per_party
+        parties[honest[0]].local_termination_iteration = None
+        assert None in parties.distinct_values("local_termination_iteration", honest)
+        assert parties.distinct_values("local_termination_iteration", []) == []
+
 
 class TestHonestFirst:
     """The phase-end order of events, evaluated once per distinct key.
