@@ -35,12 +35,15 @@ import functools
 import io
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.api import default_known_range, real_aa_outcome, run_path_aa, run_real_aa, run_tree_aa
 from ..net.faults import FaultPlan
 from ..net.network import TraceLevel
 from ..protocols.realaa import is_real
+from ..protocols.rounds import ROUNDS_PER_ITERATION, realaa_duration, tree_aa_round_bound
 from ..trees.grammar import parse_tree_spec
+from ..trees.paths import diameter, diameter_path
 from .parallel import SweepCache, register_runner
 
 #: Version of the ScenarioSpec JSON schema.  Bump on any incompatible
@@ -53,17 +56,6 @@ ASYNC_PROTOCOL = "async-real-aa"
 #: The iterated safe-area baseline on trees ([33], Nowak–Rybicki), the
 #: prior protocol TreeAA is compared against.
 BASELINE_PROTOCOL = "tree-aa-baseline"
-
-#: Protocols a spec can describe: the three ``run_*`` entry points plus
-#: the two prior-art protocols (reference only).
-SPEC_PROTOCOLS = ("real-aa", "path-aa", "tree-aa", ASYNC_PROTOCOL, BASELINE_PROTOCOL)
-
-#: Protocols without a batch implementation: ``backend="batch"`` raises
-#: :class:`~repro.engine.errors.UnsupportedBackendError` for them.
-REFERENCE_ONLY_PROTOCOLS = (ASYNC_PROTOCOL, BASELINE_PROTOCOL)
-
-#: Protocols whose inputs are real numbers (no tree).
-_REAL_PROTOCOLS = ("real-aa", ASYNC_PROTOCOL)
 
 #: Adversary kinds an ``async-real-aa`` spec accepts.
 ASYNC_ADVERSARIES = ("none", "passive", "silent", "noise")
@@ -265,15 +257,11 @@ class ScenarioSpec:
     ``seed`` (the sweep engine's worst-case spread pattern), so a spec
     stays a few short fields even for large ``n``.
 
-    ``async-real-aa`` specs describe the asynchronous iterated RealAA
-    instead: they add a delivery ``scheduler`` and a ``max_steps``
-    budget (both rejected on synchronous specs), accept only the
-    :data:`ASYNC_ADVERSARIES`, and run on the reference engine only.
-    ``tree-aa-baseline`` specs run the iterated safe-area baseline on the
-    same instance a ``tree-aa`` spec describes, also reference only.
+    What each ``protocol`` is (its inputs, runner, round budget, batch
+    support and the fields only it reads) is its row of :data:`PROTOCOLS`.
     """
 
-    #: One of :data:`SPEC_PROTOCOLS`.
+    #: A key of :data:`PROTOCOLS`.
     protocol: str
     #: Party count.
     n: int
@@ -317,7 +305,8 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         """Validate the spec as *data* (no execution, no tree parsing)."""
-        if self.protocol not in SPEC_PROTOCOLS:
+        entry = PROTOCOLS.get(self.protocol)
+        if entry is None:
             raise SpecError(f"unknown protocol {self.protocol!r}")
         if self.n < 1:
             raise SpecError(f"need n >= 1, got {self.n}")
@@ -337,7 +326,7 @@ class ScenarioSpec:
             raise SpecError(f"unknown backend {self.backend!r}")
         if self.trace_level not in TRACE_LEVELS:
             raise SpecError(f"unknown trace_level {self.trace_level!r}")
-        if self.protocol not in _REAL_PROTOCOLS and not self.tree:
+        if entry.on_tree and not self.tree:
             raise SpecError(f"{self.protocol} specs need a tree spec")
         if self.inputs is not None and len(self.inputs) != self.n:
             raise SpecError(
@@ -350,33 +339,33 @@ class ScenarioSpec:
         kind = self.adversary.split(":")[0]
         if kind not in ADVERSARY_KINDS:
             raise SpecError(f"unknown adversary {self.adversary!r}")
-        if self.protocol != ASYNC_PROTOCOL:
-            if self.scheduler is not None or self.max_steps != DEFAULT_MAX_STEPS:
-                raise SpecError(
-                    f"scheduler and max_steps apply to {ASYNC_PROTOCOL} "
-                    f"specs only, not {self.protocol}"
-                )
+        for name, owner in _FIELD_OWNERS.items():
+            # A dataclass keeps each field's default as a class attribute.
+            if owner != self.protocol and getattr(self, name) != getattr(ScenarioSpec, name):
+                raise SpecError(f"{name} applies to {owner} specs only, not {self.protocol}")
+        if not entry.asynchronous:
             return
         if kind not in ASYNC_ADVERSARIES:
             raise SpecError(
                 f"adversary {self.adversary!r} not available for "
-                f"{ASYNC_PROTOCOL} specs"
+                f"{self.protocol} specs"
             )
         if self.scheduler is not None and self.scheduler.split(":")[0] not in SCHEDULERS:
             raise SpecError(f"unknown scheduler {self.scheduler!r}")
         if self.max_steps < 1:
             raise SpecError(f"need max_steps >= 1, got {self.max_steps}")
         if self.record:
-            raise SpecError(f"{ASYNC_PROTOCOL} specs cannot be recorded")
+            raise SpecError(f"{self.protocol} specs cannot be recorded")
 
     # -- serialisation -------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """The canonical JSON form (round-trips through :meth:`from_dict`).
 
-        Every field is always present (``scheduler``/``max_steps`` on
-        async specs only), so two equal specs serialise to identical dicts
-        — the property the sweep cache keys rely on.
+        Every field is always present, except the fields another protocol
+        owns (``project`` predates that rule and is always written), so two
+        equal specs serialise to identical dicts — the property the sweep
+        cache keys rely on.
         """
         payload = {
             "spec_version": SPEC_VERSION,
@@ -404,9 +393,8 @@ class ScenarioSpec:
             ),
             "record": self.record,
         }
-        if self.protocol == ASYNC_PROTOCOL:
-            payload["scheduler"] = self.scheduler
-            payload["max_steps"] = self.max_steps
+        for name in self.entry.owns:
+            payload[name] = getattr(self, name)
         return payload
 
     @classmethod
@@ -455,6 +443,11 @@ class ScenarioSpec:
         return replace(self, seed=seed)
 
     @property
+    def entry(self) -> "SpecProtocol":
+        """This spec's row of the protocol table (:data:`PROTOCOLS`)."""
+        return PROTOCOLS[self.protocol]
+
+    @property
     def assumed_t(self) -> int:
         """The tolerance the honest parties run with (``t_assumed`` or ``t``)."""
         return self.t if self.t_assumed is None else self.t_assumed
@@ -476,26 +469,7 @@ class ScenarioSpec:
         worst-case spread pattern the sweep engine uses."""
         if self.inputs is not None:
             return list(self.inputs)
-        rng = random.Random(self.seed)
-        if self.protocol in _REAL_PROTOCOLS:
-            spread = self.known_range if self.known_range is not None else 8.0
-            values = [0.0 if i % 2 == 0 else float(spread) for i in range(self.n)]
-            rng.shuffle(values)
-            return values
-        tree = self.build_tree()
-        if self.protocol == "path-aa" and not self.project:
-            # Section-4 inputs must lie on the commonly known path.
-            from ..trees.paths import diameter_path
-
-            vertices = diameter_path(tree).canonical().vertices
-            picks: List[Any] = [vertices[0], vertices[-1]][: self.n]
-            while len(picks) < self.n:
-                picks.append(rng.choice(vertices))
-            rng.shuffle(picks)
-            return picks
-        from .sweep import spread_inputs
-
-        return spread_inputs(tree, self.n, rng)
+        return self.entry.draw_inputs(self, random.Random(self.seed))
 
     def make_adversary(self) -> Optional[Any]:
         """Instantiate the spec's adversary (:func:`build_adversary`)."""
@@ -505,7 +479,7 @@ class ScenarioSpec:
             corrupt=self.corrupt or None,
             seed=self.seed,
             chaos_script=self.chaos_script,
-            asynchronous=self.protocol == ASYNC_PROTOCOL,
+            asynchronous=self.entry.asynchronous,
         )
 
     def make_fault_plan(self) -> Optional[FaultPlan]:
@@ -524,9 +498,226 @@ class ScenarioSpec:
         verbatim, exactly as for direct API calls.  Async specs take no
         observer.  ``backend="batch"`` raises
         :class:`~repro.engine.errors.UnsupportedBackendError` for the
-        :data:`REFERENCE_ONLY_PROTOCOLS`.
+        protocols without a batch engine (:attr:`SpecProtocol.batch`).
         """
         return run_with_adversary(self, self.make_adversary(), observer)
+
+
+# ----------------------------------------------------------------------
+# The protocol table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SpecProtocol:
+    """What one spec protocol is: its row of :data:`PROTOCOLS`, which every
+    layer reads instead of comparing protocol names."""
+
+    #: Inputs are tree vertices: the spec needs a tree, ``judge_tree``
+    #: judges it and its row reports ``output_diameter`` (else reals,
+    #: ``judge_real``, ``output_spread``).
+    on_tree: bool
+    #: A batch engine exists (else ``backend="batch"`` raises).
+    batch: bool
+    #: ``run(spec, *, adversary, trace_level, observer, fault_plan)``.
+    run: Callable[..., Any]
+    #: The most rounds (async: delivery steps) a run of the spec may take.
+    budget: Callable[[ScenarioSpec], int]
+    #: The seed-derived inputs of a spec without explicit ones.
+    draw_inputs: Callable[[ScenarioSpec, random.Random], List[Any]]
+    #: Spec fields only this protocol reads (others keep the defaults).
+    owns: Tuple[str, ...] = ()
+    #: Runs on the asynchronous network (async adversaries, never recorded).
+    asynchronous: bool = False
+    #: ``repro campaign`` samples it (its inputs may be any vertex or real).
+    campaign: bool = False
+    #: What the flywheel's ``cross-protocol`` oracle re-runs its instances as.
+    compared_with: Optional[str] = None
+
+
+def _spread_reals(spec: ScenarioSpec, rng: random.Random) -> List[Any]:
+    """Alternating 0 and the spread (``known_range``, else 8), shuffled."""
+    spread = spec.known_range if spec.known_range is not None else 8.0
+    values = [0.0 if i % 2 == 0 else float(spread) for i in range(spec.n)]
+    rng.shuffle(values)
+    return values
+
+
+def _spread_vertices(spec: ScenarioSpec, rng: random.Random) -> List[Any]:
+    """The sweep engine's worst-case spread over the spec's tree."""
+    from .sweep import spread_inputs
+
+    return spread_inputs(spec.build_tree(), spec.n, rng)
+
+
+def _path_vertices(spec: ScenarioSpec, rng: random.Random) -> List[Any]:
+    """Section-4 inputs lie on the commonly known path; Section 5
+    projects any vertex."""
+    if spec.project:
+        return _spread_vertices(spec, rng)
+    vertices = diameter_path(spec.build_tree()).canonical().vertices
+    picks: List[Any] = [vertices[0], vertices[-1]][: spec.n]
+    while len(picks) < spec.n:
+        picks.append(rng.choice(vertices))
+    rng.shuffle(picks)
+    return picks
+
+
+def _run_real_aa(spec: ScenarioSpec, **options: Any) -> Any:
+    return run_real_aa(
+        [float(v) for v in spec.make_inputs()],
+        spec.t,
+        epsilon=spec.epsilon,
+        known_range=spec.known_range,
+        t_assumed=spec.t_assumed,
+        backend=spec.backend,
+        **options,
+    )
+
+
+def _run_path_aa(spec: ScenarioSpec, **options: Any) -> Any:
+    tree = spec.build_tree()
+    inputs = spec.make_inputs()
+    return run_path_aa(
+        tree,
+        diameter_path(tree),
+        inputs,
+        spec.t,
+        project=spec.project,
+        t_assumed=spec.t_assumed,
+        backend=spec.backend,
+        **options,
+    )
+
+
+def _run_tree_aa(spec: ScenarioSpec, **options: Any) -> Any:
+    tree = spec.build_tree()
+    inputs = spec.make_inputs()
+    return run_tree_aa(
+        tree,
+        inputs,
+        spec.t,
+        t_assumed=spec.t_assumed,
+        backend=spec.backend,
+        **options,
+    )
+
+
+def _run_baseline(spec: ScenarioSpec, **options: Any) -> Any:
+    """The iterated safe-area parties on the simulator, judged as TreeAA."""
+    from ..baselines import IterativeTreeAAParty
+    from ..core.api import tree_aa_outcome
+    from ..net.runner import run_protocol
+
+    tree = spec.build_tree()
+    inputs = spec.make_inputs()
+    execution = run_protocol(
+        spec.n,
+        spec.t,
+        lambda pid: IterativeTreeAAParty(
+            pid, spec.n, spec.assumed_t, tree, inputs[pid]
+        ),
+        **options,
+    )
+    return tree_aa_outcome(execution, tree, inputs)
+
+
+def _run_async(
+    spec: ScenarioSpec,
+    *,
+    adversary: Optional[Any],
+    trace_level: TraceLevel,
+    observer: Optional[Any],
+    fault_plan: Optional[FaultPlan],
+) -> Any:
+    """Run an ``async-real-aa`` spec on the asynchronous network, which
+    has no trace levels or observers."""
+    from ..asynchrony import AsyncRealAAParty, run_async_protocol
+
+    if observer is not None:
+        raise SpecError(f"{spec.protocol} specs take no observer")
+    inputs = [float(v) for v in spec.make_inputs()]
+    known_range = _known_range(spec, inputs)
+    execution = run_async_protocol(
+        spec.n,
+        spec.t,
+        lambda pid: AsyncRealAAParty(
+            pid,
+            spec.n,
+            spec.assumed_t,
+            inputs[pid],
+            epsilon=spec.epsilon,
+            known_range=known_range,
+        ),
+        adversary=adversary,
+        scheduler=build_scheduler(spec.scheduler, n=spec.n, seed=spec.seed),
+        max_steps=spec.max_steps,
+        fault_plan=fault_plan,
+    )
+    return real_aa_outcome(execution, inputs, spec.epsilon, execution.trace.steps)
+
+
+def _known_range(spec: ScenarioSpec, inputs: Sequence[float]) -> float:
+    """The range bound a real run works with: ``known_range``, else
+    :func:`repro.core.api.run_real_aa`'s default for the inputs, and at
+    least ε."""
+    known = spec.known_range if spec.known_range is not None else default_known_range(inputs)
+    return max(float(known), spec.epsilon)
+
+
+def _real_aa_budget(spec: ScenarioSpec) -> int:
+    """Theorem 3 at the effective known range."""
+    inputs = [float(v) for v in spec.make_inputs()]
+    return realaa_duration(_known_range(spec, inputs), spec.epsilon, spec.n, spec.assumed_t)
+
+
+def _path_aa_budget(spec: ScenarioSpec) -> int:
+    """RealAA over the path's positions with ε = 1."""
+    return realaa_duration(max(diameter(spec.build_tree()), 1), 1, spec.n, spec.assumed_t)
+
+
+def _tree_aa_budget(spec: ScenarioSpec) -> int:
+    """Theorem 4."""
+    tree = spec.build_tree()
+    return tree_aa_round_bound(tree.n_vertices, diameter(tree))
+
+
+def _baseline_budget(spec: ScenarioSpec) -> int:
+    """The halving baseline's ``O(log D)`` iterations."""
+    from ..baselines.iterative_tree import tree_halving_iterations
+
+    return ROUNDS_PER_ITERATION * tree_halving_iterations(diameter(spec.build_tree()))
+
+
+#: The protocol table: one row per protocol a spec can describe — the
+#: three ``run_*`` entry points, the asynchronous iterated RealAA and the
+#: Nowak–Rybicki baseline.  Adding a protocol is adding a row.
+PROTOCOLS: Dict[str, SpecProtocol] = {
+    "real-aa": SpecProtocol(
+        on_tree=False, batch=True, run=_run_real_aa, budget=_real_aa_budget,
+        draw_inputs=_spread_reals, campaign=True,
+    ),
+    "path-aa": SpecProtocol(
+        on_tree=True, batch=True, run=_run_path_aa, budget=_path_aa_budget,
+        draw_inputs=_path_vertices, owns=("project",),
+    ),
+    "tree-aa": SpecProtocol(
+        on_tree=True, batch=True, run=_run_tree_aa, budget=_tree_aa_budget,
+        draw_inputs=_spread_vertices, campaign=True, compared_with=BASELINE_PROTOCOL,
+    ),
+    ASYNC_PROTOCOL: SpecProtocol(
+        on_tree=False, batch=False, run=_run_async, budget=lambda spec: spec.max_steps,
+        draw_inputs=_spread_reals, owns=("scheduler", "max_steps"), asynchronous=True,
+        campaign=True,
+    ),
+    BASELINE_PROTOCOL: SpecProtocol(
+        on_tree=True, batch=False, run=_run_baseline, budget=_baseline_budget,
+        draw_inputs=_spread_vertices,
+    ),
+}
+
+#: Each protocol-owned spec field, mapped to the protocol that owns it.
+_FIELD_OWNERS = {field: name for name, entry in PROTOCOLS.items() for field in entry.owns}
 
 
 def run_with_adversary(
@@ -538,120 +729,20 @@ def run_with_adversary(
     adversary itself so it can read the chaos behaviour log after the
     run; everything else about the execution is this one code path.
     """
-    from ..core.api import run_path_aa, run_real_aa, run_tree_aa, tree_aa_outcome
-
-    if spec.backend != "reference" and spec.protocol in REFERENCE_ONLY_PROTOCOLS:
+    entry = spec.entry
+    if spec.backend != "reference" and not entry.batch:
         from ..engine.errors import UnsupportedBackendError
 
         raise UnsupportedBackendError(
-            f"{spec.protocol} specs have no batch equivalent; "
-            "use backend='reference'"
+            f"{spec.protocol} specs have no batch equivalent; use backend='reference'"
         )
-    fault_plan = spec.make_fault_plan()
-    trace_level = TRACE_LEVELS[spec.trace_level]
-    if spec.protocol == ASYNC_PROTOCOL:
-        return _run_async(spec, adversary, fault_plan, observer)
-    if spec.protocol == "real-aa":
-        return run_real_aa(
-            [float(v) for v in spec.make_inputs()],
-            spec.t,
-            epsilon=spec.epsilon,
-            known_range=spec.known_range,
-            adversary=adversary,
-            trace_level=trace_level,
-            observer=observer,
-            fault_plan=fault_plan,
-            t_assumed=spec.t_assumed,
-            backend=spec.backend,
-        )
-    tree = spec.build_tree()
-    inputs = spec.make_inputs()
-    if spec.protocol == "path-aa":
-        from ..trees.paths import diameter_path
-
-        return run_path_aa(
-            tree,
-            diameter_path(tree),
-            inputs,
-            spec.t,
-            adversary=adversary,
-            project=spec.project,
-            trace_level=trace_level,
-            observer=observer,
-            fault_plan=fault_plan,
-            t_assumed=spec.t_assumed,
-            backend=spec.backend,
-        )
-    if spec.protocol == BASELINE_PROTOCOL:
-        from ..baselines import IterativeTreeAAParty
-        from ..net.runner import run_protocol
-
-        execution = run_protocol(
-            spec.n,
-            spec.t,
-            lambda pid: IterativeTreeAAParty(
-                pid, spec.n, spec.assumed_t, tree, inputs[pid]
-            ),
-            adversary=adversary,
-            trace_level=trace_level,
-            observer=observer,
-            fault_plan=fault_plan,
-        )
-        return tree_aa_outcome(execution, tree, inputs)
-    return run_tree_aa(
-        tree,
-        inputs,
-        spec.t,
+    return entry.run(
+        spec,
         adversary=adversary,
-        trace_level=trace_level,
+        trace_level=TRACE_LEVELS[spec.trace_level],
         observer=observer,
-        fault_plan=fault_plan,
-        t_assumed=spec.t_assumed,
-        backend=spec.backend,
+        fault_plan=spec.make_fault_plan(),
     )
-
-
-def _run_async(
-    spec: ScenarioSpec,
-    adversary: Optional[Any],
-    fault_plan: Optional[FaultPlan],
-    observer: Optional[Any],
-) -> Any:
-    """Run an ``async-real-aa`` spec on the asynchronous network."""
-    from ..asynchrony import AsyncRealAAParty, run_async_protocol
-    from ..core.api import real_aa_outcome
-
-    if observer is not None:
-        raise SpecError(f"{ASYNC_PROTOCOL} specs take no observer")
-    inputs = [float(v) for v in spec.make_inputs()]
-    known_range = effective_known_range(spec, inputs)
-    execution = run_async_protocol(
-        spec.n,
-        spec.t,
-        lambda pid: AsyncRealAAParty(
-            pid,
-            spec.n,
-            spec.assumed_t,
-            inputs[pid],
-            epsilon=spec.epsilon,
-            known_range=max(known_range, spec.epsilon),
-        ),
-        adversary=adversary,
-        scheduler=build_scheduler(spec.scheduler, n=spec.n, seed=spec.seed),
-        max_steps=spec.max_steps,
-        fault_plan=fault_plan,
-    )
-    return real_aa_outcome(execution, inputs, spec.epsilon, execution.trace.steps)
-
-
-def effective_known_range(spec: ScenarioSpec, inputs: Sequence[float]) -> float:
-    """``known_range``, or :func:`repro.core.api.run_real_aa`'s default
-    for the real inputs when it is unset."""
-    from ..core.api import default_known_range
-
-    if spec.known_range is not None:
-        return float(spec.known_range)
-    return default_known_range(inputs)
 
 
 def run_spec(spec: ScenarioSpec) -> Any:
@@ -688,10 +779,10 @@ def _spec_row(spec: ScenarioSpec, outcome: Any) -> Dict[str, Any]:
             "agreement": outcome.agreement,
         },
     }
-    if spec.protocol in _REAL_PROTOCOLS:
-        row["verdicts"]["output_spread"] = outcome.output_spread
-    else:
+    if spec.entry.on_tree:
         row["verdicts"]["output_diameter"] = outcome.output_diameter
+    else:
+        row["verdicts"]["output_spread"] = outcome.output_spread
     return row
 
 
@@ -717,7 +808,7 @@ def run_spec_point(spec: ScenarioSpec, adversary: Optional[Any]) -> Tuple[Any, D
     if not spec.record:
         outcome = run_with_adversary(spec, adversary)
         return outcome, _spec_row(spec, outcome)
-    tree = None if spec.protocol == "real-aa" else spec.build_tree()
+    tree = spec.build_tree() if spec.entry.on_tree else None
     collector = MetricsCollector(tree=tree)
     outcome = run_with_adversary(spec, adversary, collector)
     row = _spec_row(spec, outcome)

@@ -115,9 +115,11 @@ def draw_flywheel_spec(rng: random.Random) -> Any:
     engine.  ``record=True`` appears on ~1/8 of points to feed the
     metrics-row parity oracle.
     """
-    from .spec import ScenarioSpec
+    from .spec import PROTOCOLS, ScenarioSpec
 
+    # A literal, weighted draw: the stream digest pins this RNG sequence.
     protocol = rng.choice(("real-aa", "path-aa", "tree-aa", "tree-aa"))
+    entry = PROTOCOLS[protocol]
     t = rng.randint(0, FLYWHEEL_MAX_T)
     n = rng.randint(3 * t + 2, max(FLYWHEEL_MAX_N, 3 * t + 2))
     adversary = _draw_adversary_spec(rng, t)
@@ -128,14 +130,14 @@ def draw_flywheel_spec(rng: random.Random) -> Any:
         protocol=protocol,
         n=n,
         t=t,
-        tree=None if protocol == "real-aa" else _draw_tree_spec(rng),
+        tree=_draw_tree_spec(rng) if entry.on_tree else None,
         adversary=adversary,
         corrupt=corrupt,
         backend="reference",
         trace_level=rng.choice(("full", "aggregate")),
         seed=rng.randint(0, 2**31 - 1),
-        known_range=8.0 if protocol == "real-aa" else None,
-        project=(protocol == "path-aa" and rng.random() < 0.5),
+        known_range=None if entry.on_tree else 8.0,
+        project=("project" in entry.owns and rng.random() < 0.5),
         record=(rng.random() < 0.125),
     )
 
@@ -314,9 +316,10 @@ if st is not None:
         burn schedules require ``t >= 1``, and sizes stay small enough for
         property-test budgets.
         """
-        from .spec import ScenarioSpec
+        from .spec import PROTOCOLS, ScenarioSpec
 
         protocol = draw(st.sampled_from(["real-aa", "path-aa", "tree-aa"]))
+        entry = PROTOCOLS[protocol]
         backend = draw(backends())
         t = draw(st.integers(min_value=0, max_value=1))
         n = draw(st.integers(min_value=3 * t + 2, max_value=6))
@@ -333,15 +336,15 @@ if st is not None:
             protocol=protocol,
             n=n,
             t=t,
-            tree=None if protocol == "real-aa" else draw(st.sampled_from(SPEC_TREES)),
+            tree=draw(st.sampled_from(SPEC_TREES)) if entry.on_tree else None,
             adversary=adversary,
             corrupt=corrupt,
             backend=backend,
             trace_level=draw(st.sampled_from(["full", "aggregate"])),
             t_assumed=draw(st.sampled_from([None, t])),
             seed=draw(st.integers(min_value=0, max_value=2**16)),
-            known_range=8.0 if protocol == "real-aa" else None,
-            project=(protocol == "path-aa" and draw(st.booleans())),
+            known_range=None if entry.on_tree else 8.0,
+            project=("project" in entry.owns and draw(st.booleans())),
             record=draw(st.booleans()),
         )
 

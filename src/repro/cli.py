@@ -72,6 +72,7 @@ from .adversary import NoAdversary
 from .analysis import format_table
 from .analysis.spec import (
     BASELINE_PROTOCOL,
+    PROTOCOLS,
     SPEC_BACKENDS,
     SPEC_RUNNER,
     SPEC_SWEEP_NAME,
@@ -134,12 +135,15 @@ def make_adversary(spec: str, t: int):
         return build_adversary(adversary_spec(spec), t=t)
 
 
+def _random_seed(spec: str) -> int:
+    """The seed of a ``random[:SEED]`` ``--inputs`` value (default 0)."""
+    return int((spec.split(":") + ["0"])[1])
+
+
 def pick_inputs(tree: LabeledTree, spec: str, n: int) -> List:
     """Parse ``--inputs``: a comma list of labels, or ``random[:SEED]``."""
     if spec.startswith("random"):
-        parts = spec.split(":")
-        seed = int(parts[1]) if len(parts) > 1 else 0
-        rng = random.Random(seed)
+        rng = random.Random(_random_seed(spec))
         return [rng.choice(tree.vertices) for _ in range(n)]
     labels = [label.strip() for label in spec.split(",") if label.strip()]
     if len(labels) != n:
@@ -163,22 +167,29 @@ def _read_json(path: str, what: str = "") -> Any:
 
 
 def _spec(args: argparse.Namespace, protocol: str, **fields: Any) -> ScenarioSpec:
-    """The spec of a run verb's flags: ``tree-aa`` reads
-    ``--tree``/``--inputs``/``--n``, ``real-aa`` reads its reals from
-    ``--inputs`` and ``--epsilon``; both read ``--t`` and
-    ``--adversary``."""
-    if protocol == "tree-aa":
-        tree = parse_tree_spec(args.tree)
-        inputs = tuple(pick_inputs(tree, args.inputs, args.n))
-        fields.update(n=args.n, tree=args.tree)
+    """The spec of a run verb's flags, by the protocol's input kind: tree
+    protocols read ``--tree``, ``--n`` and labels or ``random[:SEED]`` from
+    ``--inputs``; real ones read ``--epsilon`` and reals or, where the verb
+    has ``--n``, ``random[:SEED]`` (seed-derived inputs for ``--n``
+    parties).  Both read ``--t`` and ``--adversary``."""
+    n = getattr(args, "n", None)
+    if PROTOCOLS[protocol].on_tree:
+        if not args.tree:
+            raise CLIError(f"--tree is required for {protocol} traces")
+        fields.update(
+            tree=args.tree, inputs=tuple(pick_inputs(parse_tree_spec(args.tree), args.inputs, n))
+        )
+    elif n is not None and args.inputs.startswith("random"):
+        fields.update(seed=_random_seed(args.inputs), epsilon=args.epsilon)
     else:
         with user_errors(ValueError, prefix="malformed inputs: "):
             inputs = tuple(float(x) for x in args.inputs.split(","))
-        fields.update(n=len(inputs), epsilon=args.epsilon)
+        n = len(inputs)
+        fields.update(inputs=inputs, epsilon=args.epsilon)
     return ScenarioSpec(
         protocol=protocol,
+        n=n,
         t=args.t,
-        inputs=inputs,
         adversary=adversary_spec(args.adversary),
         **fields,
     )
@@ -270,10 +281,10 @@ def _load_spec_payload(path: str) -> dict:
     payload = _read_json(path, "spec file ")
     if isinstance(payload, list):
         return {"points": payload}
-    if isinstance(payload, dict) and "points" not in payload and "grid" not in payload:
-        return {"points": [payload]}
     if not isinstance(payload, dict):
         raise CLIError(f"spec file {path!r} must hold a JSON object or list")
+    if "points" not in payload and "grid" not in payload:
+        return {"points": [payload]}
     return payload
 
 
@@ -390,16 +401,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .engine import UnsupportedBackendError
 
     name, runner = SPEC_SWEEP_NAME, SPEC_RUNNER
+    title = f"sweep {args.kind} (adversary={args.adversary})"
     if args.spec:
         grid, headers, table = _spec_sweep_grid(args)
         title = f"sweep scenario-spec ({len(grid)} points)"
+    elif PROTOCOLS[args.kind].on_tree:
+        grid, headers, table = _tree_sweep_grid(args)
     else:
-        title = f"sweep {args.kind} (adversary={args.adversary})"
-        if args.kind == "tree-aa":
-            grid, headers, table = _tree_sweep_grid(args)
-        else:
-            grid, headers, table = _real_sweep_grid(args)
-            name, runner = "cli-real-aa", "realaa-point"
+        grid, headers, table = _real_sweep_grid(args)
+        name, runner = "cli-real-aa", "realaa-point"
     # A guard's ValueError, or e.g. --backend batch with an adversary the
     # batch engine cannot replay: the refusal is part of the contract,
     # but the CLI surfaces it as a clean error, not a traceback.
@@ -423,8 +433,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Record one protocol execution as a JSONL trace file."""
-    if args.kind == "tree-aa" and not args.tree:
-        raise CLIError("--tree is required for tree-aa traces")
     with user_errors(ValueError):
         row = execute_spec_point(_spec(args, args.kind, record=True))
     lines = row["trace_jsonl"].splitlines()
@@ -497,11 +505,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from .flywheel import FlywheelConfig, run_flywheel
     from .resilience import CampaignConfig, generate_scenarios
 
-    overrides = {}
-    if args.protocols:
-        overrides["protocols"] = tuple(args.protocols.split(","))
-    if args.adversaries:
-        overrides["adversaries"] = tuple(args.adversaries.split(","))
+    overrides = {
+        name: tuple(getattr(args, name).split(","))
+        for name in ("protocols", "adversaries")
+        if getattr(args, name)
+    }
     # config, spec (e.g. a typo'd --adversaries name), LedgerError,
     # CorruptLogError
     with user_errors(ValueError):
@@ -594,12 +602,7 @@ def _flywheel_finish(report: Any) -> int:
     """Print a campaign report; exit 1 when any oracle diverged."""
     print(report.summary())
     for record in report.divergences:
-        line = {
-            "index": record.get("index"),
-            "oracles": record.get("oracles"),
-            "case": record.get("case"),
-            "shrunk": record.get("shrunk"),
-        }
+        line = {key: record.get(key) for key in ("index", "oracles", "case", "shrunk")}
         print(json.dumps(line, sort_keys=True))
     return 0 if report.ok else 1
 
@@ -622,14 +625,13 @@ def cmd_flywheel_status(args: argparse.Namespace) -> int:
 
     with user_errors(ValueError):  # LedgerError, CorruptLogError
         state = load_state(args.ledger)
-    if state.header is None:
-        raise CLIError(f"{args.ledger!r} holds no campaign header")
     header = state.header
-    remaining = len(state.remaining())
+    if header is None:
+        raise CLIError(f"{args.ledger!r} holds no campaign header")
     print(
         f"flywheel seed={header['seed']}: "
         f"{len(state.executed)}/{header['count']} points executed, "
-        f"{remaining} remaining, {len(state.divergences)} divergences, "
+        f"{len(state.remaining())} remaining, {len(state.divergences)} divergences, "
         f"{'complete' if state.done else 'interrupted'}"
     )
     for record in state.divergences:

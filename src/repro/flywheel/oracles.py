@@ -20,7 +20,8 @@ applies the full oracle matrix (see docs/FLYWHEEL.md):
     For recorded points (``record=True``) the embedded JSONL traces must
     agree round-for-round, excluding only the wall clock.
 ``cross-protocol``
-    Tree points are re-run as ``tree-aa-baseline`` specs, the
+    ``tree-aa`` points (their protocol row's ``compared_with``) are
+    re-run as ``tree-aa-baseline`` specs, the
     Nowak–Rybicki baseline (:class:`~repro.baselines.IterativeTreeAAParty`)
     on the same instance, and the baseline's run must pass the same
     invariant oracles.  (TreeAA's own contract is the ``execution``
@@ -48,13 +49,7 @@ import json
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis.spec import (
-    BASELINE_PROTOCOL,
-    REFERENCE_ONLY_PROTOCOLS,
-    ScenarioSpec,
-    SpecError,
-    execute_spec_point,
-)
+from ..analysis.spec import ScenarioSpec, SpecError, execute_spec_point
 from ..resilience.oracles import Violation, evaluate
 from ..resilience.scenario import ScenarioResult, run_scenario
 
@@ -99,7 +94,7 @@ def resolve_perturb(path: Optional[str]) -> Optional[Callable[[Dict[str, Any]], 
 def batch_replayable(spec: ScenarioSpec) -> bool:
     """Whether the batch engine supports this spec's protocol and adversary."""
     return (
-        spec.protocol not in REFERENCE_ONLY_PROTOCOLS
+        spec.entry.batch
         and spec.adversary.split(":")[0] not in REFERENCE_ONLY_ADVERSARIES
     )
 
@@ -217,8 +212,8 @@ def _judge(findings: List[Violation], prefix: str = "") -> Dict[str, Any]:
     )
 
 
-def _check_cross_protocol(spec: ScenarioSpec) -> Dict[str, Any]:
-    """Run the Nowak–Rybicki baseline on the same instance; it must hold.
+def _check_cross_protocol(spec: ScenarioSpec, baseline: str) -> Dict[str, Any]:
+    """Run the spec's ``compared_with`` *baseline* on the same instance; it must hold.
 
     The comparison is on the AA *contract*, not on outputs: the two
     protocols legitimately pick different vertices, but the baseline must
@@ -228,15 +223,11 @@ def _check_cross_protocol(spec: ScenarioSpec) -> Dict[str, Any]:
     # The baseline always runs unrecorded at full payload accounting,
     # whatever the point's own settings, so its network counts do not
     # depend on them.
-    baseline = replace(
-        spec,
-        protocol=BASELINE_PROTOCOL,
-        backend="reference",
-        trace_level="full",
-        record=False,
+    rerun = replace(
+        spec, protocol=baseline, backend="reference", trace_level="full", record=False
     )
     try:
-        result = run_scenario(baseline)
+        result = run_scenario(rerun)
     except Exception as exc:  # noqa: BLE001 - a crashing baseline is the finding
         return _oracle(
             "divergence", f"baseline crashed: {type(exc).__name__}: {exc}"
@@ -315,10 +306,11 @@ def evaluate_point(
         else:
             oracles["metrics-parity"] = _oracle("skipped")
 
-    if spec.protocol != "tree-aa" or result is None or spec.fault_plan is not None:
+    baseline = spec.entry.compared_with
+    if baseline is None or result is None or spec.fault_plan is not None:
         oracles["cross-protocol"] = _oracle("skipped")
     else:
-        oracles["cross-protocol"] = _check_cross_protocol(spec)
+        oracles["cross-protocol"] = _check_cross_protocol(spec, baseline)
 
     if result is None:
         oracles["round-bound"] = _oracle("skipped")

@@ -19,12 +19,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.spec import ASYNC_ADVERSARIES, ASYNC_PROTOCOL, ScenarioSpec
+from ..analysis.spec import ASYNC_ADVERSARIES, PROTOCOLS, ScenarioSpec
 from ..trees import parse_tree_spec
 
-#: Protocols a campaign samples from (``path-aa`` needs inputs on the
-#: commonly known path, which the generator does not draw).
-CAMPAIGN_PROTOCOLS = ("real-aa", "tree-aa", ASYNC_PROTOCOL)
+#: Protocols a campaign samples from: the protocol table's ``campaign``
+#: rows (``path-aa`` needs inputs on the commonly known path, which the
+#: generator does not draw).
+CAMPAIGN_PROTOCOLS = tuple(name for name, entry in PROTOCOLS.items() if entry.campaign)
 
 #: Adversary kinds a campaign samples for synchronous specs.
 SYNC_ADVERSARIES = ("none", "passive", "silent", "noise", "crash", "chaos")
@@ -157,7 +158,7 @@ def generate_scenarios(config: CampaignConfig) -> List[ScenarioSpec]:
     specs: List[ScenarioSpec] = []
     for index in range(config.count):
         protocol = rng.choice(list(config.protocols))
-        is_async = protocol == ASYNC_PROTOCOL
+        is_async = PROTOCOLS[protocol].asynchronous
         n = rng.randint(config.min_n, config.max_n)
         legal_t = (n - 1) // 3
         t = rng.randint(0, legal_t) if legal_t else 0
@@ -171,7 +172,7 @@ def generate_scenarios(config: CampaignConfig) -> List[ScenarioSpec]:
             corrupt = ()
         tree: Optional[str] = None
         inputs: Tuple[Any, ...]
-        if protocol == "tree-aa":
+        if PROTOCOLS[protocol].on_tree:
             tree = _sample_tree(rng, rng.choice(list(config.tree_families)))
             vertices = parse_tree_spec(tree).vertices
             inputs = tuple(

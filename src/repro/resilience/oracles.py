@@ -38,12 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..analysis.spec import BASELINE_PROTOCOL
 from ..core.api import AAJudgement, judge_real, judge_tree
 from .scenario import ScenarioResult
-
-#: Protocols judged by the tree oracles (convex-hull validity, 1-agreement).
-TREE_PROTOCOLS = ("path-aa", "tree-aa", BASELINE_PROTOCOL)
 
 #: Every oracle name, in evaluation order.
 ORACLE_NAMES = (
@@ -139,7 +135,7 @@ def evaluate(result: ScenarioResult) -> List[Violation]:
     if result.error is not None:
         return [Violation("no-exception", result.error)]
     inputs, outputs = result.honest_inputs, result.honest_outputs
-    on_tree = result.spec.protocol in TREE_PROTOCOLS
+    on_tree = result.spec.entry.on_tree
     if on_tree:
         judgement = judge_tree(result.tree_obj, inputs, outputs)
     else:

@@ -19,14 +19,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..analysis.spec import (
-    ASYNC_PROTOCOL,
-    BASELINE_PROTOCOL,
-    ScenarioSpec,
-    SpecError,
-    effective_known_range,
-    run_spec_point,
-)
+from ..analysis.spec import ScenarioSpec, SpecError, run_spec_point
 from ..engine.errors import UnsupportedBackendError
 from ..net.messages import PartyId
 
@@ -76,36 +69,9 @@ def _capture_error(exc: BaseException) -> str:
 
 
 def round_budget(spec: ScenarioSpec) -> int:
-    """The most rounds (async: delivery steps) a run of ``spec`` may take.
-
-    Theorem 3 at the effective known range (``real-aa``), Theorem 4
-    (``tree-aa``), RealAA over the path with ε = 1 (``path-aa``), the
-    halving baseline's ``O(log D)`` schedule, or ``max_steps`` (async).
-    """
-    from ..baselines.iterative_tree import tree_halving_iterations
-    from ..protocols.rounds import (
-        ROUNDS_PER_ITERATION,
-        realaa_duration,
-        tree_aa_round_bound,
-    )
-    from ..trees.paths import diameter
-
-    if spec.protocol == ASYNC_PROTOCOL:
-        return spec.max_steps
-    if spec.protocol == "real-aa":
-        known_range = effective_known_range(
-            spec, [float(v) for v in spec.make_inputs()]
-        )
-        return realaa_duration(
-            max(known_range, spec.epsilon), spec.epsilon, spec.n, spec.assumed_t
-        )
-    tree = spec.build_tree()
-    tree_diameter = diameter(tree)
-    if spec.protocol == "tree-aa":
-        return tree_aa_round_bound(tree.n_vertices, tree_diameter)
-    if spec.protocol == BASELINE_PROTOCOL:
-        return ROUNDS_PER_ITERATION * tree_halving_iterations(tree_diameter)
-    return realaa_duration(max(tree_diameter, 1), 1, spec.n, spec.assumed_t)
+    """The most rounds (async: delivery steps) a run of ``spec`` may take:
+    its protocol row's :attr:`~repro.analysis.spec.SpecProtocol.budget`."""
+    return spec.entry.budget(spec)
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -127,7 +93,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         tree_obj=getattr(outcome, "tree", None),
         row=row,
     )
-    if spec.protocol == ASYNC_PROTOCOL:
+    if spec.entry.asynchronous:
         result.completed = execution.completed
         if execution.stall is not None:
             result.stall = execution.stall.summary()

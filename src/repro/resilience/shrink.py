@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from ..analysis.spec import ScenarioSpec
 from ..trees import parse_tree_spec
-from .oracles import TREE_PROTOCOLS, evaluate, violated_oracles
+from .oracles import evaluate, violated_oracles
 from .scenario import execute_scenario
 
 #: A failure predicate for :func:`shrink`: execute a spec however the
@@ -69,7 +69,7 @@ def check_violations(spec: ScenarioSpec) -> Tuple[str, ...]:
 def cost(spec: ScenarioSpec) -> int:
     """The shrinker's size metric: strictly decreases per reduction."""
     total = 100 * spec.n + 10 * len(spec.corrupt)
-    if spec.protocol in TREE_PROTOCOLS:
+    if spec.entry.on_tree:
         total += _tree_spec_size(spec.tree or "")
     if spec.chaos_script is not None:
         total += len(spec.chaos_script)
@@ -101,7 +101,7 @@ def explicit(spec: ScenarioSpec) -> ScenarioSpec:
     explicit number, so party and tree edits can truncate and remap them.
     """
     inputs = spec.make_inputs()
-    if spec.protocol not in TREE_PROTOCOLS:
+    if not spec.entry.on_tree:
         inputs = [float(v) for v in inputs]
     return replace(spec, inputs=tuple(inputs), t_assumed=spec.assumed_t)
 
@@ -162,7 +162,7 @@ def _shrink_tree_spec(spec: str) -> Optional[str]:
 def _tree_candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
     """Shrink the tree spec; each input label is remapped by its vertex
     index, taken modulo the smaller tree's vertex count."""
-    if spec.protocol not in TREE_PROTOCOLS or not spec.tree:
+    if not spec.entry.on_tree:
         return
     smaller = _shrink_tree_spec(spec.tree)
     if smaller is None:

@@ -320,6 +320,27 @@ class TestTraceAndReport:
         assert code == 0
         assert "real-aa" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, n, t, seed",
+        [([], 7, 2, 0), (["--inputs", "random:5", "--n", "4", "--t", "1"], 4, 1, 5)],
+    )
+    def test_trace_real_aa_draws_seeded_inputs_for_n_parties(
+        self, flags, n, t, seed, tmp_path, capsys
+    ):
+        from repro.analysis.spec import ScenarioSpec
+        from repro.observability import load_run
+
+        out = tmp_path / "real.jsonl"
+        assert main(["trace", "--kind", "real-aa", "--out", str(out), *flags]) == 0
+        spec = ScenarioSpec.from_dict(load_run(str(out)).header["params"]["spec"])
+        assert (spec.n, spec.t, spec.seed, spec.inputs) == (n, t, seed, None)
+        assert "recorded" in capsys.readouterr().out
+
+    def test_real_aa_verb_has_no_random_inputs(self, capsys):
+        # `repro real-aa` has no --n to size seed-derived inputs.
+        assert main(["real-aa", "--inputs", "random:0", "--t", "1"]) == 2
+        assert "malformed inputs" in capsys.readouterr().err
+
     def test_trace_tree_aa_requires_tree(self, capsys):
         code = main(["trace", "--inputs", "v1", "--out", "/dev/null"])
         assert code == 2
