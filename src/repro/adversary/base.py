@@ -12,7 +12,8 @@ alter them, or discard them.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Set
+import functools
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Set
 
 from ..net.messages import Inbox, Outbox, PartyId
 from ..net.network import AdversaryView
@@ -85,11 +86,20 @@ class Adversary(abc.ABC):
             "backend; use backend='reference'"
         )
 
-    def _requested_frozen(self) -> Optional[FrozenSet[PartyId]]:
-        """The explicitly requested corruption set (``None`` = default)."""
-        if self._requested is None:
-            return None
-        return frozenset(self._requested)
+    def _batch_spec(
+        self, kind: str, fresh: Callable[..., "Adversary"], **fields: Any
+    ) -> "BatchAdversarySpec":
+        """A spec of *kind* over the explicitly requested corruption set
+        (``None`` = default) whose ``fresh`` is ``fresh(corrupt=that set)``."""
+        from ..engine.spec import BatchAdversarySpec
+
+        corrupted = None if self._requested is None else frozenset(self._requested)
+        return BatchAdversarySpec(
+            kind=kind,
+            corrupted=corrupted,
+            fresh=functools.partial(fresh, corrupt=corrupted),
+            **fields,
+        )
 
 
 class NoAdversary(Adversary):
@@ -164,8 +174,6 @@ class PassiveAdversary(PuppetDrivingAdversary):
         """Faithful broadcasts every round: the passive batch kind."""
         if type(self) is not PassiveAdversary:
             return super().batch_spec()
-        from ..engine.spec import KIND_PASSIVE, BatchAdversarySpec
+        from ..engine.spec import KIND_PASSIVE
 
-        return BatchAdversarySpec(
-            kind=KIND_PASSIVE, corrupted=self._requested_frozen()
-        )
+        return self._batch_spec(KIND_PASSIVE, PassiveAdversary)

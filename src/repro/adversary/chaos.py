@@ -14,6 +14,7 @@ it complements the targeted attacks in
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -93,36 +94,27 @@ class ChaosAdversary(PuppetDrivingAdversary):
     def batch_spec(self):
         """Replay parameters for the dense batch engine.
 
-        The spec carries the constructor arguments, not the live state:
-        the dense engine rebuilds a fresh :class:`ChaosAdversary` from
-        them and replays the behaviour stream from the seed, exactly as a
-        fresh reference run would.  Subclasses may override behaviour
-        methods, so only the exact class is claimed.
+        The spec's ``fresh`` holds the constructor arguments, not the live
+        state: the dense engine builds a fresh :class:`ChaosAdversary` and
+        replays the behaviour stream from the seed, exactly as a fresh
+        reference run would.  Subclasses may override behaviour methods,
+        so only the exact class is claimed.
         """
         if type(self) is not ChaosAdversary:
             return super().batch_spec()
-        from ..engine.spec import KIND_CHAOS, BatchAdversarySpec
+        from ..engine.spec import KIND_CHAOS
 
-        weights = tuple(zip(self._names, self._weights))
-        script = (
-            None
-            if self._script is None
-            else tuple(
-                (round_index, pid, behaviour)
-                for (round_index, pid), behaviour in sorted(
-                    self._script.items()
-                )
-            )
-        )
-        # The params pairs are constructor arguments, not wire payloads;
-        # PL003's tag heuristic cannot tell the difference.
-        return BatchAdversarySpec(
-            kind=KIND_CHAOS,
-            corrupted=self._requested_frozen(),
-            params=(
-                ("seed", self._seed),  # protolint: disable=PL003
-                ("weights", weights),  # protolint: disable=PL003
-                ("script", script),  # protolint: disable=PL003
+        script = None if self._script is None else [
+            (round_index, pid, behaviour)
+            for (round_index, pid), behaviour in sorted(self._script.items())
+        ]
+        return self._batch_spec(
+            KIND_CHAOS,
+            functools.partial(
+                ChaosAdversary,
+                seed=self._seed,
+                weights=dict(zip(self._names, self._weights)),
+                script=script,
             ),
         )
 

@@ -36,6 +36,7 @@ iteration, forever, sustaining the outline's worst-case ``1/2`` factor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -52,7 +53,7 @@ from typing import (
 from ..net.messages import Outbox, PartyId
 from ..net.network import AdversaryView
 from ..protocols.realaa import is_real
-from .base import Adversary, PuppetDrivingAdversary
+from .base import Adversary, PassiveAdversary, PuppetDrivingAdversary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.spec import BatchAdversarySpec
@@ -199,24 +200,22 @@ class BurnScheduleAdversary(PuppetDrivingAdversary):
         """Replay parameters for the dense batch engine.
 
         The burn attack is deterministic but *stateful* (global iteration
-        counter, burnt set), so — as with chaos — the spec carries the
-        constructor arguments and the dense engine replays a fresh
-        instance.  Subclasses may override the planning methods, so only
+        counter, burnt set), so — as with chaos — the spec's ``fresh``
+        holds the constructor arguments and the dense engine replays a
+        fresh instance.  Subclasses may override the planning methods, so only
         the exact class is claimed.
         """
         if type(self) is not BurnScheduleAdversary:
             return super().batch_spec()
-        from ..engine.spec import KIND_BURN, BatchAdversarySpec
+        from ..engine.spec import KIND_BURN
 
-        # The params pairs are constructor arguments, not wire payloads;
-        # PL003's tag heuristic cannot tell the difference.
-        return BatchAdversarySpec(
-            kind=KIND_BURN,
-            corrupted=self._requested_frozen(),
-            params=(
-                ("schedule", tuple(self.schedule)),  # protolint: disable=PL003
-                ("direction", self.direction),  # protolint: disable=PL003
-                ("reuse_burners", self.reuse_burners),  # protolint: disable=PL003
+        return self._batch_spec(
+            KIND_BURN,
+            functools.partial(
+                BurnScheduleAdversary,
+                list(self.schedule),
+                direction=self.direction,
+                reuse_burners=self.reuse_burners,
             ),
         )
 
@@ -316,11 +315,9 @@ class SplitBroadcastAdversary(PuppetDrivingAdversary):
         """
         if type(self) is not SplitBroadcastAdversary:
             return super().batch_spec()
-        from ..engine.spec import KIND_PASSIVE, BatchAdversarySpec
+        from ..engine.spec import KIND_PASSIVE
 
-        return BatchAdversarySpec(
-            kind=KIND_PASSIVE, corrupted=self._requested_frozen()
-        )
+        return self._batch_spec(KIND_PASSIVE, PassiveAdversary)
 
 
 class AsymmetricTrustAdversary(Adversary):

@@ -7,6 +7,7 @@ RealAA live in :mod:`repro.adversary.realaa_attacks`.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import (
     TYPE_CHECKING,
@@ -42,11 +43,9 @@ class SilentAdversary(Adversary):
         """Permanent omission: the silent batch kind."""
         if type(self) is not SilentAdversary:
             return super().batch_spec()
-        from ..engine.spec import KIND_SILENT, BatchAdversarySpec
+        from ..engine.spec import KIND_SILENT
 
-        return BatchAdversarySpec(
-            kind=KIND_SILENT, corrupted=self._requested_frozen()
-        )
+        return self._batch_spec(KIND_SILENT, SilentAdversary)
 
 
 class CrashAdversary(PuppetDrivingAdversary):
@@ -87,11 +86,11 @@ class CrashAdversary(PuppetDrivingAdversary):
         """Faithful-until-crash with a deterministic mid-send recipient cut."""
         if type(self) is not CrashAdversary:
             return super().batch_spec()
-        from ..engine.spec import KIND_CRASH, BatchAdversarySpec
+        from ..engine.spec import KIND_CRASH
 
-        return BatchAdversarySpec(
-            kind=KIND_CRASH,
-            corrupted=self._requested_frozen(),
+        return self._batch_spec(
+            KIND_CRASH,
+            functools.partial(CrashAdversary, self.crash_round, self.partial_to),
             crash_round=self.crash_round,
             partial_to=self.partial_to,
         )

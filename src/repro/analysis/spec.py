@@ -32,10 +32,11 @@ additions.
 from __future__ import annotations
 
 import functools
+import importlib
 import io
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.api import default_known_range, real_aa_outcome, run_path_aa, run_real_aa, run_tree_aa
 from ..net.faults import FaultPlan
@@ -57,12 +58,6 @@ ASYNC_PROTOCOL = "async-real-aa"
 #: prior protocol TreeAA is compared against.
 BASELINE_PROTOCOL = "tree-aa-baseline"
 
-#: Adversary kinds an ``async-real-aa`` spec accepts.
-ASYNC_ADVERSARIES = ("none", "passive", "silent", "noise")
-
-#: Scheduler kinds of :func:`build_scheduler` (async specs only).
-SCHEDULERS = ("fifo", "random", "split", "delay")
-
 #: Default step budget of an asynchronous execution.
 DEFAULT_MAX_STEPS = 20_000
 
@@ -83,21 +78,6 @@ SPEC_SWEEP_NAME = "scenario-spec"
 
 #: The registered runner name executing one spec dict as a grid point.
 SPEC_RUNNER = "spec-point"
-
-#: Adversary kinds :func:`build_adversary` understands (the superset of
-#: the CLI grammar and the resilience lab's synchronous menu).
-ADVERSARY_KINDS = (
-    "none",
-    "silent",
-    "passive",
-    "noise",
-    "crash",
-    "chaos",
-    "burn",
-    "burn-down",
-    "asym",
-)
-
 
 class SpecError(ValueError):
     """A ScenarioSpec is malformed (as data, before any execution)."""
@@ -138,112 +118,31 @@ def build_adversary(
     """Instantiate an adversary from its spec string.
 
     This is the one shared builder behind ``repro.cli.make_adversary``
-    and :meth:`ScenarioSpec.make_adversary`.  Grammar: ``none``,
-    ``silent``, ``passive``, ``noise[:SEED]``, ``crash[:ROUND[:PARTIAL_TO]]``,
-    ``chaos[:SEED]``, ``burn``, ``burn-down``, ``asym``.  ``corrupt`` pins
-    the corrupted set (``None`` lets the strategy choose), ``seed`` is the
-    fallback for seeded kinds without an explicit argument, ``t`` sizes
-    the burn schedules, and ``chaos_script`` replays a recorded chaos log.
-    ``asynchronous=True`` builds the :mod:`repro.asynchrony` counterpart
-    instead (only the :data:`ASYNC_ADVERSARIES` kinds exist there).
+    and :meth:`ScenarioSpec.make_adversary`: it calls the spec's row of
+    :data:`ADVERSARIES`.  ``corrupt`` pins the corrupted set (``None``
+    lets the strategy choose), ``seed`` is the fallback for seeded kinds
+    without an explicit argument, ``t`` sizes the burn schedules, and
+    ``chaos_script`` replays a recorded chaos log.  ``asynchronous=True``
+    calls the row's ``build_async`` instead.
 
     Returns ``None`` for ``"none"`` — a genuinely adversary-free run.
     """
-    parts = spec.split(":")
-    kind = parts[0]
-    try:
-        args = [int(part) for part in parts[1:]]
-    except ValueError as exc:
-        raise SpecError(f"malformed adversary spec {spec!r}: {exc}") from None
-    if kind == "none":
-        return None
-    if asynchronous:
-        from ..asynchrony import (
-            AsyncNoiseAdversary,
-            AsyncPassiveAdversary,
-            AsyncSilentAdversary,
-        )
-
-        if kind == "passive":
-            return AsyncPassiveAdversary(corrupt=corrupt)
-        if kind == "silent":
-            return AsyncSilentAdversary(corrupt=corrupt)
-        if kind == "noise":
-            return AsyncNoiseAdversary(
-                seed=args[0] if args else seed, corrupt=corrupt
-            )
+    _, row, args = parse_kind(ADVERSARIES, "adversary", spec)
+    build = row.build_async if asynchronous else row.build
+    if build is None:
         raise SpecError(f"unknown async adversary {spec!r}")
-    from ..adversary import (
-        ChaosAdversary,
-        CrashAdversary,
-        PassiveAdversary,
-        RandomNoiseAdversary,
-        SilentAdversary,
-    )
-    from ..adversary.realaa_attacks import (
-        AsymmetricTrustAdversary,
-        BurnScheduleAdversary,
-    )
-
-    if kind == "silent":
-        return SilentAdversary(corrupt=corrupt)
-    if kind == "passive":
-        return PassiveAdversary(corrupt=corrupt)
-    if kind == "noise":
-        return RandomNoiseAdversary(seed=args[0] if args else seed, corrupt=corrupt)
-    if kind == "crash":
-        crash_round = args[0] if args else 1
-        partial_to = args[1] if len(args) > 1 else 0
-        return CrashAdversary(
-            crash_round=crash_round, partial_to=partial_to, corrupt=corrupt
-        )
-    if kind == "chaos":
-        return ChaosAdversary(
-            seed=args[0] if args else seed,
-            corrupt=corrupt,
-            script=chaos_script,
-        )
-    if kind == "burn":
-        return BurnScheduleAdversary([1] * t if t else [], corrupt=corrupt)
-    if kind == "burn-down":
-        return BurnScheduleAdversary(
-            [1] * t if t else [], corrupt=corrupt, direction="down"
-        )
-    if kind == "asym":
-        return AsymmetricTrustAdversary(corrupt=corrupt)
-    raise SpecError(f"unknown adversary {spec!r}")
+    context = _Context(t=t, corrupt=corrupt, seed=seed, chaos_script=chaos_script)
+    return row.call(build, args, context)
 
 
 def build_scheduler(spec: Optional[str], *, n: int, seed: int = 0) -> Optional[Any]:
-    """Instantiate an async delivery scheduler (``None`` = FIFO).
-
-    Grammar: ``fifo``, ``random[:SEED]``, ``split[:K]`` (parties ``0..K-1``
-    against the rest; default ``n // 2``), ``delay[:K]`` (delay the first
-    ``K`` senders; default 1).  ``seed`` is the fallback for ``random``.
-    """
+    """Instantiate an async delivery scheduler (``None`` = FIFO); the
+    grammar is :data:`SCHEDULERS`, and ``seed`` is the fallback for
+    ``random``."""
     if spec is None:
         return None
-    from ..asynchrony import (
-        DelaySendersScheduler,
-        FIFOScheduler,
-        RandomScheduler,
-        SplitScheduler,
-    )
-
-    parts = spec.split(":")
-    kind = parts[0]
-    arg = int(parts[1]) if len(parts) > 1 else None
-    if kind == "fifo":
-        return FIFOScheduler()
-    if kind == "random":
-        return RandomScheduler(arg if arg is not None else seed)
-    if kind == "split":
-        k = arg if arg is not None else max(1, n // 2)
-        return SplitScheduler(group_a=list(range(min(k, n))))
-    if kind == "delay":
-        k = arg if arg is not None else 1
-        return DelaySendersScheduler(list(range(min(k, n))))
-    raise SpecError(f"unknown scheduler {spec!r}")
+    _, row, args = parse_kind(SCHEDULERS, "scheduler", spec)
+    return row.call(row.build, args, _Context(n=n, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -258,7 +157,9 @@ class ScenarioSpec:
     stays a few short fields even for large ``n``.
 
     What each ``protocol`` is (its inputs, runner, round budget, batch
-    support and the fields only it reads) is its row of :data:`PROTOCOLS`.
+    support and the fields only it reads) is its row of :data:`PROTOCOLS`;
+    each adversary and scheduler kind is a row of :data:`ADVERSARIES` or
+    :data:`SCHEDULERS`.
     """
 
     #: A key of :data:`PROTOCOLS`.
@@ -273,7 +174,7 @@ class ScenarioSpec:
     #: Explicit per-party inputs (labels / floats), or ``None`` to derive
     #: a worst-case spread deterministically from ``seed``.
     inputs: Optional[Tuple[Any, ...]] = None
-    #: Adversary spec string (:func:`build_adversary` grammar).
+    #: Adversary spec string: a key of :data:`ADVERSARIES` with its arguments.
     adversary: str = "none"
     #: Explicit corrupted set (empty = the adversary's own choice).
     corrupt: Tuple[int, ...] = ()
@@ -293,12 +194,13 @@ class ScenarioSpec:
     known_range: Optional[float] = None
     #: ``path-aa`` only: run the Section-5 projection variant.
     project: bool = False
-    #: Optional chaos replay script (``(round, pid, behaviour)`` triples).
+    #: ``chaos`` adversaries only: a replay script (``(round, pid,
+    #: behaviour)`` triples).
     chaos_script: Optional[Tuple[Tuple[int, int, str], ...]] = None
     #: Record the execution as an embedded JSONL trace (the service's
     #: report/diff endpoints read it back with ``load_run``).
     record: bool = False
-    #: ``async-real-aa`` only: :func:`build_scheduler` spec (``None`` = FIFO).
+    #: ``async-real-aa`` only: a :data:`SCHEDULERS` spec (``None`` = FIFO).
     scheduler: Optional[str] = None
     #: ``async-real-aa`` only: delivery-step budget.
     max_steps: int = DEFAULT_MAX_STEPS
@@ -336,22 +238,21 @@ class ScenarioSpec:
             raise SpecError(f"corrupt ids {self.corrupt} out of range")
         if len(set(self.corrupt)) != len(self.corrupt):
             raise SpecError(f"duplicate corrupt ids {self.corrupt}")
-        kind = self.adversary.split(":")[0]
-        if kind not in ADVERSARY_KINDS:
-            raise SpecError(f"unknown adversary {self.adversary!r}")
-        for name, owner in _FIELD_OWNERS.items():
+        _, adversary, _ = parse_kind(ADVERSARIES, "adversary", self.adversary)
+        for name, (attribute, owner, what) in _FIELD_OWNERS.items():
+            holder = getattr(self, attribute)
             # A dataclass keeps each field's default as a class attribute.
-            if owner != self.protocol and getattr(self, name) != getattr(ScenarioSpec, name):
-                raise SpecError(f"{name} applies to {owner} specs only, not {self.protocol}")
+            if owner != holder and getattr(self, name) != getattr(ScenarioSpec, name):
+                raise SpecError(f"{name} applies to {owner} {what} only, not {holder}")
         if not entry.asynchronous:
             return
-        if kind not in ASYNC_ADVERSARIES:
+        if adversary.build_async is None:
             raise SpecError(
                 f"adversary {self.adversary!r} not available for "
                 f"{self.protocol} specs"
             )
-        if self.scheduler is not None and self.scheduler.split(":")[0] not in SCHEDULERS:
-            raise SpecError(f"unknown scheduler {self.scheduler!r}")
+        if self.scheduler is not None:
+            parse_kind(SCHEDULERS, "scheduler", self.scheduler)
         if self.max_steps < 1:
             raise SpecError(f"need max_steps >= 1, got {self.max_steps}")
         if self.record:
@@ -446,6 +347,11 @@ class ScenarioSpec:
     def entry(self) -> "SpecProtocol":
         """This spec's row of the protocol table (:data:`PROTOCOLS`)."""
         return PROTOCOLS[self.protocol]
+
+    @property
+    def adversary_kind(self) -> str:
+        """The kind of the spec's adversary: a key of :data:`ADVERSARIES`."""
+        return self.adversary.split(":")[0]
 
     @property
     def assumed_t(self) -> int:
@@ -716,8 +622,174 @@ PROTOCOLS: Dict[str, SpecProtocol] = {
     ),
 }
 
-#: Each protocol-owned spec field, mapped to the protocol that owns it.
-_FIELD_OWNERS = {field: name for name, entry in PROTOCOLS.items() for field in entry.owns}
+
+# ----------------------------------------------------------------------
+# The adversary and scheduler tables
+# ----------------------------------------------------------------------
+
+
+class _Context(NamedTuple):
+    """What a grammar row's builder reads besides its own arguments."""
+
+    n: int = 0
+    t: int = 0
+    corrupt: Optional[Sequence[int]] = None
+    seed: int = 0
+    chaos_script: Optional[Sequence[Tuple[int, int, str]]] = None
+
+
+@dataclass(frozen=True)
+class GrammarKind:
+    """What one adversary or scheduler kind is: its row of
+    :data:`ADVERSARIES` or :data:`SCHEDULERS`, which every layer reads
+    instead of comparing kind names.  A spec string is the kind's name
+    followed by up to ``len(args)`` integers: ``KIND[:ARG[:ARG]]``."""
+
+    #: ``build(context, *args)``: the synchronous adversary, or the scheduler.
+    build: Callable[..., Any]
+    #: The integer arguments, by name, with their defaults: an int, or a
+    #: function of the :class:`_Context` (the spec's seed, its ``n``).
+    args: Tuple[Tuple[str, Any], ...] = ()
+    #: The :mod:`repro.asynchrony` adversary (``None``: synchronous only).
+    build_async: Optional[Callable[..., Any]] = None
+    #: Spec fields only this kind reads (others keep the defaults).
+    owns: Tuple[str, ...] = ()
+    #: The flywheel stream's and campaigns' seeded argument draw, ``(rng, n)``.
+    draw: Callable[[random.Random, int], Tuple[int, ...]] = lambda rng, n: ()
+    #: The kind controls the parties of a spec's ``corrupt`` set.
+    corrupts: bool = True
+    #: ``repro campaign`` samples it (adversaries only).
+    campaign: bool = False
+
+    def usage(self, kind: str) -> str:
+        """The kind's grammar, e.g. ``crash[:ROUND[:PARTIAL_TO]]``."""
+        return kind + "".join(f"[:{name}" for name, _ in self.args) + "]" * len(self.args)
+
+    def spell(self, kind: str, rng: random.Random, n: int) -> str:
+        """A spec string of the kind with seeded arguments (:attr:`draw`)."""
+        return ":".join((kind, *map(str, self.draw(rng, n))))
+
+    def call(self, build: Callable[..., Any], args: Tuple[int, ...], context: _Context) -> Any:
+        """``build`` on *args*, the missing trailing ones at their defaults."""
+        defaults = (d(context) if callable(d) else d for _, d in self.args[len(args):])
+        return build(context, *args, *defaults)
+
+
+def parse_kind(
+    table: Dict[str, GrammarKind], what: str, text: str
+) -> Tuple[str, GrammarKind, Tuple[int, ...]]:
+    """``(kind, row, args)`` of a spec string, validated as data: an
+    unknown kind, an extra argument or a non-integer one is a
+    :class:`SpecError`."""
+    kind, *parts = text.split(":")
+    row = table.get(kind)
+    if row is None:
+        raise SpecError(f"unknown {what} {text!r}")
+    try:
+        args = tuple(int(part) for part in parts)
+        if len(args) <= len(row.args):
+            return kind, row, args
+    except ValueError:
+        pass
+    raise SpecError(f"malformed {what} spec {text!r}: expected {row.usage(kind)}")
+
+
+def _module(name: str) -> Any:
+    """A ``repro`` module of adversaries or schedulers, imported on first build."""
+    return importlib.import_module(f"..{name}", __package__)
+
+
+def _strategy(module: str, name: str) -> Callable[..., Any]:
+    """A builder of ``repro.<module>.<name>``: the row's arguments by
+    position, the spec's corrupted set by keyword."""
+    return lambda c, *args: getattr(_module(module), name)(*args, corrupt=c.corrupt)
+
+
+def _burn(direction: str) -> Callable[..., Any]:
+    """A builder of the burn attack: one burner in each of ``t`` iterations."""
+    return lambda c: _module("adversary.realaa_attacks").BurnScheduleAdversary(
+        [1] * c.t, corrupt=c.corrupt, direction=direction
+    )
+
+
+def _draw_seed(rng: random.Random, n: int) -> Tuple[int, ...]:
+    return (rng.randint(0, 9999),)
+
+
+#: A seed argument, defaulting to the spec's ``seed``.
+_SEED = ("SEED", lambda context: context.seed)
+
+#: The adversary table: one row per kind an ``adversary`` spec string
+#: names.  Adding a kind is adding a row.
+ADVERSARIES: Dict[str, GrammarKind] = {
+    "none": GrammarKind(
+        build=lambda c: None, build_async=lambda c: None, corrupts=False, campaign=True
+    ),
+    "silent": GrammarKind(
+        build=_strategy("adversary", "SilentAdversary"),
+        build_async=_strategy("asynchrony", "AsyncSilentAdversary"),
+        campaign=True,
+    ),
+    "passive": GrammarKind(
+        build=_strategy("adversary", "PassiveAdversary"),
+        build_async=_strategy("asynchrony", "AsyncPassiveAdversary"),
+        campaign=True,
+    ),
+    "noise": GrammarKind(
+        args=(_SEED,),
+        build=_strategy("adversary", "RandomNoiseAdversary"),
+        build_async=_strategy("asynchrony", "AsyncNoiseAdversary"),
+        draw=_draw_seed,
+        campaign=True,
+    ),
+    "crash": GrammarKind(
+        args=(("ROUND", 1), ("PARTIAL_TO", 0)),
+        build=_strategy("adversary", "CrashAdversary"),
+        draw=lambda rng, n: (rng.randint(0, 4), rng.randint(0, 4)),
+        campaign=True,
+    ),
+    "chaos": GrammarKind(
+        args=(_SEED,),
+        build=lambda c, seed: _module("adversary").ChaosAdversary(
+            seed, corrupt=c.corrupt, script=c.chaos_script
+        ),
+        owns=("chaos_script",),
+        draw=_draw_seed,
+        campaign=True,
+    ),
+    "burn": GrammarKind(build=_burn("up")),
+    "burn-down": GrammarKind(build=_burn("down")),
+    "asym": GrammarKind(build=_strategy("adversary.realaa_attacks", "AsymmetricTrustAdversary")),
+}
+
+#: The scheduler table: one row per kind an ``async-real-aa`` spec's
+#: ``scheduler`` names (``split``: parties ``0..K-1`` against the rest;
+#: ``delay``: hold back the first ``K`` senders).
+SCHEDULERS: Dict[str, GrammarKind] = {
+    "fifo": GrammarKind(build=lambda c: _module("asynchrony").FIFOScheduler()),
+    "random": GrammarKind(
+        args=(_SEED,),
+        build=lambda c, seed: _module("asynchrony").RandomScheduler(seed),
+        draw=_draw_seed,
+    ),
+    "split": GrammarKind(
+        args=(("K", lambda c: max(1, c.n // 2)),),
+        build=lambda c, k: _module("asynchrony").SplitScheduler(list(range(min(k, c.n)))),
+        draw=lambda rng, n: (rng.randint(1, max(1, n - 1)),),
+    ),
+    "delay": GrammarKind(
+        args=(("K", 1),),
+        build=lambda c, k: _module("asynchrony").DelaySendersScheduler(list(range(min(k, c.n)))),
+        draw=lambda rng, n: (rng.randint(1, max(1, n // 2)),),
+    ),
+}
+
+#: Each owned spec field: the spec attribute naming its owner, the owner
+#: (a protocol or an adversary kind), and what the owner is.
+_FIELD_OWNERS = {
+    **{f: ("protocol", name, "specs") for name, row in PROTOCOLS.items() for f in row.owns},
+    **{f: ("adversary_kind", k, "adversaries") for k, row in ADVERSARIES.items() for f in row.owns},
+}
 
 
 def run_with_adversary(
@@ -770,7 +842,7 @@ def _spec_row(spec: ScenarioSpec, outcome: Any) -> Dict[str, Any]:
         "n": spec.n,
         "t": spec.t,
         "backend": spec.backend,
-        "adversary": spec.adversary.split(":")[0],
+        "adversary": spec.adversary_kind,
         "rounds": outcome.rounds,
         "ok": outcome.achieved_aa,
         "verdicts": {

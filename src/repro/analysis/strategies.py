@@ -30,6 +30,7 @@ import random
 from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..trees import LabeledTree, tree_from_pruefer
+from .spec import ADVERSARIES, PROTOCOLS, ScenarioSpec
 
 try:  # Hypothesis is a test/dev dependency, not a runtime requirement.
     from hypothesis import strategies as st
@@ -82,7 +83,7 @@ def _draw_tree_spec(rng: random.Random) -> str:
     return f"random:{rng.randint(4, 12)}:{rng.randint(0, 999)}"
 
 
-def _draw_adversary_spec(rng: random.Random, t: int) -> str:
+def _draw_adversary_spec(rng: random.Random, t: int, n: int) -> str:
     """An adversary spec string; mostly batch-replayable, occasionally not.
 
     Reference-only adversaries (``noise``/``asym``) appear with ~1/8
@@ -91,18 +92,12 @@ def _draw_adversary_spec(rng: random.Random, t: int) -> str:
     """
     if rng.random() < 0.125:
         kind = rng.choice(("noise", "asym"))
-        if kind == "noise":
-            return f"noise:{rng.randint(0, 9999)}"
-        return "asym"
-    menu = ["none", "silent", "passive", "crash", "chaos"]
-    if t >= 1:
-        menu += ["burn", "burn-down"]
-    kind = rng.choice(menu)
-    if kind == "crash":
-        return f"crash:{rng.randint(0, 4)}:{rng.randint(0, 4)}"
-    if kind == "chaos":
-        return f"chaos:{rng.randint(0, 9999)}"
-    return kind
+    else:
+        menu = ["none", "silent", "passive", "crash", "chaos"]
+        if t >= 1:
+            menu += ["burn", "burn-down"]
+        kind = rng.choice(menu)
+    return ADVERSARIES[kind].spell(kind, rng, n)
 
 
 def draw_flywheel_spec(rng: random.Random) -> Any:
@@ -115,14 +110,12 @@ def draw_flywheel_spec(rng: random.Random) -> Any:
     engine.  ``record=True`` appears on ~1/8 of points to feed the
     metrics-row parity oracle.
     """
-    from .spec import PROTOCOLS, ScenarioSpec
-
     # A literal, weighted draw: the stream digest pins this RNG sequence.
     protocol = rng.choice(("real-aa", "path-aa", "tree-aa", "tree-aa"))
     entry = PROTOCOLS[protocol]
     t = rng.randint(0, FLYWHEEL_MAX_T)
     n = rng.randint(3 * t + 2, max(FLYWHEEL_MAX_N, 3 * t + 2))
-    adversary = _draw_adversary_spec(rng, t)
+    adversary = _draw_adversary_spec(rng, t, n)
     corrupt: Tuple[int, ...] = ()
     if t and rng.random() < 0.5:
         corrupt = tuple(sorted(rng.sample(range(n), rng.randint(1, t))))
@@ -316,8 +309,6 @@ if st is not None:
         burn schedules require ``t >= 1``, and sizes stay small enough for
         property-test budgets.
         """
-        from .spec import PROTOCOLS, ScenarioSpec
-
         protocol = draw(st.sampled_from(["real-aa", "path-aa", "tree-aa"]))
         entry = PROTOCOLS[protocol]
         backend = draw(backends())

@@ -141,10 +141,12 @@ def _random_seed(spec: str) -> int:
 
 
 def pick_inputs(tree: LabeledTree, spec: str, n: int) -> List:
-    """Parse ``--inputs``: a comma list of labels, or ``random[:SEED]``."""
+    """Parse ``--inputs``: a comma list of labels, or ``random[:SEED]``,
+    the spread a tree spec with ``inputs=None`` and that seed draws."""
     if spec.startswith("random"):
-        rng = random.Random(_random_seed(spec))
-        return [rng.choice(tree.vertices) for _ in range(n)]
+        from .analysis.sweep import spread_inputs
+
+        return spread_inputs(tree, n, random.Random(_random_seed(spec)))
     labels = [label.strip() for label in spec.split(",") if label.strip()]
     if len(labels) != n:
         raise CLIError(f"need exactly n={n} inputs, got {len(labels)}")
@@ -168,24 +170,27 @@ def _read_json(path: str, what: str = "") -> Any:
 
 def _spec(args: argparse.Namespace, protocol: str, **fields: Any) -> ScenarioSpec:
     """The spec of a run verb's flags, by the protocol's input kind: tree
-    protocols read ``--tree``, ``--n`` and labels or ``random[:SEED]`` from
-    ``--inputs``; real ones read ``--epsilon`` and reals or, where the verb
-    has ``--n``, ``random[:SEED]`` (seed-derived inputs for ``--n``
-    parties).  Both read ``--t`` and ``--adversary``."""
+    protocols read ``--tree`` and labels from ``--inputs``, real ones
+    ``--epsilon`` and reals.  Where the verb has ``--n``, ``--inputs
+    random[:SEED]`` means the spec's seed-derived inputs for ``--n``
+    parties.  Both read ``--t`` and ``--adversary``."""
     n = getattr(args, "n", None)
-    if PROTOCOLS[protocol].on_tree:
+    on_tree = PROTOCOLS[protocol].on_tree
+    if on_tree:
         if not args.tree:
             raise CLIError(f"--tree is required for {protocol} traces")
-        fields.update(
-            tree=args.tree, inputs=tuple(pick_inputs(parse_tree_spec(args.tree), args.inputs, n))
-        )
-    elif n is not None and args.inputs.startswith("random"):
-        fields.update(seed=_random_seed(args.inputs), epsilon=args.epsilon)
+        fields.update(tree=args.tree)
+    else:
+        fields.update(epsilon=args.epsilon)
+    if n is not None and args.inputs.startswith("random"):
+        fields.update(seed=_random_seed(args.inputs))
+    elif on_tree:
+        fields.update(inputs=tuple(pick_inputs(parse_tree_spec(args.tree), args.inputs, n)))
     else:
         with user_errors(ValueError, prefix="malformed inputs: "):
             inputs = tuple(float(x) for x in args.inputs.split(","))
         n = len(inputs)
-        fields.update(inputs=inputs, epsilon=args.epsilon)
+        fields.update(inputs=inputs)
     return ScenarioSpec(
         protocol=protocol,
         n=n,

@@ -12,8 +12,8 @@ plants make every party's view unique.
 configurations.  It keeps the *honest* protocol state as dense ``(n,)`` /
 ``(n, n)`` NumPy arrays (values, BAD matrix, delivery masks, echo/support
 count matrices) and updates them with array reductions, while driving the
-*adversary* organically: a fresh strategy instance is rebuilt from its
-:class:`~repro.engine.spec.BatchAdversarySpec` parameters, handed real
+*adversary* organically: a fresh strategy instance is built by its
+:class:`~repro.engine.spec.BatchAdversarySpec`'s ``fresh``, handed real
 puppet party objects, and asked for its Byzantine traffic each round —
 replaying the exact RNG draw sequence of a fresh reference run.  A real
 :class:`~repro.net.faults.FaultInjector` is stepped in the reference's
@@ -62,66 +62,7 @@ from .kernel import (
     PartyClass,
     RealAAPhaseResult,
 )
-from .spec import (
-    KIND_BURN,
-    KIND_CHAOS,
-    KIND_CRASH,
-    KIND_NONE,
-    KIND_PASSIVE,
-    KIND_SILENT,
-    BatchAdversarySpec,
-)
-
-
-def _build_adversary(spec: Optional[BatchAdversarySpec]) -> Optional[Any]:
-    """A fresh adversary instance replaying *spec* (``None`` = fault-free).
-
-    The caller's adversary object has already consumed RNG draws (and may
-    have run under the reference engine first); rebuilding from the spec's
-    constructor parameters reproduces the draw stream of a fresh run,
-    which is what the reference engine sees.
-    """
-    if spec is None or spec.kind == KIND_NONE:
-        return None
-    corrupt = None if spec.corrupted is None else sorted(spec.corrupted)
-    if spec.kind == KIND_SILENT:
-        from ..adversary.strategies import SilentAdversary
-
-        return SilentAdversary(corrupt=corrupt)
-    if spec.kind == KIND_PASSIVE:
-        from ..adversary.base import PassiveAdversary
-
-        return PassiveAdversary(corrupt=corrupt)
-    if spec.kind == KIND_CRASH:
-        from ..adversary.strategies import CrashAdversary
-
-        return CrashAdversary(
-            spec.crash_round, partial_to=spec.partial_to, corrupt=corrupt
-        )
-    if spec.kind == KIND_CHAOS:
-        from ..adversary.chaos import ChaosAdversary
-
-        params = spec.param_dict()
-        script = params.get("script")
-        return ChaosAdversary(
-            seed=params.get("seed", 0),
-            weights=dict(params.get("weights") or ()),
-            corrupt=corrupt,
-            script=None if script is None else list(script),
-        )
-    if spec.kind == KIND_BURN:
-        from ..adversary.realaa_attacks import BurnScheduleAdversary
-
-        params = spec.param_dict()
-        return BurnScheduleAdversary(
-            list(params.get("schedule") or ()),
-            corrupt=corrupt,
-            direction=params["direction"],
-            reuse_burners=params["reuse_burners"],
-        )
-    raise UnsupportedBackendError(
-        f"no dense replay for adversary kind {spec.kind!r}"
-    )
+from .spec import BatchAdversarySpec
 
 
 def _hashable(value: Any) -> bool:
@@ -178,7 +119,7 @@ class DenseExecution:
         self.injector: Optional[FaultInjector] = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
-        self.adversary = _build_adversary(spec)
+        self.adversary = None if spec is None else spec.fresh()
         self._register_corruptions(party_factory)
         self._honest_ids = [
             pid for pid in range(n) if pid not in self.corrupted

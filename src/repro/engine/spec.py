@@ -9,10 +9,10 @@ Python objects, so each supported strategy instead *describes itself* as a
 equivocate, so each party (honest or corrupted) either broadcasts its
 faithful protocol message to a deterministic recipient set or stays
 silent, which is what lets the kernel collapse parties into classes
-(:mod:`repro.engine.kernel`).  The equivocating kinds (chaos, burn)
-carry their constructor parameters instead; the dense engine
-(:mod:`repro.engine.dense`) rebuilds the adversary from them and replays
-it organically against puppet party objects.
+(:mod:`repro.engine.kernel`).  Every spec also carries a ``fresh``
+constructor; the dense engine (:mod:`repro.engine.dense`), which the
+equivocating kinds (chaos, burn) and fault plans route to, replays the
+instance it builds organically against puppet party objects.
 
 This module is NumPy-free on purpose: adversary modules import it lazily
 to build their specs, and must not drag the array stack into executions
@@ -21,8 +21,8 @@ that never use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, FrozenSet, Optional
 
 from .errors import UnsupportedBackendError
 
@@ -38,13 +38,11 @@ KIND_PASSIVE = "passive"
 KIND_CRASH = "crash"
 #: Seeded per-round behaviour sampling (or a fixed script) per corrupted
 #: party — :class:`~repro.adversary.chaos.ChaosAdversary` replayed
-#: deterministically.  ``params`` carries ``seed`` / ``weights`` /
-#: ``script``.  Dense-engine only: chaos payloads equivocate (stale /
-#: junk / mirror), which breaks the class-collapse invariant.
+#: deterministically.  Dense-engine only: chaos payloads equivocate
+#: (stale / junk / mirror), which breaks the class-collapse invariant.
 KIND_CHAOS = "chaos"
 #: The RealAA burn attack — equivocating value plants per iteration
 #: (:class:`~repro.adversary.realaa_attacks.BurnScheduleAdversary`).
-#: ``params`` carries ``schedule`` / ``direction`` / ``reuse_burners``.
 #: Dense-engine only, for the same reason as :data:`KIND_CHAOS`.
 KIND_BURN = "burn"
 
@@ -53,6 +51,10 @@ _KINDS = (KIND_NONE, KIND_SILENT, KIND_PASSIVE, KIND_CRASH, KIND_CHAOS, KIND_BUR
 #: Kinds whose parties never equivocate — replayable by the class-collapse
 #: kernel.  The remaining kinds route to the dense per-party engine.
 CLASS_KINDS = frozenset((KIND_NONE, KIND_SILENT, KIND_PASSIVE, KIND_CRASH))
+
+
+def _no_adversary() -> None:
+    return None
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,18 @@ class BatchAdversarySpec:
     matter for :data:`KIND_CRASH` and mirror
     :class:`~repro.adversary.strategies.CrashAdversary` exactly.
 
-    ``params`` is the kind-specific constructor payload for the dense
-    kinds (:data:`KIND_CHAOS` / :data:`KIND_BURN`), stored as a tuple of
-    ``(name, value)`` pairs so the spec stays hashable and this module
-    stays NumPy-free.  The dense engine reconstructs a *fresh* adversary
-    instance from these parameters — replaying the strategy's RNG draws
-    from the seed instead of sharing the caller's (already consumed)
-    instance state.
+    ``fresh`` builds a new instance of the strategy from its constructor
+    arguments as they were when ``batch_spec()`` was called (``None``
+    for :data:`KIND_NONE`).  The dense engine replays that instance —
+    the strategy's RNG draws from the seed — instead of sharing the
+    caller's (already consumed) instance state.
     """
 
     kind: str = KIND_NONE
     corrupted: Optional[FrozenSet[int]] = None
     crash_round: int = 0
     partial_to: int = 0
-    params: Optional[Tuple[Tuple[str, Any], ...]] = None
+    fresh: Callable[[], Optional[Any]] = field(default=_no_adversary, compare=False, repr=False)
 
     def requested_corruptions(self, n: int, t: int) -> FrozenSet[int]:
         """The ids this spec corrupts among ``n`` parties under budget ``t``."""
@@ -87,10 +87,6 @@ class BatchAdversarySpec:
         if self.corrupted is not None:
             return self.corrupted
         return frozenset(range(n - t, n))
-
-    def param_dict(self) -> dict:
-        """``params`` as a plain dict (empty when no params were given)."""
-        return dict(self.params) if self.params else {}
 
     def __post_init__(self) -> None:
         """Reject kinds the kernel does not implement (a harness bug)."""

@@ -50,6 +50,8 @@ from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.spec import ScenarioSpec, SpecError, execute_spec_point
+from ..engine.errors import UnsupportedBackendError
+from ..engine.spec import resolve_batch_spec
 from ..resilience.oracles import Violation, evaluate
 from ..resilience.scenario import ScenarioResult, run_scenario
 
@@ -61,10 +63,6 @@ FLYWHEEL_ORACLES = (
     "cross-protocol",
     "round-bound",
 )
-
-#: Adversary kinds only the reference engine accepts — their points skip
-#: the differential oracles (and say so in the row).
-REFERENCE_ONLY_ADVERSARIES = frozenset({"noise", "asym"})
 
 #: One engine's run: ``("ok", row)`` or ``("error", type name, message)``.
 Side = Tuple[Any, ...]
@@ -92,11 +90,18 @@ def resolve_perturb(path: Optional[str]) -> Optional[Callable[[Dict[str, Any]], 
 
 
 def batch_replayable(spec: ScenarioSpec) -> bool:
-    """Whether the batch engine supports this spec's protocol and adversary."""
-    return (
-        spec.entry.batch
-        and spec.adversary.split(":")[0] not in REFERENCE_ONLY_ADVERSARIES
-    )
+    """Whether the batch engine supports this spec: its protocol row has
+    a batch engine and its adversary declares a ``batch_spec()``.  Points
+    that are not skip the differential oracles (and say so in the row)."""
+    if not spec.entry.batch:
+        return False
+    try:
+        resolve_batch_spec(spec.make_adversary())
+    except UnsupportedBackendError:
+        return False
+    except ValueError:  # both engines refuse to build it alike
+        return True
+    return True
 
 
 def _run_side(

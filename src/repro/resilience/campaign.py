@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.spec import ASYNC_ADVERSARIES, PROTOCOLS, ScenarioSpec
+from ..analysis.spec import ADVERSARIES, PROTOCOLS, SCHEDULERS, ScenarioSpec
 from ..trees import parse_tree_spec
 
 #: Protocols a campaign samples from: the protocol table's ``campaign``
@@ -27,7 +27,8 @@ from ..trees import parse_tree_spec
 #: generator does not draw).
 CAMPAIGN_PROTOCOLS = tuple(name for name, entry in PROTOCOLS.items() if entry.campaign)
 
-#: Adversary kinds a campaign samples for synchronous specs.
+#: Adversary kinds a campaign samples for synchronous specs: the
+#: ``campaign`` rows of the adversary table, in draw-menu order.
 SYNC_ADVERSARIES = ("none", "passive", "silent", "noise", "crash", "chaos")
 
 
@@ -50,7 +51,7 @@ class CampaignConfig:
     #: Adversary kinds to sample from (filtered per protocol).
     adversaries: Tuple[str, ...] = SYNC_ADVERSARIES
     #: Scheduler kinds for async scenarios.
-    schedulers: Tuple[str, ...] = ("fifo", "random", "split", "delay")
+    schedulers: Tuple[str, ...] = tuple(SCHEDULERS)
     #: Tree families for tree-aa scenarios.
     tree_families: Tuple[str, ...] = ("path", "star", "caterpillar", "random")
     #: Party counts are drawn from this inclusive range.
@@ -79,12 +80,16 @@ class CampaignConfig:
             )
         if not self.protocols:
             raise ValueError("at least one protocol required")
-        unknown = sorted(set(self.protocols) - set(CAMPAIGN_PROTOCOLS))
-        if unknown:
-            raise ValueError(
-                f"campaigns cannot sample protocols {unknown}; "
-                f"choose from {list(CAMPAIGN_PROTOCOLS)}"
-            )
+        for field, known in (
+            ("protocols", list(CAMPAIGN_PROTOCOLS)),
+            ("adversaries", [kind for kind, row in ADVERSARIES.items() if row.campaign]),
+            ("schedulers", list(SCHEDULERS)),
+        ):
+            unknown = sorted(set(getattr(self, field)) - set(known))
+            if unknown:
+                raise ValueError(
+                    f"campaigns cannot sample {field} {unknown}; choose from {known}"
+                )
         if self.max_fault_probability > 0 and not self.allow_model_violations:
             raise ValueError(
                 "fault plans require allow_model_violations=True "
@@ -106,26 +111,16 @@ def _sample_tree(rng: random.Random, family: str) -> str:
 
 
 def _sample_adversary(
-    rng: random.Random, kinds: Sequence[str], is_async: bool
+    rng: random.Random, kinds: Sequence[str], is_async: bool, n: int
 ) -> str:
     """An adversary spec string, with seeded parameters where relevant."""
     menu = [
-        kind
-        for kind in kinds
-        if kind in (ASYNC_ADVERSARIES if is_async else SYNC_ADVERSARIES)
+        kind for kind in kinds if not is_async or ADVERSARIES[kind].build_async is not None
     ]
     if not menu:
         return "none"
     kind = rng.choice(menu)
-    if kind == "noise":
-        return f"noise:{rng.randint(0, 9999)}"
-    if kind == "chaos":
-        return f"chaos:{rng.randint(0, 9999)}"
-    if kind == "crash":
-        crash_round = rng.randint(0, 4)
-        partial_to = rng.randint(0, 4)
-        return f"crash:{crash_round}:{partial_to}"
-    return kind
+    return ADVERSARIES[kind].spell(kind, rng, n)
 
 
 def _sample_fault_plan(
@@ -167,8 +162,8 @@ def generate_scenarios(config: CampaignConfig) -> List[ScenarioSpec]:
         else:
             n_corrupt = min(n - 1, round(config.corruption_ratio * n))
         corrupt = tuple(sorted(rng.sample(range(n), n_corrupt)))
-        adversary = _sample_adversary(rng, config.adversaries, is_async)
-        if adversary == "none":
+        adversary = _sample_adversary(rng, config.adversaries, is_async, n)
+        if not ADVERSARIES[adversary.split(":")[0]].corrupts:
             corrupt = ()
         tree: Optional[str] = None
         inputs: Tuple[Any, ...]
@@ -214,10 +209,4 @@ def _sample_scheduler(
 ) -> str:
     """A scheduler spec for an async campaign spec."""
     kind = rng.choice(list(kinds)) if kinds else "fifo"
-    if kind == "random":
-        return f"random:{rng.randint(0, 9999)}"
-    if kind == "split":
-        return f"split:{rng.randint(1, max(1, n - 1))}"
-    if kind == "delay":
-        return f"delay:{rng.randint(1, max(1, n // 2))}"
-    return "fifo"
+    return SCHEDULERS[kind].spell(kind, rng, n)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Tuple
 
-from ..analysis.spec import ScenarioSpec
+from ..analysis.spec import ADVERSARIES, ScenarioSpec
 from ..trees import parse_tree_spec
 from .oracles import evaluate, violated_oracles
 from .scenario import execute_scenario
@@ -229,7 +229,7 @@ def _capture_chaos_script(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
     Returns the scripted spec if the run violates anything, else ``None``
     (an adaptive failure the replay cannot capture).
     """
-    if not spec.adversary.startswith("chaos"):
+    if "chaos_script" not in ADVERSARIES[spec.adversary_kind].owns:
         return None
     if spec.chaos_script is not None:
         return None

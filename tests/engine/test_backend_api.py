@@ -30,7 +30,7 @@ import pytest
 from repro.adversary.base import Adversary, NoAdversary
 from repro.adversary.chaos import ChaosAdversary
 from repro.adversary.realaa_attacks import BurnScheduleAdversary
-from repro.adversary.strategies import RandomNoiseAdversary, SilentAdversary
+from repro.adversary.strategies import CrashAdversary, RandomNoiseAdversary, SilentAdversary
 from repro.analysis.parallel import run_grid
 from repro.analysis.spec import ScenarioSpec, spec_cache_key
 from repro.core.api import run_path_aa, run_real_aa, run_tree_aa
@@ -510,6 +510,25 @@ class TestUnsupportedFeatures:
         assert isinstance(spec, BatchAdversarySpec)
         assert spec.kind == "none"
         assert spec.corrupted == frozenset()
+
+    def test_fresh_snapshots_the_constructor_arguments(self):
+        adversary = CrashAdversary(2, partial_to=1, corrupt={3})
+        spec = resolve_batch_spec(adversary)
+        adversary.crash_round = 9
+        replay = spec.fresh()
+        assert type(replay) is CrashAdversary and replay is not adversary
+        assert (replay.crash_round, replay.partial_to) == (2, 1)
+        assert replay._requested == {3}
+
+    def test_fresh_replays_the_draw_stream_from_the_seed(self):
+        adversary = ChaosAdversary(seed=5, weights={"junk": 3.0}, corrupt=[1])
+        spec = resolve_batch_spec(adversary)
+        adversary._rng.random()  # a run consumed the caller's stream
+        assert spec.fresh()._rng.random() == ChaosAdversary(seed=5)._rng.random()
+        assert spec.fresh()._weights == adversary._weights
+
+    def test_fault_free_spec_replays_no_adversary(self):
+        assert resolve_batch_spec(NoAdversary()).fresh() is None
 
 
 class TestSweepCacheBackendIdentity:

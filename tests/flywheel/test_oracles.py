@@ -72,6 +72,14 @@ class TestHealthyPoints:
         # The reference-side oracles still ran.
         assert row["oracles"]["execution"]["status"] == "ok"
 
+    def test_adversary_that_fails_to_build_fails_alike_on_both_engines(self):
+        # crash:-1 is well-formed grammar that CrashAdversary refuses.
+        spec = tree_spec(adversary="crash:-1")
+        assert batch_replayable(spec)
+        row = evaluate_point(spec)
+        assert diverging_oracles(row) == ("execution",)
+        assert row["oracles"]["backend-parity"]["status"] == "ok"
+
     def test_row_carries_the_reference_outcome(self):
         row = evaluate_point(tree_spec())
         assert row["rounds"] >= 1

@@ -59,6 +59,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="path-aa"):
             CampaignConfig(protocols=("real-aa", "path-aa"))
 
+    @pytest.mark.parametrize("kind", ["gremlin", "burn", "asym"])
+    def test_adversaries_without_a_campaign_row_rejected(self, kind):
+        # Filtering them out instead would run every point adversary-free.
+        with pytest.raises(ValueError, match=f"adversaries \\['{kind}'\\]; choose from"):
+            CampaignConfig(adversaries=("silent", kind))
+
+    def test_unknown_schedulers_rejected(self):
+        with pytest.raises(ValueError, match="schedulers \\['psychic'\\]"):
+            CampaignConfig(schedulers=("fifo", "psychic"))
+
     def test_fault_plans_need_the_explicit_gate(self):
         with pytest.raises(ValueError, match="allow_model_violations"):
             CampaignConfig(max_fault_probability=0.2)
@@ -69,6 +79,14 @@ class TestGeneration:
     def test_generation_is_deterministic(self):
         config = CampaignConfig(count=40, seed=7)
         assert generate_scenarios(config) == generate_scenarios(config)
+
+    def test_flagship_campaign_digest_is_unchanged(self):
+        """The campaign draws read the grammar tables; their RNG sequence
+        is pinned like the flywheel stream's."""
+        specs = generate_scenarios(CampaignConfig(count=200, seed=FLAGSHIP_SEED))
+        assert specs_digest(specs) == (
+            "d28d6d1443330f747c674c5a1aa5d4b180cd3de184498ae264dffe45ccc8c894"
+        )
 
     def test_different_seeds_differ(self):
         a = generate_scenarios(CampaignConfig(count=40, seed=1))

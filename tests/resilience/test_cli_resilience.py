@@ -69,6 +69,14 @@ class TestCampaignCommand:
         assert code == 2
         assert "allow_model_violations" in capsys.readouterr().err
 
+    def test_adversaries_without_a_campaign_row_exit_two(self, capsys):
+        # A clean exit would pass the gate while testing no adversary.
+        code = main(["campaign", "--count", "2", "--adversaries", "gremlin"])
+        assert code == 2
+        assert "cannot sample adversaries ['gremlin']; choose from" in (
+            capsys.readouterr().err
+        )
+
 
 class TestShrinkCommand:
     def test_shrink_prints_report_and_minimal_json(self, capsys, tmp_path):

@@ -279,9 +279,8 @@ class TestExecution:
     def test_malformed_scenario_still_raises(self):
         with pytest.raises(SpecError):
             ScenarioSpec(protocol="real-aa", n=2, t=0, inputs=(1.0,))
-        bad_args = real_spec(adversary="noise:x")
         with pytest.raises(SpecError, match="malformed adversary"):
-            execute_scenario(bad_args)
+            real_spec(adversary="noise:x")
 
     @pytest.mark.parametrize(
         "tree, message",

@@ -77,6 +77,21 @@ class TestErrors:
         with pytest.raises(PlanError):
             plan_points({"points": [{"protocol": "magic", "n": 3, "t": 0}]})
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"adversary": "crash:x"},
+            {"adversary": "silent:5"},
+            {"adversary": "silent", "chaos_script": [[0, 1, "junk"]]},
+            {"protocol": "async-real-aa", "scheduler": "split:x"},
+            {"protocol": "async-real-aa", "scheduler": "fifo:9"},
+        ],
+    )
+    def test_malformed_grammar_is_a_plan_error(self, fields):
+        """Refused at planning (HTTP 400), not queued for a worker to fail."""
+        with pytest.raises(PlanError, match="applies to|malformed"):
+            plan_points({"points": [dict(BASE, **fields)]})
+
     @pytest.mark.parametrize("shape", ["points", "grid"])
     def test_file_trees_are_rejected(self, tmp_path, shape):
         # A worker would open the named path on the server, and the cache

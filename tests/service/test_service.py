@@ -247,6 +247,14 @@ class TestErrors:
         assert excinfo.value.status == 400
         assert "file trees" in str(excinfo.value)
 
+    def test_malformed_adversary_is_400(self, client):
+        # Refused at submission: queued, the point could only fail in the worker.
+        spec = {"protocol": "real-aa", "n": 4, "t": 1, "adversary": "crash:x"}
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit({"points": [spec]})
+        assert excinfo.value.status == 400
+        assert "malformed adversary spec 'crash:x'" in str(excinfo.value)
+
     def test_bad_filter_field_is_400(self, client):
         with pytest.raises(ServiceClientError) as excinfo:
             client.query(colour="red")

@@ -117,6 +117,52 @@ class TestValidation:
         with pytest.raises(SpecError):
             ScenarioSpec(protocol="real-aa", n=3, t=0, adversary="gremlin")
 
+    @pytest.mark.parametrize(
+        "adversary, message",
+        [
+            ("crash:x", "malformed adversary spec 'crash:x': expected crash[:ROUND[:PARTIAL_TO]]"),
+            (
+                "crash:1:2:3",
+                "malformed adversary spec 'crash:1:2:3': expected crash[:ROUND[:PARTIAL_TO]]",
+            ),
+            ("silent:5", "malformed adversary spec 'silent:5': expected silent"),
+            ("burn:3", "malformed adversary spec 'burn:3': expected burn"),
+            ("noise:", "malformed adversary spec 'noise:': expected noise[:SEED]"),
+            ("split:x", "unknown adversary 'split:x'"),
+        ],
+    )
+    def test_malformed_adversary_grammar(self, adversary, message):
+        """Extra or non-integer arguments are refused as data, not run as
+        if absent or failed at execution."""
+        with pytest.raises(SpecError) as caught:
+            ScenarioSpec(protocol="real-aa", n=4, t=1, adversary=adversary)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "scheduler, message",
+        [
+            ("fifo:9", "malformed scheduler spec 'fifo:9': expected fifo"),
+            ("random:1:2", "malformed scheduler spec 'random:1:2': expected random[:SEED]"),
+            ("split:x", "malformed scheduler spec 'split:x': expected split[:K]"),
+            ("psychic", "unknown scheduler 'psychic'"),
+        ],
+    )
+    def test_malformed_scheduler_grammar(self, scheduler, message):
+        with pytest.raises(SpecError) as caught:
+            ScenarioSpec(protocol="async-real-aa", n=4, t=1, scheduler=scheduler)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "protocol, adversary",
+        [("real-aa", "silent"), ("real-aa", "crash:2"), ("async-real-aa", "noise")],
+    )
+    def test_chaos_script_belongs_to_chaos(self, protocol, adversary):
+        script = ((0, 3, "junk"),)
+        ScenarioSpec(protocol="real-aa", n=4, t=1, adversary="chaos:1", chaos_script=script)
+        kind = adversary.split(":")[0]
+        with pytest.raises(SpecError, match=f"applies to chaos adversaries only, not {kind}"):
+            ScenarioSpec(protocol=protocol, n=4, t=1, adversary=adversary, chaos_script=script)
+
     def test_unknown_trace_level(self):
         with pytest.raises(SpecError):
             ScenarioSpec(protocol="real-aa", n=3, t=0, trace_level="verbose")

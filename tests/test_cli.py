@@ -8,6 +8,7 @@ import tempfile
 import pytest
 
 from repro.analysis import SpecError
+from repro.analysis.spec import ScenarioSpec
 from repro.cli import (
     CLIError,
     build_parser,
@@ -123,6 +124,12 @@ class TestInputs:
         inputs = pick_inputs(tree, "random:3", 7)
         assert len(inputs) == 7
         assert all(v in tree for v in inputs)
+
+    def test_random_inputs_are_the_tree_specs_draw(self):
+        # auth-tree-aa reads them; the spec-run verbs record the seed.
+        tree = parse_tree_spec("figure")
+        spec = ScenarioSpec(protocol="tree-aa", n=7, t=2, tree="figure", seed=4)
+        assert pick_inputs(tree, "random:4", 7) == spec.make_inputs()
 
     def test_explicit_inputs(self):
         tree = parse_tree_spec("figure")
@@ -335,6 +342,24 @@ class TestTraceAndReport:
         spec = ScenarioSpec.from_dict(load_run(str(out)).header["params"]["spec"])
         assert (spec.n, spec.t, spec.seed, spec.inputs) == (n, t, seed, None)
         assert "recorded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, seed", [([], 0), (["--inputs", "random:3", "--t", "1"], 3)]
+    )
+    def test_trace_tree_aa_records_the_seed_not_labels(self, flags, seed, tmp_path):
+        """``random[:SEED]`` is the spec's own seed-derived draw on every
+        kind, recorded as the seed."""
+        from repro.analysis.spec import ScenarioSpec
+        from repro.observability import load_run
+
+        out = tmp_path / "tree.jsonl"
+        main(["trace", "--tree", "figure", "--out", str(out), *flags])
+        header = load_run(str(out)).header
+        spec = ScenarioSpec.from_dict(header["params"]["spec"])
+        assert (spec.seed, spec.inputs) == (seed, None)
+        assert header["inputs"] == ScenarioSpec(
+            protocol="tree-aa", n=7, t=spec.t, tree="figure", seed=seed
+        ).make_inputs()
 
     def test_real_aa_verb_has_no_random_inputs(self, capsys):
         # `repro real-aa` has no --n to size seed-derived inputs.

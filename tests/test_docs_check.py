@@ -95,3 +95,16 @@ def test_the_gate_fails_on_a_dead_flag(tmp_path):
 
 def test_the_repository_docs_and_ci_name_only_live_flags():
     assert docs_check.check_cli_flags() == []
+
+
+def test_the_grammar_rows_spell_every_kind(tmp_path):
+    assert docs_check.check_grammar_rows() == []
+    page = tmp_path / "API.md"
+    page.write_text(
+        "| field | meaning |\n|---|---|\n"
+        "| `adversary` | `none` / `silent` / `crash` |\n"
+        "| `scheduler` | `fifo`, `random[:SEED]`, `split[:K]`, `delay[:K]` |\n"
+    )
+    failures = docs_check.check_grammar_rows(str(page))
+    assert len(failures) == 7
+    assert "does not spell `crash[:ROUND[:PARTIAL_TO]]`" in failures[2]

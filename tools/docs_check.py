@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Docs-consistency gate: docstrings, named symbols, CLI flags, executable blocks.
+"""Docs-consistency gate: docstrings, named symbols, CLI flags, grammar
+rows, executable blocks.
 
-Four checks, all run by CI's ``docs`` job (and runnable locally):
+Five checks, all run by CI's ``docs`` job (and runnable locally):
 
 1. **Docstring coverage** — every module, public class, and public
    module-level function under ``src/repro/`` must carry a docstring.
@@ -28,7 +29,13 @@ Four checks, all run by CI's ``docs`` job (and runnable locally):
    each ``--flag`` must be an option of that parser.  ``lint`` is
    checked against the linter's parser it forwards to.
 
-4. **Executable documentation** — every fenced ````` ```python ````` block
+4. **Grammar rows** — the ``adversary`` and ``scheduler`` rows of
+   docs/API.md's ``ScenarioSpec`` field table spell every row of
+   ``repro.analysis.spec.ADVERSARIES`` and ``SCHEDULERS`` with its
+   arguments (``crash[:ROUND[:PARTIAL_TO]]``), so a new kind cannot go
+   undocumented.
+
+5. **Executable documentation** — every fenced ````` ```python ````` block
    in README.md and the docs/ pages listed in ``EXECUTED_DOCS`` is
    executed (with ``src/`` on ``sys.path`` and the sweep cache redirected
    to a throwaway directory), so the documented quickstarts can never
@@ -336,7 +343,31 @@ def check_cli_flags(docs=CLI_DOCS):
 
 
 # ----------------------------------------------------------------------
-# Check 4: executable documentation
+# Check 4: grammar rows
+# ----------------------------------------------------------------------
+
+
+def check_grammar_rows(path=os.path.join(REPO, "docs", "API.md")):
+    """One failure per grammar-table row the field table's ``adversary``
+    or ``scheduler`` row does not spell (as ``` `KIND[:ARG...]` ```)."""
+    from repro.analysis.spec import ADVERSARIES, SCHEDULERS
+
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    failures = []
+    for field, table in (("adversary", ADVERSARIES), ("scheduler", SCHEDULERS)):
+        documented = next((line for line in lines if line.startswith(f"| `{field}` |")), "")
+        for kind, row in table.items():
+            if f"`{row.usage(kind)}`" not in documented:
+                failures.append(
+                    f"{os.path.relpath(path, REPO)}: the `{field}` row of the "
+                    f"ScenarioSpec field table does not spell `{row.usage(kind)}`"
+                )
+    return failures
+
+
+# ----------------------------------------------------------------------
+# Check 5: executable documentation
 # ----------------------------------------------------------------------
 
 
@@ -371,7 +402,11 @@ def run_doc_blocks():
 
 def main():
     failures = (
-        check_docstrings() + check_names() + check_cli_flags() + run_doc_blocks()
+        check_docstrings()
+        + check_names()
+        + check_cli_flags()
+        + check_grammar_rows()
+        + run_doc_blocks()
     )
     for failure in failures:
         print(failure)
