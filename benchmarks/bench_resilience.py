@@ -146,7 +146,7 @@ def test_t5c_degradation_vs_drop_probability(report, benchmark):
                 result = execute_scenario(spec)
                 successes += not evaluate(result)
                 outputs = [
-                    v for v in result.honest_outputs.values() if v is not None
+                    v for v in result.outcome.honest_outputs.values() if v is not None
                 ]
                 spreads.append(
                     max(outputs) - min(outputs) if outputs else float("nan")

@@ -660,6 +660,8 @@ class GrammarKind:
     corrupts: bool = True
     #: ``repro campaign`` samples it (adversaries only).
     campaign: bool = False
+    #: Its arguments are rounds, party counts or party ids: never negative.
+    unsigned: bool = False
 
     def usage(self, kind: str) -> str:
         """The kind's grammar, e.g. ``crash[:ROUND[:PARTIAL_TO]]``."""
@@ -679,15 +681,20 @@ def parse_kind(
     table: Dict[str, GrammarKind], what: str, text: str
 ) -> Tuple[str, GrammarKind, Tuple[int, ...]]:
     """``(kind, row, args)`` of a spec string, validated as data: an
-    unknown kind, an extra argument or a non-integer one is a
-    :class:`SpecError`."""
+    unknown kind, an extra argument, one that is not a canonical integer
+    (``07``, ``+7``, ``7_0``) or a negative one of an :attr:`~GrammarKind
+    .unsigned` row is a :class:`SpecError`."""
     kind, *parts = text.split(":")
     row = table.get(kind)
     if row is None:
         raise SpecError(f"unknown {what} {text!r}")
     try:
         args = tuple(int(part) for part in parts)
-        if len(args) <= len(row.args):
+        if (
+            list(map(str, args)) == parts
+            and len(args) <= len(row.args)
+            and not (row.unsigned and any(arg < 0 for arg in args))
+        ):
             return kind, row, args
     except ValueError:
         pass
@@ -747,6 +754,7 @@ ADVERSARIES: Dict[str, GrammarKind] = {
         build=_strategy("adversary", "CrashAdversary"),
         draw=lambda rng, n: (rng.randint(0, 4), rng.randint(0, 4)),
         campaign=True,
+        unsigned=True,
     ),
     "chaos": GrammarKind(
         args=(_SEED,),
@@ -776,11 +784,13 @@ SCHEDULERS: Dict[str, GrammarKind] = {
         args=(("K", lambda c: max(1, c.n // 2)),),
         build=lambda c, k: _module("asynchrony").SplitScheduler(list(range(min(k, c.n)))),
         draw=lambda rng, n: (rng.randint(1, max(1, n - 1)),),
+        unsigned=True,
     ),
     "delay": GrammarKind(
         args=(("K", 1),),
         build=lambda c, k: _module("asynchrony").DelaySendersScheduler(list(range(min(k, c.n)))),
         draw=lambda rng, n: (rng.randint(1, max(1, n // 2)),),
+        unsigned=True,
     ),
 }
 

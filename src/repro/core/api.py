@@ -6,9 +6,10 @@ properties (Termination / Validity / 1- or ε-Agreement) on the honest
 outputs.
 
 The AA contract is judged once: :func:`judge_real` (Definition 1) and
-:func:`judge_tree` (Definition 2) return the :class:`AAJudgement` that the
-outcome verdicts, the :mod:`repro.resilience.oracles` invariants and the
-tests read.  It is total: ``None`` is a missing output; ``NaN``, ±inf,
+:func:`judge_tree` (Definition 2) return the :class:`AAJudgement` each
+outcome keeps (``outcome.judgement``), once per execution; the outcome
+verdicts, the :mod:`repro.resilience.oracles` invariants and the tests
+read it.  It is total: ``None`` is a missing output; ``NaN``, ±inf,
 bools, ints beyond float range, non-vertices and unhashables are garbage
 (invalid), never an exception; an int in the hull is a valid real output;
 an empty honest set has not terminated.
@@ -37,56 +38,6 @@ from .tree_aa import TreeAAParty
 if TYPE_CHECKING:
     from ..adversary.base import Adversary
     from ..net.trace import Observer
-
-
-@dataclass
-class TreeAAOutcome:
-    """A TreeAA (or path-AA) execution together with its AA verdicts
-    (read from :func:`judge_tree`)."""
-
-    execution: ExecutionResult
-    tree: LabeledTree
-    honest_inputs: Dict[PartyId, Label]
-    honest_outputs: Dict[PartyId, Label]
-    #: Termination: some honest party exists and every one has an output.
-    terminated: bool
-    #: Validity: every honest output is a vertex in the honest inputs'
-    #: convex hull.
-    valid: bool
-    #: The largest distance between distinct vertex outputs (0 unless
-    #: terminated).
-    output_diameter: int
-    #: 1-Agreement: ``output_diameter ≤ 1``.
-    agreement: bool
-    rounds: int
-
-    @property
-    def achieved_aa(self) -> bool:
-        return self.terminated and self.valid and self.agreement
-
-
-@dataclass
-class RealAAOutcome:
-    """A RealAA execution together with its AA verdicts (read from
-    :func:`judge_real`; ``output_spread`` is ``inf`` unless terminated)."""
-
-    execution: ExecutionResult
-    epsilon: float
-    honest_inputs: Dict[PartyId, float]
-    honest_outputs: Dict[PartyId, float]
-    terminated: bool
-    valid: bool
-    output_spread: float
-    agreement: bool
-    rounds: int
-    #: Rounds until the last honest party first observed ε-closeness
-    #: (3 × the latest local termination iteration) — the measured round
-    #: complexity the benchmarks compare against Theorem 3.
-    measured_rounds: Optional[int]
-
-    @property
-    def achieved_aa(self) -> bool:
-        return self.terminated and self.valid and self.agreement
 
 
 @dataclass(frozen=True)
@@ -124,6 +75,71 @@ class AAJudgement:
     @property
     def achieved_aa(self) -> bool:
         return self.valid and self.agreement
+
+
+class _Judged:
+    """The AA verdicts of an outcome: read-only views of its judgement."""
+
+    judgement: AAJudgement
+
+    @property
+    def terminated(self) -> bool:
+        """Termination: some honest party exists and every one has an output."""
+        return self.judgement.terminated
+
+    @property
+    def valid(self) -> bool:
+        """Validity: every honest output lies in the honest inputs' hull."""
+        return self.judgement.valid
+
+    @property
+    def agreement(self) -> bool:
+        """1-Agreement on trees, ε-Agreement on ℝ."""
+        return self.judgement.agreement
+
+    @property
+    def achieved_aa(self) -> bool:
+        return self.judgement.achieved_aa
+
+
+@dataclass
+class TreeAAOutcome(_Judged):
+    """A TreeAA (or path-AA) execution together with the
+    :func:`judge_tree` judgement of its honest outputs."""
+
+    execution: ExecutionResult
+    tree: LabeledTree
+    honest_inputs: Dict[PartyId, Label]
+    honest_outputs: Dict[PartyId, Label]
+    judgement: AAJudgement
+    rounds: int
+
+    @property
+    def output_diameter(self) -> int:
+        """The largest distance between distinct vertex outputs (0 unless
+        terminated)."""
+        return int(self.judgement.spread) if self.terminated else 0
+
+
+@dataclass
+class RealAAOutcome(_Judged):
+    """A RealAA execution together with the :func:`judge_real` judgement
+    of its honest outputs."""
+
+    execution: ExecutionResult
+    honest_inputs: Dict[PartyId, float]
+    honest_outputs: Dict[PartyId, float]
+    judgement: AAJudgement
+    rounds: int
+    #: Rounds until the last honest party first observed ε-closeness
+    #: (3 × the latest local termination iteration) — the measured round
+    #: complexity the benchmarks compare against Theorem 3.
+    measured_rounds: Optional[int]
+
+    @property
+    def output_spread(self) -> float:
+        """``max − min`` of the honest outputs (``inf`` unless terminated)."""
+        return self.judgement.spread if self.terminated else math.inf
 
 
 def _partition(
@@ -222,16 +238,12 @@ def tree_aa_outcome(
     counterpart of :func:`real_aa_outcome`)."""
     honest_inputs = {pid: inputs[pid] for pid in sorted(execution.honest)}
     honest_outputs = execution.honest_outputs
-    judgement = _evaluate_tree_outputs(tree, honest_inputs, honest_outputs)
     return TreeAAOutcome(
         execution=execution,
         tree=tree,
         honest_inputs=honest_inputs,
         honest_outputs=honest_outputs,
-        terminated=judgement.terminated,
-        valid=judgement.valid,
-        output_diameter=int(judgement.spread) if judgement.terminated else 0,
-        agreement=judgement.agreement,
+        judgement=_evaluate_tree_outputs(tree, honest_inputs, honest_outputs),
         rounds=execution.trace.rounds_executed,
     )
 
@@ -459,19 +471,14 @@ def real_aa_outcome(
     """
     honest_inputs = {pid: float(inputs[pid]) for pid in sorted(execution.honest)}
     honest_outputs = execution.honest_outputs
-    judgement = judge_real(honest_inputs, honest_outputs, epsilon)
     measured: Optional[int] = None
     if local_iterations and None not in local_iterations:
         measured = 3 * max(local_iterations)
     return RealAAOutcome(
         execution=execution,
-        epsilon=epsilon,
         honest_inputs=honest_inputs,
         honest_outputs=honest_outputs,
-        terminated=judgement.terminated,
-        valid=judgement.valid,
-        output_spread=judgement.spread if judgement.terminated else math.inf,
-        agreement=judgement.agreement,
+        judgement=judge_real(honest_inputs, honest_outputs, epsilon),
         rounds=rounds,
         measured_rounds=measured,
     )

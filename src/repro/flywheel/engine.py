@@ -36,7 +36,8 @@ from ..analysis.parallel import register_runner, resolve_jobs, run_grid
 from ..analysis.spec import ScenarioSpec
 from ..analysis.strategies import spec_stream, specs_digest
 from ..resilience.corpus import ReproCase, save_case
-from ..resilience.shrink import check_violations, shrink, shrink_report
+from ..resilience.oracles import check_violations
+from ..resilience.shrink import shrink, shrink_report
 from .ledger import LedgerWriter, check_compatible, load_state
 from .oracles import batch_replayable, diverging_oracles, evaluate_point, resolve_perturb
 

@@ -50,6 +50,7 @@ from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.spec import ScenarioSpec, SpecError, execute_spec_point
+from ..core.api import TreeAAOutcome
 from ..engine.errors import UnsupportedBackendError
 from ..engine.spec import resolve_batch_spec
 from ..resilience.oracles import Violation, evaluate
@@ -247,23 +248,24 @@ def _check_round_bound(
     from ..lowerbound import theorem2_lower_bound
     from ..trees.paths import diameter
 
-    spec = result.spec
+    spec, outcome = result.spec, result.outcome
     problems = [v for v in findings if v.oracle == "round-bound"]
-    if result.tree_obj is None:
+    if not isinstance(outcome, TreeAAOutcome):
         lower = 1 if spec.assumed_t else 0
     else:
         bound = theorem2_lower_bound(
-            float(diameter(result.tree_obj)), spec.n, spec.assumed_t
+            float(diameter(outcome.tree)), spec.n, spec.assumed_t
         )
         # Theorem 2 binds worst-case executions of *any* protocol; the
         # tree protocols run fixed schedules, so a completed run beating
         # the bound would mean the reproduction contradicts the paper's Ω(·).
         lower = int(bound) if spec.assumed_t else 0
-    if result.rounds < lower:
+    rounds = result.row["rounds"]
+    if rounds < lower:
         problems.append(
             Violation(
                 "round-bound",
-                f"ran {result.rounds} rounds, below the Theorem-2 lower "
+                f"ran {rounds} rounds, below the Theorem-2 lower "
                 f"bound {lower}",
             )
         )
@@ -291,7 +293,7 @@ def evaluate_point(
         findings = [Violation("no-exception", f"{reference[1]}: {reference[2]}")]
     else:
         findings = evaluate(result)
-        row["rounds"] = result.rounds
+        row["rounds"] = result.row["rounds"]
         row["verdicts"] = result.row["verdicts"]
     # round-bound findings are judged, with the lower bound, in their own cell.
     oracles["execution"] = _judge(

@@ -20,21 +20,13 @@ from .corpus import (
     case_from_scenario,
     iter_corpus,
     load_case,
-    replay,
     save_case,
     verify,
     verify_corpus,
 )
-from .oracles import ORACLE_NAMES, Violation, evaluate, violated_oracles
+from .oracles import ORACLE_NAMES, Violation, check_violations, evaluate, violated_oracles
 from .scenario import ScenarioResult, execute_scenario, round_budget, run_scenario
-from .shrink import (
-    NotViolatingError,
-    ShrinkResult,
-    check_violations,
-    cost,
-    shrink,
-    shrink_report,
-)
+from .shrink import NotViolatingError, ShrinkResult, cost, shrink, shrink_report
 
 __all__ = [
     "ScenarioResult",
@@ -60,7 +52,6 @@ __all__ = [
     "save_case",
     "load_case",
     "iter_corpus",
-    "replay",
     "verify",
     "verify_corpus",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.spec import ADVERSARIES, PROTOCOLS, SCHEDULERS, ScenarioSpec
 from ..trees import parse_tree_spec
@@ -30,6 +30,15 @@ CAMPAIGN_PROTOCOLS = tuple(name for name, entry in PROTOCOLS.items() if entry.ca
 #: Adversary kinds a campaign samples for synchronous specs: the
 #: ``campaign`` rows of the adversary table, in draw-menu order.
 SYNC_ADVERSARIES = ("none", "passive", "silent", "noise", "crash", "chaos")
+
+#: Tree families a campaign samples for tree specs: each family's tree
+#: spec, sized by the campaign RNG.
+TREE_FAMILIES: Dict[str, Callable[[random.Random], str]] = {
+    "path": lambda rng: f"path:{rng.randint(3, 20)}",
+    "star": lambda rng: f"star:{rng.randint(3, 12)}",
+    "caterpillar": lambda rng: f"caterpillar:{rng.randint(2, 8)}x{rng.randint(1, 3)}",
+    "random": lambda rng: f"random:{rng.randint(4, 20)}:{rng.randint(0, 999)}",
+}
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class CampaignConfig:
     #: Scheduler kinds for async scenarios.
     schedulers: Tuple[str, ...] = tuple(SCHEDULERS)
     #: Tree families for tree-aa scenarios.
-    tree_families: Tuple[str, ...] = ("path", "star", "caterpillar", "random")
+    tree_families: Tuple[str, ...] = tuple(TREE_FAMILIES)
     #: Party counts are drawn from this inclusive range.
     min_n: int = 4
     max_n: int = 10
@@ -84,6 +93,7 @@ class CampaignConfig:
             ("protocols", list(CAMPAIGN_PROTOCOLS)),
             ("adversaries", [kind for kind, row in ADVERSARIES.items() if row.campaign]),
             ("schedulers", list(SCHEDULERS)),
+            ("tree_families", list(TREE_FAMILIES)),
         ):
             unknown = sorted(set(getattr(self, field)) - set(known))
             if unknown:
@@ -95,19 +105,6 @@ class CampaignConfig:
                 "fault plans require allow_model_violations=True "
                 "(they break the Byzantine model on purpose)"
             )
-
-
-def _sample_tree(rng: random.Random, family: str) -> str:
-    """A CLI tree spec of the given family, sized by the campaign RNG."""
-    if family == "path":
-        return f"path:{rng.randint(3, 20)}"
-    if family == "star":
-        return f"star:{rng.randint(3, 12)}"
-    if family == "caterpillar":
-        return f"caterpillar:{rng.randint(2, 8)}x{rng.randint(1, 3)}"
-    if family == "random":
-        return f"random:{rng.randint(4, 20)}:{rng.randint(0, 999)}"
-    raise ValueError(f"unknown tree family {family!r}")
 
 
 def _sample_adversary(
@@ -168,7 +165,7 @@ def generate_scenarios(config: CampaignConfig) -> List[ScenarioSpec]:
         tree: Optional[str] = None
         inputs: Tuple[Any, ...]
         if PROTOCOLS[protocol].on_tree:
-            tree = _sample_tree(rng, rng.choice(list(config.tree_families)))
+            tree = TREE_FAMILIES[rng.choice(list(config.tree_families))](rng)
             vertices = parse_tree_spec(tree).vertices
             inputs = tuple(
                 vertices[rng.randint(0, 10_000) % len(vertices)] for _ in range(n)

@@ -19,8 +19,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from ..analysis.spec import ScenarioSpec
 from ..jsonlog import write_atomic
-from .oracles import evaluate, violated_oracles
-from .scenario import ScenarioResult, execute_scenario
+from .oracles import check_violations
 
 #: Corpus file schema version (bump on incompatible format changes).
 #: Version 2 stores the execution as a ``spec``.
@@ -127,16 +126,9 @@ def iter_corpus(directory: str) -> List[ReproCase]:
     return cases
 
 
-def replay(case: ReproCase) -> Tuple[Tuple[str, ...], ScenarioResult]:
-    """Execute a case; return (violated oracle names, full result)."""
-    result = execute_scenario(case.spec)
-    return tuple(violated_oracles(evaluate(result))), result
-
-
 def verify(case: ReproCase) -> bool:
     """Whether the replayed verdict matches the recorded one exactly."""
-    found, _ = replay(case)
-    return tuple(sorted(found)) == tuple(sorted(case.expected_violations))
+    return check_violations(case.spec) == tuple(sorted(case.expected_violations))
 
 
 def case_from_scenario(
@@ -145,12 +137,11 @@ def case_from_scenario(
     spec: ScenarioSpec,
 ) -> ReproCase:
     """Freeze a spec with its *current* verdict as the expectation."""
-    result = execute_scenario(spec)
     return ReproCase(
         name=name,
         description=description,
         spec=spec,
-        expected_violations=tuple(violated_oracles(evaluate(result))),
+        expected_violations=check_violations(spec),
     )
 
 

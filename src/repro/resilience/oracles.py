@@ -23,11 +23,14 @@ over a finished :class:`~repro.resilience.scenario.ScenarioResult`:
     4, or the async step budget).
 
 :func:`evaluate` runs them all and returns the violations — an empty list
-is a healthy run; every flywheel and campaign point is judged by it.
-``termination``, ``validity`` and ``agreement`` format the findings of the
-one AA judgement (:func:`repro.core.api.judge_real` /
-:func:`~repro.core.api.judge_tree`) that the outcome verdicts read too,
-so a row's ``ok`` and its oracles cannot disagree.  The judgement is
+is a healthy run; every flywheel and campaign point is judged by it, and
+:func:`check_violations` is the one "execute a spec, name what it
+violates" call the shrinker and the corpus share.  ``termination``,
+``validity`` and ``agreement`` format the findings of the AA judgement
+the outcome holds (``outcome.judgement``, made once per execution by
+:func:`repro.core.api.judge_real` / :func:`~repro.core.api.judge_tree`),
+which the outcome verdicts read too, so a row's ``ok`` and its oracles
+cannot disagree.  The judgement is
 total: it never raises on garbage outputs (``NaN``, ``None``,
 non-vertices, ints too large for a float); garbage surfaces as violations
 instead.
@@ -36,10 +39,10 @@ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple
 
-from ..core.api import AAJudgement, judge_real, judge_tree
-from .scenario import ScenarioResult
+from ..analysis.spec import ScenarioSpec
+from .scenario import Outcome, ScenarioResult, execute_scenario
 
 #: Every oracle name, in evaluation order.
 ORACLE_NAMES = (
@@ -68,13 +71,15 @@ class Violation:
         return cls(oracle=str(payload["oracle"]), detail=str(payload["detail"]))
 
 
-def _check_termination(result: ScenarioResult, judgement: AAJudgement) -> List[Violation]:
+def _check_termination(result: ScenarioResult, outcome: Outcome) -> List[Violation]:
     """Every honest party has an output; async runs completed."""
     violations: List[Violation] = []
-    if not result.completed:
-        violations.append(
-            Violation("termination", result.stall or "execution did not complete")
-        )
+    execution: Any = outcome.execution
+    if result.spec.entry.asynchronous and not execution.completed:
+        stall = execution.stall
+        detail = stall.summary() if stall is not None else "execution did not complete"
+        violations.append(Violation("termination", detail))
+    judgement = outcome.judgement
     if judgement.missing:
         violations.append(
             Violation("termination", f"honest parties {list(judgement.missing)} have no output")
@@ -84,16 +89,13 @@ def _check_termination(result: ScenarioResult, judgement: AAJudgement) -> List[V
     return violations
 
 
-def _check_contract(
-    result: ScenarioResult, judgement: AAJudgement, on_tree: bool
-) -> List[Violation]:
+def _check_contract(outcome: Outcome, on_tree: bool) -> List[Violation]:
     """Validity and agreement: ε on ℝ, 1 on trees."""
-    if on_tree and result.tree_obj is None:
-        return [Violation("validity", "no tree attached to a tree-protocol result")]
+    judgement = outcome.judgement
     violations: List[Violation] = []
     if judgement.garbage:
         kind = "non-vertices" if on_tree else "non-real values"
-        outputs = [result.honest_outputs[pid] for pid in judgement.garbage]
+        outputs = [outcome.honest_outputs[pid] for pid in judgement.garbage]
         detail = f"honest parties {list(judgement.garbage)} output {kind} {outputs!r}"
         violations.append(Violation("validity", detail))
     if judgement.outside:
@@ -110,16 +112,14 @@ def _check_contract(
     return violations
 
 
-def _check_round_bound(result: ScenarioResult) -> List[Violation]:
+def _check_round_bound(result: ScenarioResult, outcome: Outcome) -> List[Violation]:
     """The execution stayed within its recorded round/step budget."""
-    if result.round_limit is None:
-        return []
-    if result.rounds <= result.round_limit:
+    if result.round_limit is None or outcome.rounds <= result.round_limit:
         return []
     return [
         Violation(
             "round-bound",
-            f"ran {result.rounds} rounds, budget was {result.round_limit}",
+            f"ran {outcome.rounds} rounds, budget was {result.round_limit}",
         )
     ]
 
@@ -130,21 +130,23 @@ def evaluate(result: ScenarioResult) -> List[Violation]:
     A captured exception short-circuits: a crashed run has no outputs
     worth judging, so only ``no-exception`` fires.  Likewise validity and
     agreement are only judged when at least one honest output exists —
-    a fully stalled run is a termination violation, not four.
+    a fully stalled run is a termination violation, not four.  The AA
+    findings format the judgement the outcome already holds; nothing is
+    judged twice.
     """
-    if result.error is not None:
-        return [Violation("no-exception", result.error)]
-    inputs, outputs = result.honest_inputs, result.honest_outputs
-    on_tree = result.spec.entry.on_tree
-    if on_tree:
-        judgement = judge_tree(result.tree_obj, inputs, outputs)
-    else:
-        judgement = judge_real(inputs, outputs, result.spec.epsilon)
-    violations = _check_termination(result, judgement)
-    if judgement.honest > len(judgement.missing):
-        violations.extend(_check_contract(result, judgement, on_tree))
-    violations.extend(_check_round_bound(result))
+    outcome = result.outcome
+    if outcome is None:  # the run raised
+        return [Violation("no-exception", str(result.error))]
+    violations = _check_termination(result, outcome)
+    if outcome.judgement.honest > len(outcome.judgement.missing):
+        violations.extend(_check_contract(outcome, result.spec.entry.on_tree))
+    violations.extend(_check_round_bound(result, outcome))
     return violations
+
+
+def check_violations(spec: ScenarioSpec) -> Tuple[str, ...]:
+    """Execute a spec and return the violated oracle names (sorted)."""
+    return tuple(violated_oracles(evaluate(execute_scenario(spec))))
 
 
 def violated_oracles(violations: List[Violation]) -> List[str]:

@@ -4,9 +4,10 @@ Every resilience experiment is a :class:`~repro.analysis.spec.ScenarioSpec`
 — the campaign generator draws them from a seeded RNG, the delta-debugger
 edits them, and ``tests/corpus/`` files store them.  :func:`run_scenario`
 runs one over the same code path as :func:`~repro.analysis.spec
-.execute_spec_point` and records everything the invariant oracles judge:
-outputs, the round budget, fault counters, the chaos behaviour log, and
-the spec's result row.
+.execute_spec_point` and keeps what that run returns — the protocol
+outcome, which holds the execution and its one AA judgement, and the
+spec's result row — next to the round budget and the chaos behaviour
+log.
 
 :func:`execute_scenario` never raises for protocol-level failures —
 unhandled exceptions are captured into the result, where the
@@ -17,16 +18,19 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..analysis.spec import ScenarioSpec, SpecError, run_spec_point
+from ..core.api import RealAAOutcome, TreeAAOutcome
 from ..engine.errors import UnsupportedBackendError
-from ..net.messages import PartyId
+
+#: What a spec's protocol row returns: judged on a tree or on ℝ.
+Outcome = Union[TreeAAOutcome, RealAAOutcome]
 
 
 @dataclass
 class ScenarioResult:
-    """What happened when a spec ran: outputs, verdict inputs, faults.
+    """What happened when a spec ran: its outcome and its result row.
 
     Everything the invariant oracles need is here — including a captured
     unhandled exception, so a crashing execution is a *result* (for the
@@ -34,28 +38,19 @@ class ScenarioResult:
     """
 
     spec: ScenarioSpec
-    honest_inputs: Dict[PartyId, Any] = field(default_factory=dict)
-    honest_outputs: Dict[PartyId, Any] = field(default_factory=dict)
-    #: Synchronous rounds executed, or asynchronous delivery steps.
-    rounds: int = 0
-    #: The bound the ``round-bound`` oracle checks ``rounds`` against
-    #: (:func:`round_budget`; ``None`` = none recorded).
-    round_limit: Optional[int] = None
-    #: Async completion (synchronous executions always complete).
-    completed: bool = True
-    #: One-line stall diagnosis for incomplete async runs.
-    stall: Optional[str] = None
-    #: ``"ExcType: message"`` plus final traceback line, if the run crashed.
-    error: Optional[str] = None
-    #: The chaos adversary's behaviour log (the shrinker scripts from it).
-    chaos_log: List[Tuple[int, int, str]] = field(default_factory=list)
-    #: Fault-injection counters (all zero without a fault plan).
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: The reconstructed tree (tree protocols only; oracles need it).
-    tree_obj: Any = None
+    #: The protocol outcome (``None`` if the run raised): the execution,
+    #: the honest inputs and outputs, the rounds and the AA judgement.
+    outcome: Optional[Outcome] = None
     #: The spec's JSON result row (:func:`~repro.analysis.spec
     #: .execute_spec_point`'s), empty if the run crashed.
     row: Dict[str, Any] = field(default_factory=dict)
+    #: The bound the ``round-bound`` oracle checks the outcome's rounds
+    #: against (:func:`round_budget`; ``None`` = none recorded).
+    round_limit: Optional[int] = None
+    #: The chaos adversary's behaviour log (the shrinker scripts from it).
+    chaos_log: List[Tuple[int, int, str]] = field(default_factory=list)
+    #: ``"ExcType: message"`` plus final traceback line, if the run crashed.
+    error: Optional[str] = None
 
 
 def _capture_error(exc: BaseException) -> str:
@@ -78,29 +73,14 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Execute a spec and capture its result; exceptions propagate."""
     adversary = spec.make_adversary()
     outcome, row = run_spec_point(spec, adversary)
-    execution = outcome.execution
-    result = ScenarioResult(
-        spec=spec,
-        honest_inputs=dict(outcome.honest_inputs),
-        honest_outputs=dict(outcome.honest_outputs),
-        rounds=outcome.rounds,
-        round_limit=round_budget(spec),
-        fault_counts={
-            "dropped": execution.trace.faults_dropped,
-            "duplicated": execution.trace.faults_duplicated,
-            "corrupted": execution.trace.faults_corrupted,
-        },
-        tree_obj=getattr(outcome, "tree", None),
-        row=row,
-    )
-    if spec.entry.asynchronous:
-        result.completed = execution.completed
-        if execution.stall is not None:
-            result.stall = execution.stall.summary()
     log = getattr(adversary, "log", None)
-    if log is not None:
-        result.chaos_log = [tuple(entry) for entry in log]
-    return result
+    return ScenarioResult(
+        spec=spec,
+        outcome=outcome,
+        row=row,
+        round_limit=round_budget(spec),
+        chaos_log=[tuple(entry) for entry in log or ()],
+    )
 
 
 def execute_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -117,6 +97,4 @@ def execute_scenario(spec: ScenarioSpec) -> ScenarioResult:
     except (SpecError, UnsupportedBackendError):
         raise
     except Exception as exc:  # noqa: BLE001 - captured for the oracle
-        return ScenarioResult(
-            spec=spec, error=_capture_error(exc), completed=False
-        )
+        return ScenarioResult(spec=spec, error=_capture_error(exc))

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from ..analysis.spec import ADVERSARIES, ScenarioSpec
 from ..trees import parse_tree_spec
-from .oracles import evaluate, violated_oracles
+from .oracles import check_violations, evaluate
 from .scenario import execute_scenario
 
 #: A failure predicate for :func:`shrink`: execute a spec however the
@@ -59,11 +59,6 @@ class ShrinkResult:
 
 class NotViolatingError(ValueError):
     """:func:`shrink` was handed a spec that violates nothing."""
-
-
-def check_violations(spec: ScenarioSpec) -> Tuple[str, ...]:
-    """Execute a spec and return the violated oracle names (sorted)."""
-    return tuple(violated_oracles(evaluate(execute_scenario(spec))))
 
 
 def cost(spec: ScenarioSpec) -> int:

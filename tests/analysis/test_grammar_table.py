@@ -145,6 +145,10 @@ def test_chaos_script_is_a_chaos_field():
         ScenarioSpec.from_dict(payload)
 
 
+def test_signed_seeds_parse():
+    assert parse_kind(ADVERSARIES, "adversary", "noise:-5")[2] == (-5,)
+
+
 def test_campaign_rows_are_the_campaign_menu():
     """``SYNC_ADVERSARIES`` keeps the draw order; the table says which kinds."""
     assert set(SYNC_ADVERSARIES) == {k for k, row in ADVERSARIES.items() if row.campaign}
@@ -184,7 +188,6 @@ ALLOWED: Dict[Tuple[str, str], str] = {
 OTHER_VOCABULARIES: Dict[Tuple[str, str], str] = {
     ("adversary/chaos.py", "behaviour == 'silent'"): "a chaos behaviour",
     ("analysis/sweep.py", "family == 'random'"): "a tree family",
-    ("resilience/campaign.py", "family == 'random'"): "a tree family",
     ("resilience/shrink.py", "family == 'random'"): "a tree family",
     ("trees/grammar.py", "kind == 'random'"): "a tree family",
     ("cli.py", "spec.startswith('random')"): "the --inputs grammar",

@@ -73,7 +73,7 @@ class TestEveryRow:
 
     def test_rounds_stay_within_the_budget(self, name):
         spec = minimal_spec(name)
-        assert run_scenario(spec).rounds <= round_budget(spec)
+        assert run_scenario(spec).outcome.rounds <= round_budget(spec)
 
     def test_verdict_key_matches_the_input_kind(self, name):
         verdicts = execute_spec_point(minimal_spec(name))["verdicts"]

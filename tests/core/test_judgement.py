@@ -1,12 +1,13 @@
 """One AA judgement: the outcome verdicts and the resilience oracles agree.
 
 :func:`repro.core.judge_real` / :func:`repro.core.judge_tree` are the only
-implementation of Definitions 1–2.  The outcome verdicts
+implementation of Definitions 1–2.  The outcomes
 (:func:`~repro.core.api.real_aa_outcome`, :func:`~repro.core.api
-.tree_aa_outcome`) and the invariant oracles (:func:`repro.resilience
-.oracles.evaluate`) both read them, so on any honest-output map — garbage
-included — neither side raises and ``achieved_aa`` holds exactly when the
-oracles report no termination, validity or agreement violation.
+.tree_aa_outcome`) keep the judgement, and their verdicts and the
+invariant oracles (:func:`repro.resilience.oracles.evaluate`) both read
+it, so on any honest-output map — garbage included — neither side raises
+and ``achieved_aa`` holds exactly when the oracles report no termination,
+validity or agreement violation.
 """
 
 import math
@@ -89,13 +90,8 @@ def tree_instances(draw):
     return _instance(draw, st.sampled_from(TREE.vertices), TREE_OUTPUTS)
 
 
-def _contract_findings(spec, outcome, tree=None):
-    result = ScenarioResult(
-        spec=spec,
-        honest_inputs=outcome.honest_inputs,
-        honest_outputs=outcome.honest_outputs,
-        tree_obj=tree,
-    )
+def _contract_findings(spec, outcome):
+    result = ScenarioResult(spec=spec, outcome=outcome)
     return {violation.oracle for violation in evaluate(result)} & CONTRACT
 
 
@@ -112,9 +108,7 @@ class TestOutcomeMatchesOracles:
         inputs, outputs = instance
         outcome = tree_aa_outcome(_execution(outputs), TREE, inputs)
         spec = ScenarioSpec(protocol="tree-aa", n=8, t=0, tree="figure")
-        assert outcome.achieved_aa == (
-            not _contract_findings(spec, outcome, TREE)
-        )
+        assert outcome.achieved_aa == (not _contract_findings(spec, outcome))
 
 
 def _groups(outputs, well_formed):

@@ -25,7 +25,7 @@ import pytest
 
 from repro.engine import UnsupportedBackendError
 from repro.resilience import iter_corpus
-from repro.resilience.oracles import evaluate, violated_oracles
+from repro.resilience.oracles import check_violations, evaluate, violated_oracles
 from repro.resilience.scenario import execute_scenario
 
 pytest.importorskip("numpy")
@@ -77,6 +77,9 @@ FLYWHEEL_UNSUPPORTED = tuple(
 
 ALL_SUPPORTED = BATCH_SUPPORTED + FLYWHEEL_SUPPORTED
 
+#: The fault-injection counters of an execution's trace.
+FAULT_COUNTERS = ("faults_dropped", "faults_duplicated", "faults_corrupted")
+
 
 def test_every_case_is_classified():
     classified = (
@@ -94,13 +97,17 @@ def test_supported_case_replays_identically(name):
     case = CORPUS_CASES[name]
     reference = execute_scenario(replace(case.spec, backend="reference"))
     batch = execute_scenario(replace(case.spec, backend="batch"))
-    assert batch.honest_inputs == reference.honest_inputs
-    assert batch.honest_outputs == reference.honest_outputs
-    assert batch.rounds == reference.rounds
-    assert batch.round_limit == reference.round_limit
-    assert batch.completed == reference.completed
     assert batch.error == reference.error
-    assert batch.fault_counts == reference.fault_counts
+    ours, theirs = batch.outcome, reference.outcome
+    assert ours.honest_inputs == theirs.honest_inputs
+    assert ours.honest_outputs == theirs.honest_outputs
+    assert ours.rounds == theirs.rounds
+    assert ours.judgement == theirs.judgement
+    for counter in FAULT_COUNTERS:
+        assert getattr(ours.execution.trace, counter) == getattr(
+            theirs.execution.trace, counter
+        )
+    assert batch.round_limit == reference.round_limit
     assert batch.chaos_log == reference.chaos_log
     assert violated_oracles(evaluate(batch)) == violated_oracles(
         evaluate(reference)
@@ -110,8 +117,7 @@ def test_supported_case_replays_identically(name):
 @pytest.mark.parametrize("name", ALL_SUPPORTED)
 def test_supported_case_verdict_matches_recording(name):
     case = CORPUS_CASES[name]
-    result = execute_scenario(replace(case.spec, backend="batch"))
-    assert tuple(violated_oracles(evaluate(result))) == tuple(
+    assert check_violations(replace(case.spec, backend="batch")) == tuple(
         sorted(case.expected_violations)
     )
 

@@ -73,8 +73,8 @@ class TestHealthyPoints:
         assert row["oracles"]["execution"]["status"] == "ok"
 
     def test_adversary_that_fails_to_build_fails_alike_on_both_engines(self):
-        # crash:-1 is well-formed grammar that CrashAdversary refuses.
-        spec = tree_spec(adversary="crash:-1")
+        # A well-formed spec whose chaos script ChaosAdversary refuses.
+        spec = tree_spec(adversary="chaos:1", chaos_script=((0, 3, "psychic"),))
         assert batch_replayable(spec)
         row = evaluate_point(spec)
         assert diverging_oracles(row) == ("execution",)
@@ -142,7 +142,7 @@ class TestRoundBudget:
         )
         result = run_scenario(spec)
         expected = realaa_duration(diameter(spec.build_tree()), 1, 6, 1)
-        assert result.round_limit == expected == result.rounds
+        assert result.round_limit == expected == result.outcome.rounds
         assert evaluate_point(spec)["oracles"]["round-bound"]["status"] == "ok"
 
     def test_exceeding_the_budget_diverges(self, monkeypatch):
@@ -153,7 +153,7 @@ class TestRoundBudget:
 
         def tight(candidate):
             result = real_run(candidate)
-            result.round_limit = result.rounds - 1
+            result.round_limit = result.outcome.rounds - 1
             return result
 
         monkeypatch.setattr(oracles, "run_scenario", tight)
@@ -274,3 +274,44 @@ class TestTreeBuiltOnce:
         first = spec.build_tree()
         source.write_text(tree_to_json(path_tree(6)))
         assert spec.build_tree().n_vertices == 6 != first.n_vertices
+
+
+class TestJudgedOnce:
+    """Each execution of a point is judged exactly once: the oracles read
+    the judgement its outcome already holds."""
+
+    @staticmethod
+    def judgements(monkeypatch, spec):
+        from repro.core.api import AAJudgement
+
+        made = []
+        init = AAJudgement.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AAJudgement, "__init__", counting)
+        row = evaluate_point(spec)
+        assert row["ok"]
+        return len(made), row["oracles"]
+
+    def test_tree_point_with_parity_and_baseline(self, monkeypatch):
+        count, cells = self.judgements(monkeypatch, tree_spec())
+        assert cells["backend-parity"]["status"] == "ok"
+        assert cells["cross-protocol"]["status"] == "ok"
+        assert count == 3  # reference, batch, baseline
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScenarioSpec(protocol="real-aa", n=4, t=1, known_range=8.0, seed=3),
+            ScenarioSpec(protocol="path-aa", n=4, t=1, tree="path:6", seed=3),
+        ],
+        ids=["real-aa", "path-aa"],
+    )
+    def test_point_with_parity(self, monkeypatch, spec):
+        count, cells = self.judgements(monkeypatch, spec)
+        assert cells["backend-parity"]["status"] == "ok"
+        assert cells["cross-protocol"]["status"] == "skipped"
+        assert count == 2  # reference, batch

@@ -69,6 +69,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="schedulers \\['psychic'\\]"):
             CampaignConfig(schedulers=("fifo", "psychic"))
 
+    def test_unknown_tree_families_rejected(self):
+        # Checked at construction, not when generate_scenarios draws a tree.
+        with pytest.raises(ValueError, match="tree_families \\['bogus'\\]; choose from"):
+            CampaignConfig(tree_families=("path", "bogus"))
+
     def test_fault_plans_need_the_explicit_gate(self):
         with pytest.raises(ValueError, match="allow_model_violations"):
             CampaignConfig(max_fault_probability=0.2)

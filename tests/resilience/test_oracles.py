@@ -1,13 +1,19 @@
 """Invariant oracles judged over hand-crafted scenario results.
 
-The oracles must be *total*: whatever garbage an execution produces —
-``NaN`` outputs, ``None`` outputs, unhashable non-vertices — evaluation
-returns violations, it never raises.
+Each result holds an outcome built by :func:`~repro.core.api.real_aa_outcome`
+or :func:`~repro.core.api.tree_aa_outcome` over a stub execution, so the
+oracles format the very judgement a real run carries.  They must be
+*total*: whatever garbage an execution produces — ``NaN`` outputs,
+``None`` outputs, unhashable non-vertices — evaluation returns
+violations, it never raises.
 """
 
 import math
 
 from repro.analysis.spec import ScenarioSpec
+from repro.asynchrony.network import AsyncExecutionResult, AsyncTrace
+from repro.core.api import real_aa_outcome, tree_aa_outcome
+from repro.net.network import ExecutionResult, ExecutionTrace
 from repro.resilience import (
     ORACLE_NAMES,
     ScenarioResult,
@@ -17,42 +23,48 @@ from repro.resilience import (
 )
 from repro.trees import parse_tree_spec
 
-
-def real_result(**overrides):
-    spec = ScenarioSpec(
-        protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
-        adversary="silent", corrupt=(3,), epsilon=0.5,
-    )
-    result = ScenarioResult(
-        spec=spec,
-        honest_inputs={0: 0.0, 1: 1.0, 2: 2.0},
-        honest_outputs={0: 1.0, 1: 1.2, 2: 1.4},
-        rounds=5,
-        round_limit=10,
-    )
-    for key, value in overrides.items():
-        setattr(result, key, value)
-    return result
+REAL_SPEC = ScenarioSpec(
+    protocol="real-aa", n=4, t=1, inputs=(0.0, 1.0, 2.0, 3.0),
+    adversary="silent", corrupt=(3,), epsilon=0.5,
+)
+TREE = parse_tree_spec("path:5")
+A, B, C, D, E = TREE.vertices
+TREE_SPEC = ScenarioSpec(
+    protocol="tree-aa", n=4, t=1, inputs=(A, E, C, B),
+    adversary="silent", corrupt=(3,), tree="path:5",
+)
 
 
-def tree_result(**overrides):
-    tree = parse_tree_spec("path:5")
-    a, b, c, d, e = tree.vertices
-    spec = ScenarioSpec(
-        protocol="tree-aa", n=4, t=1, inputs=(a, e, c, b),
-        adversary="silent", corrupt=(3,), tree="path:5",
+def _execution(outputs):
+    """A finished synchronous execution whose honest parties output *outputs*."""
+    return ExecutionResult(
+        outputs=dict(outputs), honest=set(outputs), corrupted={3},
+        trace=ExecutionTrace(), parties={},
     )
-    result = ScenarioResult(
-        spec=spec,
-        honest_inputs={0: a, 1: e, 2: c},
-        honest_outputs={0: c, 1: c, 2: d},
-        rounds=3,
-        round_limit=12,
-        tree_obj=tree,
+
+
+def _stalled(outputs):
+    """An asynchronous execution that ran out of steps."""
+    return AsyncExecutionResult(
+        outputs=dict(outputs), honest=set(outputs), corrupted={3},
+        trace=AsyncTrace(), parties={}, completed=False,
     )
-    for key, value in overrides.items():
-        setattr(result, key, value)
-    return result
+
+
+def real_result(
+    outputs=None, *, spec=REAL_SPEC, execution=_execution, rounds=5, round_limit=10
+):
+    if outputs is None:
+        outputs = {0: 1.0, 1: 1.2, 2: 1.4}
+    outcome = real_aa_outcome(execution(outputs), spec.inputs, spec.epsilon, rounds)
+    return ScenarioResult(spec=spec, outcome=outcome, round_limit=round_limit)
+
+
+def tree_result(outputs=None, *, inputs=TREE_SPEC.inputs, tree=TREE):
+    if outputs is None:
+        outputs = {0: C, 1: C, 2: D}
+    outcome = tree_aa_outcome(_execution(outputs), tree, inputs)
+    return ScenarioResult(spec=TREE_SPEC, outcome=outcome, round_limit=12)
 
 
 class TestCleanResults:
@@ -71,8 +83,7 @@ class TestCleanResults:
 
 class TestNoException:
     def test_error_short_circuits_to_single_violation(self):
-        result = real_result(error="ValueError: boom @ x.py:3",
-                             honest_outputs={})
+        result = ScenarioResult(spec=REAL_SPEC, error="ValueError: boom @ x.py:3")
         violations = evaluate(result)
         assert violated_oracles(violations) == ["no-exception"]
         assert "boom" in violations[0].detail
@@ -80,74 +91,70 @@ class TestNoException:
 
 class TestTermination:
     def test_stalled_async_run(self):
-        result = real_result(completed=False, stall="step budget exhausted")
+        spec = ScenarioSpec(
+            protocol="async-real-aa", n=4, t=1, inputs=REAL_SPEC.inputs,
+            adversary="silent", corrupt=(3,), epsilon=0.5,
+        )
+        result = real_result(spec=spec, execution=_stalled)
         assert "termination" in violated_oracles(evaluate(result))
 
     def test_none_outputs_are_termination_not_validity(self):
-        result = real_result(honest_outputs={0: 1.0, 1: None, 2: 1.2})
+        result = real_result({0: 1.0, 1: None, 2: 1.2})
         assert violated_oracles(evaluate(result)) == ["termination"]
 
     def test_no_outputs_at_all_skips_validity_and_agreement(self):
-        result = real_result(honest_outputs={})
+        result = real_result({})
         assert violated_oracles(evaluate(result)) == ["termination"]
 
 
 class TestRealValidityAndAgreement:
     def test_nan_output_is_a_validity_violation_not_a_crash(self):
-        result = real_result(honest_outputs={0: 1.0, 1: math.nan, 2: 1.2})
+        result = real_result({0: 1.0, 1: math.nan, 2: 1.2})
         assert "validity" in violated_oracles(evaluate(result))
 
     def test_infinite_output_is_a_validity_violation(self):
-        result = real_result(honest_outputs={0: 1.0, 1: math.inf, 2: 1.2})
+        result = real_result({0: 1.0, 1: math.inf, 2: 1.2})
         assert "validity" in violated_oracles(evaluate(result))
 
     def test_int_too_large_for_a_float_is_a_validity_violation(self):
-        result = real_result(honest_outputs={0: 1.0, 1: 10**400, 2: 1.2})
+        result = real_result({0: 1.0, 1: 10**400, 2: 1.2})
         assert "validity" in violated_oracles(evaluate(result))
 
     def test_output_outside_input_hull(self):
-        result = real_result(honest_outputs={0: 1.0, 1: 1.2, 2: 9.0})
+        result = real_result({0: 1.0, 1: 1.2, 2: 9.0})
         names = violated_oracles(evaluate(result))
         assert "validity" in names
 
     def test_spread_beyond_epsilon_is_agreement(self):
-        result = real_result(honest_outputs={0: 0.0, 1: 1.0, 2: 2.0})
+        result = real_result({0: 0.0, 1: 1.0, 2: 2.0})
         assert "agreement" in violated_oracles(evaluate(result))
 
     def test_boolean_output_is_not_a_real_number(self):
-        result = real_result(honest_outputs={0: 1.0, 1: True, 2: 1.2})
+        result = real_result({0: 1.0, 1: True, 2: 1.2})
         assert "validity" in violated_oracles(evaluate(result))
 
 
 class TestTreeValidityAndAgreement:
     def test_non_vertex_output(self):
-        result = tree_result()
-        result.honest_outputs[0] = "not-a-vertex"
+        result = tree_result({0: "not-a-vertex", 1: C, 2: D})
         assert "validity" in violated_oracles(evaluate(result))
 
     def test_unhashable_output_does_not_crash(self):
-        result = tree_result()
-        result.honest_outputs[0] = ["unhashable"]
+        result = tree_result({0: ["unhashable"], 1: C, 2: D})
         assert "validity" in violated_oracles(evaluate(result))
 
     def test_output_outside_convex_hull(self):
-        tree = parse_tree_spec("path:5")
-        a, b, c, d, e = tree.vertices
-        result = tree_result(
-            honest_inputs={0: a, 1: b, 2: a},
-            honest_outputs={0: a, 1: b, 2: e},
-        )
+        result = tree_result({0: A, 1: B, 2: E}, inputs=(A, B, A, B))
         assert "validity" in violated_oracles(evaluate(result))
 
     def test_output_diameter_beyond_one_is_agreement(self):
-        tree = parse_tree_spec("path:5")
-        a, b, c, d, e = tree.vertices
-        result = tree_result(honest_outputs={0: a, 1: c, 2: e})
+        result = tree_result({0: A, 1: C, 2: E})
         assert "agreement" in violated_oracles(evaluate(result))
 
     def test_missing_tree_object_is_reported(self):
-        result = tree_result(tree_obj=None)
-        assert "validity" in violated_oracles(evaluate(result))
+        # Judged without a tree, no output is a vertex.
+        result = tree_result(tree=None)
+        assert violated_oracles(evaluate(result)) == ["validity"]
 
 
 class TestRoundBound:

@@ -166,7 +166,7 @@ class TestDerivedQuantities:
         assert spec.assumed_t == 2
         result = execute_scenario(spec)
         assert result.error is None
-        assert sorted(result.honest_outputs) == [1, 3, 5, 6]
+        assert sorted(result.outcome.honest_outputs) == [1, 3, 5, 6]
 
     def test_effective_known_range_derives_from_inputs(self):
         derived = execute_scenario(real_spec())
@@ -227,13 +227,10 @@ class TestExecution:
     def test_clean_real_aa_run(self):
         result = execute_scenario(real_spec(adversary="silent", corrupt=(3,)))
         assert result.error is None
-        assert result.completed
-        assert sorted(result.honest_outputs) == [0, 1, 2]
-        spread = max(result.honest_outputs.values()) - min(
-            result.honest_outputs.values()
-        )
-        assert spread <= 0.5
-        assert result.rounds <= (result.round_limit or math.inf)
+        outputs = result.outcome.honest_outputs
+        assert sorted(outputs) == [0, 1, 2]
+        assert max(outputs.values()) - min(outputs.values()) <= 0.5
+        assert result.outcome.rounds <= (result.round_limit or math.inf)
 
     def test_clean_tree_aa_run_remaps_vertex_indices(self):
         from repro.resilience.shrink import _tree_candidates
@@ -248,10 +245,10 @@ class TestExecution:
         assert smaller.inputs == ("v00", "v00", "v02", "v03")
         result = execute_scenario(smaller)
         assert result.error is None
-        assert result.tree_obj is not None
+        assert result.outcome.tree is not None
         assert result.round_limit is not None
-        for value in result.honest_outputs.values():
-            assert value in result.tree_obj
+        for value in result.outcome.honest_outputs.values():
+            assert value in result.outcome.tree
 
     def test_clean_async_run(self):
         spec = real_spec(
@@ -260,9 +257,9 @@ class TestExecution:
         )
         result = execute_scenario(spec)
         assert result.error is None
-        assert result.completed
-        assert result.stall is None
-        assert result.rounds <= spec.max_steps
+        assert result.outcome.execution.completed
+        assert result.outcome.execution.stall is None
+        assert result.outcome.rounds <= spec.max_steps
         assert result.round_limit == spec.max_steps
 
     def test_unhandled_exception_is_captured_not_raised(self):
@@ -274,7 +271,7 @@ class TestExecution:
         result = execute_scenario(spec)
         assert result.error is not None
         assert "ValueError" in result.error
-        assert not result.completed
+        assert result.outcome is None
 
     def test_malformed_scenario_still_raises(self):
         with pytest.raises(SpecError):
@@ -292,10 +289,10 @@ class TestExecution:
             execute_scenario(spec)
 
     def test_fault_counters_zero_without_plan(self):
-        result = execute_scenario(real_spec())
-        assert result.fault_counts == {
-            "dropped": 0, "duplicated": 0, "corrupted": 0,
-        }
+        trace = execute_scenario(real_spec()).outcome.execution.trace
+        assert (
+            trace.faults_dropped, trace.faults_duplicated, trace.faults_corrupted
+        ) == (0, 0, 0)
 
     def test_fault_plan_counters_show_up(self):
         spec = real_spec(
@@ -305,7 +302,7 @@ class TestExecution:
         )
         result = execute_scenario(spec)
         assert result.error is None
-        assert result.fault_counts["dropped"] > 0
+        assert result.outcome.execution.trace.faults_dropped > 0
 
     def test_chaos_log_is_captured(self):
         spec = real_spec(adversary="chaos:3", corrupt=(2,))
@@ -322,5 +319,5 @@ class TestExecution:
         )
         result = execute_scenario(spec)
         assert result.error is None
-        assert result.tree_obj is not None
+        assert result.outcome.tree is not None
         assert evaluate(result) == []

@@ -255,6 +255,14 @@ class TestErrors:
         assert excinfo.value.status == 400
         assert "malformed adversary spec 'crash:x'" in str(excinfo.value)
 
+    @pytest.mark.parametrize("adversary", ["noise:07", "noise:+7", "noise:7_0", "crash:-1"])
+    def test_non_canonical_adversary_argument_is_400(self, client, adversary):
+        spec = {"protocol": "real-aa", "n": 4, "t": 1, "adversary": adversary}
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit({"points": [spec]})
+        assert excinfo.value.status == 400
+        assert f"malformed adversary spec {adversary!r}" in str(excinfo.value)
+
     def test_bad_filter_field_is_400(self, client):
         with pytest.raises(ServiceClientError) as excinfo:
             client.query(colour="red")

@@ -128,6 +128,16 @@ class TestValidation:
             ("silent:5", "malformed adversary spec 'silent:5': expected silent"),
             ("burn:3", "malformed adversary spec 'burn:3': expected burn"),
             ("noise:", "malformed adversary spec 'noise:': expected noise[:SEED]"),
+            # Another spelling of an integer would be a second cache key.
+            ("noise:07", "malformed adversary spec 'noise:07': expected noise[:SEED]"),
+            ("noise:+7", "malformed adversary spec 'noise:+7': expected noise[:SEED]"),
+            ("noise:7_0", "malformed adversary spec 'noise:7_0': expected noise[:SEED]"),
+            # Refused here, not by CrashAdversary at run time.
+            ("crash:-1", "malformed adversary spec 'crash:-1': expected crash[:ROUND[:PARTIAL_TO]]"),
+            (
+                "crash:1:-1",
+                "malformed adversary spec 'crash:1:-1': expected crash[:ROUND[:PARTIAL_TO]]",
+            ),
             ("split:x", "unknown adversary 'split:x'"),
         ],
     )
@@ -144,6 +154,10 @@ class TestValidation:
             ("fifo:9", "malformed scheduler spec 'fifo:9': expected fifo"),
             ("random:1:2", "malformed scheduler spec 'random:1:2': expected random[:SEED]"),
             ("split:x", "malformed scheduler spec 'split:x': expected split[:K]"),
+            # split:-1 would run split:0 under a second cache key.
+            ("split:-1", "malformed scheduler spec 'split:-1': expected split[:K]"),
+            ("delay:-2", "malformed scheduler spec 'delay:-2': expected delay[:K]"),
+            ("random:07", "malformed scheduler spec 'random:07': expected random[:SEED]"),
             ("psychic", "unknown scheduler 'psychic'"),
         ],
     )
@@ -300,8 +314,9 @@ class TestScenarioBridge:
         )
         judged = execute_scenario(spec)
         direct = spec.run()
-        assert judged.honest_outputs == dict(direct.honest_outputs)
-        assert judged.rounds == direct.rounds
+        assert judged.outcome.honest_outputs == dict(direct.honest_outputs)
+        assert judged.outcome.rounds == direct.rounds
+        assert judged.outcome.judgement == direct.judgement
         assert judged.chaos_log
 
     def test_explicit_spec_runs_identically(self):
